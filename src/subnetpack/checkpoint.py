@@ -8,7 +8,9 @@ little-endian, dict keys sorted so equal states serialize to equal bytes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -150,12 +152,26 @@ def _digest(payload: bytes) -> int:
 
 
 def save_checkpoint(path, state: dict) -> None:
+    """Write the checkpoint whole or not at all.
+
+    The bytes go to a temp file beside `path`, are fsynced, then renamed over
+    `path`, so a crash or error mid-write leaves the previous checkpoint intact.
+    """
     payload = encode_state(state)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(payload)
-        fh.write(struct.pack("<Q", _digest(payload)))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(payload)
+            fh.write(struct.pack("<Q", _digest(payload)))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def checkpoint_version(path) -> int:

@@ -172,10 +172,11 @@ def loss_and_grads(spec, weights, mask, batch, labels):
 
 
 def train_masked(spec, weights, mask, data, cfg: TrainConfig):
-    """SGD on the masked sub-network; returns (new weights, final train accuracy).
+    """SGD on the masked sub-network; returns the new weights.
 
     Gradients outside the mask are zero, so masked-out weights come back
-    bit-identical. epochs=0 returns an untouched copy.
+    bit-identical. epochs=0 returns an untouched copy. For an accuracy, call
+    evaluate on the returned weights.
     """
     X, y = data
     X = np.asarray(X, dtype=np.float64)
@@ -201,7 +202,7 @@ def train_masked(spec, weights, mask, data, cfg: TrainConfig):
             for i in range(spec.n_layers):
                 out.weights[i] -= lr * gw[i]
                 out.biases[i] -= lr * gb[i]
-    return out, evaluate(spec, out, mask, X, y)
+    return out
 
 
 def evaluate(spec, weights, mask, batch, labels) -> float:

@@ -79,18 +79,15 @@ def select_best(accuracies, sparsities, alpha, beta) -> int:
     A zero max turns that term into zero for every candidate rather than
     dividing by it.
     """
+    return int(np.argmax(_scores(accuracies, sparsities, alpha, beta)))
+
+
+def _scores(accuracies, sparsities, alpha, beta):
+    """Every candidate's score under select_best's formula."""
     A = np.asarray(accuracies, dtype=np.float64)
     S = np.asarray(sparsities, dtype=np.float64)
     if A.size == 0 or A.shape != S.shape:
         raise ValueError("need equal-length nonempty score lists")
-    a_term = A / A.max() if A.max() > 0 else np.zeros_like(A)
-    s_term = S / S.max() if S.max() > 0 else np.zeros_like(S)
-    return int(np.argmax(alpha * a_term + beta * s_term))
-
-
-def _scores(accuracies, sparsities, alpha, beta):
-    A = np.asarray(accuracies, dtype=np.float64)
-    S = np.asarray(sparsities, dtype=np.float64)
     a_term = A / A.max() if A.max() > 0 else np.zeros_like(A)
     s_term = S / S.max() if S.max() > 0 else np.zeros_like(S)
     return tuple(float(v) for v in alpha * a_term + beta * s_term)
@@ -110,8 +107,8 @@ def make_candidate(index, task_id, store: WeightSlotStore, spec, init_weights,
         epochs=cfg.short_epochs,
         seed=derive_seed(cfg.seed, task_id, ROLE_CANDIDATE, index),
     )
-    weights, _ = train_masked(spec, init_weights.copy(), list(mask),
-                              (data.x_train, data.y_train), short_cfg)
+    weights = train_masked(spec, init_weights.copy(), list(mask),
+                           (data.x_train, data.y_train), short_cfg)
     accuracy = evaluate(spec, weights, list(mask), data.x_val, data.y_val)
     sparsity = store.hypothetical_sparsity(mask).weighted
     return Candidate(index, mask, weights, accuracy, sparsity)
@@ -148,8 +145,8 @@ def adaptive_prune(task_id, store: WeightSlotStore, spec, data,
         epochs=cfg.full_epochs,
         seed=derive_seed(cfg.seed, task_id, ROLE_FULLTRAIN, chosen),
     )
-    weights, _ = train_masked(spec, winner.weights, list(winner.mask),
-                              (data.x_train, data.y_train), full_cfg)
+    weights = train_masked(spec, winner.weights, list(winner.mask),
+                           (data.x_train, data.y_train), full_cfg)
     q_ref = evaluate(spec, weights, list(winner.mask), data.x_val, data.y_val)
 
     if sink is not None:

@@ -136,8 +136,8 @@ def _run_task_quantization_only(state: RunState, t, data):
     init = xavier_init(spec, derive_seed(cfg.prune.seed, t, ROLE_INIT, 0))
     full_cfg = replace(cfg.train, epochs=cfg.prune.full_epochs,
                        seed=derive_seed(cfg.prune.seed, t, ROLE_FULLTRAIN, 0))
-    weights, _ = train_masked(spec, init, list(mask),
-                              (data.x_train, data.y_train), full_cfg)
+    weights = train_masked(spec, init, list(mask),
+                           (data.x_train, data.y_train), full_cfg)
     q_ref = evaluate(spec, weights, list(mask), data.x_val, data.y_val)
     saturated = tuple(
         i for i in range(state.store.layer_count)
@@ -176,10 +176,9 @@ def execute_task(state: RunState, t: int) -> None:
 
     row = []
     for e in range(t + 1):
-        task = state.suite.get_task(e)
+        x_test, y_test = state.suite.test_split(e)
         view, view_mask = task_view(state, e)
-        row.append(evaluate(state.config.model, view, view_mask,
-                            task.x_test, task.y_test))
+        row.append(evaluate(state.config.model, view, view_mask, x_test, y_test))
     state.matrix.append_row(row)
     state.next_task = t + 1
     save_run_checkpoint(state)
@@ -203,6 +202,18 @@ def execute_run(state: RunState) -> None:
 
 # -- checkpoint round trip ----------------------------------------------------
 
+def _prune_log_record(log: PruneLog) -> dict:
+    """A PruneLog as the dict both the checkpoint and summary.json store."""
+    return {
+        "task_id": log.task_id,
+        "accuracies": list(log.accuracies),
+        "sparsities": list(log.sparsities),
+        "scores": list(log.scores),
+        "chosen": log.chosen,
+        "winner_layer_sparsity": list(log.winner_layer_sparsity),
+    }
+
+
 def _state_payload(state: RunState) -> dict:
     spec = state.config.model
     return {
@@ -225,17 +236,7 @@ def _state_payload(state: RunState) -> dict:
         "q_ref": {str(t): v for t, v in state.q_ref.items()},
         "q_quant": {str(t): v for t, v in state.q_quant.items()},
         "psi_star": {str(t): v for t, v in state.psi_star.items()},
-        "prune_logs": [
-            {
-                "task_id": log.task_id,
-                "accuracies": list(log.accuracies),
-                "sparsities": list(log.sparsities),
-                "scores": list(log.scores),
-                "chosen": log.chosen,
-                "winner_layer_sparsity": list(log.winner_layer_sparsity),
-            }
-            for log in state.prune_logs
-        ],
+        "prune_logs": [_prune_log_record(log) for log in state.prune_logs],
     }
 
 
@@ -351,17 +352,7 @@ def write_reports(state: RunState) -> dict:
                 for e in cap.entries
             ],
         },
-        "prune_logs": [
-            {
-                "task_id": log.task_id,
-                "accuracies": list(log.accuracies),
-                "sparsities": list(log.sparsities),
-                "scores": list(log.scores),
-                "chosen": log.chosen,
-                "winner_layer_sparsity": list(log.winner_layer_sparsity),
-            }
-            for log in state.prune_logs
-        ],
+        "prune_logs": [_prune_log_record(log) for log in state.prune_logs],
     }
     paths["summary"] = os.path.join(out, "summary.json")
     with open(paths["summary"], "w", encoding="utf-8") as fh:

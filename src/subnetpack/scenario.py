@@ -60,7 +60,9 @@ class ScenarioSuite:
 
     Descriptors are per-task: a pixel permutation (permuted), a class-id tuple
     (split), or a task seed (synthetic). get_task materializes TaskData on
-    demand so only one task's tensors live at a time.
+    demand so only one task's tensors live at a time. test_split builds only a
+    task's test arrays, for re-evaluating past tasks; synthetic tasks draw
+    train and test from one rng stream, so there it draws the whole task.
     """
 
     kind: str
@@ -74,47 +76,42 @@ class ScenarioSuite:
     _blob_params: dict | None = None
 
     def get_task(self, i: int) -> TaskData:
-        if not (0 <= i < self.n_tasks):
-            raise IndexError(f"task {i} outside [0, {self.n_tasks})")
-        if self.kind == "permuted":
-            return self._permuted_task(i)
-        if self.kind == "split":
-            return self._split_task(i)
-        return self._blob_task(i)
-
-    def _carve(self, i, n_classes, x_train, y_train, x_test, y_test):
+        self._check_index(i)
+        if self.kind == "synthetic":
+            x_train, y_train, x_test, y_test = self._blobs(i)
+        else:
+            x_train, y_train = self._select(i, *self._train)
+            x_test, y_test = self.test_split(i)
         xtr, ytr, xv, yv = stratified_val_split(
             x_train, y_train, 0.1, rng_from(self.seed, i, _TAG_VAL))
-        return TaskData(i, n_classes, xtr, ytr, xv, yv, x_test, y_test)
+        return TaskData(i, self.n_classes, xtr, ytr, xv, yv, x_test, y_test)
 
-    def _permuted_task(self, i):
-        perm = self.descriptors[i]
-        xtr, ytr = self._train
-        xte, yte = self._test
-        if perm is None:
-            xtr, xte = xtr.copy(), xte.copy()
-        else:
-            xtr, xte = xtr[:, perm], xte[:, perm]
-        return self._carve(i, self.n_classes, xtr, ytr.copy(), xte, yte.copy())
+    def test_split(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Task i's (x_test, y_test), equal to get_task(i)'s test arrays."""
+        self._check_index(i)
+        if self.kind == "synthetic":
+            # train and test come from one rng stream: draw them both
+            _, _, x_test, y_test = self._blobs(i)
+            return x_test, y_test
+        return self._select(i, *self._test)
 
-    def _split_task(self, i):
-        classes = self.descriptors[i]
-        relabel = {c: j for j, c in enumerate(classes)}
-        out = []
-        for x, y in (self._train, self._test):
-            keep = np.isin(y, classes)
-            xk = x[keep]
-            yk = np.array([relabel[int(c)] for c in y[keep]], dtype=np.int64)
-            out.append((xk, yk))
-        (xtr, ytr), (xte, yte) = out
-        return self._carve(i, len(classes), xtr, ytr, xte, yte)
+    def _check_index(self, i):
+        if not (0 <= i < self.n_tasks):
+            raise IndexError(f"task {i} outside [0, {self.n_tasks})")
 
-    def _blob_task(self, i):
+    def _select(self, i, x, y):
+        """Task i's view of one base split: permuted pixels or relabelled classes."""
+        d = self.descriptors[i]
+        if self.kind == "permuted":
+            return (x.copy() if d is None else np.take(x, d, axis=1)), y.copy()
+        relabel = {c: j for j, c in enumerate(d)}
+        keep = np.isin(y, d)
+        return x[keep], np.array([relabel[int(c)] for c in y[keep]], dtype=np.int64)
+
+    def _blobs(self, i):
         p = self._blob_params
-        x_train, y_train, x_test, y_test = _make_blobs(
-            self.n_classes, p["dim"], p["samples"], p["separation"],
-            rng_from(self.seed, i, _TAG_BLOBS))
-        return self._carve(i, self.n_classes, x_train, y_train, x_test, y_test)
+        return _make_blobs(self.n_classes, p["dim"], p["samples"], p["separation"],
+                           rng_from(self.seed, i, _TAG_BLOBS))
 
     def manifest_text(self) -> str:
         lines = [

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from subnetpack import checkpoint
 from subnetpack.checkpoint import (MAGIC, VERSION, checkpoint_version,
                                    decode_state, encode_state,
                                    load_checkpoint, save_checkpoint)
@@ -140,3 +141,36 @@ def test_arrays_survive_non_native_order(tmp_path):
     back = load_checkpoint(path)["arr"]
     np.testing.assert_array_equal(back, arr.astype("<f8"))
     assert back.dtype == np.dtype("float64")
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "state.bin"
+    save_checkpoint(path, SAMPLE)
+    before = path.read_bytes()
+
+    class TornFile:
+        """Writes half of what it is given, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda p, mode: TornFile(open(p, mode)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, {"replacement": np.arange(1000)})
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert deep_equal(load_checkpoint(path), SAMPLE)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.bin"]

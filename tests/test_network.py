@@ -113,7 +113,7 @@ def test_masked_weights_frozen_bit_identical():
     rng = np.random.default_rng(5)
     mask = [rng.random(s) < 0.5 for s in spec.shapes]
     cfg = TrainConfig(epochs=4, batch_size=16, lr_initial=0.1, seed=2)
-    out, _ = train_masked(spec, init, mask, (x, y), cfg)
+    out = train_masked(spec, init, mask, (x, y), cfg)
     for i in range(spec.n_layers):
         frozen = ~mask[i]
         np.testing.assert_array_equal(out.weights[i][frozen], init.weights[i][frozen])
@@ -124,8 +124,8 @@ def test_train_epochs_zero_is_identity():
     spec = ModelSpec((5, 4, 2))
     x, y = small_problem(1, dim=5, classes=2)
     init = xavier_init(spec, 1)
-    out, _ = train_masked(spec, init, full_mask(spec), (x, y),
-                          TrainConfig(epochs=0, seed=0))
+    out = train_masked(spec, init, full_mask(spec), (x, y),
+                       TrainConfig(epochs=0, seed=0))
     for wi, wo in zip(init.weights, out.weights):
         np.testing.assert_array_equal(wi, wo)
     assert out is not init
@@ -136,8 +136,10 @@ def test_train_deterministic():
     x, y = small_problem(9)
     init = xavier_init(spec, 2)
     cfg = TrainConfig(epochs=3, batch_size=8, lr_initial=0.05, seed=13)
-    a, acc_a = train_masked(spec, init.copy(), full_mask(spec), (x, y), cfg)
-    b, acc_b = train_masked(spec, init.copy(), full_mask(spec), (x, y), cfg)
+    a = train_masked(spec, init.copy(), full_mask(spec), (x, y), cfg)
+    b = train_masked(spec, init.copy(), full_mask(spec), (x, y), cfg)
+    acc_a = evaluate(spec, a, full_mask(spec), x, y)
+    acc_b = evaluate(spec, b, full_mask(spec), x, y)
     assert acc_a == acc_b
     for wa, wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(wa, wb)
@@ -150,9 +152,10 @@ def test_train_learns_separable_data():
     x = np.vstack([x0, x1])
     y = np.array([0] * 40 + [1] * 40)
     spec = ModelSpec((4, 6, 2))
-    out, train_acc = train_masked(spec, xavier_init(spec, 0), full_mask(spec),
-                                  (x, y), TrainConfig(epochs=40, lr_initial=0.5,
-                                                      batch_size=16, seed=1))
+    out = train_masked(spec, xavier_init(spec, 0), full_mask(spec),
+                       (x, y), TrainConfig(epochs=40, lr_initial=0.5,
+                                           batch_size=16, seed=1))
+    train_acc = evaluate(spec, out, full_mask(spec), x, y)
     assert train_acc >= 0.99
 
 

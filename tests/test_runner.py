@@ -12,6 +12,7 @@ from subnetpack.network import evaluate
 from subnetpack.runner import (execute_run, execute_task, new_state,
                                state_from_checkpoint, task_view,
                                write_reports)
+from subnetpack.scenario import ScenarioSuite, write_digit_idx
 from subnetpack.store import SLOT_BITS
 
 BASE = """
@@ -119,6 +120,33 @@ def test_task_view_reevaluation_is_bit_exact(tmp_path):
         acc = evaluate(state.config.model, view, mask, task.x_test, task.y_test)
         assert acc == state.matrix.value(t, t)
         assert acc == state.matrix.value(2, t)
+
+
+def test_permuted_run_builds_each_task_once(tmp_path, monkeypatch):
+    # past tasks are re-evaluated from test_split, never from a whole task
+    paths = write_digit_idx(tmp_path / "data", n_train=300, n_test=100, seed=2)
+    text = "".join(f"scenario.{k} = {v}\n" for k, v in paths.items()) + f"""
+scenario.kind = permuted
+scenario.n_tasks = 3
+model.layers = 784,8,10
+prune.population = 2
+prune.short_epochs = 1
+prune.full_epochs = 1
+run.output_dir = {tmp_path / "out"}
+"""
+    state = new_state(build_run_config(parse_config_text(text)))
+    built = []
+    get_task = ScenarioSuite.get_task
+
+    def counting_get_task(suite, i):
+        built.append(i)
+        return get_task(suite, i)
+
+    monkeypatch.setattr(ScenarioSuite, "get_task", counting_get_task)
+    execute_run(state)
+    assert built == [0, 1, 2]
+    assert [len(r) for r in state.matrix.rows] == [1, 2, 3]
+    assert forget_check(state.matrix) == []
 
 
 def test_pruning_only_mode(tmp_path):

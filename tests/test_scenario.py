@@ -159,6 +159,25 @@ def test_get_task_bounds():
         suite.get_task(-1)
 
 
+def test_test_split_matches_get_task_bit_for_bit():
+    train = tiny_base(classes=4, per_class=10, seed=1)
+    test = tiny_base(classes=4, per_class=4, seed=2)
+    cases = [
+        (permuted_scenario(train, test, n_tasks=3, seed=5), (0, 2)),
+        (split_scenario(train, test, classes_per_task=2, seed=1), (0, 1)),
+        (synthetic_blobs(2, 3, 6, 20, 6.0, seed=3), (0, 1)),
+    ]
+    for suite, tasks in cases:
+        for i in tasks:
+            task = suite.get_task(i)
+            x_test, y_test = suite.test_split(i)
+            for got, want in ((x_test, task.x_test), (y_test, task.y_test)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (suite.kind, i)
+        with pytest.raises(IndexError):
+            suite.test_split(suite.n_tasks)
+
+
 def test_split_scenario_partitions_classes():
     train = tiny_base(classes=5, per_class=10, seed=4)
     test = tiny_base(classes=5, per_class=4, seed=6)
