@@ -27,8 +27,8 @@ from .scenario import (ScenarioSuite, TaskData, load_idx, make_digit_images,
                        stratified_val_split, synthetic_blobs, write_digit_idx)
 from .config import RunConfig, build_run_config, build_suite, load_run_config
 from .checkpoint import load_checkpoint, save_checkpoint
-from .runner import (RunState, execute_run, execute_task, new_state,
-                     state_from_checkpoint, task_view, write_reports)
+from .runner import (RunState, TaskRecord, execute_run, execute_task,
+                     new_state, state_from_checkpoint, task_view, write_reports)
 from .seeding import derive_seed, rng_from
 
 __version__ = "0.1.0"

@@ -4,6 +4,8 @@ Layout: 8-byte magic, little-endian u32 format version, payload, and a
 trailing little-endian u64 BLAKE2b digest of the payload. The payload is a
 tagged tree of None/int/float/str/bytes/list/dict/ndarray nodes, everything
 little-endian, dict keys sorted so equal states serialize to equal bytes.
+Arrays hold bool or little-endian numbers only. The decoder accepts exactly
+what the encoder writes and raises CheckpointError for anything else.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ _T_BYTES = 4
 _T_LIST = 5
 _T_DICT = 6
 _T_ARRAY = 7
+
+_DTYPES = frozenset(np.dtype(c).newbyteorder("<").str.encode("ascii")
+                    for c in "?bBhHiIqQefdFD")
 
 
 def _encode_into(buf: bytearray, node) -> None:
@@ -68,6 +73,8 @@ def _encode_into(buf: bytearray, node) -> None:
         if arr.dtype.byteorder == ">":
             arr = arr.astype(arr.dtype.newbyteorder("<"))
         dtype_text = arr.dtype.str.encode("ascii")
+        if dtype_text not in _DTYPES:
+            raise TypeError(f"cannot encode {arr.dtype} arrays")
         buf.append(_T_ARRAY)
         buf += struct.pack("<B", len(dtype_text))
         buf += dtype_text
@@ -118,17 +125,25 @@ def _decode_node(r: _Reader):
     if tag == _T_DICT:
         (n,) = r.unpack("<Q")
         out = {}
+        last = None
         for _ in range(n):
+            at = r.pos
             key = _decode_node(r)
+            if not isinstance(key, str) or (last is not None and key <= last):
+                raise CheckpointError(f"{r.path}: dict key at byte {at} not a str in order")
             out[key] = _decode_node(r)
+            last = key
         return out
     if tag == _T_ARRAY:
         (dlen,) = r.unpack("<B")
-        dtype = np.dtype(r.take(dlen).decode("ascii"))
+        dtype_text = r.take(dlen)
+        if dtype_text not in _DTYPES:
+            raise CheckpointError(f"{r.path}: array dtype {dtype_text!r} at byte {r.pos}")
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}Q") if ndim else ()
         (nbytes,) = r.unpack("<Q")
-        return np.frombuffer(r.take(nbytes), dtype=dtype).reshape(shape).copy()
+        return np.frombuffer(r.take(nbytes), dtype=dtype_text.decode("ascii")
+                             ).reshape(shape).copy()
     raise CheckpointError(f"{r.path}: unknown node tag {tag} at byte {r.pos - 1}")
 
 
@@ -140,7 +155,11 @@ def encode_state(state: dict) -> bytes:
 
 def decode_state(payload: bytes, path: str = "<memory>") -> dict:
     r = _Reader(payload, path)
-    node = _decode_node(r)
+    try:
+        node = _decode_node(r)
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8, array bytes that do not fit their shape, deep nesting
+        raise CheckpointError(f"{path}: bad node before byte {r.pos}: {exc}") from None
     if r.pos != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - r.pos} stray payload bytes")
     return node

@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _print_outcome(state) -> None:
     print(f"tasks completed: {state.matrix.n_episodes}")
     print(f"lifelong accuracy: {lifelong_accuracy(state.matrix):.4f}")
-    widths = " ".join(f"{t}:{state.psi_star[t]}" for t in sorted(state.psi_star))
+    widths = " ".join(f"{t}:{state.store.tasks[t].psi}" for t in sorted(state.store.tasks))
     print(f"bit-widths per task: {widths}")
     print(f"reports in: {state.config.output_dir}")
 
@@ -105,7 +105,7 @@ def _cmd_inspect(args) -> int:
         alloc = state.store.tasks[t]
         used = sum(alloc.mask.active_counts())
         print(f"task {t}: psi={alloc.psi} slots={used} "
-              f"val_acc={state.q_quant.get(t, float('nan')):.4f}")
+              f"val_acc={state.tasks[t].q_quant:.4f}")
     for e, row in enumerate(state.matrix.rows):
         print(f"episode {e}: " + " ".join(f"{v:.4f}" for v in row))
     return EXIT_OK

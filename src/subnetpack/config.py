@@ -4,47 +4,16 @@ The file format is one `key = value` pair per line, `#` comments, no nesting.
 Unknown keys are rejected so typos fail loudly. Values are merged with
 `--set key=value` overrides before validation.
 
-Key schema (defaults in parentheses):
-  scenario.kind           permuted | split | synthetic (permuted)
-  scenario.seed           int (0)
-  scenario.n_tasks        int (3), permuted and synthetic kinds
-  scenario.train_images   path to IDX train images (permuted/split)
-  scenario.train_labels   path to IDX train labels
-  scenario.test_images    path to IDX test images
-  scenario.test_labels    path to IDX test labels
-  scenario.classes_per_task  int (2), split kind
-  scenario.classes        int (5), synthetic kind
-  scenario.dim            int (16), synthetic kind
-  scenario.samples        int (200), synthetic train samples per class
-  scenario.separation     float (8.0), synthetic mean spacing
-  model.layers            comma list, first=input dim, last=classes (784,100,10)
-  train.batch_size        int (128)
-  train.lr_initial        float (0.01)
-  train.lr_decay          float (0.9)
-  train.lr_floor          float (0.0001)
-  prune.population        int (16)
-  prune.alpha             float (0.9)
-  prune.beta              float (0.1)
-  prune.v_min             float (0.45)
-  prune.v_max             float (0.85)
-  prune.short_epochs      int (5)
-  prune.full_epochs       int (50)
-  prune.t_l               int (4)
-  prune.psi_min           int (2)
-  quant.psi_init          int (2)
-  quant.psi_max           int (8)
-  quant.delta             float (0.01)
-  quant.kmeans_iters      int (50)
-  quant.kmeans_restarts   int (3)
-  run.mode                full | pruning-only | quantization-only (full)
-  run.seed                int (0), feeds every stage unless a stage overrides
-  run.output_dir          directory for reports and checkpoints (run_out)
+`KEYS` lists every key with its meaning; README.md shows it as a table. A key
+`section.field` takes the type and default of that field of the section's
+dataclass (`_SECTIONS`), so each default is written once. `run.seed` feeds
+every stage's seed, and `scenario.seed` too when that is not set.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .network import ModelSpec, TrainConfig
@@ -53,30 +22,45 @@ from .quantization import QuantConfig
 from .scenario import (ScenarioSuite, load_idx, permuted_scenario,
                        split_scenario, synthetic_blobs)
 
-_INT_KEYS = {
-    "scenario.seed", "scenario.n_tasks", "scenario.classes_per_task",
-    "scenario.classes", "scenario.dim", "scenario.samples",
-    "train.batch_size",
-    "prune.population", "prune.short_epochs", "prune.full_epochs",
-    "prune.t_l", "prune.psi_min",
-    "quant.psi_init", "quant.psi_max", "quant.kmeans_iters",
-    "quant.kmeans_restarts",
-    "run.seed",
+KEYS = {
+    "scenario.kind": "`permuted`, `split`, or `synthetic`",
+    "scenario.seed": "scenario-level seed (permutations, splits, blobs)",
+    "scenario.n_tasks": "task count (`permuted`, `synthetic`)",
+    "scenario.train_images": "IDX train image file (`permuted`, `split`)",
+    "scenario.train_labels": "IDX train label file (`permuted`, `split`)",
+    "scenario.test_images": "IDX test image file (`permuted`, `split`)",
+    "scenario.test_labels": "IDX test label file (`permuted`, `split`)",
+    "scenario.classes_per_task": "classes per task (`split`)",
+    "scenario.classes": "classes per task (`synthetic`)",
+    "scenario.dim": "feature dimension (`synthetic`)",
+    "scenario.samples": "train samples per class (`synthetic`)",
+    "scenario.separation": "class-mean spacing (`synthetic`)",
+    "model.layers": "comma list: input dim, hidden sizes, class count",
+    "train.batch_size": "minibatch size",
+    "train.lr_initial": "initial learning rate",
+    "train.lr_decay": "per-epoch decay factor",
+    "train.lr_floor": "learning-rate floor",
+    "prune.population": "candidate masks per task",
+    "prune.alpha": "accuracy weight in candidate scoring",
+    "prune.beta": "sparsity weight in candidate scoring",
+    "prune.v_min": "per-layer sparsity band, lower edge",
+    "prune.v_max": "per-layer sparsity band, upper edge",
+    "prune.short_epochs": "epochs per candidate before scoring",
+    "prune.full_epochs": "epochs for the winning candidate",
+    "prune.t_l": "max components per slot",
+    "prune.psi_min": "bits a slot must still have free to be claimable",
+    "quant.psi_init": "starting bit-width",
+    "quant.psi_max": "bit-width ceiling before accepting the shortfall",
+    "quant.delta": "allowed accuracy drop vs full precision",
+    "quant.kmeans_iters": "Lloyd iterations per restart (large inputs)",
+    "quant.kmeans_restarts": "extra seeded restarts (large inputs)",
+    "run.mode": "`full`, `pruning-only`, or `quantization-only`",
+    "run.output_dir": "report and checkpoint directory",
+    "run.seed": "master seed for init, candidates, training, k-means",
 }
-_FLOAT_KEYS = {
-    "scenario.separation",
-    "train.lr_initial", "train.lr_decay", "train.lr_floor",
-    "prune.alpha", "prune.beta", "prune.v_min", "prune.v_max",
-    "quant.delta",
-}
-_STR_KEYS = {
-    "scenario.kind", "scenario.train_images", "scenario.train_labels",
-    "scenario.test_images", "scenario.test_labels",
-    "model.layers", "run.mode", "run.output_dir",
-}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 MODES = ("full", "pruning-only", "quantization-only")
+_IDX_FIELDS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
 @dataclass
@@ -102,14 +86,43 @@ class RunConfig:
     train: TrainConfig
     prune: PruneConfig
     quant: QuantConfig
-    mode: str
-    output_dir: str
-    seed: int
-    raw: dict
+    mode: str = "full"
+    output_dir: str = "run_out"
+    seed: int = 0
+    raw: dict = field(default_factory=dict)
 
     def canonical_text(self) -> str:
         """The merged key=value pairs, sorted; embedded in checkpoints."""
         return "\n".join(f"{k} = {self.raw[k]}" for k in sorted(self.raw)) + "\n"
+
+
+_SECTIONS = {"scenario": ScenarioConfig, "model": ModelSpec, "train": TrainConfig,
+             "prune": PruneConfig, "quant": QuantConfig, "run": RunConfig}
+
+
+def _key_field(key):
+    section, _, name = key.partition(".")
+    name = "layer_sizes" if key == "model.layers" else name
+    return next(f for f in fields(_SECTIONS[section]) if f.name == name)
+
+
+_FIELDS = {key: _key_field(key) for key in KEYS}
+
+
+def key_default(key):
+    """The field default behind a key; a left-out scenario.seed takes run.seed's."""
+    return _FIELDS[key].default
+
+
+def _pair(text, where):
+    """`key = value` split and stripped; rejects a missing `=` or unknown key."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected key = value, got {text!r}")
+    key, _, value = text.partition("=")
+    key, value = key.strip(), value.strip()
+    if key not in KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return key, value
 
 
 def parse_config_text(text) -> dict:
@@ -117,123 +130,60 @@ def parse_config_text(text) -> dict:
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        raw[key] = value
+        if stripped and not stripped.startswith("#"):
+            key, value = _pair(stripped, f"line {lineno}")
+            raw[key] = value
     return raw
 
 
 def apply_overrides(raw, overrides) -> dict:
     merged = dict(raw)
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, _, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"override references unknown key {key!r}")
+        key, value = _pair(item, "override")
         merged[key] = value
     return merged
 
 
-def _typed(raw) -> dict:
-    out = {}
-    for key, value in raw.items():
-        try:
-            if key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(value)
-            else:
-                out[key] = value
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
-    return out
+def _typed(key, text):
+    """A raw value as the type of its field's default; None means a path."""
+    default = key_default(key)
+    try:
+        if isinstance(default, tuple):
+            return tuple(int(v) for v in text.split(","))
+        if isinstance(default, (int, float)):
+            return type(default)(text)
+    except ValueError:
+        raise ConfigError(f"{key}: cannot parse {text!r}") from None
+    return text
 
 
 def build_run_config(raw: dict) -> RunConfig:
     """Validate merged raw keys into a RunConfig; raises ConfigError."""
-    vals = _typed(raw)
-    seed = vals.get("run.seed", 0)
-
-    def get(key, default):
-        return vals.get(key, default)
-
-    layers_text = get("model.layers", "784,100,10")
+    given = {section: {} for section in _SECTIONS}
+    for key, text in raw.items():
+        if key not in KEYS:
+            raise ConfigError(f"unknown key {key!r}")
+        given[key.partition(".")[0]][_FIELDS[key].name] = _typed(key, text)
+    seed = given["run"].get("seed", key_default("run.seed"))
     try:
-        layers = tuple(int(v) for v in layers_text.split(","))
-    except ValueError:
-        raise ConfigError(f"model.layers: cannot parse {layers_text!r}") from None
-
-    mode = get("run.mode", "full")
-    if mode not in MODES:
-        raise ConfigError(f"run.mode must be one of {MODES}, got {mode!r}")
-
-    scenario = ScenarioConfig(
-        kind=get("scenario.kind", "permuted"),
-        seed=get("scenario.seed", seed),
-        n_tasks=get("scenario.n_tasks", 3),
-        train_images=get("scenario.train_images", None),
-        train_labels=get("scenario.train_labels", None),
-        test_images=get("scenario.test_images", None),
-        test_labels=get("scenario.test_labels", None),
-        classes_per_task=get("scenario.classes_per_task", 2),
-        classes=get("scenario.classes", 5),
-        dim=get("scenario.dim", 16),
-        samples=get("scenario.samples", 200),
-        separation=get("scenario.separation", 8.0),
-    )
-    if scenario.kind not in ("permuted", "split", "synthetic"):
-        raise ConfigError(f"scenario.kind {scenario.kind!r} not recognized")
-    if scenario.kind in ("permuted", "split"):
-        for field_name in ("train_images", "train_labels", "test_images", "test_labels"):
-            path = getattr(scenario, field_name)
-            if path is None:
-                raise ConfigError(f"scenario.{field_name} required for {scenario.kind}")
-            if not os.path.exists(path):
-                raise ConfigError(f"scenario.{field_name}: no such file {path!r}")
-
-    try:
-        model = ModelSpec(layers)
-        train = TrainConfig(
-            epochs=get("prune.full_epochs", 50),
-            batch_size=get("train.batch_size", 128),
-            lr_initial=get("train.lr_initial", 0.01),
-            lr_decay=get("train.lr_decay", 0.9),
-            lr_floor=get("train.lr_floor", 0.0001),
-            seed=seed,
-        )
-        prune = PruneConfig(
-            population=get("prune.population", 16),
-            alpha=get("prune.alpha", 0.9),
-            beta=get("prune.beta", 0.1),
-            v_min=get("prune.v_min", 0.45),
-            v_max=get("prune.v_max", 0.85),
-            short_epochs=get("prune.short_epochs", 5),
-            full_epochs=get("prune.full_epochs", 50),
-            t_l=get("prune.t_l", 4),
-            psi_min=get("prune.psi_min", 2),
-            seed=seed,
-        )
-        quant = QuantConfig(
-            psi_init=get("quant.psi_init", 2),
-            psi_max=get("quant.psi_max", 8),
-            delta=get("quant.delta", 0.01),
-            kmeans_iters=get("quant.kmeans_iters", 50),
-            kmeans_restarts=get("quant.kmeans_restarts", 3),
-            seed=seed,
-        )
+        scenario = ScenarioConfig(**{"seed": seed, **given["scenario"]})
+        model = ModelSpec(**given["model"])
+        prune = PruneConfig(**given["prune"], seed=seed)
+        train = TrainConfig(**given["train"], epochs=prune.full_epochs, seed=seed)
+        quant = QuantConfig(**given["quant"], seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    cfg = RunConfig(scenario, model, train, prune, quant, **given["run"], raw=dict(raw))
 
-    return RunConfig(scenario, model, train, prune, quant, mode,
-                     get("run.output_dir", "run_out"), seed, dict(raw))
+    if cfg.mode not in MODES:
+        raise ConfigError(f"run.mode must be one of {MODES}, got {cfg.mode!r}")
+    if scenario.kind not in ("permuted", "split", "synthetic"):
+        raise ConfigError(f"scenario.kind {scenario.kind!r} not recognized")
+    if scenario.kind != "synthetic":
+        for name in _IDX_FIELDS:
+            if getattr(scenario, name) is None:
+                raise ConfigError(f"scenario.{name} required for {scenario.kind}")
+    return cfg
 
 
 def load_run_config(path, overrides=None) -> RunConfig:
@@ -246,10 +196,14 @@ def load_run_config(path, overrides=None) -> RunConfig:
 
 
 def build_suite(cfg: ScenarioConfig) -> ScenarioSuite:
-    """Materialize the scenario a config describes."""
+    """Materialize the scenario a config describes; the only reader of its files."""
     if cfg.kind == "synthetic":
         return synthetic_blobs(cfg.n_tasks, cfg.classes, cfg.dim,
                                cfg.samples, cfg.separation, cfg.seed)
+    for name in _IDX_FIELDS:
+        path = getattr(cfg, name)
+        if not os.path.exists(path):
+            raise ConfigError(f"scenario.{name}: no such file {path!r}")
     train = load_idx(cfg.train_images, cfg.train_labels)
     test = load_idx(cfg.test_images, cfg.test_labels)
     if cfg.kind == "permuted":

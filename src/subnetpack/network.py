@@ -24,7 +24,7 @@ class ModelSpec:
     cross-entropy.
     """
 
-    layer_sizes: tuple[int, ...]
+    layer_sizes: tuple[int, ...] = (784, 100, 10)
     activation: str = "relu"
     loss: str = "softmax_cross_entropy"
 
@@ -79,8 +79,7 @@ class DenseWeights:
 class TrainConfig:
     """SGD settings: epoch count, batch size, LR schedule, seed.
 
-    The schedule is lr_epoch = max(lr_initial * lr_decay**epoch, lr_floor);
-    defaults start at 0.01 and bottom out at 0.0001.
+    The schedule is lr_epoch = max(lr_initial * lr_decay**epoch, lr_floor).
     """
 
     epochs: int = 50

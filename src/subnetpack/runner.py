@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, apply_overrides, build_run_config, build_suite, parse_config_text
-from .errors import CapacityExhausted, ConfigError
+from .config import RunConfig, build_run_config, build_suite, parse_config_text
+from .errors import CapacityExhausted, CheckpointError, ConfigError
 from .metrics import AccuracyMatrix, capacity_report, forget_check, lifelong_accuracy
 from .network import DenseWeights, evaluate, train_masked, xavier_init
 from .pruning import ROLE_FULLTRAIN, ROLE_INIT, PruneLog, adaptive_prune
@@ -32,18 +32,28 @@ CHECKPOINT_NAME = "checkpoint.bin"
 
 
 @dataclass
+class TaskRecord:
+    """What a committed task keeps beside its allocation in `store.tasks`.
+
+    The bit-width, mask and codes live only in the store. `weights` are the
+    full-precision winner, held in memory only: None after a load.
+    """
+
+    codebook: Codebook
+    biases: list
+    q_ref: float
+    q_quant: float
+    weights: DenseWeights | None = None
+
+
+@dataclass
 class RunState:
     config: RunConfig
     suite: ScenarioSuite | None
     store: WeightSlotStore
     matrix: AccuracyMatrix
     manifest: str
-    codebooks: dict = field(default_factory=dict)
-    biases: dict = field(default_factory=dict)
-    fp_weights: dict = field(default_factory=dict)  # in-memory only, not checkpointed
-    q_ref: dict = field(default_factory=dict)
-    q_quant: dict = field(default_factory=dict)
-    psi_star: dict = field(default_factory=dict)
+    tasks: dict[int, TaskRecord] = field(default_factory=dict)
     prune_logs: list = field(default_factory=list)
     next_task: int = 0
 
@@ -68,10 +78,9 @@ def new_state(cfg: RunConfig) -> RunState:
 def task_view(state: RunState, task_id: int):
     """(weights, mask) for a committed task, rebuilt from store components."""
     alloc = state.store.tasks[task_id]
-    q = QuantizedTaskWeights(alloc.mask, alloc.codes,
-                             state.codebooks[task_id], task_id)
-    weights = DenseWeights(dequantize(q),
-                           [b.copy() for b in state.biases[task_id]])
+    rec = state.tasks[task_id]
+    q = QuantizedTaskWeights(alloc.mask, alloc.codes, rec.codebook, task_id)
+    weights = DenseWeights(dequantize(q), [b.copy() for b in rec.biases])
     return weights, list(alloc.mask)
 
 
@@ -101,7 +110,7 @@ def _run_task_full(state: RunState, t, data):
             sink=state.prune_logs.append)
         budget = _mask_bit_budget(state.store, mask)
         try:
-            psi, q, book, q_acc = adaptive_quantize(
+            _, q, _, q_acc = adaptive_quantize(
                 t, cfg.model, mask, weights, q_ref,
                 (data.x_val, data.y_val), cfg.quant, psi_cap=budget)
         except CapacityExhausted as exc:
@@ -112,7 +121,7 @@ def _run_task_full(state: RunState, t, data):
                 ) from exc
             psi_min = budget + 1
             continue
-        return mask, weights, q_ref, psi, q, book, q_acc
+        return q, weights, q_ref, q_acc
 
 
 def _run_task_pruning_only(state: RunState, t, data):
@@ -122,10 +131,10 @@ def _run_task_pruning_only(state: RunState, t, data):
     mask, weights, q_ref = adaptive_prune(
         t, state.store, cfg.model, data, prune_cfg, cfg.train,
         sink=state.prune_logs.append)
-    q, book = identity_quantize(mask, weights, task_id=t)
+    q, _ = identity_quantize(mask, weights, task_id=t)
     view = DenseWeights(dequantize(q), [b.copy() for b in weights.biases])
     q_acc = evaluate(cfg.model, view, list(mask), data.x_val, data.y_val)
-    return mask, weights, q_ref, SLOT_BITS, q, book, q_acc
+    return q, weights, q_ref, q_acc
 
 
 def _run_task_quantization_only(state: RunState, t, data):
@@ -149,12 +158,14 @@ def _run_task_quantization_only(state: RunState, t, data):
             f"task {t}: a dense mask needs every slot eligible for "
             f"{cfg.quant.psi_init}-bit components")
     budget = _mask_bit_budget(state.store, mask)
-    psi, q, book, q_acc = adaptive_quantize(
+    _, q, _, q_acc = adaptive_quantize(
         t, spec, mask, weights, q_ref, (data.x_val, data.y_val),
         cfg.quant, psi_cap=budget)
-    return mask, weights, q_ref, psi, q, book, q_acc
+    return q, weights, q_ref, q_acc
 
 
+# Each returns (quantized winner, its full-precision weights, validation
+# accuracy before and after quantization).
 _MODE_RUNNERS = {
     "full": _run_task_full,
     "pruning-only": _run_task_pruning_only,
@@ -164,15 +175,10 @@ _MODE_RUNNERS = {
 
 def execute_task(state: RunState, t: int) -> None:
     data = state.suite.get_task(t)
-    mask, weights, q_ref, psi, q, book, q_acc = _MODE_RUNNERS[state.config.mode](
-        state, t, data)
-    state.store.commit(t, mask, psi, q.codes)
-    state.codebooks[t] = book
-    state.biases[t] = [b.copy() for b in weights.biases]
-    state.fp_weights[t] = weights
-    state.q_ref[t] = q_ref
-    state.q_quant[t] = q_acc
-    state.psi_star[t] = psi
+    q, weights, q_ref, q_acc = _MODE_RUNNERS[state.config.mode](state, t, data)
+    state.store.commit(t, q.mask, q.codebook.psi, q.codes)
+    state.tasks[t] = TaskRecord(q.codebook, [b.copy() for b in weights.biases],
+                                q_ref, q_acc, weights)
 
     row = []
     for e in range(t + 1):
@@ -202,20 +208,10 @@ def execute_run(state: RunState) -> None:
 
 # -- checkpoint round trip ----------------------------------------------------
 
-def _prune_log_record(log: PruneLog) -> dict:
-    """A PruneLog as the dict both the checkpoint and summary.json store."""
-    return {
-        "task_id": log.task_id,
-        "accuracies": list(log.accuracies),
-        "sparsities": list(log.sparsities),
-        "scores": list(log.scores),
-        "chosen": log.chosen,
-        "winner_layer_sparsity": list(log.winner_layer_sparsity),
-    }
-
-
 def _state_payload(state: RunState) -> dict:
+    """The one writer of task records; state_from_checkpoint reads them back."""
     spec = state.config.model
+    tasks = state.tasks
     return {
         "model": {
             "layers": list(spec.layer_sizes),
@@ -224,19 +220,19 @@ def _state_payload(state: RunState) -> dict:
         },
         "store": state.store.state_dict(),
         "codebooks": {
-            str(t): {"psi": b.psi, "centroids": list(b.centroids)}
-            for t, b in state.codebooks.items()
+            str(t): {"psi": r.codebook.psi, "centroids": list(r.codebook.centroids)}
+            for t, r in tasks.items()
         },
-        "biases": {str(t): list(bs) for t, bs in state.biases.items()},
+        "biases": {str(t): list(r.biases) for t, r in tasks.items()},
         "matrix": [list(row) for row in state.matrix.rows],
         "manifest": state.manifest,
         "config": state.config.canonical_text(),
         "mode": state.config.mode,
         "next_task": state.next_task,
-        "q_ref": {str(t): v for t, v in state.q_ref.items()},
-        "q_quant": {str(t): v for t, v in state.q_quant.items()},
-        "psi_star": {str(t): v for t, v in state.psi_star.items()},
-        "prune_logs": [_prune_log_record(log) for log in state.prune_logs],
+        "q_ref": {str(t): r.q_ref for t, r in tasks.items()},
+        "q_quant": {str(t): r.q_quant for t, r in tasks.items()},
+        "psi_star": {str(t): a.psi for t, a in state.store.tasks.items()},
+        "prune_logs": [asdict(log) for log in state.prune_logs],
     }
 
 
@@ -246,35 +242,63 @@ def save_run_checkpoint(state: RunState) -> str:
     return state.checkpoint_path
 
 
+def _expect(value, kind):
+    if not isinstance(value, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _read_records(payload: dict, store: WeightSlotStore) -> dict[int, TaskRecord]:
+    """Task records from a payload, checked against the replayed store."""
+    cols = {key: {int(t): v for t, v in payload[key].items()}
+            for key in ("codebooks", "biases", "q_ref", "q_quant", "psi_star")}
+    for key, col in cols.items():
+        if col.keys() != store.tasks.keys():
+            raise CheckpointError(f"{key} covers tasks {sorted(col)}, "
+                                  f"the store holds {sorted(store.tasks)}")
+    records = {}
+    for t, alloc in store.tasks.items():
+        book, biases = cols["codebooks"][t], cols["biases"][t]
+        if not cols["psi_star"][t] == book["psi"] == alloc.psi:
+            raise CheckpointError(
+                f"task {t}: psi_star {cols['psi_star'][t]} and codebook psi "
+                f"{book['psi']} disagree with the stored bit-width {alloc.psi}")
+        for arrays in (book["centroids"], biases):
+            if (not isinstance(arrays, list) or len(arrays) != store.layer_count
+                    or not all(isinstance(a, np.ndarray) for a in arrays)):
+                raise CheckpointError(f"task {t}: centroids and biases need one "
+                                      "array per layer")
+        records[t] = TaskRecord(
+            Codebook(alloc.psi, book["centroids"]), biases,
+            _expect(cols["q_ref"][t], float), _expect(cols["q_quant"][t], float))
+    return records
+
+
 def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
-    """Rebuild a RunState; with need_suite=False, reports only (no resume)."""
+    """Rebuild a RunState; with need_suite=False, reports only (no resume).
+
+    A payload that does not hold a state this module wrote raises
+    CheckpointError. The scenario data is opened only with need_suite.
+    """
     payload = load_checkpoint(path)
-    cfg = build_run_config(apply_overrides(
-        parse_config_text(payload["config"]), None))
+    try:
+        cfg = build_run_config(parse_config_text(payload["config"]))
+        store = WeightSlotStore.from_state_dict(payload["store"])
+        state = RunState(cfg, None, store, AccuracyMatrix(payload["matrix"]),
+                         _expect(payload["manifest"], str),
+                         tasks=_read_records(payload, store),
+                         next_task=_expect(payload["next_task"], int))
+        state.prune_logs = [
+            PruneLog(**{k: tuple(v) if isinstance(v, list) else v for k, v in rec.items()})
+            for rec in payload["prune_logs"]]
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        # ValueError covers a replay CommitRejected and a ConfigError from the
+        # stored config text
+        raise CheckpointError(f"{path}: malformed state: {exc!r}") from None
     if output_dir is not None:
         cfg.output_dir = output_dir
-    suite = build_suite(cfg.scenario) if need_suite else None
-    state = RunState(
-        cfg,
-        suite,
-        WeightSlotStore.from_state_dict(payload["store"]),
-        AccuracyMatrix(payload["matrix"]),
-        payload["manifest"],
-        next_task=payload["next_task"],
-    )
-    for key, rec in payload["codebooks"].items():
-        state.codebooks[int(key)] = Codebook(rec["psi"], rec["centroids"])
-    for key, arrs in payload["biases"].items():
-        state.biases[int(key)] = arrs
-    state.q_ref = {int(k): v for k, v in payload["q_ref"].items()}
-    state.q_quant = {int(k): v for k, v in payload["q_quant"].items()}
-    state.psi_star = {int(k): v for k, v in payload["psi_star"].items()}
-    state.prune_logs = [
-        PruneLog(rec["task_id"], tuple(rec["accuracies"]),
-                 tuple(rec["sparsities"]), tuple(rec["scores"]), rec["chosen"],
-                 tuple(rec["winner_layer_sparsity"]))
-        for rec in payload["prune_logs"]
-    ]
+    if need_suite:
+        state.suite = build_suite(cfg.scenario)
     return state
 
 
@@ -305,7 +329,8 @@ def write_reports(state: RunState) -> dict:
     with open(paths["accuracy_matrix"], "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    cap = capacity_report(state.store, state.codebooks)
+    cap = capacity_report(state.store,
+                          {t: r.codebook for t, r in state.tasks.items()})
     lines = ["task,mode,psi,bits,bits_actual,percent,percent_actual,cumulative_bits"]
     for entry in cap.entries:
         lines.append(
@@ -331,12 +356,10 @@ def write_reports(state: RunState) -> dict:
         "lifelong_accuracy": lifelong_accuracy(state.matrix),
         "final_row": list(state.matrix.final_row()),
         "forget_violations": forget_check(state.matrix),
-        "psi_star": {str(t): v for t, v in sorted(state.psi_star.items())},
-        "accuracy_full_precision": {str(t): v for t, v in sorted(state.q_ref.items())},
-        "accuracy_quantized": {str(t): v for t, v in sorted(state.q_quant.items())},
-        "quantization_drop": {
-            str(t): state.q_ref[t] - state.q_quant[t] for t in sorted(state.q_ref)
-        },
+        "psi_star": {str(t): a.psi for t, a in state.store.tasks.items()},
+        "accuracy_full_precision": {str(t): r.q_ref for t, r in state.tasks.items()},
+        "accuracy_quantized": {str(t): r.q_quant for t, r in state.tasks.items()},
+        "quantization_drop": {str(t): r.q_ref - r.q_quant for t, r in state.tasks.items()},
         "task_layer_usage_sparsity": per_task_sparsity,
         "capacity": {
             "dense_bits": cap.dense_bits,
@@ -352,7 +375,7 @@ def write_reports(state: RunState) -> dict:
                 for e in cap.entries
             ],
         },
-        "prune_logs": [_prune_log_record(log) for log in state.prune_logs],
+        "prune_logs": [asdict(log) for log in state.prune_logs],
     }
     paths["summary"] = os.path.join(out, "summary.json")
     with open(paths["summary"], "w", encoding="utf-8") as fh:

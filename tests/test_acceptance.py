@@ -52,7 +52,7 @@ def desk(tmp_path_factory):
 
 def test_criterion_1_lifelong_accuracy(desk):
     acc = lifelong_accuracy(desk.matrix)
-    widths = sorted(desk.psi_star.values())
+    widths = sorted(a.psi for a in desk.store.tasks.values())
     verdict(1, acc >= 0.93 and widths[-1] <= 4,
             f"lifelong accuracy {acc:.4f} needs >= 0.93, "
             f"bit-widths {widths} need <= 4")
@@ -65,7 +65,7 @@ def test_criterion_2_four_bit_drop(desk):
     for t in sorted(desk.store.tasks):
         task = desk.suite.get_task(t)
         alloc = desk.store.tasks[t]
-        fp = desk.fp_weights[t]
+        fp = desk.tasks[t].weights
         masked = [fp.weights[i][alloc.mask[i]]
                   for i in range(desk.store.layer_count)]
         q, _ = nonlinear_quantize(4, masked, desk.config.quant,
@@ -73,7 +73,7 @@ def test_criterion_2_four_bit_drop(desk):
         view = DenseWeights(dequantize(q), [b.copy() for b in fp.biases])
         acc = evaluate(desk.config.model, view, list(alloc.mask),
                        task.x_val, task.y_val)
-        drops.append(desk.q_ref[t] - acc)
+        drops.append(desk.tasks[t].q_ref - acc)
     worst = max(drops)
     verdict(2, worst <= 0.02,
             f"worst 4-bit accuracy drop {worst:+.4f} needs <= 0.02")
@@ -90,7 +90,8 @@ def test_criterion_3_capacity_bound(desk):
         formula_ok &= hand == capacity(desk.store, t)
         worst_pct = max(worst_pct, 100.0 * hand / dense_bits)
     # measured tables can only shrink the bound
-    report = capacity_report(desk.store, desk.codebooks)
+    report = capacity_report(desk.store,
+                             {t: r.codebook for t, r in desk.tasks.items()})
     actual_pct = max(e.percent for e in report.entries)
     verdict(3, formula_ok and worst_pct <= 15.0 and actual_pct <= worst_pct + 1e-9,
             f"worst per-task footprint {worst_pct:.2f}% of dense "
@@ -368,8 +369,10 @@ def test_criterion_9_determinism_and_resume(tmp_path):
     resumed = state_from_checkpoint(str(tmp_path / "p" / "checkpoint.bin"))
     execute_run(resumed)
     resume_ok = (resumed.matrix.rows == a.matrix.rows
-                 and resumed.psi_star == a.psi_star
-                 and resumed.q_ref == a.q_ref
+                 and ({t: x.psi for t, x in resumed.store.tasks.items()}
+                      == {t: x.psi for t, x in a.store.tasks.items()})
+                 and ({t: r.q_ref for t, r in resumed.tasks.items()}
+                      == {t: r.q_ref for t, r in a.tasks.items()})
                  and all((tmp_path / "p" / name).read_bytes()
                          == (tmp_path / "a" / name).read_bytes()
                          for name in ("accuracy_matrix.csv", "capacity.csv")))

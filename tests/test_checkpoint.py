@@ -76,6 +76,31 @@ def test_decode_rejects_truncation():
         decode_state(payload[:-3])
 
 
+def test_encode_rejects_arrays_the_decoder_refuses():
+    for arr in (np.array(["text"]), np.array([object()]),
+                np.array(["2024-01-01"], dtype="datetime64[D]")):
+        with pytest.raises(TypeError):
+            encode_state({"x": arr})
+
+
+def test_decoder_fuzz_decodes_or_raises_checkpoint_error():
+    # a payload that passed its checksum may still be malformed; whatever its
+    # bytes, decoding either succeeds or raises CheckpointError
+    payload = encode_state(SAMPLE)
+    rng = np.random.default_rng(20240)
+    for _ in range(5000):
+        mutated = bytearray(payload)
+        for pos in rng.integers(0, len(mutated), rng.integers(1, 5)):
+            mutated[pos] = rng.integers(0, 256)
+        try:
+            decode_state(bytes(mutated))
+        except CheckpointError:
+            pass
+    nested = bytes([5]) + struct.pack("<Q", 1)  # a one-item list
+    with pytest.raises(CheckpointError):
+        decode_state(nested * 100_000 + bytes([0]))
+
+
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "state.bin"
     save_checkpoint(path, SAMPLE)

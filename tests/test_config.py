@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
-from subnetpack.config import (apply_overrides, build_run_config, build_suite,
-                               load_run_config, parse_config_text)
+from subnetpack.config import (KEYS, apply_overrides, build_run_config,
+                               build_suite, key_default, load_run_config,
+                               parse_config_text)
 from subnetpack.errors import ConfigError
 from subnetpack.scenario import save_idx
 
@@ -82,8 +85,9 @@ def test_idx_scenario_requires_existing_paths(tmp_path):
     missing = text + "".join(
         f"scenario.{k} = {tmp_path / (k + '.idx')}\n"
         for k in ("train_images", "train_labels", "test_images", "test_labels"))
+    cfg = build_run_config(parse_config_text(missing))
     with pytest.raises(ConfigError, match="no such file"):
-        build_run_config(parse_config_text(missing))
+        build_suite(cfg.scenario)
 
 
 def test_overrides_merge_and_validate():
@@ -147,3 +151,26 @@ def test_build_suite_permuted(tmp_path):
     assert suite.input_dim == 16
     assert suite.n_classes == 3
     assert suite.descriptors[0] is None
+
+
+def test_readme_config_table_matches_key_table():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default, meaning = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((key.strip("`"), default, meaning))
+
+    def shown(key):
+        if key == "scenario.seed":  # see test_run_seed_feeds_stages
+            return "`run.seed`"
+        default = key_default(key)
+        if isinstance(default, tuple):
+            default = ",".join(str(v) for v in default)
+        return "none" if default is None else f"`{default}`"
+
+    assert rows == [(key, shown(key), meaning) for key, meaning in KEYS.items()]

@@ -53,7 +53,7 @@ def test_full_run_completes(tmp_path):
     assert forget_check(state.matrix) == []
     assert lifelong_accuracy(state.matrix) >= 0.95
     assert sorted(state.store.tasks) == [0, 1, 2]
-    assert all(1 <= v <= 8 for v in state.psi_star.values())
+    assert all(1 <= a.psi <= 8 for a in state.store.tasks.values())
     for name in ("accuracy_matrix.csv", "capacity.csv", "summary.json",
                  "scenario_manifest.txt", "checkpoint.bin"):
         assert (tmp_path / "out" / name).exists()
@@ -102,8 +102,10 @@ def test_resume_equals_uninterrupted(tmp_path):
     execute_run(resumed)
 
     assert resumed.matrix.rows == full_state.matrix.rows  # exact, not approx
-    assert resumed.psi_star == full_state.psi_star
-    assert resumed.q_ref == full_state.q_ref
+    assert ({t: a.psi for t, a in resumed.store.tasks.items()}
+            == {t: a.psi for t, a in full_state.store.tasks.items()})
+    assert ({t: r.q_ref for t, r in resumed.tasks.items()}
+            == {t: r.q_ref for t, r in full_state.tasks.items()})
     for name in ("accuracy_matrix.csv", "capacity.csv"):
         assert (tmp_path / "full" / name).read_bytes() == (
             tmp_path / "part" / name).read_bytes()
@@ -157,8 +159,8 @@ def test_pruning_only_mode(tmp_path):
     with pytest.warns(CapacityWarning):
         execute_run(state)
     assert forget_check(state.matrix) == []
-    assert all(v == SLOT_BITS for v in state.psi_star.values())
-    for book in state.codebooks.values():
+    assert all(a.psi == SLOT_BITS for a in state.store.tasks.values())
+    for book in (r.codebook for r in state.tasks.values()):
         assert book.psi == SLOT_BITS
         assert all(len(c) == 0 for c in book.centroids)
     # a 32-bit component fills its slot, so task masks never overlap
@@ -179,7 +181,7 @@ def test_quantization_only_mode(tmp_path):
     for layer in range(state.store.layer_count):
         counts = state.store.component_counts(layer)
         assert counts.min() == 3 and counts.max() == 3
-    assert all(v <= 8 for v in state.psi_star.values())
+    assert all(a.psi <= 8 for a in state.store.tasks.values())
     assert lifelong_accuracy(state.matrix) >= 0.95
 
 
@@ -311,3 +313,66 @@ def test_cli_make_data(tmp_path, capsys):
                     os.path.join(out, "train-labels.idx"))
     assert x.shape == (30, 784)
     assert len(y) == 30
+
+
+def _corrupt(payload, how):
+    if how == "bad psi_star":
+        payload["psi_star"]["0"] = 7
+    elif how == "missing q_quant":
+        del payload["q_quant"]
+    elif how == "codebook psi":
+        payload["codebooks"]["1"]["psi"] += 1
+    elif how == "task missing from biases":
+        del payload["biases"]["1"]
+    elif how == "rejected replay":
+        payload["store"]["tasks"].append(payload["store"]["tasks"][0])
+    elif how == "config text":
+        payload["config"] = "no such line"
+    elif how == "centroid tables":
+        payload["codebooks"]["0"]["centroids"] = [1, 2]
+
+
+def test_cli_malformed_checkpoints_exit_4(tmp_path, capsys):
+    # each payload passes its checksum but disagrees with what runs write
+    from subnetpack.checkpoint import load_checkpoint, save_checkpoint
+    cfg = write_cfg_file(tmp_path, "scenario.n_tasks = 2\n")
+    assert main(["run", "--config", cfg]) == 0
+    good = str(tmp_path / "out" / "checkpoint.bin")
+    for how in ("bad psi_star", "missing q_quant", "codebook psi",
+                "task missing from biases", "rejected replay", "config text",
+                "centroid tables"):
+        payload = load_checkpoint(good)
+        _corrupt(payload, how)
+        bad = str(tmp_path / "bad.bin")
+        save_checkpoint(bad, payload)
+        out = str(tmp_path / "reports")
+        assert main(["report", "--checkpoint", bad, "--output-dir", out]) == 4, how
+        assert main(["inspect-checkpoint", "--checkpoint", bad]) == 4, how
+        assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_read_only_commands_work_after_data_moves(tmp_path, capsys):
+    paths = write_digit_idx(tmp_path / "data", n_train=300, n_test=100, seed=2)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"scenario.{k} = {v}\n" for k, v in paths.items()) + f"""
+scenario.kind = permuted
+scenario.n_tasks = 2
+model.layers = 784,8,10
+prune.population = 2
+prune.short_epochs = 1
+prune.full_epochs = 1
+run.output_dir = {tmp_path / "out"}
+""")
+    assert main(["run", "--config", str(cfg)]) == 0
+    os.rename(tmp_path / "data", tmp_path / "moved")
+    ckpt = str(tmp_path / "out" / "checkpoint.bin")
+    again = tmp_path / "again"
+    assert main(["report", "--checkpoint", ckpt, "--output-dir", str(again)]) == 0
+    for name in ("accuracy_matrix.csv", "capacity.csv", "scenario_manifest.txt"):
+        assert (again / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+    assert read_without_timestamp(again / "summary.json") == (
+        read_without_timestamp(tmp_path / "out" / "summary.json"))
+    assert main(["inspect-checkpoint", "--checkpoint", ckpt]) == 0
+    capsys.readouterr()
+    assert main(["resume", "--checkpoint", ckpt]) == 2
+    assert "no such file" in capsys.readouterr().err
