@@ -1,8 +1,11 @@
 """Dense-layer network with masked forward/backward passes and SGD training.
 
-Weights are float64 throughout; a mask entry of 0 removes the weight from the
-forward pass and freezes it bit-identically through training. Biases are never
-masked and always train.
+`DenseWeights` hold float64 arrays unless built with another dtype, and the
+forward and backward passes compute in the dtype of the weights they are
+given: evaluation runs in float64, while `train_masked` runs SGD on a float32
+working copy and hands back float64 weights whose trained entries are float32
+values. A mask entry of 0 removes the weight from the forward pass and freezes
+it bit-identically through training. Biases are never masked and always train.
 """
 
 from __future__ import annotations
@@ -52,16 +55,18 @@ class ModelSpec:
 
 
 class DenseWeights:
-    """Per-layer weight matrices plus bias vectors."""
+    """Per-layer weight matrices plus bias vectors, float64 unless dtype says."""
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
+                 dtype=np.float64):
+        self.weights = [np.asarray(w, dtype=dtype) for w in weights]
+        self.biases = [np.asarray(b, dtype=dtype) for b in biases]
         if len(self.weights) != len(self.biases):
             raise ValueError("weights and biases must have one entry per layer")
 
     def copy(self) -> "DenseWeights":
-        return DenseWeights([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return DenseWeights([w.copy() for w in self.weights],
+                            [b.copy() for b in self.biases], dtype=self.weights[0].dtype)
 
     def validate(self, spec: ModelSpec) -> None:
         for i, (shape, w, b) in enumerate(zip(spec.shapes, self.weights, self.biases)):
@@ -124,8 +129,11 @@ def _check_shapes(spec: ModelSpec, weights: DenseWeights, mask, batch: np.ndarra
 
 
 def _forward_cached(spec, weights, mask, batch):
-    """Returns (logits, activations, pre_activations) for backprop."""
-    acts = [np.asarray(batch, dtype=np.float64)]
+    """Returns (logits, activations, pre_activations) for backprop.
+
+    Computes in the dtype of the weights; the batch is cast to it.
+    """
+    acts = [np.asarray(batch, dtype=weights.weights[0].dtype)]
     zs = []
     n = spec.n_layers
     for i in range(n):
@@ -138,7 +146,7 @@ def _forward_cached(spec, weights, mask, batch):
 
 def forward(spec: ModelSpec, weights: DenseWeights, mask, batch: np.ndarray) -> np.ndarray:
     """Masked forward pass to logits; masked-out weights contribute exactly zero."""
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = np.asarray(batch)
     _check_shapes(spec, weights, mask, batch)
     logits, _, _ = _forward_cached(spec, weights, mask, batch)
     return logits
@@ -171,14 +179,15 @@ def loss_and_grads(spec, weights, mask, batch, labels):
 
 
 def train_masked(spec, weights, mask, data, cfg: TrainConfig):
-    """SGD on the masked sub-network; returns the new weights.
+    """SGD on the masked sub-network; returns the new float64 weights.
 
-    Gradients outside the mask are zero, so masked-out weights come back
-    bit-identical. epochs=0 returns an untouched copy. For an accuracy, call
-    evaluate on the returned weights.
+    SGD runs on a float32 working copy, and each minibatch is cast to float32
+    as it is gathered. Trained entries come back as float32 values; entries
+    outside the mask come back bit-identical to the input. epochs=0 returns
+    an untouched copy. For an accuracy, call evaluate on the returned weights.
     """
     X, y = data
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     y = np.asarray(y)
     _check_shapes(spec, weights, mask, X)
     for i in range(spec.n_layers):
@@ -188,20 +197,25 @@ def train_masked(spec, weights, mask, data, cfg: TrainConfig):
                 DegenerateMaskWarning,
                 stacklevel=2,
             )
+    if cfg.epochs == 0:
+        return weights.copy()
 
-    out = weights.copy()
+    work = DenseWeights(weights.weights, weights.biases, dtype=np.float32)
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     for epoch in range(cfg.epochs):
-        lr = cfg.lr_at(epoch)
+        lr = cfg.lr_at(epoch)  # a Python float keeps lr * grad in float32
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            _, gw, gb = loss_and_grads(spec, out, mask, X[idx], y[idx])
+            _, gw, gb = loss_and_grads(spec, work, mask, X[idx], y[idx])
             for i in range(spec.n_layers):
-                out.weights[i] -= lr * gw[i]
-                out.biases[i] -= lr * gb[i]
-    return out
+                work.weights[i] -= lr * gw[i]
+                work.biases[i] -= lr * gb[i]
+    return DenseWeights(
+        [np.where(m, trained, given)
+         for m, trained, given in zip(mask, work.weights, weights.weights)],
+        work.biases)
 
 
 def evaluate(spec, weights, mask, batch, labels) -> float:

@@ -252,8 +252,7 @@ def nonlinear_quantize(psi, masked_values, cfg: QuantConfig, warm: Codebook | No
         centroids, codes = kmeans_1d(vals, k, cfg, rng=rng, extra_init=extra)
         centroid_tables.append(centroids.astype(np.float32))
         code_arrays.append(codes)
-    book = Codebook(psi, centroid_tables)
-    return QuantizedTaskWeights(mask, code_arrays, book, task_id), book
+    return QuantizedTaskWeights(mask, code_arrays, Codebook(psi, centroid_tables), task_id)
 
 
 def identity_quantize(mask, trained_weights: DenseWeights, task_id=None):
@@ -268,8 +267,7 @@ def identity_quantize(mask, trained_weights: DenseWeights, task_id=None):
         vals = trained_weights.weights[i].ravel()[flat].astype(np.float32)
         code_arrays.append(vals.view(np.uint32).copy())
         tables.append(np.zeros(0, dtype=np.float32))
-    book = Codebook(32, tables)
-    return QuantizedTaskWeights(mask, code_arrays, book, task_id), book
+    return QuantizedTaskWeights(mask, code_arrays, Codebook(32, tables), task_id)
 
 
 def dequantize(q: QuantizedTaskWeights) -> list[np.ndarray]:
@@ -309,10 +307,10 @@ def adaptive_quantize(task_id, spec, mask, trained_weights: DenseWeights, q_ref,
                       val_data, cfg: QuantConfig, psi_cap: int | None = None):
     """Escalate bit-width until quantized accuracy is within delta of q_ref.
 
-    Returns (psi, QuantizedTaskWeights, Codebook, quantized accuracy). psi_cap
-    is the tightest remaining-bit budget over the masked slots; needing more
-    raises CapacityExhausted. Hitting psi_max above tolerance returns with a
-    ToleranceWarning instead of failing.
+    Returns (QuantizedTaskWeights, quantized accuracy); the chosen bit-width
+    is q.codebook.psi. psi_cap is the tightest remaining-bit budget over the
+    masked slots; needing more raises CapacityExhausted. Hitting psi_max above
+    tolerance returns with a ToleranceWarning instead of failing.
     """
     X_val, y_val = val_data
     masked_values = [
@@ -329,12 +327,12 @@ def adaptive_quantize(task_id, spec, mask, trained_weights: DenseWeights, q_ref,
     psi = cfg.psi_init
     warm = None
     while True:
-        q, book = nonlinear_quantize(psi, masked_values, cfg, warm=warm,
-                                     mask=mask, task_id=task_id)
+        q = nonlinear_quantize(psi, masked_values, cfg, warm=warm,
+                               mask=mask, task_id=task_id)
         view = DenseWeights(dequantize(q), [b.copy() for b in trained_weights.biases])
         acc = evaluate(spec, view, mask, X_val, y_val)
         if acc >= q_ref - cfg.delta:
-            return psi, q, book, acc
+            return q, acc
         if psi >= cfg.psi_max:
             warnings.warn(
                 f"task {task_id}: accuracy {acc:.4f} still below {q_ref - cfg.delta:.4f} "
@@ -342,11 +340,11 @@ def adaptive_quantize(task_id, spec, mask, trained_weights: DenseWeights, q_ref,
                 ToleranceWarning,
                 stacklevel=2,
             )
-            return psi, q, book, acc
+            return q, acc
         if psi + 1 > cap:
             raise CapacityExhausted(
                 range(spec.n_layers),
                 f"bit-width {psi + 1} exceeds the {cap}-bit slot budget of the mask",
             )
-        warm = book
+        warm = q.codebook
         psi += 1

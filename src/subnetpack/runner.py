@@ -110,7 +110,7 @@ def _run_task_full(state: RunState, t, data):
             sink=state.prune_logs.append)
         budget = _mask_bit_budget(state.store, mask)
         try:
-            _, q, _, q_acc = adaptive_quantize(
+            q, q_acc = adaptive_quantize(
                 t, cfg.model, mask, weights, q_ref,
                 (data.x_val, data.y_val), cfg.quant, psi_cap=budget)
         except CapacityExhausted as exc:
@@ -131,7 +131,7 @@ def _run_task_pruning_only(state: RunState, t, data):
     mask, weights, q_ref = adaptive_prune(
         t, state.store, cfg.model, data, prune_cfg, cfg.train,
         sink=state.prune_logs.append)
-    q, _ = identity_quantize(mask, weights, task_id=t)
+    q = identity_quantize(mask, weights, task_id=t)
     view = DenseWeights(dequantize(q), [b.copy() for b in weights.biases])
     q_acc = evaluate(cfg.model, view, list(mask), data.x_val, data.y_val)
     return q, weights, q_ref, q_acc
@@ -158,7 +158,7 @@ def _run_task_quantization_only(state: RunState, t, data):
             f"task {t}: a dense mask needs every slot eligible for "
             f"{cfg.quant.psi_init}-bit components")
     budget = _mask_bit_budget(state.store, mask)
-    _, q, _, q_acc = adaptive_quantize(
+    q, q_acc = adaptive_quantize(
         t, spec, mask, weights, q_ref, (data.x_val, data.y_val),
         cfg.quant, psi_cap=budget)
     return q, weights, q_ref, q_acc
@@ -210,14 +210,8 @@ def execute_run(state: RunState) -> None:
 
 def _state_payload(state: RunState) -> dict:
     """The one writer of task records; state_from_checkpoint reads them back."""
-    spec = state.config.model
     tasks = state.tasks
     return {
-        "model": {
-            "layers": list(spec.layer_sizes),
-            "activation": spec.activation,
-            "loss": spec.loss,
-        },
         "store": state.store.state_dict(),
         "codebooks": {
             str(t): {"psi": r.codebook.psi, "centroids": list(r.codebook.centroids)}
@@ -227,7 +221,6 @@ def _state_payload(state: RunState) -> dict:
         "matrix": [list(row) for row in state.matrix.rows],
         "manifest": state.manifest,
         "config": state.config.canonical_text(),
-        "mode": state.config.mode,
         "next_task": state.next_task,
         "q_ref": {str(t): r.q_ref for t, r in tasks.items()},
         "q_quant": {str(t): r.q_quant for t, r in tasks.items()},

@@ -68,8 +68,8 @@ def test_criterion_2_four_bit_drop(desk):
         fp = desk.tasks[t].weights
         masked = [fp.weights[i][alloc.mask[i]]
                   for i in range(desk.store.layer_count)]
-        q, _ = nonlinear_quantize(4, masked, desk.config.quant,
-                                  mask=alloc.mask, task_id=t)
+        q = nonlinear_quantize(4, masked, desk.config.quant,
+                               mask=alloc.mask, task_id=t)
         view = DenseWeights(dequantize(q), [b.copy() for b in fp.biases])
         acc = evaluate(desk.config.model, view, list(alloc.mask),
                        task.x_val, task.y_val)

@@ -120,6 +120,43 @@ def test_masked_weights_frozen_bit_identical():
         assert not np.array_equal(out.weights[i][mask[i]], init.weights[i][mask[i]])
 
 
+def test_train_returns_float32_values_in_mask_and_input_outside():
+    # SGD runs on a float32 copy: trained entries are float32 values, frozen
+    # entries come back with the input's exact bits
+    spec = ModelSpec((6, 8, 3))
+    x, y = small_problem(4)
+    init = xavier_init(spec, 3)
+    rng = np.random.default_rng(8)
+    mask = [rng.random(s) < 0.5 for s in spec.shapes]
+    cfg = TrainConfig(epochs=5, batch_size=16, lr_initial=0.1, seed=4)
+    out = train_masked(spec, init, mask, (x, y), cfg)
+    for i in range(spec.n_layers):
+        w = out.weights[i]
+        assert w.dtype == np.float64 and out.biases[i].dtype == np.float64
+        np.testing.assert_array_equal(w[mask[i]].astype(np.float32), w[mask[i]])
+        np.testing.assert_array_equal(out.biases[i].astype(np.float32), out.biases[i])
+        np.testing.assert_array_equal(w[~mask[i]].view(np.uint64),
+                                      init.weights[i][~mask[i]].view(np.uint64))
+
+
+def test_loss_and_grads_compute_in_the_weights_dtype():
+    spec = ModelSpec((6, 8, 3))
+    x, y = small_problem(5)
+    w64 = xavier_init(spec, 5)
+    w32 = DenseWeights(w64.weights, w64.biases, dtype=np.float32)
+    rng = np.random.default_rng(9)
+    mask = [rng.random(s) < 0.7 for s in spec.shapes]
+    loss64, gw64, gb64 = loss_and_grads(spec, w64, mask, x, y)
+    loss32, gw32, gb32 = loss_and_grads(spec, w32, mask, x.astype(np.float32), y)
+    assert np.asarray(loss32).dtype == np.float32
+    assert abs(float(loss32) - float(loss64)) <= 1e-5 * max(1.0, abs(float(loss64)))
+    for g32, g64 in zip(gw32 + gb32, gw64 + gb64):
+        assert g32.dtype == np.float32
+        np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-6)
+    for i in range(spec.n_layers):
+        assert (gw32[i][~mask[i]] == 0).all()
+
+
 def test_train_epochs_zero_is_identity():
     spec = ModelSpec((5, 4, 2))
     x, y = small_problem(1, dim=5, classes=2)

@@ -98,7 +98,8 @@ def test_kmeans_matches_exhaustive_oracle():
 
 def test_nonlinear_quantize_psi1_example():
     # frozen oracle: codes (0,0,1,1), codebook (-0.95, 0.95)
-    q, book = nonlinear_quantize(1, [np.array([-1.0, -0.9, 0.8, 1.1])], CFG)
+    q = nonlinear_quantize(1, [np.array([-1.0, -0.9, 0.8, 1.1])], CFG)
+    book = q.codebook
     assert book.psi == 1
     np.testing.assert_allclose(book.centroids[0], [-0.95, 0.95], atol=1e-6)
     np.testing.assert_array_equal(q.codes[0], [0, 0, 1, 1])
@@ -108,14 +109,16 @@ def test_nonlinear_quantize_psi1_example():
 def test_nonlinear_quantize_table_sizes():
     rng = np.random.default_rng(0)
     vals = [rng.normal(size=500), rng.normal(size=300)]
-    q, book = nonlinear_quantize(3, vals, CFG)
+    q = nonlinear_quantize(3, vals, CFG)
+    book = q.codebook
     for codes, table in zip(q.codes, book.centroids):
         assert len(table) <= 8
         assert codes.max() < len(table)
 
 
 def test_nonlinear_quantize_empty_layer():
-    q, book = nonlinear_quantize(2, [np.zeros(0), np.array([1.0, 2.0])], CFG)
+    q = nonlinear_quantize(2, [np.zeros(0), np.array([1.0, 2.0])], CFG)
+    book = q.codebook
     assert len(book.centroids[0]) == 0
     assert len(q.codes[0]) == 0
     assert len(book.centroids[1]) == 2
@@ -152,7 +155,7 @@ def test_round_trip_exact_on_representable_values():
     rng = np.random.default_rng(4)
     vals = levels[rng.integers(0, 4, size=50)]
     mask = [np.ones((5, 10), dtype=bool)]
-    q, book = nonlinear_quantize(2, [vals], CFG, mask=mask)
+    q = nonlinear_quantize(2, [vals], CFG, mask=mask)
     out = dequantize(q)
     np.testing.assert_array_equal(out[0].ravel(), vals)
 
@@ -160,7 +163,8 @@ def test_round_trip_exact_on_representable_values():
 def test_reconstruction_error_bounded_by_cluster_radius():
     rng = np.random.default_rng(8)
     vals = rng.normal(size=200)
-    q, book = nonlinear_quantize(2, [vals], CFG)
+    q = nonlinear_quantize(2, [vals], CFG)
+    book = q.codebook
     table = book.centroids[0].astype(np.float64)
     recon = table[q.codes[0]]
     mids = (table[:-1] + table[1:]) / 2.0
@@ -176,7 +180,8 @@ def test_monotone_reconstruction_with_warm_start():
     prev_book = None
     prev_err = np.inf
     for psi in range(1, 7):
-        q, book = nonlinear_quantize(psi, vals, CFG, warm=prev_book)
+        q = nonlinear_quantize(psi, vals, CFG, warm=prev_book)
+        book = q.codebook
         err = reconstruction_error(q, vals)
         assert err <= prev_err + 1e-12
         prev_book, prev_err = book, err
@@ -188,7 +193,8 @@ def test_identity_quantize_round_trip():
     w = DenseWeights([rng.normal(size=s) for s in spec.shapes],
                      [rng.normal(size=s[0]) for s in spec.shapes])
     mask = [rng.random(s) < 0.6 for s in spec.shapes]
-    q, book = identity_quantize(mask, w, task_id=5)
+    q = identity_quantize(mask, w, task_id=5)
+    book = q.codebook
     assert book.psi == 32
     out = dequantize(q)
     for i in range(spec.n_layers):
@@ -210,7 +216,8 @@ def _two_sample_problem():
 def test_adaptive_quantize_escalates_until_tolerance():
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=4, delta=0.0, seed=0)
-    psi, q, book, acc = adaptive_quantize(0, spec, mask, w, 1.0, val, cfg)
+    q, acc = adaptive_quantize(0, spec, mask, w, 1.0, val, cfg)
+    psi = q.codebook.psi
     assert psi == 2
     assert acc == 1.0
 
@@ -219,7 +226,8 @@ def test_adaptive_quantize_warns_at_psi_max():
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=1, delta=0.3, seed=0)
     with pytest.warns(ToleranceWarning):
-        psi, q, book, acc = adaptive_quantize(0, spec, mask, w, 1.0, val, cfg)
+        q, acc = adaptive_quantize(0, spec, mask, w, 1.0, val, cfg)
+        psi = q.codebook.psi
     assert psi == 1
     assert acc == 0.5
 
@@ -231,7 +239,8 @@ def test_adaptive_quantize_trivial_when_representable():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.array([0, 1])
     cfg = QuantConfig(psi_init=1, psi_max=8, delta=0.0, seed=0)
-    psi, q, book, acc = adaptive_quantize(0, spec, mask, w, 1.0, (x, y), cfg)
+    q, acc = adaptive_quantize(0, spec, mask, w, 1.0, (x, y), cfg)
+    psi = q.codebook.psi
     assert psi == 1
     assert acc == 1.0
 
@@ -239,7 +248,7 @@ def test_adaptive_quantize_trivial_when_representable():
 def test_adaptive_quantize_vacuous_delta():
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=8, delta=1.0, seed=0)
-    psi, _, _, _ = adaptive_quantize(0, spec, mask, w, 1.0, val, cfg)
+    psi = adaptive_quantize(0, spec, mask, w, 1.0, val, cfg)[0].codebook.psi
     assert psi == 1
 
 
@@ -255,15 +264,16 @@ def test_adaptive_quantize_respects_bit_budget():
 def test_quantization_deterministic():
     rng = np.random.default_rng(6)
     vals = [rng.normal(size=300)]
-    a, book_a = nonlinear_quantize(3, vals, CFG)
-    b, book_b = nonlinear_quantize(3, vals, CFG)
+    a = nonlinear_quantize(3, vals, CFG)
+    b = nonlinear_quantize(3, vals, CFG)
+    book_a, book_b = a.codebook, b.codebook
     np.testing.assert_array_equal(book_a.centroids[0], book_b.centroids[0])
     np.testing.assert_array_equal(a.codes[0], b.codes[0])
 
 
 def test_centroids_serialize_bit_exact():
     rng = np.random.default_rng(12)
-    _, book = nonlinear_quantize(4, [rng.normal(size=200)], CFG)
+    book = nonlinear_quantize(4, [rng.normal(size=200)], CFG).codebook
     raw = book.centroids[0].tobytes()
     back = np.frombuffer(raw, dtype=np.float32)
     np.testing.assert_array_equal(back, book.centroids[0])

@@ -172,6 +172,18 @@ def test_pruning_only_mode(tmp_path):
     assert ",pruning-only," in (tmp_path / "out" / "capacity.csv").read_text()
 
 
+def test_pruning_only_stores_trained_weights_losslessly(tmp_path):
+    # training yields float32 values, so the 32-bit identity codes hold the
+    # trained winner exactly and storing it costs no accuracy
+    state = new_state(make_cfg(tmp_path / "out", "run.mode = pruning-only\n"))
+    execute_task(state, 0)
+    rec = state.tasks[0]
+    view, mask = task_view(state, 0)
+    for i, m in enumerate(mask):
+        np.testing.assert_array_equal(view.weights[i][m], rec.weights.weights[i][m])
+    assert rec.q_quant == rec.q_ref
+
+
 def test_quantization_only_mode(tmp_path):
     state = new_state(make_cfg(tmp_path / "out", "run.mode = quantization-only\n"))
     execute_run(state)
@@ -376,3 +388,34 @@ run.output_dir = {tmp_path / "out"}
     capsys.readouterr()
     assert main(["resume", "--checkpoint", ckpt]) == 2
     assert "no such file" in capsys.readouterr().err
+
+
+def test_checkpoint_with_model_and_mode_entries_still_loads(tmp_path, capsys):
+    # checkpoints once carried unread "model" and "mode" entries; those files
+    # must keep loading and reporting exactly like current ones
+    from subnetpack.checkpoint import load_checkpoint, save_checkpoint
+    cfg = write_cfg_file(tmp_path, "scenario.n_tasks = 2\n")
+    assert main(["run", "--config", cfg]) == 0
+    ckpt = str(tmp_path / "out" / "checkpoint.bin")
+    payload = load_checkpoint(ckpt)
+    assert "model" not in payload and "mode" not in payload
+    state = state_from_checkpoint(ckpt, need_suite=False)
+    spec = state.config.model
+    payload["model"] = {"layers": list(spec.layer_sizes),
+                        "activation": spec.activation, "loss": spec.loss}
+    payload["mode"] = state.config.mode
+    old = str(tmp_path / "old.bin")
+    save_checkpoint(old, payload)
+    inspected = []
+    for path, out in ((ckpt, "new"), (old, "old")):
+        assert main(["report", "--checkpoint", path,
+                     "--output-dir", str(tmp_path / out)]) == 0
+        capsys.readouterr()
+        assert main(["inspect-checkpoint", "--checkpoint", path]) == 0
+        inspected.append(capsys.readouterr().out)
+    assert inspected[0] == inspected[1]
+    for name in ("accuracy_matrix.csv", "capacity.csv", "scenario_manifest.txt"):
+        assert (tmp_path / "old" / name).read_bytes() == (
+            tmp_path / "new" / name).read_bytes()
+    assert read_without_timestamp(tmp_path / "old" / "summary.json") == (
+        read_without_timestamp(tmp_path / "new" / "summary.json"))
