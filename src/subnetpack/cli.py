@@ -77,10 +77,7 @@ def _cmd_run(args) -> int:
 def _cmd_resume(args) -> int:
     state = state_from_checkpoint(args.checkpoint, need_suite=True,
                                   output_dir=args.output_dir)
-    if state.next_task >= state.suite.n_tasks:
-        write_reports(state)
-    else:
-        execute_run(state)
+    execute_run(state)
     _print_outcome(state)
     return EXIT_OK
 

@@ -69,35 +69,27 @@ def forget_check(matrix: AccuracyMatrix) -> list[tuple[int, int]]:
     return violations
 
 
-def capacity(store: WeightSlotStore, task_id: int, psi: int | None = None,
-             n_layers: int | None = None) -> int:
-    """Bits occupied by one task: coded weights + codebook + mask.
+def _task_bits(alloc, table_entries: int) -> int:
+    """Coded weights + table entries * (32-bit value + psi-bit code) + mask."""
+    used = sum(alloc.mask.active_counts())
+    return used * alloc.psi + table_entries * (SLOT_BITS + alloc.psi) + used
+
+
+def capacity(store: WeightSlotStore, task_id: int) -> int:
+    """Bits occupied by one committed task: coded weights + codebook + mask.
 
     The codebook term charges the worst case, full 2^psi tables of one 32-bit
     value and one psi-bit code each. 32-bit tasks store raw bit patterns and
     need no codebook at all.
     """
-    if task_id not in store.tasks:
-        raise KeyError(f"task {task_id} not committed")
     alloc = store.tasks[task_id]
-    b = alloc.psi if psi is None else psi
-    layers = store.layer_count if n_layers is None else n_layers
-    used = alloc.mask.active_counts()
-    coded = sum(used) * b
-    codebook = 0 if b >= SLOT_BITS else layers * (1 << b) * (SLOT_BITS + b)
-    mask_bits = sum(used)
-    return coded + codebook + mask_bits
+    worst = 0 if alloc.psi >= SLOT_BITS else store.layer_count * (1 << alloc.psi)
+    return _task_bits(alloc, worst)
 
 
 def capacity_actual(store: WeightSlotStore, task_id: int, codebook) -> int:
     """Like capacity, but charges the codebook tables at their real lengths."""
-    if task_id not in store.tasks:
-        raise KeyError(f"task {task_id} not committed")
-    alloc = store.tasks[task_id]
-    b = alloc.psi
-    used = alloc.mask.active_counts()
-    table_bits = sum(len(t) * (SLOT_BITS + b) for t in codebook.centroids)
-    return sum(used) * b + table_bits + sum(used)
+    return _task_bits(store.tasks[task_id], sum(len(t) for t in codebook.centroids))
 
 
 @dataclass(frozen=True)
@@ -130,16 +122,14 @@ class CapacityReport:
 def capacity_report(store: WeightSlotStore, codebooks: dict) -> CapacityReport:
     """Capacity entries for every committed task, in task order.
 
-    codebooks maps task_id to that task's Codebook; tasks without one are
-    charged the worst-case table size in both columns.
+    codebooks maps every committed task_id to that task's Codebook.
     """
     dense = store.total_slots * SLOT_BITS
     entries = []
     running = 0
     for task_id in sorted(store.tasks):
         bits = capacity(store, task_id)
-        book = codebooks.get(task_id)
-        actual = bits if book is None else capacity_actual(store, task_id, book)
+        actual = capacity_actual(store, task_id, codebooks[task_id])
         running += bits
         entries.append(CapacityEntry(
             task_id,

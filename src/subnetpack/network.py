@@ -28,8 +28,6 @@ class ModelSpec:
     """
 
     layer_sizes: tuple[int, ...] = (784, 100, 10)
-    activation: str = "relu"
-    loss: str = "softmax_cross_entropy"
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -38,10 +36,6 @@ class ModelSpec:
             raise ValueError("need at least two layer sizes (one weight tensor)")
         if any(s < 1 for s in sizes):
             raise ValueError(f"layer sizes must be >= 1, got {sizes}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
-        if self.loss != "softmax_cross_entropy":
-            raise ValueError(f"unsupported loss {self.loss!r}")
 
     @property
     def n_layers(self) -> int:

@@ -101,17 +101,33 @@ def make_candidate(index, task_id, store: WeightSlotStore, spec, init_weights,
     population members are independent of generation order.
     """
     rng = rng_from(cfg.seed, task_id, ROLE_CANDIDATE, index)
-    mask = sample_candidate_full(store, cfg.v_min, cfg.v_max, cfg.psi_min, cfg.t_l, rng)
+    mask = sample_candidate_full(store, cfg.v_min, cfg.v_max, cfg.psi_min, rng)
     short_cfg = replace(
         train_cfg,
         epochs=cfg.short_epochs,
         seed=derive_seed(cfg.seed, task_id, ROLE_CANDIDATE, index),
     )
-    weights = train_masked(spec, init_weights.copy(), list(mask),
+    weights = train_masked(spec, init_weights.copy(), mask,
                            (data.x_train, data.y_train), short_cfg)
-    accuracy = evaluate(spec, weights, list(mask), data.x_val, data.y_val)
+    accuracy = evaluate(spec, weights, mask, data.x_val, data.y_val)
     sparsity = store.hypothetical_sparsity(mask).weighted
     return Candidate(index, mask, weights, accuracy, sparsity)
+
+
+def train_winner(task_id, index, spec, weights, mask, data,
+                 cfg: PruneConfig, train_cfg: TrainConfig):
+    """Full training of the chosen member `index`; returns (weights, accuracy).
+
+    Trains for cfg.full_epochs on the train split with the member's
+    ROLE_FULLTRAIN seed; the accuracy is measured on the validation split.
+    """
+    full_cfg = replace(
+        train_cfg,
+        epochs=cfg.full_epochs,
+        seed=derive_seed(cfg.seed, task_id, ROLE_FULLTRAIN, index),
+    )
+    weights = train_masked(spec, weights, mask, (data.x_train, data.y_train), full_cfg)
+    return weights, evaluate(spec, weights, mask, data.x_val, data.y_val)
 
 
 def adaptive_prune(task_id, store: WeightSlotStore, spec, data,
@@ -140,14 +156,8 @@ def adaptive_prune(task_id, store: WeightSlotStore, spec, data,
     chosen = select_best(accuracies, sparsities, cfg.alpha, cfg.beta)
     winner = population[chosen]
 
-    full_cfg = replace(
-        train_cfg,
-        epochs=cfg.full_epochs,
-        seed=derive_seed(cfg.seed, task_id, ROLE_FULLTRAIN, chosen),
-    )
-    weights = train_masked(spec, winner.weights, list(winner.mask),
-                           (data.x_train, data.y_train), full_cfg)
-    q_ref = evaluate(spec, weights, list(winner.mask), data.x_val, data.y_val)
+    weights, q_ref = train_winner(task_id, chosen, spec, winner.weights,
+                                  winner.mask, data, cfg, train_cfg)
 
     if sink is not None:
         sink(PruneLog(

@@ -44,9 +44,6 @@ class Codebook:
     psi: int
     centroids: list[np.ndarray]  # float32, length <= 2^psi per layer
 
-    def lengths(self) -> list[int]:
-        return [len(c) for c in self.centroids]
-
 
 @dataclass
 class QuantizedTaskWeights:
@@ -55,7 +52,6 @@ class QuantizedTaskWeights:
     mask: object  # TaskMask or sequence of per-layer bool arrays
     codes: list[np.ndarray]  # uint32 per layer
     codebook: Codebook
-    task_id: int | None = None
 
 
 def _prefix_sums(sorted_values):
@@ -225,7 +221,7 @@ def _split_worst(sorted_values, p1, p2, centroids, k_target):
 
 
 def nonlinear_quantize(psi, masked_values, cfg: QuantConfig, warm: Codebook | None = None,
-                       mask=None, task_id=None):
+                       mask=None):
     """Cluster each layer's masked weights into 2^psi codes plus a codebook.
 
     masked_values is one 1-D array per layer (row-major slot order). Layers
@@ -252,10 +248,10 @@ def nonlinear_quantize(psi, masked_values, cfg: QuantConfig, warm: Codebook | No
         centroids, codes = kmeans_1d(vals, k, cfg, rng=rng, extra_init=extra)
         centroid_tables.append(centroids.astype(np.float32))
         code_arrays.append(codes)
-    return QuantizedTaskWeights(mask, code_arrays, Codebook(psi, centroid_tables), task_id)
+    return QuantizedTaskWeights(mask, code_arrays, Codebook(psi, centroid_tables))
 
 
-def identity_quantize(mask, trained_weights: DenseWeights, task_id=None):
+def identity_quantize(mask, trained_weights: DenseWeights):
     """32-bit storage for pruning-only runs: codes are float32 bit patterns.
 
     No codebook is needed; dequantize recovers the float32 cast of each masked
@@ -267,7 +263,7 @@ def identity_quantize(mask, trained_weights: DenseWeights, task_id=None):
         vals = trained_weights.weights[i].ravel()[flat].astype(np.float32)
         code_arrays.append(vals.view(np.uint32).copy())
         tables.append(np.zeros(0, dtype=np.float32))
-    return QuantizedTaskWeights(mask, code_arrays, Codebook(32, tables), task_id)
+    return QuantizedTaskWeights(mask, code_arrays, Codebook(32, tables))
 
 
 def dequantize(q: QuantizedTaskWeights) -> list[np.ndarray]:
@@ -327,8 +323,7 @@ def adaptive_quantize(task_id, spec, mask, trained_weights: DenseWeights, q_ref,
     psi = cfg.psi_init
     warm = None
     while True:
-        q = nonlinear_quantize(psi, masked_values, cfg, warm=warm,
-                               mask=mask, task_id=task_id)
+        q = nonlinear_quantize(psi, masked_values, cfg, warm=warm, mask=mask)
         view = DenseWeights(dequantize(q), [b.copy() for b in trained_weights.biases])
         acc = evaluate(spec, view, mask, X_val, y_val)
         if acc >= q_ref - cfg.delta:

@@ -20,13 +20,13 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, build_run_config, build_suite, parse_config_text
 from .errors import CapacityExhausted, CheckpointError, ConfigError
 from .metrics import AccuracyMatrix, capacity_report, forget_check, lifelong_accuracy
-from .network import DenseWeights, evaluate, train_masked, xavier_init
-from .pruning import ROLE_FULLTRAIN, ROLE_INIT, PruneLog, adaptive_prune
+from .network import DenseWeights, evaluate, full_mask, xavier_init
+from .pruning import ROLE_INIT, PruneLog, adaptive_prune, train_winner
 from .quantization import (Codebook, QuantizedTaskWeights, adaptive_quantize,
                            dequantize, identity_quantize)
 from .scenario import ScenarioSuite
 from .seeding import derive_seed
-from .store import SLOT_BITS, TaskMask, WeightSlotStore
+from .store import SLOT_BITS, WeightSlotStore
 
 CHECKPOINT_NAME = "checkpoint.bin"
 
@@ -79,7 +79,7 @@ def task_view(state: RunState, task_id: int):
     """(weights, mask) for a committed task, rebuilt from store components."""
     alloc = state.store.tasks[task_id]
     rec = state.tasks[task_id]
-    q = QuantizedTaskWeights(alloc.mask, alloc.codes, rec.codebook, task_id)
+    q = QuantizedTaskWeights(alloc.mask, alloc.codes, rec.codebook)
     weights = DenseWeights(dequantize(q), [b.copy() for b in rec.biases])
     return weights, list(alloc.mask)
 
@@ -88,7 +88,7 @@ def _mask_bit_budget(store: WeightSlotStore, mask) -> int:
     """Tightest remaining-bit budget over the mask's slots."""
     budget = SLOT_BITS
     for i in range(store.layer_count):
-        flat = np.asarray(mask[i], dtype=bool).ravel()
+        flat = mask[i].ravel()
         if flat.any():
             budget = min(budget, int(store.remaining_bits(i)[flat].min()))
     return budget
@@ -125,32 +125,28 @@ def _run_task_full(state: RunState, t, data):
 
 
 def _run_task_pruning_only(state: RunState, t, data):
-    """Population pruning, then store the winner as raw 32-bit patterns."""
+    """Population pruning, then store the winner as raw 32-bit patterns.
+
+    The patterns hold the trained float32 values exactly, so q_quant is q_ref.
+    """
     cfg = state.config
     prune_cfg = replace(cfg.prune, psi_min=SLOT_BITS)
     mask, weights, q_ref = adaptive_prune(
         t, state.store, cfg.model, data, prune_cfg, cfg.train,
         sink=state.prune_logs.append)
-    q = identity_quantize(mask, weights, task_id=t)
-    view = DenseWeights(dequantize(q), [b.copy() for b in weights.biases])
-    q_acc = evaluate(cfg.model, view, list(mask), data.x_val, data.y_val)
-    return q, weights, q_ref, q_acc
+    return identity_quantize(mask, weights), weights, q_ref, q_ref
 
 
 def _run_task_quantization_only(state: RunState, t, data):
     """No pruning: train the dense network and quantize every slot."""
     cfg = state.config
     spec = cfg.model
-    mask = TaskMask([np.ones(s, dtype=bool) for s in spec.shapes])
+    mask = full_mask(spec)
     init = xavier_init(spec, derive_seed(cfg.prune.seed, t, ROLE_INIT, 0))
-    full_cfg = replace(cfg.train, epochs=cfg.prune.full_epochs,
-                       seed=derive_seed(cfg.prune.seed, t, ROLE_FULLTRAIN, 0))
-    weights = train_masked(spec, init, list(mask),
-                           (data.x_train, data.y_train), full_cfg)
-    q_ref = evaluate(spec, weights, list(mask), data.x_val, data.y_val)
+    weights, q_ref = train_winner(t, 0, spec, init, mask, data, cfg.prune, cfg.train)
     saturated = tuple(
         i for i in range(state.store.layer_count)
-        if not state.store.eligible_slots(i, cfg.quant.psi_init, cfg.prune.t_l).all()
+        if not state.store.eligible_slots(i, cfg.quant.psi_init).all()
     )
     if saturated:
         raise CapacityExhausted(
@@ -271,7 +267,8 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
     """Rebuild a RunState; with need_suite=False, reports only (no resume).
 
     A payload that does not hold a state this module wrote raises
-    CheckpointError. The scenario data is opened only with need_suite.
+    CheckpointError, as does one whose copies of a fact disagree. The
+    scenario data is opened only with need_suite.
     """
     payload = load_checkpoint(path)
     try:
@@ -288,6 +285,13 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
         # ValueError covers a replay CommitRejected and a ConfigError from the
         # stored config text
         raise CheckpointError(f"{path}: malformed state: {exc!r}") from None
+    # (next_task, stored task ids, slot cap, layer shapes), each held twice
+    held = (state.next_task, sorted(store.tasks), store.t_max, store.layer_shapes)
+    want = (state.matrix.n_episodes, list(range(state.next_task)), cfg.prune.t_l,
+            cfg.model.shapes)
+    if held != want:
+        raise CheckpointError(f"{path}: next_task, task ids, slot cap and layer "
+                              f"shapes {held} disagree with {want}")
     if output_dir is not None:
         cfg.output_dir = output_dir
     if need_suite:

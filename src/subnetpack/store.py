@@ -3,6 +3,9 @@
 Every weight position is a 32-bit slot carved into task-exclusive components.
 A component is (task_id, bit_width, code); the store tracks per-slot component
 counts and remaining bits, and owns the committed per-task masks and codes.
+`t_max` is the one cap on components per slot. A run sets it once, from its
+pruning config's component cap, in `runner.new_state`; eligibility, sampling
+and commit all read it from the store.
 """
 
 from __future__ import annotations
@@ -129,21 +132,23 @@ class WeightSlotStore:
 
     # -- eligibility and sampling -------------------------------------------
 
-    def eligible_slots(self, layer: int, psi_min: int, t_l: int | None = None) -> np.ndarray:
-        t_l = self.t_max if t_l is None else t_l
-        return (self._comp_count[layer] < t_l) & (self._remaining[layer] >= psi_min)
+    def eligible_slots(self, layer: int, psi_min: int) -> np.ndarray:
+        return (self._comp_count[layer] < self.t_max) & (self._remaining[layer] >= psi_min)
 
-    def eligible(self, layer: int, slot: int, psi_min: int, t_l: int | None = None) -> bool:
-        return bool(self.eligible_slots(layer, psi_min, t_l)[slot])
+    def eligible(self, layer: int, slot: int, psi_min: int) -> bool:
+        return bool(self.eligible_slots(layer, psi_min)[slot])
 
     # -- commit --------------------------------------------------------------
 
-    def commit(self, task_id: int, mask: TaskMask, psi: int, codes) -> None:
+    def commit(self, task_id: int, mask, psi: int, codes) -> None:
         """Append (task_id, psi, code) components to every masked slot.
 
-        All-or-nothing: any ineligible slot, duplicate task id, or malformed
-        codes rejects the whole commit and leaves the store untouched.
+        `mask` is a TaskMask or any sequence of per-layer bool arrays; the
+        store keeps it as a TaskMask. All-or-nothing: any ineligible slot,
+        duplicate task id, or malformed codes rejects the whole commit and
+        leaves the store untouched.
         """
+        mask = TaskMask(mask)
         if task_id in self.tasks:
             raise CommitRejected(f"task {task_id} is already committed")
         if not (1 <= psi <= SLOT_BITS):
@@ -201,18 +206,18 @@ class WeightSlotStore:
     def from_state_dict(cls, state: dict) -> "WeightSlotStore":
         store = cls(state["layer_shapes"], t_max=state["t_max"])
         for rec in state["tasks"]:
-            store.commit(rec["task_id"], TaskMask(rec["mask"]), rec["psi"], rec["codes"])
+            store.commit(rec["task_id"], rec["mask"], rec["psi"], rec["codes"])
         return store
 
 
-def sample_candidate_mask(store, layer, target_sparsity, psi_min, t_l, rng) -> np.ndarray:
+def sample_candidate_mask(store, layer, target_sparsity, psi_min, rng) -> np.ndarray:
     """Random lottery-ticket mask for one layer at the given sparsity.
 
     Keeps ceil((1 - s) * slots) uniformly drawn eligible slots; a too-small
     eligible set is taken whole with a CapacityWarning.
     """
     size = store.layer_sizes[layer]
-    eligible = np.flatnonzero(store.eligible_slots(layer, psi_min, t_l))
+    eligible = np.flatnonzero(store.eligible_slots(layer, psi_min))
     if eligible.size == 0:
         raise CapacityExhausted([layer], f"no eligible slots left in layer {layer}")
     want = math.ceil((1.0 - target_sparsity) * size)
@@ -230,12 +235,12 @@ def sample_candidate_mask(store, layer, target_sparsity, psi_min, t_l, rng) -> n
     return flat.reshape(store.layer_shapes[layer])
 
 
-def sample_candidate_full(store, v_min, v_max, psi_min, t_l, rng) -> TaskMask:
+def sample_candidate_full(store, v_min, v_max, psi_min, rng) -> TaskMask:
     """Candidate mask over all layers, target sparsity ~ U[v_min, v_max] per layer."""
     if not (0.0 <= v_min <= v_max <= 1.0):
         raise ValueError(f"need 0 <= v_min <= v_max <= 1, got [{v_min}, {v_max}]")
     layers = []
     for i in range(store.layer_count):
         s = rng.uniform(v_min, v_max)
-        layers.append(sample_candidate_mask(store, i, s, psi_min, t_l, rng))
+        layers.append(sample_candidate_mask(store, i, s, psi_min, rng))
     return TaskMask(layers)

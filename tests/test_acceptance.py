@@ -68,8 +68,7 @@ def test_criterion_2_four_bit_drop(desk):
         fp = desk.tasks[t].weights
         masked = [fp.weights[i][alloc.mask[i]]
                   for i in range(desk.store.layer_count)]
-        q = nonlinear_quantize(4, masked, desk.config.quant,
-                               mask=alloc.mask, task_id=t)
+        q = nonlinear_quantize(4, masked, desk.config.quant, mask=alloc.mask)
         view = DenseWeights(dequantize(q), [b.copy() for b in fp.biases])
         acc = evaluate(desk.config.model, view, list(alloc.mask),
                        task.x_val, task.y_val)
@@ -92,7 +91,7 @@ def test_criterion_3_capacity_bound(desk):
     # measured tables can only shrink the bound
     report = capacity_report(desk.store,
                              {t: r.codebook for t, r in desk.tasks.items()})
-    actual_pct = max(e.percent for e in report.entries)
+    actual_pct = max(e.percent_actual for e in report.entries)
     verdict(3, formula_ok and worst_pct <= 15.0 and actual_pct <= worst_pct + 1e-9,
             f"worst per-task footprint {worst_pct:.2f}% of dense "
             f"(measured {actual_pct:.2f}%) needs <= 15%, formula check "

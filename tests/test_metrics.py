@@ -38,8 +38,7 @@ def test_capacity_unknown_task():
 
 
 def test_capacity_psi_override_monotone():
-    store = half_used_store(psi=2)
-    values = [capacity(store, 0, psi=b) for b in range(1, 9)]
+    values = [capacity(half_used_store(psi=b), 0) for b in range(1, 9)]
     assert values == sorted(values)
     assert values[1] == 572
 
@@ -80,7 +79,8 @@ def test_capacity_report_accumulates():
             layers.append(m.reshape(10, 10))
         mask = TaskMask(layers)
         store.commit(t, mask, psi, [np.zeros(20, dtype=np.uint32)] * 2)
-    books = {0: Codebook(2, [np.zeros(4, dtype=np.float32)] * 2)}
+    books = {0: Codebook(2, [np.zeros(4, dtype=np.float32)] * 2),
+             1: Codebook(3, [np.zeros(8, dtype=np.float32)] * 2)}
     report = capacity_report(store, books)
     assert [e.task_id for e in report.entries] == [0, 1]
     assert report.dense_bits == 200 * 32
@@ -92,7 +92,7 @@ def test_capacity_report_accumulates():
         assert e.percent == pytest.approx(100.0 * e.bits / report.dense_bits)
         assert e.percent_actual == pytest.approx(
             100.0 * e.bits_actual / report.dense_bits)
-    # task 1 has no codebook entry: charged worst case in both columns
+    # task 1's full tables cost the worst case in both columns
     assert report.entries[1].bits_actual == report.entries[1].bits
     assert report.total_percent == pytest.approx(
         100.0 * report.total_bits / report.dense_bits)

@@ -19,8 +19,6 @@ def test_model_spec_validation():
         ModelSpec((5,))
     with pytest.raises(ValueError):
         ModelSpec((5, 0, 2))
-    with pytest.raises(ValueError):
-        ModelSpec((5, 2), activation="tanh")
     spec = ModelSpec((4, 7, 3))
     assert spec.n_layers == 2
     assert spec.shapes == ((7, 4), (3, 7))

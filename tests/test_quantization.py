@@ -193,7 +193,7 @@ def test_identity_quantize_round_trip():
     w = DenseWeights([rng.normal(size=s) for s in spec.shapes],
                      [rng.normal(size=s[0]) for s in spec.shapes])
     mask = [rng.random(s) < 0.6 for s in spec.shapes]
-    q = identity_quantize(mask, w, task_id=5)
+    q = identity_quantize(mask, w)
     book = q.codebook
     assert book.psi == 32
     out = dequantize(q)

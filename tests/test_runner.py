@@ -151,6 +151,19 @@ run.output_dir = {tmp_path / "out"}
     assert forget_check(state.matrix) == []
 
 
+def test_budget_retry_resamples_roomier_slots(tmp_path):
+    # 12-bit components: a slot holding two has 8 bits left, so task 2's
+    # first winner cannot take them and the population is drawn again from
+    # slots with at least 9 free bits
+    extra = ("quant.psi_init = 12\nquant.psi_max = 12\nquant.delta = 1.0\n"
+             "prune.v_min = 0.5\nprune.v_max = 0.5\n")
+    state = new_state(make_cfg(tmp_path / "out", extra))
+    execute_run(state)
+    assert [log.task_id for log in state.prune_logs] == [0, 1, 2, 2]
+    assert all(a.psi == 12 for a in state.store.tasks.values())
+    assert forget_check(state.matrix) == []
+
+
 def test_pruning_only_mode(tmp_path):
     state = new_state(make_cfg(tmp_path / "out", "run.mode = pruning-only\n"))
     # 32-bit components devour slots on a model this small, so later tasks
@@ -363,6 +376,44 @@ def test_cli_malformed_checkpoints_exit_4(tmp_path, capsys):
         assert "checkpoint error" in capsys.readouterr().err
 
 
+def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, capsys):
+    # each fact below is held twice; a checksummed payload whose copies
+    # disagree must be refused, not resumed into a skipped or failed task
+    from subnetpack.checkpoint import load_checkpoint, save_checkpoint
+    state = new_state(make_cfg(tmp_path / "out"))
+    ckpt = tmp_path / "out" / "checkpoint.bin"
+    saved = []  # the checkpoint after 1, 2 and 3 tasks
+    for t in range(3):
+        execute_task(state, t)
+        saved.append(ckpt.read_bytes())
+
+    def rewound(p):
+        p["next_task"] = 1
+
+    def advanced(p):
+        p["next_task"] = 3
+
+    def narrow_cap(p):
+        p["store"]["t_max"] = 1
+
+    def wider_hidden(p):
+        assert "model.layers = 12,16,4\n" in p["config"]
+        p["config"] = p["config"].replace("model.layers = 12,16,4",
+                                          "model.layers = 12,20,4")
+
+    bad, out = str(tmp_path / "bad.bin"), str(tmp_path / "reports")
+    for done, change in ((3, rewound), (2, advanced), (1, narrow_cap),
+                         (1, wider_hidden)):
+        (tmp_path / "bad.bin").write_bytes(saved[done - 1])
+        payload = load_checkpoint(bad)
+        change(payload)
+        save_checkpoint(bad, payload)
+        name = change.__name__
+        assert main(["report", "--checkpoint", bad, "--output-dir", out]) == 4, name
+        assert main(["resume", "--checkpoint", bad, "--output-dir", out]) == 4, name
+        assert "checkpoint error" in capsys.readouterr().err
+
+
 def test_read_only_commands_work_after_data_moves(tmp_path, capsys):
     paths = write_digit_idx(tmp_path / "data", n_train=300, n_test=100, seed=2)
     cfg = tmp_path / "run.cfg"
@@ -402,7 +453,7 @@ def test_checkpoint_with_model_and_mode_entries_still_loads(tmp_path, capsys):
     state = state_from_checkpoint(ckpt, need_suite=False)
     spec = state.config.model
     payload["model"] = {"layers": list(spec.layer_sizes),
-                        "activation": spec.activation, "loss": spec.loss}
+                        "activation": "relu", "loss": "softmax_cross_entropy"}
     payload["mode"] = state.config.mode
     old = str(tmp_path / "old.bin")
     save_checkpoint(old, payload)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from subnetpack.errors import CapacityExhausted, CapacityWarning, CommitRejected
+from subnetpack.metrics import capacity
+from subnetpack.network import ModelSpec, full_mask
 from subnetpack.store import (SLOT_BITS, TaskMask, WeightSlotStore,
                               sample_candidate_full, sample_candidate_mask)
 
@@ -132,7 +134,7 @@ def test_sample_candidate_mask_size():
     store = WeightSlotStore([(10, 10)])
     rng = np.random.default_rng(0)
     for s in (0.0, 0.3, 0.45, 0.85, 1.0):
-        m = sample_candidate_mask(store, 0, s, psi_min=2, t_l=4, rng=rng)
+        m = sample_candidate_mask(store, 0, s, psi_min=2, rng=rng)
         assert int(m.sum()) == math.ceil((1.0 - s) * 100)
 
 
@@ -142,7 +144,7 @@ def test_sample_candidate_mask_respects_eligibility():
     store.commit(0, first, 2, codes_for(first))
     rng = np.random.default_rng(1)
     with pytest.warns(CapacityWarning):
-        m = sample_candidate_mask(store, 0, 0.0, psi_min=2, t_l=1, rng=rng)
+        m = sample_candidate_mask(store, 0, 0.0, psi_min=2, rng=rng)
     np.testing.assert_array_equal(m.ravel(), [False, False, True, True])
 
 
@@ -151,7 +153,7 @@ def test_sample_candidate_mask_exhausted():
     both = mask_of(store, [[1, 1]])
     store.commit(0, both, 2, codes_for(both))
     with pytest.raises(CapacityExhausted) as err:
-        sample_candidate_mask(store, 0, 0.5, psi_min=2, t_l=1,
+        sample_candidate_mask(store, 0, 0.5, psi_min=2,
                               rng=np.random.default_rng(0))
     assert err.value.layers == (0,)
 
@@ -160,7 +162,7 @@ def test_sample_candidate_full_bounds():
     store = WeightSlotStore([(6, 6), (4, 4)])
     v_min, v_max = 0.45, 0.85
     for seed in range(30):
-        mask = sample_candidate_full(store, v_min, v_max, 2, 4,
+        mask = sample_candidate_full(store, v_min, v_max, 2,
                                      np.random.default_rng(seed))
         for i, m in enumerate(mask):
             size = store.layer_sizes[i]
@@ -172,7 +174,20 @@ def test_sample_candidate_full_bounds():
 def test_sample_candidate_full_validates_range():
     store = WeightSlotStore([(2, 2)])
     with pytest.raises(ValueError):
-        sample_candidate_full(store, 0.9, 0.2, 2, 4, np.random.default_rng(0))
+        sample_candidate_full(store, 0.9, 0.2, 2, np.random.default_rng(0))
+
+
+def test_commit_keeps_a_task_mask_for_a_plain_list():
+    # full_mask returns a list of arrays; the store must still hold a TaskMask
+    spec = ModelSpec((3, 4, 2))
+    store = WeightSlotStore(spec.shapes)
+    mask = full_mask(spec)
+    store.commit(0, mask, 2, [np.zeros(m.size, dtype=np.uint32) for m in mask])
+    assert isinstance(store.tasks[0].mask, TaskMask)
+    # 20 slots * 2 bits + 2 layers * 4 entries * 34 bits + 20 mask bits
+    assert capacity(store, 0) == 40 + 272 + 20
+    clone = WeightSlotStore.from_state_dict(store.state_dict())
+    assert clone.tasks[0].mask.same_as(store.tasks[0].mask)
 
 
 def test_state_dict_round_trip():
