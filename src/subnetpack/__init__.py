@@ -9,7 +9,7 @@ bit-width, and committed as immutable task-exclusive components of shared
 from .errors import (CapacityExhausted, CapacityWarning, CheckpointError,
                      CommitRejected, ConfigError, CorruptCodesError,
                      DegenerateMaskWarning, IdxFormatError, SelectionWarning,
-                     ShapeMismatchError, ToleranceWarning)
+                     ShapeMismatchError, ToleranceWarning, WorkerDied)
 from .network import (DenseWeights, ModelSpec, TrainConfig, evaluate,
                       full_mask, loss_and_grads, train_masked, xavier_init)
 from .store import (SLOT_BITS, SparsityReport, TaskMask, WeightSlotStore,

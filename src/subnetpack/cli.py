@@ -2,7 +2,7 @@
 
 Subcommands: run, resume, report, inspect-checkpoint, make-data. Exit codes:
 0 success, 2 bad configuration or input data, 3 capacity exhausted,
-4 corrupt or unsupported checkpoint.
+4 corrupt or unsupported checkpoint, 5 a training worker process died.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import sys
 
 from .checkpoint import checkpoint_version
 from .config import load_run_config
-from .errors import CapacityExhausted, CheckpointError, ConfigError, IdxFormatError
+from .errors import (CapacityExhausted, CheckpointError, ConfigError, IdxFormatError,
+                     WorkerDied)
 from .metrics import lifelong_accuracy
 from .runner import execute_run, new_state, state_from_checkpoint, write_reports
 from .scenario import write_digit_idx
@@ -21,6 +22,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_CHECKPOINT = 4
+EXIT_WORKER = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,6 +141,9 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
+    except WorkerDied as exc:
+        print(f"{exc}; the last checkpoint can be resumed", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

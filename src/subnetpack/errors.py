@@ -10,9 +10,13 @@ class ShapeMismatchError(ValueError):
         self.layer = layer
         self.expected = tuple(expected)
         self.got = tuple(got)
+        self.what = what
         super().__init__(
             f"layer {layer}: {what} shape mismatch, expected {self.expected}, got {self.got}"
         )
+
+    def __reduce__(self):  # a training worker sends it back pickled
+        return type(self), (self.layer, self.expected, self.got, self.what)
 
 
 class CapacityExhausted(RuntimeError):
@@ -46,6 +50,15 @@ class IdxFormatError(ValueError):
         self.path = str(path)
         self.offset = offset
         super().__init__(f"{path}: {message} (at byte offset {offset})")
+
+
+class WorkerDied(RuntimeError):
+    """A training worker process exited while the run still needed it."""
+
+    def __init__(self, pid: int, status: int):
+        self.pid = pid
+        self.status = status
+        super().__init__(f"training worker {pid} exited with status {status}")
 
 
 class CapacityWarning(UserWarning):

@@ -6,6 +6,11 @@ given: evaluation runs in float64, while `train_masked` runs SGD on a float32
 working copy and hands back float64 weights whose trained entries are float32
 values. A mask entry of 0 removes the weight from the forward pass and freezes
 it bit-identically through training. Biases are never masked and always train.
+
+`train_masked` multiplies its working copy by the mask once per call, so each
+SGD step runs the forward pass and the hidden-layer deltas on the pre-masked
+weights and masks only the weight gradients. A run never calls it in its own
+process: `workers` runs every call in single-BLAS-thread worker processes.
 """
 
 from __future__ import annotations
@@ -122,17 +127,23 @@ def _check_shapes(spec: ModelSpec, weights: DenseWeights, mask, batch: np.ndarra
             raise ShapeMismatchError(i, shape, np.shape(m), what="mask")
 
 
-def _forward_cached(spec, weights, mask, batch):
+def _apply_mask(weights: DenseWeights, mask) -> DenseWeights:
+    """Weights times mask, in the weights' dtype; the biases are shared."""
+    return DenseWeights([w * m for w, m in zip(weights.weights, mask)],
+                        weights.biases, dtype=weights.weights[0].dtype)
+
+
+def _forward_cached(spec, masked, batch):
     """Returns (logits, activations, pre_activations) for backprop.
 
-    Computes in the dtype of the weights; the batch is cast to it.
+    `masked` holds weights already multiplied by their mask. Computes in
+    their dtype; the batch is cast to it.
     """
-    acts = [np.asarray(batch, dtype=weights.weights[0].dtype)]
+    acts = [np.asarray(batch, dtype=masked.weights[0].dtype)]
     zs = []
     n = spec.n_layers
     for i in range(n):
-        w = weights.weights[i] * mask[i]
-        z = acts[-1] @ w.T + weights.biases[i]
+        z = acts[-1] @ masked.weights[i].T + masked.biases[i]
         zs.append(z)
         acts.append(np.maximum(z, 0.0) if i < n - 1 else z)
     return zs[-1], acts, zs
@@ -142,7 +153,7 @@ def forward(spec: ModelSpec, weights: DenseWeights, mask, batch: np.ndarray) -> 
     """Masked forward pass to logits; masked-out weights contribute exactly zero."""
     batch = np.asarray(batch)
     _check_shapes(spec, weights, mask, batch)
-    logits, _, _ = _forward_cached(spec, weights, mask, batch)
+    logits, _, _ = _forward_cached(spec, _apply_mask(weights, mask), batch)
     return logits
 
 
@@ -153,7 +164,13 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def loss_and_grads(spec, weights, mask, batch, labels):
     """Mean softmax cross-entropy and its gradients, weight grads pre-masked."""
-    logits, acts, zs = _forward_cached(spec, weights, mask, batch)
+    return _masked_loss_and_grads(spec, _apply_mask(weights, mask), mask,
+                                  batch, labels)
+
+
+def _masked_loss_and_grads(spec, masked, mask, batch, labels):
+    """loss_and_grads on weights already multiplied by `mask`."""
+    logits, acts, zs = _forward_cached(spec, masked, batch)
     n = batch.shape[0]
     log_p = _log_softmax(logits)
     loss = -log_p[np.arange(n), labels].mean()
@@ -168,17 +185,20 @@ def loss_and_grads(spec, weights, mask, batch, labels):
         grads_w[i] = (dz.T @ acts[i]) * mask[i]
         grads_b[i] = dz.sum(axis=0)
         if i > 0:
-            dz = (dz @ (weights.weights[i] * mask[i])) * (zs[i - 1] > 0)
+            dz = (dz @ masked.weights[i]) * (zs[i - 1] > 0)
     return loss, grads_w, grads_b
 
 
 def train_masked(spec, weights, mask, data, cfg: TrainConfig):
     """SGD on the masked sub-network; returns the new float64 weights.
 
-    SGD runs on a float32 working copy, and each minibatch is cast to float32
-    as it is gathered. Trained entries come back as float32 values; entries
-    outside the mask come back bit-identical to the input. epochs=0 returns
-    an untouched copy. For an accuracy, call evaluate on the returned weights.
+    SGD runs on a float32 working copy, multiplied by the mask once here, and
+    each minibatch is cast to float32 as it is gathered (a float32 X is used
+    as is, with the same bits). Masked gradients keep the copy's masked-out
+    entries at zero, so the steps need no further mask products on the
+    weights. Trained entries come back as float32 values; entries outside the
+    mask come back bit-identical to the input. epochs=0 returns an untouched
+    copy. For an accuracy, call evaluate on the returned weights.
     """
     X, y = data
     X = np.asarray(X)
@@ -194,7 +214,8 @@ def train_masked(spec, weights, mask, data, cfg: TrainConfig):
     if cfg.epochs == 0:
         return weights.copy()
 
-    work = DenseWeights(weights.weights, weights.biases, dtype=np.float32)
+    work = _apply_mask(DenseWeights(weights.weights, weights.biases,
+                                    dtype=np.float32), mask)
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     for epoch in range(cfg.epochs):
@@ -202,7 +223,7 @@ def train_masked(spec, weights, mask, data, cfg: TrainConfig):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            _, gw, gb = loss_and_grads(spec, work, mask, X[idx], y[idx])
+            _, gw, gb = _masked_loss_and_grads(spec, work, mask, X[idx], y[idx])
             for i in range(spec.n_layers):
                 work.weights[i] -= lr * gw[i]
                 work.biases[i] -= lr * gb[i]

@@ -4,6 +4,13 @@ For each task a population of candidate masks is sampled under the store's
 eligibility rules, each candidate short-trains from the same fresh
 initializer, and the winner of a blended accuracy/sparsity score is trained
 in full. The winner's mask and weights feed the quantization stage.
+
+Masks are sampled, and candidates scored, in the calling process. Training
+and the validation accuracy run in `workers`: the whole population goes to
+the pool as one job list, so candidates short-train in parallel, each in a
+single-BLAS-thread process running the pre-masked float32 SGD of
+`network.train_masked`. Every job derives its seed from (seed, task, index),
+so neither the pool size nor the job order changes a result.
 """
 
 from __future__ import annotations
@@ -14,9 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SelectionWarning
-from .network import DenseWeights, TrainConfig, evaluate, train_masked, xavier_init
+from .network import DenseWeights, TrainConfig, xavier_init
 from .seeding import derive_seed, rng_from
 from .store import TaskMask, WeightSlotStore, sample_candidate_full
+from .workers import train_jobs
 
 # rng stream roles, combined as (seed, task_id, role, index)
 ROLE_INIT = 0
@@ -93,9 +101,9 @@ def _scores(accuracies, sparsities, alpha, beta):
     return tuple(float(v) for v in alpha * a_term + beta * s_term)
 
 
-def make_candidate(index, task_id, store: WeightSlotStore, spec, init_weights,
-                   data, cfg: PruneConfig, train_cfg: TrainConfig) -> Candidate:
-    """Sample, short-train, and score candidate `index`.
+def _short_job(index, task_id, store: WeightSlotStore, cfg: PruneConfig,
+               train_cfg: TrainConfig):
+    """Candidate `index`'s mask and short-training TrainConfig.
 
     Every candidate derives its own rng streams from (seed, task, index), so
     population members are independent of generation order.
@@ -107,11 +115,28 @@ def make_candidate(index, task_id, store: WeightSlotStore, spec, init_weights,
         epochs=cfg.short_epochs,
         seed=derive_seed(cfg.seed, task_id, ROLE_CANDIDATE, index),
     )
-    weights = train_masked(spec, init_weights.copy(), mask,
-                           (data.x_train, data.y_train), short_cfg)
-    accuracy = evaluate(spec, weights, mask, data.x_val, data.y_val)
-    sparsity = store.hypothetical_sparsity(mask).weighted
-    return Candidate(index, mask, weights, accuracy, sparsity)
+    return mask, short_cfg
+
+
+def _candidates(indices, task_id, store: WeightSlotStore, spec, init_weights,
+                data, cfg: PruneConfig, train_cfg: TrainConfig) -> list[Candidate]:
+    """Sample the members `indices`, short-train them in parallel, score them."""
+    jobs = [_short_job(i, task_id, store, cfg, train_cfg) for i in indices]
+    trained = train_jobs(spec, data, [(init_weights, mask, short_cfg)
+                                      for mask, short_cfg in jobs])
+    return [Candidate(i, mask, weights, accuracy,
+                      store.hypothetical_sparsity(mask).weighted)
+            for i, (mask, _), (weights, accuracy) in zip(indices, jobs, trained)]
+
+
+def make_candidate(index, task_id, store: WeightSlotStore, spec, init_weights,
+                   data, cfg: PruneConfig, train_cfg: TrainConfig) -> Candidate:
+    """Sample, short-train, and score candidate `index` on its own.
+
+    It equals member `index` of adaptive_prune's population.
+    """
+    return _candidates([index], task_id, store, spec, init_weights, data, cfg,
+                       train_cfg)[0]
 
 
 def train_winner(task_id, index, spec, weights, mask, data,
@@ -120,14 +145,14 @@ def train_winner(task_id, index, spec, weights, mask, data,
 
     Trains for cfg.full_epochs on the train split with the member's
     ROLE_FULLTRAIN seed; the accuracy is measured on the validation split.
+    Both run in a training worker.
     """
     full_cfg = replace(
         train_cfg,
         epochs=cfg.full_epochs,
         seed=derive_seed(cfg.seed, task_id, ROLE_FULLTRAIN, index),
     )
-    weights = train_masked(spec, weights, mask, (data.x_train, data.y_train), full_cfg)
-    return weights, evaluate(spec, weights, mask, data.x_val, data.y_val)
+    return train_jobs(spec, data, [(weights, mask, full_cfg)])[0]
 
 
 def adaptive_prune(task_id, store: WeightSlotStore, spec, data,
@@ -139,10 +164,8 @@ def adaptive_prune(task_id, store: WeightSlotStore, spec, data,
     when given, receives one PruneLog.
     """
     init_weights = xavier_init(spec, derive_seed(cfg.seed, task_id, ROLE_INIT, 0))
-    population = [
-        make_candidate(i, task_id, store, spec, init_weights, data, cfg, train_cfg)
-        for i in range(cfg.population)
-    ]
+    population = _candidates(range(cfg.population), task_id, store, spec,
+                             init_weights, data, cfg, train_cfg)
 
     accuracies = tuple(c.accuracy for c in population)
     sparsities = tuple(c.sparsity for c in population)

@@ -1,0 +1,224 @@
+import hashlib
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
+
+import numpy as np
+import pytest
+
+import subnetpack
+from subnetpack import workers
+from subnetpack.cli import EXIT_WORKER, main
+from subnetpack.config import build_run_config, parse_config_text
+from subnetpack.errors import DegenerateMaskWarning, ShapeMismatchError, WorkerDied
+from subnetpack.network import ModelSpec, TrainConfig, full_mask, xavier_init
+from subnetpack.pruning import PruneConfig, adaptive_prune, make_candidate
+from subnetpack.runner import execute_run, execute_task, new_state, state_from_checkpoint
+from subnetpack.scenario import synthetic_blobs, write_digit_idx
+from subnetpack.store import WeightSlotStore
+
+SPEC = ModelSpec((12, 16, 4))
+TRAIN = TrainConfig(epochs=5, batch_size=16, lr_initial=0.3, lr_floor=0.001, seed=0)
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(subnetpack.__file__)))
+REPORTS = ("accuracy_matrix.csv", "capacity.csv", "scenario_manifest.txt",
+           "checkpoint.bin")
+
+SYNTHETIC = """
+scenario.kind = synthetic
+scenario.n_tasks = 3
+scenario.classes = 4
+scenario.dim = 12
+scenario.samples = 40
+scenario.separation = 8.0
+model.layers = 12,16,4
+train.batch_size = 16
+train.lr_initial = 0.3
+train.lr_floor = 0.001
+prune.population = 4
+prune.short_epochs = 3
+prune.full_epochs = 25
+prune.v_min = 0.3
+prune.v_max = 0.7
+run.seed = 1
+"""
+
+
+def blob_task():
+    return synthetic_blobs(n_tasks=1, classes=4, dim=12, samples=80,
+                           separation=8.0, seed=11).get_task(0)
+
+
+def started_pool():
+    """The process's pool with at least one live worker."""
+    make_candidate(0, 0, WeightSlotStore(SPEC.shapes), SPEC, xavier_init(SPEC, 1),
+                   blob_task(), PruneConfig(population=1, short_epochs=1), TRAIN)
+    return workers.POOL
+
+
+def kill_a_worker():
+    proc = started_pool().workers[0].proc
+    proc.send_signal(signal.SIGKILL)
+    proc.wait(timeout=10)
+    return proc.pid
+
+
+def report_bytes(out):
+    texts = {}
+    for name in REPORTS + ("summary.json",):
+        data = (out / name).read_bytes()
+        if name == "summary.json":
+            data = b"".join(ln for ln in data.splitlines(keepends=True)
+                            if b'"generated_at"' not in ln)
+        texts[name] = data
+    return texts
+
+
+def test_degenerate_mask_warning_reaches_the_caller():
+    # passes on the parent too, where training ran in the calling process
+    cfg = PruneConfig(population=2, short_epochs=1, full_epochs=1,
+                      v_min=1.0, v_max=1.0, seed=0)
+    with pytest.warns(DegenerateMaskWarning):
+        adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, blob_task(), cfg, TRAIN)
+
+
+def test_worker_exception_comes_back_as_itself():
+    data = blob_task()
+    init = xavier_init(SPEC, 0)
+    bad = [np.ones((3, 3), dtype=bool)] * SPEC.n_layers
+    with pytest.raises(ShapeMismatchError):
+        workers.train_jobs(SPEC, data, [(init, full_mask(SPEC), TRAIN),
+                                        (init, bad, TRAIN)])
+    # the pool survives a failed job and trains the next list
+    (weights, acc), = workers.train_jobs(SPEC, data, [(init, full_mask(SPEC), TRAIN)])
+    assert 0.0 <= acc <= 1.0
+    assert weights.weights[0].shape == SPEC.shapes[0]
+
+
+def test_killed_worker_raises_promptly_with_its_exit_status():
+    pid = kill_a_worker()
+    cfg = PruneConfig(population=2, short_epochs=1, full_epochs=1, seed=0)
+    start = time.monotonic()
+    with pytest.raises(WorkerDied) as info:
+        adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, blob_task(), cfg, TRAIN)
+    assert time.monotonic() - start < 10.0
+    assert info.value.pid == pid
+    assert info.value.status == -signal.SIGKILL
+    # the next call starts a fresh pool
+    _, _, q_ref = adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC,
+                                 blob_task(), cfg, TRAIN)
+    assert 0.0 <= q_ref <= 1.0
+
+
+def test_run_resumes_to_the_same_bytes_after_a_worker_dies(tmp_path):
+    cfg_text = SYNTHETIC + f"run.output_dir = {tmp_path / 'out'}\n"
+    execute_run(new_state(build_run_config(parse_config_text(cfg_text))))
+    uninterrupted = report_bytes(tmp_path / "out")
+    shutil.rmtree(tmp_path / "out")
+
+    state = new_state(build_run_config(parse_config_text(cfg_text)))
+    execute_task(state, 0)
+    kill_a_worker()
+    with pytest.raises(WorkerDied):
+        execute_run(state)
+    resumed = state_from_checkpoint(str(tmp_path / "out" / "checkpoint.bin"))
+    assert resumed.next_task == 1
+    execute_run(resumed)
+    assert report_bytes(tmp_path / "out") == uninterrupted
+
+
+def test_cli_maps_a_dead_worker_to_its_exit_code(tmp_path, monkeypatch, capsys):
+    from subnetpack import cli
+
+    def dies(state):
+        raise WorkerDied(1234, -9)
+
+    monkeypatch.setattr(cli, "execute_run", dies)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SYNTHETIC + f"run.output_dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_WORKER
+    assert "training worker 1234 exited with status -9" in capsys.readouterr().err
+
+
+# -- whole runs in child processes ---------------------------------------------
+
+DIGITS = """
+scenario.kind = permuted
+scenario.n_tasks = 2
+scenario.train_images = {data}/train-images.idx
+scenario.train_labels = {data}/train-labels.idx
+scenario.test_images = {data}/test-images.idx
+scenario.test_labels = {data}/test-labels.idx
+model.layers = 784,100,10
+prune.population = 2
+prune.short_epochs = 1
+prune.full_epochs = 2
+run.seed = 0
+run.output_dir = out
+"""
+
+CHILD = """
+import os, sys
+cpus = {cpus!r}
+if cpus is not None:
+    os.sched_setaffinity(0, cpus)
+from subnetpack import workers
+from subnetpack.cli import main
+code = main(sys.argv[1:])
+print(len(workers.POOL.workers))
+sys.exit(code)
+"""
+
+
+@pytest.fixture(scope="module")
+def digit_config(tmp_path_factory):
+    root = tmp_path_factory.mktemp("digits")
+    write_digit_idx(root / "data", n_train=600, n_test=200, seed=3)
+    path = root / "run.cfg"
+    path.write_text(DIGITS.format(data=root / "data"))
+    return path
+
+
+def run_child(cwd, config, cpus=None, threads=None, args=None):
+    """Run the CLI in a child process in `cwd`; returns its pool size."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
+    cwd.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD.format(cpus=cpus)]
+        + (args or ["run", "--config", str(config)]),
+        cwd=cwd, env=env, stdout=subprocess.PIPE, timeout=300, check=True)
+    return int(proc.stdout.splitlines()[-1])
+
+
+def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path, digit_config):
+    # fails on the parent, which trained on the caller's BLAS threads
+    for threads in (1, 2):
+        run_child(tmp_path / str(threads), digit_config, threads=threads)
+    one, two = ((tmp_path / t / "out" / "checkpoint.bin").read_bytes()
+                for t in ("1", "2"))
+    assert hashlib.sha256(one).hexdigest() == hashlib.sha256(two).hexdigest()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 usable CPUs")
+def test_pool_size_does_not_change_a_byte(tmp_path, digit_config):
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    assert run_child(tmp_path / "one", digit_config, cpus={cpus[0]}) == 1
+    assert run_child(tmp_path / "two", digit_config, cpus=set(cpus)) == 2
+    assert (report_bytes(tmp_path / "one" / "out")
+            == report_bytes(tmp_path / "two" / "out"))
+
+
+def test_read_only_commands_start_no_worker(tmp_path, digit_config):
+    run_child(tmp_path / "run", digit_config)
+    checkpoint = str(tmp_path / "run" / "out" / "checkpoint.bin")
+    assert run_child(tmp_path / "report", None,
+                     args=["report", "--checkpoint", checkpoint,
+                           "--output-dir", str(tmp_path / "report" / "out")]) == 0
+    assert run_child(tmp_path / "inspect", None,
+                     args=["inspect-checkpoint", "--checkpoint", checkpoint]) == 0
