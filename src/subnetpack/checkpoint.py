@@ -6,6 +6,9 @@ tagged tree of None/int/float/str/bytes/list/dict/ndarray nodes, everything
 little-endian, dict keys sorted so equal states serialize to equal bytes.
 Arrays hold bool or little-endian numbers only. The decoder accepts exactly
 what the encoder writes and raises CheckpointError for anything else.
+
+Version 2 stores the slot store bit-packed (see `store`); version 1 held
+bool masks and uint32 codes. Both are read; saves write version 2.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from .errors import CheckpointError
 
 MAGIC = b"SUBNPACK"
-VERSION = 1
+VERSION = 2
 
 _T_NONE = 0
 _T_INT = 1
@@ -219,9 +222,10 @@ def load_checkpoint(path) -> dict:
     if blob[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {blob[:len(MAGIC)]!r}")
     (version,) = struct.unpack_from("<I", blob, len(MAGIC))
-    if version > VERSION:
+    if not 1 <= version <= VERSION:
+        age = "newer than supported" if version > VERSION else "unknown"
         raise CheckpointError(
-            f"{path}: format version {version} newer than supported {VERSION}")
+            f"{path}: format version {version} {age} (reads 1 to {VERSION})")
     payload, trailer = blob[head:-8], blob[-8:]
     (stored,) = struct.unpack("<Q", trailer)
     actual = _digest(payload)

@@ -100,11 +100,16 @@ def _cmd_inspect(args) -> int:
     print(f"mode: {state.config.mode}")
     print(f"model layers: {','.join(str(v) for v in state.config.model.layer_sizes)}")
     print(f"next task: {state.next_task}")
-    for t in sorted(state.store.tasks):
+    sizes = {t: state.store.packed_bytes(t) for t in sorted(state.store.tasks)}
+    for t, (mask_bytes, code_bytes) in sizes.items():
         alloc = state.store.tasks[t]
         used = sum(alloc.mask.active_counts())
         print(f"task {t}: psi={alloc.psi} slots={used} "
-              f"val_acc={state.tasks[t].q_quant:.4f}")
+              f"val_acc={state.tasks[t].q_quant:.4f} "
+              f"bytes={mask_bytes + code_bytes} (mask {mask_bytes}, codes {code_bytes})")
+    masks = sum(m for m, _ in sizes.values())
+    codes = sum(c for _, c in sizes.values())
+    print(f"store bytes: {masks + codes} (masks {masks}, codes {codes})")
     for e, row in enumerate(state.matrix.rows):
         print(f"episode {e}: " + " ".join(f"{v:.4f}" for v in row))
     return EXIT_OK

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import checkpoint_version, load_checkpoint, save_checkpoint
 from .config import RunConfig, build_run_config, build_suite, parse_config_text
 from .errors import CapacityExhausted, CheckpointError, ConfigError
 from .metrics import AccuracyMatrix, capacity_report, forget_check, lifelong_accuracy
@@ -238,7 +238,7 @@ def _expect(value, kind):
 
 
 def _read_records(payload: dict, store: WeightSlotStore) -> dict[int, TaskRecord]:
-    """Task records from a payload, checked against the replayed store."""
+    """Task records from a payload, checked against the rebuilt store."""
     cols = {key: {int(t): v for t, v in payload[key].items()}
             for key in ("codebooks", "biases", "q_ref", "q_quant", "psi_star")}
     for key, col in cols.items():
@@ -271,9 +271,12 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
     scenario data is opened only with need_suite.
     """
     payload = load_checkpoint(path)
+    # format 1 stored the slot store unpacked; each store reader refuses the
+    # other's dtypes, so a file swapped between these two reads is rejected
+    packed = checkpoint_version(path) >= 2
     try:
         cfg = build_run_config(parse_config_text(payload["config"]))
-        store = WeightSlotStore.from_state_dict(payload["store"])
+        store = WeightSlotStore.from_state_dict(payload["store"], packed=packed)
         state = RunState(cfg, None, store, AccuracyMatrix(payload["matrix"]),
                          _expect(payload["manifest"], str),
                          tasks=_read_records(payload, store),
@@ -282,8 +285,8 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
             PruneLog(**{k: tuple(v) if isinstance(v, list) else v for k, v in rec.items()})
             for rec in payload["prune_logs"]]
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
-        # ValueError covers a replay CommitRejected and a ConfigError from the
-        # stored config text
+        # ValueError covers a store's CommitRejected and a ConfigError from
+        # the stored config text
         raise CheckpointError(f"{path}: malformed state: {exc!r}") from None
     # (next_task, stored task ids, slot cap, layer shapes), each held twice
     held = (state.next_task, sorted(store.tasks), store.t_max, store.layer_shapes)

@@ -6,11 +6,19 @@ counts and remaining bits, and owns the committed per-task masks and codes.
 `t_max` is the one cap on components per slot. A run sets it once, from its
 pruning config's component cap, in `runner.new_state`; eligibility, sampling
 and commit all read it from the store.
+
+`state_dict` writes each task's layers bit-packed: the mask as
+`np.packbits(flat, bitorder="little")` of its row-major slots (ceil(slots/8)
+bytes), the codes as one little-endian psi-bit stream in slot order
+(ceil(used*psi/8) bytes), both with zero pad bits. `from_state_dict` reads
+that layout, or the bool masks and uint32 codes of checkpoint format 1, and
+rebuilds counts and budgets in one pass instead of replaying commits.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -179,11 +187,15 @@ class WeightSlotStore:
                 f"ineligible slots for bit-width {psi} in layers {bad_layers}"
             )
 
-        for i in range(self.layer_count):
-            flat = mask[i].ravel()
-            self._comp_count[i][flat] += 1
-            self._remaining[i][flat] -= psi
+        self._occupy(mask, psi)
         self.tasks[task_id] = TaskAllocation(task_id, psi, mask, clean_codes)
+
+    def _occupy(self, mask: TaskMask, psi: int) -> None:
+        """Add one psi-bit component to every masked slot, densely."""
+        for i, m in enumerate(mask):
+            flat = m.ravel()
+            self._comp_count[i] += flat
+            self._remaining[i] -= np.multiply(flat, psi, dtype=np.int32)
 
     # -- serialization ---------------------------------------------------------
 
@@ -195,19 +207,99 @@ class WeightSlotStore:
                 {
                     "task_id": a.task_id,
                     "psi": a.psi,
-                    "mask": [m for m in a.mask],
-                    "codes": list(a.codes),
+                    "mask": [np.packbits(m.ravel(), bitorder="little") for m in a.mask],
+                    "codes": [_pack_codes(c, a.psi) for c in a.codes],
                 }
                 for a in self.tasks.values()
             ],
         }
 
+    def packed_bytes(self, task_id: int) -> tuple[int, int]:
+        """(mask, codes) bytes of a task's record as `state_dict` writes it."""
+        alloc = self.tasks[task_id]
+        return (sum(_nbytes(size) for size in self.layer_sizes),
+                sum(_nbytes(n * alloc.psi) for n in alloc.mask.active_counts()))
+
     @classmethod
-    def from_state_dict(cls, state: dict) -> "WeightSlotStore":
+    def from_state_dict(cls, state: dict, packed: bool = True) -> "WeightSlotStore":
+        """Rebuild a store from `state_dict` output; packed=False reads format 1.
+
+        Rejects with CommitRejected whatever replaying the commits in order
+        would reject. Counts and used bits only grow, so checking the cap and
+        the budgets on the final state is the same as checking each commit.
+        """
         store = cls(state["layer_shapes"], t_max=state["t_max"])
+        read_layer = _read_packed_layer if packed else _read_v1_layer
         for rec in state["tasks"]:
-            store.commit(rec["task_id"], rec["mask"], rec["psi"], rec["codes"])
+            task_id, psi = rec["task_id"], rec["psi"]
+            if not isinstance(task_id, numbers.Integral) or task_id in store.tasks:
+                raise CommitRejected(f"task id {task_id!r} is not new")
+            if not isinstance(psi, numbers.Integral) or not 1 <= psi <= SLOT_BITS:
+                raise CommitRejected(f"task {task_id}: bit-width {psi!r} "
+                                     f"outside [1, {SLOT_BITS}]")
+            if len(rec["mask"]) != store.layer_count or len(rec["codes"]) != store.layer_count:
+                raise CommitRejected(f"task {task_id}: mask/codes layer count mismatch")
+            layers = [read_layer(rec["mask"][i], rec["codes"][i], psi, shape,
+                                 f"task {task_id} layer {i}")
+                      for i, shape in enumerate(store.layer_shapes)]
+            mask = TaskMask([m for m, _ in layers])
+            store._occupy(mask, psi)
+            store.tasks[task_id] = TaskAllocation(task_id, psi, mask,
+                                                  [c for _, c in layers])
+        over = [i for i in range(store.layer_count)
+                if store._comp_count[i].max() > store.t_max
+                or store._remaining[i].min() < 0]
+        if over:
+            raise CommitRejected(f"layers {over} hold slots over {store.t_max} "
+                                 f"components or {SLOT_BITS} bits")
         return store
+
+
+def _nbytes(bits: int) -> int:
+    return -(-bits // 8)
+
+
+def _pack_codes(codes: np.ndarray, psi: int) -> np.ndarray:
+    """Codes as one little-endian psi-bit stream, zero pad bits."""
+    bits = np.empty((codes.size, psi), dtype=np.uint8)
+    for b in range(psi):
+        np.bitwise_and(codes >> np.uint32(b), 1, out=bits[:, b], casting="unsafe")
+    return np.packbits(bits, bitorder="little")
+
+
+def _unpack_bits(buf, nbits: int, what: str) -> np.ndarray:
+    """The nbits bits of a packed buffer, which must hold exactly them."""
+    if not (isinstance(buf, np.ndarray) and buf.dtype == np.uint8 and buf.ndim == 1):
+        raise CommitRejected(f"{what}: expected a flat uint8 array")
+    if buf.size != _nbytes(nbits):
+        raise CommitRejected(f"{what}: {buf.size} bytes for {nbits} bits")
+    if nbits % 8 and buf[-1] >> (nbits % 8):
+        raise CommitRejected(f"{what}: nonzero pad bits")
+    return np.unpackbits(buf, count=nbits, bitorder="little")
+
+
+def _read_packed_layer(mask_buf, code_buf, psi, shape, what):
+    """(bool mask, uint32 codes) of one layer from its packed record."""
+    flat = _unpack_bits(mask_buf, shape[0] * shape[1], f"{what} mask").view(bool)
+    used = int(np.count_nonzero(flat))
+    bits = _unpack_bits(code_buf, used * psi, f"{what} codes").reshape(used, psi)
+    codes = np.zeros(used, dtype=np.uint32)
+    for b in range(psi):
+        codes |= bits[:, b].astype(np.uint32) << np.uint32(b)
+    return flat.reshape(shape), codes
+
+
+def _read_v1_layer(mask, codes, psi, shape, what):
+    """(bool mask, uint32 codes) of one layer as checkpoint format 1 holds it."""
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == shape):
+        raise CommitRejected(f"{what}: mask is not a {shape} bool array")
+    used = int(np.count_nonzero(mask))
+    if not (isinstance(codes, np.ndarray) and codes.dtype == np.uint32
+            and codes.shape == (used,)):
+        raise CommitRejected(f"{what}: codes are not {used} uint32 values")
+    if psi < SLOT_BITS and used and codes.max() >= (1 << psi):
+        raise CommitRejected(f"{what}: code exceeds {psi}-bit range")
+    return mask, codes
 
 
 def sample_candidate_mask(store, layer, target_sparsity, psi_min, rng) -> np.ndarray:

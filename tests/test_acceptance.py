@@ -315,9 +315,21 @@ def test_criterion_8_store_against_reference_model():
                 assert bits[slot] >= 0
                 owners = [t for t, _, _ in comps]
                 assert len(owners) == len(set(owners))
+        # the packed checkpoint layout rebuilds the same store without replay
+        clone = WeightSlotStore.from_state_dict(store.state_dict())
+        assert clone.tasks.keys() == store.tasks.keys()
+        for i in range(len(shapes)):
+            assert np.array_equal(clone.component_counts(i), store.component_counts(i))
+            assert np.array_equal(clone.remaining_bits(i), store.remaining_bits(i))
+        for t, alloc in store.tasks.items():
+            assert clone.tasks[t].psi == alloc.psi
+            assert clone.tasks[t].mask.same_as(alloc.mask)
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                       for a, b in zip(clone.tasks[t].codes, alloc.codes))
     verdict(8, True,
             f"{attempts} commit attempts ({accepted} accepted, {rejected} "
-            f"rejected) matched the reference model with budgets conserved")
+            f"rejected) matched the reference model with budgets conserved, "
+            f"and every settled store round-tripped through its packed state")
 
 
 _BLOB = (

@@ -148,6 +148,18 @@ def test_load_rejects_future_version(tmp_path):
     assert checkpoint_version(path) == VERSION + 1
 
 
+def test_load_rejects_version_zero(tmp_path):
+    # no format 0 was ever written, and the header lies outside the digest,
+    # so only the version check can refuse such a file
+    path = tmp_path / "state.bin"
+    save_checkpoint(path, SAMPLE)
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = struct.pack("<I", 0)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="version 0"):
+        load_checkpoint(path)
+
+
 def test_load_rejects_short_file(tmp_path):
     path = tmp_path / "stub.bin"
     path.write_bytes(MAGIC)

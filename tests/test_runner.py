@@ -41,7 +41,8 @@ def make_cfg(out_dir, extra=""):
 
 
 def read_without_timestamp(path):
-    lines = open(path, encoding="utf-8").read().splitlines()
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     return [ln for ln in lines if '"generated_at"' not in ln]
 
 
@@ -265,8 +266,19 @@ def test_cli_run_and_inspect(tmp_path, capsys):
     ckpt = str(tmp_path / "out" / "checkpoint.bin")
     assert main(["inspect-checkpoint", "--checkpoint", ckpt]) == 0
     out = capsys.readouterr().out
-    assert "format version: 1" in out
+    assert "format version: 2" in out
     assert "episode 2:" in out
+    # each task line names its packed bytes: one bit per slot, psi per code
+    state = state_from_checkpoint(ckpt, need_suite=False)
+    lines = out.splitlines()
+    totals = [0, 0]
+    for t, alloc in sorted(state.store.tasks.items()):
+        mask = sum(-(-size // 8) for size in state.store.layer_sizes)
+        codes = sum(-(-used * alloc.psi // 8) for used in alloc.mask.active_counts())
+        totals = [totals[0] + mask, totals[1] + codes]
+        line = next(ln for ln in lines if ln.startswith(f"task {t}: "))
+        assert line.endswith(f" bytes={mask + codes} (mask {mask}, codes {codes})")
+    assert f"store bytes: {sum(totals)} (masks {totals[0]}, codes {totals[1]})" in lines
 
     report_dir = str(tmp_path / "reports")
     assert main(["report", "--checkpoint", ckpt, "--output-dir", report_dir]) == 0
@@ -341,6 +353,7 @@ def test_cli_make_data(tmp_path, capsys):
 
 
 def _corrupt(payload, how):
+    tasks = payload["store"]["tasks"]
     if how == "bad psi_star":
         payload["psi_star"]["0"] = 7
     elif how == "missing q_quant":
@@ -355,6 +368,28 @@ def _corrupt(payload, how):
         payload["config"] = "no such line"
     elif how == "centroid tables":
         payload["codebooks"]["0"]["centroids"] = [1, 2]
+    # packed store records that would not replay, or hold bad buffers
+    elif how == "short mask":
+        tasks[0]["mask"][1] = tasks[0]["mask"][1][:-1]
+    elif how == "long codes":
+        tasks[1]["codes"][0] = np.append(tasks[1]["codes"][0], np.uint8(0))
+    elif how == "code pad bits":
+        rec, i = next((rec, i) for rec in tasks for i in range(len(rec["codes"]))
+                      if int(np.unpackbits(rec["mask"][i]).sum()) * rec["psi"] % 8)
+        rec["codes"][i][-1] |= 0x80
+    elif how == "unpacked mask":
+        tasks[0]["mask"][0] = np.unpackbits(tasks[0]["mask"][0]).astype(bool)
+    elif how == "zero psi":
+        tasks[1]["psi"] = 0
+    elif how == "one mask layer":
+        tasks[0]["mask"] = tasks[0]["mask"][:1]
+    elif how == "over budget":
+        # task 1 takes task 0's slots with 32-bit codes
+        used = [int(np.unpackbits(m).sum()) for m in tasks[0]["mask"]]
+        tasks[1] = {"task_id": 1, "psi": 32, "mask": tasks[0]["mask"],
+                    "codes": [np.zeros(4 * n, np.uint8) for n in used]}
+    else:
+        raise AssertionError(f"no corruption named {how!r}")
 
 
 def test_cli_malformed_checkpoints_exit_4(tmp_path, capsys):
@@ -365,7 +400,8 @@ def test_cli_malformed_checkpoints_exit_4(tmp_path, capsys):
     good = str(tmp_path / "out" / "checkpoint.bin")
     for how in ("bad psi_star", "missing q_quant", "codebook psi",
                 "task missing from biases", "rejected replay", "config text",
-                "centroid tables"):
+                "centroid tables", "short mask", "long codes", "code pad bits",
+                "unpacked mask", "zero psi", "one mask layer", "over budget"):
         payload = load_checkpoint(good)
         _corrupt(payload, how)
         bad = str(tmp_path / "bad.bin")
@@ -470,3 +506,42 @@ def test_checkpoint_with_model_and_mode_entries_still_loads(tmp_path, capsys):
             tmp_path / "new" / name).read_bytes()
     assert read_without_timestamp(tmp_path / "old" / "summary.json") == (
         read_without_timestamp(tmp_path / "new" / "summary.json"))
+
+
+FIXTURE_V1 = os.path.join(os.path.dirname(__file__), "fixtures", "v1_blob")
+REPORTS = ("accuracy_matrix.csv", "capacity.csv", "scenario_manifest.txt",
+           "summary.json")
+
+
+def test_format_1_checkpoint_still_reads(tmp_path, capsys):
+    # checkpoint.bin was written in format 1 by a full run of BASE (with
+    # run.output_dir = out), and the reports beside it by `report` from the
+    # same code; reading it trains nothing, so the bytes hold on any CPU
+    from subnetpack.checkpoint import checkpoint_version
+    from subnetpack.runner import save_run_checkpoint
+    old = os.path.join(FIXTURE_V1, "checkpoint.bin")
+    assert checkpoint_version(old) == 1
+    assert main(["report", "--checkpoint", old, "--output-dir",
+                 str(tmp_path / "v1")]) == 0
+    for name in REPORTS:
+        assert read_without_timestamp(tmp_path / "v1" / name) == (
+            read_without_timestamp(os.path.join(FIXTURE_V1, name))), name
+    assert main(["inspect-checkpoint", "--checkpoint", old]) == 0
+    assert "format version: 1" in capsys.readouterr().out
+
+    state = state_from_checkpoint(old, need_suite=False,
+                                  output_dir=str(tmp_path / "resaved"))
+    new = save_run_checkpoint(state)
+    assert checkpoint_version(new) == 2
+    assert os.path.getsize(new) < os.path.getsize(old)
+    assert main(["report", "--checkpoint", new, "--output-dir",
+                 str(tmp_path / "v2")]) == 0
+    capsys.readouterr()
+    for name in REPORTS:
+        assert read_without_timestamp(tmp_path / "v2" / name) == (
+            read_without_timestamp(os.path.join(FIXTURE_V1, name))), name
+    again = state_from_checkpoint(new, need_suite=False)
+    for t, alloc in state.store.tasks.items():
+        assert again.store.tasks[t].mask.same_as(alloc.mask)
+        for a, b in zip(again.store.tasks[t].codes, alloc.codes):
+            np.testing.assert_array_equal(a, b)

@@ -249,3 +249,203 @@ def test_budget_fuzz_small():
             assert store.component_counts(i)[s] == len(slots[(i, s)])
             assert store.remaining_bits(i)[s] == 32 - sum(slots[(i, s)])
             assert sum(slots[(i, s)]) <= 32
+
+
+# -- packed state dict -----------------------------------------------------------
+
+def pack_bits(bits):
+    """Independent little-endian bit packer: bit k of byte j is bits[8j + k]."""
+    bits = [int(b) for b in bits] + [0] * (-len(bits) % 8)
+    return np.array([sum(bits[j + k] << k for k in range(8))
+                     for j in range(0, len(bits), 8)], dtype=np.uint8)
+
+
+def packed_record(task_id, psi, mask, codes):
+    return {
+        "task_id": task_id,
+        "psi": psi,
+        "mask": [pack_bits(m.ravel()) for m in mask],
+        "codes": [pack_bits([(int(c) >> b) & 1 for c in layer for b in range(psi)])
+                  for layer in codes],
+    }
+
+
+def v1_record(task_id, psi, mask, codes):
+    return {"task_id": task_id, "psi": psi, "mask": [m.copy() for m in mask],
+            "codes": [np.asarray(c, dtype=np.uint32) for c in codes]}
+
+
+def test_state_dict_layout_is_bit_packed():
+    store = WeightSlotStore([(3, 3)])
+    mask = mask_of(store, [[1, 0, 1, 1, 0, 0, 0, 0, 1]])
+    store.commit(0, mask, 2, [np.array([1, 2, 3, 0], np.uint32)])
+    rec = store.state_dict()["tasks"][0]
+    # slots 0, 2, 3, 8: bits 0b00001101 then 0b00000001
+    np.testing.assert_array_equal(rec["mask"][0], np.array([0x0D, 0x01], np.uint8))
+    # codes 1, 2, 3, 0 as 2-bit fields from bit 0 up: 01 10 11 00 -> 0b00111001
+    np.testing.assert_array_equal(rec["codes"][0], np.array([0x39], np.uint8))
+
+
+def test_state_dict_round_trip_every_bit_width():
+    # psi = 32 is the pruning-only width; every width shares one code path
+    rng = np.random.default_rng(11)
+    for psi in range(1, SLOT_BITS + 1):
+        store = WeightSlotStore([(5, 7), (3, 1)], t_max=1)
+        mask = TaskMask([rng.random(s) < 0.6 for s in store.layer_shapes])
+        codes = [rng.integers(0, 1 << psi, int(m.sum()), dtype=np.uint64).astype(np.uint32)
+                 for m in mask]
+        store.commit(0, mask, psi, codes)
+        state = store.state_dict()
+        expected = packed_record(0, psi, mask, codes)
+        for got, want in zip(state["tasks"][0]["codes"], expected["codes"]):
+            np.testing.assert_array_equal(got, want)
+        clone = WeightSlotStore.from_state_dict(state)
+        for c1, c2 in zip(clone.tasks[0].codes, codes):
+            assert c1.dtype == np.uint32
+            np.testing.assert_array_equal(c1, c2)
+        for i in range(2):
+            np.testing.assert_array_equal(clone.remaining_bits(i), store.remaining_bits(i))
+
+
+def _one_task_state(packed=True, psi=3, shapes=((3, 3),), t_max=4):
+    store = WeightSlotStore(shapes, t_max=t_max)
+    mask = TaskMask([np.eye(*s, dtype=bool) for s in shapes])
+    codes = [np.arange(int(m.sum()), dtype=np.uint32) % (1 << psi) for m in mask]
+    make = packed_record if packed else v1_record
+    return {"layer_shapes": [list(s) for s in shapes], "t_max": t_max,
+            "tasks": [make(0, psi, mask, codes)]}
+
+
+def _malformed(packed):
+    """(name, state) pairs that replaying the commits would reject, plus
+    arrays of a dtype the format never writes."""
+    cases = []
+
+    def case(name, change):
+        state = _one_task_state(packed)
+        change(state["tasks"])
+        cases.append((name, state))
+
+    case("duplicate id", lambda tasks: tasks.append(dict(tasks[0])))
+    case("psi 0", lambda tasks: tasks[0].update(psi=0))
+    case("psi 33", lambda tasks: tasks[0].update(psi=33))
+    case("float psi", lambda tasks: tasks[0].update(psi=3.0))
+    case("missing layer", lambda tasks: tasks[0].update(
+        mask=tasks[0]["mask"] * 2, codes=tasks[0]["codes"] * 2))
+    case("codes for fewer layers", lambda tasks: tasks[0].update(codes=[]))
+    over_cap = _one_task_state(packed, t_max=1)
+    over_cap["tasks"].append(dict(over_cap["tasks"][0], task_id=1))
+    cases.append(("over the component cap", over_cap))
+    over_bits = _one_task_state(packed, psi=20)
+    over_bits["tasks"].append(dict(over_bits["tasks"][0], task_id=1))
+    cases.append(("over the bit budget", over_bits))
+    if packed:
+        def pad_mask(tasks):
+            # 9 slots in 2 bytes: the last 7 bits are pad
+            tasks[0]["mask"][0][-1] |= 0x80
+
+        def pad_codes(tasks):
+            # 3 used slots * 3 bits = 9 bits in 2 bytes
+            tasks[0]["codes"][0][-1] |= 0x80
+
+        case("long mask", lambda tasks: tasks[0]["mask"].__setitem__(
+            0, np.append(tasks[0]["mask"][0], np.uint8(0))))
+        case("short codes", lambda tasks: tasks[0]["codes"].__setitem__(
+            0, tasks[0]["codes"][0][:-1]))
+        case("mask pad bits", pad_mask)
+        case("code pad bits", pad_codes)
+        case("unpacked mask", lambda tasks: tasks[0]["mask"].__setitem__(
+            0, np.eye(3, dtype=bool)))
+        case("2-d buffer", lambda tasks: tasks[0]["codes"].__setitem__(
+            0, tasks[0]["codes"][0].reshape(1, -1)))
+    else:
+        case("wrong shape", lambda tasks: tasks[0]["mask"].__setitem__(
+            0, np.eye(3, 4, dtype=bool)))
+        case("wrong code count", lambda tasks: tasks[0]["codes"].__setitem__(
+            0, tasks[0]["codes"][0][:-1]))
+        case("code out of range", lambda tasks: tasks[0]["codes"].__setitem__(
+            0, np.array([0, 1, 8], np.uint32)))
+        case("packed mask", lambda tasks: tasks[0]["mask"].__setitem__(
+            0, pack_bits(np.eye(3, dtype=bool).ravel())))
+        case("uint8 mask", lambda tasks: tasks[0]["mask"].__setitem__(
+            0, np.eye(3, dtype=np.uint8)))
+        case("int64 codes", lambda tasks: tasks[0]["codes"].__setitem__(
+            0, tasks[0]["codes"][0].astype(np.int64)))
+    return cases
+
+
+@pytest.mark.parametrize("packed", [True, False])
+def test_from_state_dict_rejects_malformed_records(packed):
+    assert WeightSlotStore.from_state_dict(_one_task_state(packed), packed=packed)
+    for name, state in _malformed(packed):
+        with pytest.raises(CommitRejected):
+            WeightSlotStore.from_state_dict(state, packed=packed)
+            pytest.fail(f"accepted: {name}")
+
+
+def test_from_state_dict_agrees_with_replay():
+    # random record lists, many of them overfilling slots: the one-pass load
+    # (packed and format 1) accepts exactly the lists that replaying their
+    # commits accepts, and then holds the replayed state
+    rng = np.random.default_rng(2024)
+    accepted = 0
+    for _ in range(300):
+        shapes = [(int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+                  for _ in range(int(rng.integers(1, 3)))]
+        t_max = int(rng.integers(1, 4))
+        records = []
+        for task in range(int(rng.integers(1, 5))):
+            psi = int(rng.integers(1, 33))
+            mask = TaskMask([rng.random(s) < rng.random() for s in shapes])
+            codes = [rng.integers(0, 1 << psi, int(m.sum()), dtype=np.uint64).astype(np.uint32)
+                     for m in mask]
+            records.append((task, psi, mask, codes))
+        replay = WeightSlotStore(shapes, t_max=t_max)
+        try:
+            for task, psi, mask, codes in records:
+                replay.commit(task, mask, psi, codes)
+            ok = True
+        except CommitRejected:
+            ok = False
+        accepted += ok
+        for packed, make in ((True, packed_record), (False, v1_record)):
+            state = {"layer_shapes": [list(s) for s in shapes], "t_max": t_max,
+                     "tasks": [make(*rec) for rec in records]}
+            try:
+                loaded = WeightSlotStore.from_state_dict(state, packed=packed)
+            except CommitRejected:
+                loaded = None
+            assert (loaded is not None) == ok
+            if loaded is not None:
+                for i in range(len(shapes)):
+                    np.testing.assert_array_equal(loaded.component_counts(i),
+                                                  replay.component_counts(i))
+                    np.testing.assert_array_equal(loaded.remaining_bits(i),
+                                                  replay.remaining_bits(i))
+    assert 30 < accepted < 270  # both outcomes well represented
+
+
+# Encoded bytes around each packed array: tag, dtype text, ndim, shape, length.
+ARRAY_OVERHEAD = 22
+# Encoded bytes of one task record beside its arrays: the dict and list
+# headers, the four keys and the two ints.
+TASK_OVERHEAD = 100
+
+
+def test_encoded_store_size_gate():
+    from subnetpack.checkpoint import encode_state
+    rng = np.random.default_rng(3)
+    store = WeightSlotStore([(40, 25), (25, 10)], t_max=4)
+    for task in range(6):
+        psi = int(rng.integers(1, 9))
+        mask = TaskMask([rng.random(s) < 0.2 for s in store.layer_shapes])
+        codes = [rng.integers(0, 1 << psi, int(m.sum())).astype(np.uint32) for m in mask]
+        store.commit(task, mask, psi, codes)
+    empty = len(encode_state(WeightSlotStore(store.layer_shapes).state_dict()))
+    payload = sum(math.ceil(used * a.psi / 8) + math.ceil(size / 8)
+                  for a in store.tasks.values()
+                  for used, size in zip(a.mask.active_counts(), store.layer_sizes))
+    arrays = 2 * store.layer_count * len(store.tasks)
+    bound = empty + payload + arrays * ARRAY_OVERHEAD + len(store.tasks) * TASK_OVERHEAD
+    assert len(encode_state(store.state_dict())) <= bound
+    assert sum(sum(store.packed_bytes(t)) for t in store.tasks) == payload
