@@ -4,8 +4,10 @@
 forward and backward passes compute in the dtype of the weights they are
 given: evaluation runs in float64, while `train_masked` runs SGD on a float32
 working copy and hands back float64 weights whose trained entries are float32
-values. A mask entry of 0 removes the weight from the forward pass and freezes
-it bit-identically through training. Biases are never masked and always train.
+values. Input batches may be floats or uint8 pixels; `as_floats` turns either
+into the dtype of the weights. A mask entry of 0 removes the weight from the
+forward pass and freezes it bit-identically through training. Biases are
+never masked and always train.
 
 `train_masked` multiplies its working copy by the mask once per call, so each
 SGD step runs the forward pass and the hidden-layer deltas on the pre-masked
@@ -133,13 +135,26 @@ def _apply_mask(weights: DenseWeights, mask) -> DenseWeights:
                         weights.biases, dtype=weights.weights[0].dtype)
 
 
+def as_floats(x, dtype) -> np.ndarray:
+    """Features `x` as `dtype` floats; uint8 pixels p become p / 255.
+
+    Dividing in the target dtype gives the bits of `p / 255.0` in float64
+    and of its float32 cast in float32 (rounding a float64 quotient to
+    float32 is exact for division). Other inputs are cast as they are.
+    """
+    x = np.asarray(x)
+    if x.dtype == np.uint8:
+        return np.divide(x, 255, dtype=dtype)
+    return x.astype(dtype, copy=False)
+
+
 def _forward_cached(spec, masked, batch):
     """Returns (logits, activations, pre_activations) for backprop.
 
     `masked` holds weights already multiplied by their mask. Computes in
-    their dtype; the batch is cast to it.
+    their dtype; the batch is turned into it by `as_floats`.
     """
-    acts = [np.asarray(batch, dtype=masked.weights[0].dtype)]
+    acts = [as_floats(batch, masked.weights[0].dtype)]
     zs = []
     n = spec.n_layers
     for i in range(n):
@@ -193,12 +208,13 @@ def train_masked(spec, weights, mask, data, cfg: TrainConfig):
     """SGD on the masked sub-network; returns the new float64 weights.
 
     SGD runs on a float32 working copy, multiplied by the mask once here, and
-    each minibatch is cast to float32 as it is gathered (a float32 X is used
-    as is, with the same bits). Masked gradients keep the copy's masked-out
-    entries at zero, so the steps need no further mask products on the
-    weights. Trained entries come back as float32 values; entries outside the
-    mask come back bit-identical to the input. epochs=0 returns an untouched
-    copy. For an accuracy, call evaluate on the returned weights.
+    each minibatch is turned into float32 by `as_floats` as it is gathered (a
+    float32 X is used as is, with the same bits). Masked gradients keep the
+    copy's masked-out entries at zero, so the steps need no further mask
+    products on the weights. Trained entries come back as float32 values;
+    entries outside the mask come back bit-identical to the input. epochs=0
+    returns an untouched copy. For an accuracy, call evaluate on the returned
+    weights.
     """
     X, y = data
     X = np.asarray(X)

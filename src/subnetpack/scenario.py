@@ -3,8 +3,10 @@
 Three scenario kinds share one suite shape: pixel-permutation tasks over a
 base image dataset, class-split tasks, and synthetic Gaussian blobs. Image
 data enters through IDX files (big-endian magic, dimension sizes, uint8
-payload). A procedural digit-glyph generator can emit IDX files with the same
-geometry as handwritten-digit sets for machines without the real data.
+payload), and its tasks keep the uint8 pixels; the network turns a batch into
+floats when it reads it. A procedural digit-glyph generator can emit IDX files
+with the same geometry as handwritten-digit sets for machines without the real
+data.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ _TAG_BLOBS = 4
 
 @dataclass
 class TaskData:
-    """One task's splits; features are reals in [0, 1], labels class indices."""
+    """One task's splits; labels are class indices.
+
+    Features are uint8 pixels for image scenarios (IDX bytes as read) and
+    float64 reals in [0, 1] for synthetic ones; `network.as_floats` turns
+    either into floats.
+    """
 
     task_id: int
     n_classes: int
@@ -172,7 +179,11 @@ def _read_header(data, path, expected_magic, n_dims):
 
 
 def load_idx(images_path, labels_path):
-    """Parse an IDX image/label file pair into ([0,1] features, labels)."""
+    """Parse an IDX image/label file pair into (uint8 pixels, int64 labels).
+
+    The pixels are an owned (n, rows * cols) array, one byte per pixel as
+    stored; `network.as_floats` scales them to [0, 1].
+    """
     with open(images_path, "rb") as fh:
         img_data = fh.read()
     (n, rows, cols), offset = _read_header(img_data, images_path, IDX_IMAGES_MAGIC, 3)
@@ -183,7 +194,7 @@ def load_idx(images_path, labels_path):
                              f"{len(img_data) - expected} trailing bytes")
     pixels = np.frombuffer(img_data, dtype=np.uint8, count=n * rows * cols,
                            offset=offset)
-    features = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
+    features = pixels.reshape(n, rows * cols).copy()
 
     with open(labels_path, "rb") as fh:
         lbl_data = fh.read()
@@ -203,17 +214,25 @@ def load_idx(images_path, labels_path):
 
 
 def save_idx(images_path, labels_path, features, labels, rows=None, cols=None):
-    """Write [0,1] features and labels as an IDX pair (inverse of load_idx)."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.min() < 0.0 or features.max() > 1.0:
-        raise ValueError("features must lie in [0, 1]")
+    """Write features and labels as an IDX pair (inverse of load_idx).
+
+    uint8 features are written as they are; other features must lie in
+    [0, 1] and are rounded to the nearest of the 256 pixel levels.
+    """
+    features = np.asarray(features)
+    if features.dtype == np.uint8:
+        pixels = features
+    else:
+        features = features.astype(np.float64, copy=False)
+        if features.min() < 0.0 or features.max() > 1.0:
+            raise ValueError("features must lie in [0, 1]")
+        pixels = np.round(features * 255.0).astype(np.uint8)
     n, dim = features.shape
     if rows is None or cols is None:
         side = int(round(dim**0.5))
         if side * side != dim:
             raise ValueError("non-square feature dim needs explicit rows/cols")
         rows = cols = side
-    pixels = np.round(features * 255.0).astype(np.uint8)
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
         fh.write(pixels.tobytes())
@@ -385,8 +404,7 @@ def write_digit_idx(out_dir, n_train=24000, n_test=4000, seed=0, noise=0.12):
         images, labels = make_digit_images(n, derive_seed(seed, 0x5EED, stream), noise)
         img_path = os.path.join(out_dir, f"{tag}-images.idx")
         lbl_path = os.path.join(out_dir, f"{tag}-labels.idx")
-        features = images.reshape(n, 784).astype(np.float64) / 255.0
-        save_idx(img_path, lbl_path, features, labels)
+        save_idx(img_path, lbl_path, images.reshape(n, 784), labels)
         paths[f"{tag}_images"] = img_path
         paths[f"{tag}_labels"] = lbl_path
     return paths

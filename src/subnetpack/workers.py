@@ -10,8 +10,11 @@ the pool size cannot change a byte.
 The pool starts on the first `train_jobs` call and lives as long as the
 process; it holds one worker per CPU the process may use, capped at the
 longest job list seen so far. Each task's train split goes to every worker
-once, in float32 row blocks (SGD casts every minibatch to float32 anyway),
-with its validation split as is. Workers exit when their input closes.
+once, in row blocks of its own dtype (uint8 pixels for image tasks), with its
+validation split. A worker turns the pixels into floats once, as they arrive:
+the train split into float32, which SGD computes in, and the validation split
+into float64, which evaluation computes in. Workers exit when their input
+closes.
 
 Warnings a job raises are re-issued in the caller, and a job's exception is
 raised again there. A worker that dies raises WorkerDied with its exit
@@ -33,7 +36,7 @@ import weakref
 import numpy as np
 
 from .errors import WorkerDied
-from .network import evaluate, train_masked
+from .network import as_floats, evaluate, train_masked
 
 BLOCK_ROWS = 1024  # train-split rows per message
 _SIZE = struct.Struct("<Q")
@@ -120,10 +123,11 @@ def serve() -> None:
         kind = msg[0]
         if kind == "split":
             _, shape, y_train, x_val, y_val = msg
-            split = (np.empty(shape, dtype=np.float32), y_train, x_val, y_val)
+            split = (np.empty(shape, dtype=np.float32), y_train,
+                     as_floats(x_val, np.float64), y_val)
         elif kind == "rows":
             _, start, block = msg
-            split[0][start:start + len(block)] = block
+            split[0][start:start + len(block)] = as_floats(block, np.float32)
         else:
             _, spec, weights, mask, cfg = msg
             try:
@@ -200,8 +204,7 @@ class TrainPool:
         for w in todo:
             w.send(header)
         for start in range(0, len(x), BLOCK_ROWS):
-            frame = _frame(
-                ("rows", start, x[start:start + BLOCK_ROWS].astype(np.float32)))
+            frame = _frame(("rows", start, x[start:start + BLOCK_ROWS]))
             for w in todo:
                 w.send(frame)
         for w in todo:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from subnetpack.errors import DegenerateMaskWarning, ShapeMismatchError
-from subnetpack.network import (DenseWeights, ModelSpec, TrainConfig, evaluate,
-                                forward, full_mask, loss_and_grads,
+from subnetpack.network import (DenseWeights, ModelSpec, TrainConfig, as_floats,
+                                evaluate, forward, full_mask, loss_and_grads,
                                 train_masked, xavier_init)
 
 
@@ -102,6 +102,46 @@ def test_gradients_match_finite_differences():
                 wm.biases[i][j] -= h
                 num = (loss_at(wp) - loss_at(wm)) / (2 * h)
                 assert abs(num - gb[i][j]) <= 1e-4 * max(1.0, abs(num))
+
+
+def test_as_floats_gives_the_bits_of_p_over_255():
+    # every pixel value, as integer views: float64 must give p / 255.0 and
+    # float32 its float32 cast, under value-based casting and under NEP 50
+    pixels = np.arange(256, dtype=np.uint8)
+    want64 = np.array([p / 255.0 for p in range(256)], dtype=np.float64)
+    want32 = np.array([np.float32(p / 255.0) for p in range(256)], dtype=np.float32)
+    got64 = as_floats(pixels, np.float64)
+    got32 = as_floats(pixels.reshape(16, 16), np.float32)
+    assert got64.dtype == np.float64 and got32.dtype == np.float32
+    np.testing.assert_array_equal(got64.view(np.uint64), want64.view(np.uint64))
+    np.testing.assert_array_equal(got32.ravel().view(np.uint32), want32.view(np.uint32))
+    # float features are cast, not scaled
+    x = np.random.default_rng(0).random((3, 4))
+    assert as_floats(x, np.float64) is x
+    np.testing.assert_array_equal(as_floats(x, np.float32), x.astype(np.float32))
+
+
+def test_uint8_batches_give_the_results_of_their_floats():
+    spec = ModelSpec((6, 8, 3))
+    rng = np.random.default_rng(6)
+    pixels = rng.integers(0, 256, size=(64, 6)).astype(np.uint8)
+    floats = pixels / 255.0
+    y = rng.integers(0, 3, size=64)
+    init = xavier_init(spec, 6)
+    mask = [rng.random(s) < 0.7 for s in spec.shapes]
+    np.testing.assert_array_equal(forward(spec, init, mask, pixels),
+                                  forward(spec, init, mask, floats))
+    loss_p, gw_p, gb_p = loss_and_grads(spec, init, mask, pixels, y)
+    loss_f, gw_f, gb_f = loss_and_grads(spec, init, mask, floats, y)
+    assert loss_p == loss_f
+    for gp, gf in zip(gw_p + gb_p, gw_f + gb_f):
+        np.testing.assert_array_equal(gp, gf)
+    cfg = TrainConfig(epochs=3, batch_size=16, lr_initial=0.1, seed=1)
+    a = train_masked(spec, init, mask, (pixels, y), cfg)
+    b = train_masked(spec, init, mask, (floats, y), cfg)
+    for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
+        np.testing.assert_array_equal(wa.view(np.uint64), wb.view(np.uint64))
+    assert evaluate(spec, a, mask, pixels, y) == evaluate(spec, b, mask, floats, y)
 
 
 def test_masked_weights_frozen_bit_identical():

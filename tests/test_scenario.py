@@ -1,15 +1,18 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import lstsq_accuracy
 
 from subnetpack.errors import IdxFormatError
+from subnetpack.network import as_floats
 from subnetpack.scenario import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, TaskData,
                                  load_idx, make_digit_images,
                                  permuted_scenario, save_idx, split_scenario,
                                  stratified_val_split, synthetic_blobs,
                                  write_digit_idx)
+from subnetpack.seeding import derive_seed
 
 
 def write_pair(tmp_path, img_bytes, lbl_bytes):
@@ -30,10 +33,13 @@ def good_pair(tmp_path):
 def test_load_idx_hand_crafted(tmp_path):
     features, labels = load_idx(*good_pair(tmp_path))
     assert features.shape == (2, 4)
+    assert features.dtype == np.uint8 and features.flags.writeable
+    np.testing.assert_array_equal(features, [[0, 128, 255, 64], [10, 20, 30, 40]])
     np.testing.assert_array_equal(labels, [3, 7])
+    scaled = as_floats(features, np.float64)
     np.testing.assert_allclose(
-        features[0], [0.0, 128 / 255.0, 1.0, 64 / 255.0], rtol=0, atol=0)
-    assert features[0, 2] == 1.0
+        scaled[0], [0.0, 128 / 255.0, 1.0, 64 / 255.0], rtol=0, atol=0)
+    assert scaled[0, 2] == 1.0
 
 
 def test_load_idx_bad_magic(tmp_path):
@@ -90,8 +96,13 @@ def test_idx_round_trip(tmp_path):
     ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
     save_idx(ip, lp, features, labels)
     back_x, back_y = load_idx(ip, lp)
-    np.testing.assert_array_equal(back_x, features)
+    np.testing.assert_array_equal(back_x, np.round(features * 255))
+    np.testing.assert_array_equal(as_floats(back_x, np.float64), features)
     np.testing.assert_array_equal(back_y, labels)
+    # uint8 pixels are written as they are
+    save_idx(ip, lp, back_x, back_y)
+    again_x, _ = load_idx(ip, lp)
+    np.testing.assert_array_equal(again_x, back_x)
 
 
 def test_save_idx_validation(tmp_path):
@@ -303,3 +314,77 @@ def test_write_digit_idx_round_trip(tmp_path):
     assert set(np.unique(np.concatenate([ytr, yte]))) <= set(range(10))
     # train and test streams are independent draws
     assert not np.array_equal(xtr[:20], xte)
+
+
+def test_write_digit_idx_matches_the_float_path(tmp_path):
+    # write_digit_idx used to write its images as p / 255.0 floats, which
+    # save_idx rounds back to p; writing the uint8 images must give the
+    # same bytes
+    seed, counts = 7, {"train": 50, "test": 20}
+    paths = write_digit_idx(str(tmp_path / "new"), n_train=counts["train"],
+                            n_test=counts["test"], seed=seed)
+    (tmp_path / "old").mkdir()
+    for tag, stream in (("train", 1), ("test", 2)):
+        n = counts[tag]
+        images, labels = make_digit_images(n, derive_seed(seed, 0x5EED, stream))
+        old = (str(tmp_path / "old" / "img.idx"), str(tmp_path / "old" / "lbl.idx"))
+        save_idx(*old, images.reshape(n, 784).astype(np.float64) / 255.0, labels)
+        for path, ref in zip((paths[f"{tag}_images"], paths[f"{tag}_labels"]), old):
+            with open(path, "rb") as got, open(ref, "rb") as want:
+                assert got.read() == want.read(), path
+
+
+@pytest.fixture(scope="module")
+def digits(tmp_path_factory):
+    """600/200 procedural digits as load_idx returns them."""
+    p = write_digit_idx(str(tmp_path_factory.mktemp("digits")),
+                        n_train=600, n_test=200, seed=0)
+    return (load_idx(p["train_images"], p["train_labels"]),
+            load_idx(p["test_images"], p["test_labels"]))
+
+
+def test_image_suites_keep_uint8_pixels(digits):
+    train, test = digits
+    # the old way: p / 255.0 at load, then the same selection and split rng
+    as_old = [(x.astype(np.float64) / 255.0, y) for x, y in (train, test)]
+    cases = [
+        (permuted_scenario(train, test, 3, seed=5),
+         permuted_scenario(*as_old, 3, seed=5)),
+        (split_scenario(train, test, 5, seed=1),
+         split_scenario(*as_old, 5, seed=1)),
+    ]
+    for suite, ref in cases:
+        for i in range(suite.n_tasks):
+            task, want = suite.get_task(i), ref.get_task(i)
+            x_test, _ = suite.test_split(i)
+            for got, old in ((task.x_train, want.x_train), (task.x_val, want.x_val),
+                             (task.x_test, want.x_test), (x_test, want.x_test)):
+                assert got.dtype == np.uint8 and old.dtype == np.float64
+                np.testing.assert_array_equal(
+                    as_floats(got, np.float64).view(np.uint64), old.view(np.uint64))
+            for got, old in ((task.y_train, want.y_train), (task.y_val, want.y_val),
+                             (task.y_test, want.y_test)):
+                np.testing.assert_array_equal(got, old)
+
+
+def test_synthetic_suites_stay_float64():
+    suite = synthetic_blobs(2, 3, 6, 20, 6.0, seed=3)
+    task = suite.get_task(1)
+    x_test, _ = suite.test_split(1)
+    for x in (task.x_train, task.x_val, task.x_test, x_test):
+        assert x.dtype == np.float64
+
+
+def test_get_task_peaks_below_one_float64_copy(digits):
+    # a task's pixels take 1 byte each; float64 features held 8, and the
+    # selection plus split copies peaked near 16 bytes per task pixel
+    train, test = digits
+    suite = permuted_scenario(train, test, 2, seed=0)
+    task_pixels = (len(train[1]) + len(test[1])) * 784
+    tracemalloc.start()
+    try:
+        suite.get_task(1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * task_pixels

@@ -14,10 +14,12 @@ from subnetpack import workers
 from subnetpack.cli import EXIT_WORKER, main
 from subnetpack.config import build_run_config, parse_config_text
 from subnetpack.errors import DegenerateMaskWarning, ShapeMismatchError, WorkerDied
-from subnetpack.network import ModelSpec, TrainConfig, full_mask, xavier_init
+from subnetpack.network import (ModelSpec, TrainConfig, as_floats, evaluate,
+                                full_mask, train_masked, xavier_init)
 from subnetpack.pruning import PruneConfig, adaptive_prune, make_candidate
 from subnetpack.runner import execute_run, execute_task, new_state, state_from_checkpoint
-from subnetpack.scenario import synthetic_blobs, write_digit_idx
+from subnetpack.scenario import (load_idx, permuted_scenario, synthetic_blobs,
+                                 write_digit_idx)
 from subnetpack.store import WeightSlotStore
 
 SPEC = ModelSpec((12, 16, 4))
@@ -110,6 +112,28 @@ def test_killed_worker_raises_promptly_with_its_exit_status():
     _, _, q_ref = adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC,
                                  blob_task(), cfg, TRAIN)
     assert 0.0 <= q_ref <= 1.0
+
+
+def test_workers_train_uint8_pixels_as_their_floats(tmp_path):
+    # a worker expands the shipped pixels once: float32 for training, float64
+    # for validation. The shapes keep every matmul small enough that OpenBLAS
+    # runs it on one thread here too, as in the worker.
+    p = write_digit_idx(tmp_path, n_train=600, n_test=50, seed=4)
+    suite = permuted_scenario(load_idx(p["train_images"], p["train_labels"]),
+                              load_idx(p["test_images"], p["test_labels"]), 2, seed=4)
+    data = suite.get_task(1)
+    assert data.x_train.dtype == np.uint8 and data.x_val.dtype == np.uint8
+    spec = ModelSpec((784, 4, 10))
+    init = xavier_init(spec, 4)
+    mask = [np.random.default_rng(4).random(s) < 0.5 for s in spec.shapes]
+    cfg = TrainConfig(epochs=2, batch_size=16, lr_initial=0.1, seed=4)
+    (weights, acc), = workers.train_jobs(spec, data, [(init, mask, cfg)])
+    x_train = as_floats(data.x_train, np.float32)
+    x_val = as_floats(data.x_val, np.float64)
+    want = train_masked(spec, init, mask, (x_train, data.y_train), cfg)
+    for got, ref in zip(weights.weights + weights.biases, want.weights + want.biases):
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert acc == evaluate(spec, want, mask, x_val, data.y_val)
 
 
 def test_run_resumes_to_the_same_bytes_after_a_worker_dies(tmp_path):
