@@ -11,6 +11,12 @@ the pool as one job list, so candidates short-train in parallel, each in a
 single-BLAS-thread process running the pre-masked float32 SGD of
 `network.train_masked`. Every job derives its seed from (seed, task, index),
 so neither the pool size nor the job order changes a result.
+
+`adaptive_prune` is its two halves run in sequence: `start_search` samples
+the population and submits its training, and `choose_winner` waits for it,
+chooses the winner and submits the winner's full training; neither blocks
+on the winner. Between them the caller is free, which `runner` uses to start
+the next task's search while this task's winner trains.
 """
 
 from __future__ import annotations
@@ -21,10 +27,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SelectionWarning
-from .network import DenseWeights, TrainConfig, xavier_init
+from .network import DenseWeights, ModelSpec, TrainConfig, xavier_init
+from .scenario import TaskData
 from .seeding import derive_seed, rng_from
 from .store import TaskMask, WeightSlotStore, sample_candidate_full
-from .workers import train_jobs
+from .workers import Batch, JobResult, submit
 
 # rng stream roles, combined as (seed, task_id, role, index)
 ROLE_INIT = 0
@@ -34,13 +41,21 @@ ROLE_FULLTRAIN = 2
 
 @dataclass
 class Candidate:
-    """One population member: mask plus its short-trained weights and scores."""
+    """One population member: mask plus its short-training result and score."""
 
     index: int
     mask: TaskMask
-    weights: DenseWeights
-    accuracy: float
+    result: JobResult
     sparsity: float
+
+    @property
+    def accuracy(self) -> float:
+        return self.result.accuracy
+
+    @property
+    def weights(self) -> DenseWeights:
+        """The short-trained weights, rebuilt from the result when asked."""
+        return self.result.weights()
 
 
 @dataclass(frozen=True)
@@ -118,15 +133,59 @@ def _short_job(index, task_id, store: WeightSlotStore, cfg: PruneConfig,
     return mask, short_cfg
 
 
-def _candidates(indices, task_id, store: WeightSlotStore, spec, init_weights,
-                data, cfg: PruneConfig, train_cfg: TrainConfig) -> list[Candidate]:
-    """Sample the members `indices`, short-train them in parallel, score them."""
+@dataclass
+class Search:
+    """One task's population search, from `start_search` to its winner.
+
+    `population` trains the members `indices`; `choose_winner` then sets
+    `log`, submits `winner`, the chosen member's full training, and lets go
+    of `data`.
+    """
+
+    task_id: int
+    store: WeightSlotStore  # the store the masks were drawn from
+    spec: ModelSpec
+    data: TaskData | None
+    cfg: PruneConfig
+    train_cfg: TrainConfig
+    indices: list
+    population: Batch
+    log: PruneLog | None = None
+    winner: Batch | None = None
+
+    def candidates(self) -> list[Candidate]:
+        """The population, once trained, scored on the search's store."""
+        return [Candidate(i, r.mask, r, self.store.hypothetical_sparsity(r.mask).weighted)
+                for i, r in zip(self.indices, self.population.wait())]
+
+    @property
+    def mask(self) -> TaskMask:
+        """The winner's mask, once chosen."""
+        return self.winner.jobs[0][1]
+
+    def trained(self) -> JobResult:
+        """The winner after full training; waits for it."""
+        return self.winner.wait()[0]
+
+
+def _search(indices, task_id, store: WeightSlotStore, spec, init_weights,
+            data, cfg: PruneConfig, train_cfg: TrainConfig) -> Search:
+    """Sample the members `indices` and submit their short training."""
     jobs = [_short_job(i, task_id, store, cfg, train_cfg) for i in indices]
-    trained = train_jobs(spec, data, [(init_weights, mask, short_cfg)
-                                      for mask, short_cfg in jobs])
-    return [Candidate(i, mask, weights, accuracy,
-                      store.hypothetical_sparsity(mask).weighted)
-            for i, (mask, _), (weights, accuracy) in zip(indices, jobs, trained)]
+    batch = submit(spec, data, [(init_weights, mask, short_cfg)
+                                for mask, short_cfg in jobs])
+    return Search(task_id, store, spec, data, cfg, train_cfg, list(indices), batch)
+
+
+def start_search(task_id, store: WeightSlotStore, spec, data,
+                 cfg: PruneConfig, train_cfg: TrainConfig) -> Search:
+    """First half of adaptive_prune: sample the population, submit its training.
+
+    Does not wait for the workers.
+    """
+    init_weights = xavier_init(spec, derive_seed(cfg.seed, task_id, ROLE_INIT, 0))
+    return _search(range(cfg.population), task_id, store, spec, init_weights,
+                   data, cfg, train_cfg)
 
 
 def make_candidate(index, task_id, store: WeightSlotStore, spec, init_weights,
@@ -135,24 +194,58 @@ def make_candidate(index, task_id, store: WeightSlotStore, spec, init_weights,
 
     It equals member `index` of adaptive_prune's population.
     """
-    return _candidates([index], task_id, store, spec, init_weights, data, cfg,
-                       train_cfg)[0]
+    return _search([index], task_id, store, spec, init_weights, data, cfg,
+                   train_cfg).candidates()[0]
 
 
-def train_winner(task_id, index, spec, weights, mask, data,
-                 cfg: PruneConfig, train_cfg: TrainConfig):
-    """Full training of the chosen member `index`; returns (weights, accuracy).
+def submit_full_training(task_id, index, spec, weights, mask, data,
+                         cfg: PruneConfig, train_cfg: TrainConfig) -> Batch:
+    """Submit the full training of the chosen member `index`.
 
     Trains for cfg.full_epochs on the train split with the member's
-    ROLE_FULLTRAIN seed; the accuracy is measured on the validation split.
-    Both run in a training worker.
+    ROLE_FULLTRAIN seed; the batch's one result is scored on the validation
+    split. Both run in a training worker.
     """
     full_cfg = replace(
         train_cfg,
         epochs=cfg.full_epochs,
         seed=derive_seed(cfg.seed, task_id, ROLE_FULLTRAIN, index),
     )
-    return train_jobs(spec, data, [(weights, mask, full_cfg)])[0]
+    return submit(spec, data, [(weights, mask, full_cfg)])
+
+
+def choose_winner(search: Search) -> PruneLog:
+    """Second half of adaptive_prune: choose the winner, submit its training.
+
+    Waits for the population, scores it, and returns the PruneLog of the
+    choice; `search.trained()` then waits for the winner.
+    """
+    population = search.candidates()
+    cfg = search.cfg
+    accuracies = tuple(c.accuracy for c in population)
+    sparsities = tuple(c.sparsity for c in population)
+    if max(accuracies) == 0.0:
+        warnings.warn(
+            f"task {search.task_id}: every candidate scored zero accuracy; "
+            "selecting on sparsity alone",
+            SelectionWarning,
+            stacklevel=2,
+        )
+    chosen = select_best(accuracies, sparsities, cfg.alpha, cfg.beta)
+    winner = population[chosen]
+    search.winner = submit_full_training(search.task_id, chosen, search.spec,
+                                         winner.weights, winner.mask, search.data,
+                                         cfg, search.train_cfg)
+    search.data = None
+    search.log = PruneLog(
+        search.task_id,
+        accuracies,
+        sparsities,
+        _scores(accuracies, sparsities, cfg.alpha, cfg.beta),
+        chosen,
+        search.store.hypothetical_sparsity(winner.mask).per_layer,
+    )
+    return search.log
 
 
 def adaptive_prune(task_id, store: WeightSlotStore, spec, data,
@@ -161,34 +254,12 @@ def adaptive_prune(task_id, store: WeightSlotStore, spec, data,
 
     The returned weights are the winner's after full training on the task's
     train split, and the accuracy is measured on its validation split. `sink`,
-    when given, receives one PruneLog.
+    when given, receives one PruneLog. It is start_search, then choose_winner,
+    then a wait for the winner.
     """
-    init_weights = xavier_init(spec, derive_seed(cfg.seed, task_id, ROLE_INIT, 0))
-    population = _candidates(range(cfg.population), task_id, store, spec,
-                             init_weights, data, cfg, train_cfg)
-
-    accuracies = tuple(c.accuracy for c in population)
-    sparsities = tuple(c.sparsity for c in population)
-    if max(accuracies) == 0.0:
-        warnings.warn(
-            f"task {task_id}: every candidate scored zero accuracy; "
-            "selecting on sparsity alone",
-            SelectionWarning,
-            stacklevel=2,
-        )
-    chosen = select_best(accuracies, sparsities, cfg.alpha, cfg.beta)
-    winner = population[chosen]
-
-    weights, q_ref = train_winner(task_id, chosen, spec, winner.weights,
-                                  winner.mask, data, cfg, train_cfg)
-
+    search = start_search(task_id, store, spec, data, cfg, train_cfg)
+    log = choose_winner(search)
+    result = search.trained()
     if sink is not None:
-        sink(PruneLog(
-            task_id,
-            accuracies,
-            sparsities,
-            _scores(accuracies, sparsities, cfg.alpha, cfg.beta),
-            chosen,
-            store.hypothetical_sparsity(winner.mask).per_layer,
-        ))
-    return winner.mask, weights, q_ref
+        sink(log)
+    return search.mask, result.weights(), result.accuracy

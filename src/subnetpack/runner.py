@@ -5,12 +5,27 @@ and commits. Every task seen so far is then re-evaluated from the store's
 dequantized components, which is what makes the past-task columns of the
 accuracy matrix bit-stable. A checkpoint lands after every task so a run can
 resume from any prefix and reproduce the uninterrupted result exactly.
+
+`execute_run` looks one task ahead. Once task t's winner is chosen and
+submitted for full training, task t+1's population is sampled from a copy
+of the store in which t's mask already holds a component of the most bits t
+can commit, and submitted behind it; t+1's winner is chosen and submitted as
+soon as that population returns. So the workers train t+1 while t's winner
+trains and while this process quantizes, commits, re-evaluates and
+checkpoints task t, which still happen in task order. The copy draws the
+masks the real commit would, bit for bit, when `_lookahead_is_exact` holds;
+otherwise task t+1 starts after task t's checkpoint, through the same
+functions. Warnings, errors and the prune log of work done ahead are held
+back until task t+1 starts, after task t's checkpoint, where a run without
+the lookahead would report them.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 
@@ -21,12 +36,14 @@ from .config import RunConfig, build_run_config, build_suite, parse_config_text
 from .errors import CapacityExhausted, CheckpointError, ConfigError
 from .metrics import AccuracyMatrix, capacity_report, forget_check, lifelong_accuracy
 from .network import DenseWeights, evaluate, full_mask, xavier_init
-from .pruning import ROLE_INIT, PruneLog, adaptive_prune, train_winner
+from .pruning import (ROLE_INIT, PruneLog, Search, choose_winner, start_search,
+                      submit_full_training)
 from .quantization import (Codebook, QuantizedTaskWeights, adaptive_quantize,
                            dequantize, identity_quantize)
 from .scenario import ScenarioSuite
 from .seeding import derive_seed
 from .store import SLOT_BITS, WeightSlotStore
+from .workers import POOL
 
 CHECKPOINT_NAME = "checkpoint.bin"
 
@@ -35,15 +52,17 @@ CHECKPOINT_NAME = "checkpoint.bin"
 class TaskRecord:
     """What a committed task keeps beside its allocation in `store.tasks`.
 
-    The bit-width, mask and codes live only in the store. `weights` are the
-    full-precision winner, held in memory only: None after a load.
+    The bit-width, mask and codes live only in the store. `values` are the
+    full-precision winner's weights inside its mask, per layer in row-major
+    slot order (float32 after any SGD step), held in memory only: None after
+    a load.
     """
 
     codebook: Codebook
     biases: list
     q_ref: float
     q_quant: float
-    weights: DenseWeights | None = None
+    values: list | None = None
 
 
 @dataclass
@@ -94,56 +113,177 @@ def _mask_bit_budget(store: WeightSlotStore, mask) -> int:
     return budget
 
 
-def _run_task_full(state: RunState, t, data):
+class _Ahead:
+    """Task t+1's search begun during task t, its warnings and error held back."""
+
+    def __init__(self):
+        self.search: Search | None = None
+        self.val = None  # the task's validation split
+        self.error: Exception | None = None
+        self.caught = []
+
+    def run(self, fn, *args):
+        """fn(*args), recording its warnings and any error; None after an error."""
+        if self.error is not None:
+            return None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return fn(*args)
+            except Exception as exc:
+                self.error = exc
+                return None
+            finally:
+                self.caught += caught
+
+    def take(self) -> tuple[Search, tuple]:
+        """(search, validation split), after the held-back warnings and error.
+
+        Warnings are issued as `warnings.warn` issued them; the error is
+        raised. The _Ahead keeps no reference to what it hands over.
+        """
+        modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+        for w in self.caught:
+            mod = modules.get(w.filename)
+            warnings.warn_explicit(
+                w.message, w.category, w.filename, w.lineno,
+                module=None if mod is None else mod.__name__,
+                registry=None if mod is None else vars(mod).setdefault(
+                    "__warningregistry__", {}))
+        if self.error is not None:
+            raise self.error
+        taken = self.search, self.val
+        self.search = self.val = None
+        return taken
+
+
+def _search_bits(state: RunState) -> tuple[int, int]:
+    """(psi_min of a task's first search, most bits its winner can commit)."""
+    if state.config.mode == "pruning-only":
+        return SLOT_BITS, SLOT_BITS
+    return state.config.prune.psi_min, state.config.quant.psi_max
+
+
+def _lookahead_is_exact(state: RunState, mask) -> bool:
+    """Whether the next task draws the same masks before `mask` commits as after.
+
+    The next task samples from `store.projected(mask, most)`, with (psi_min,
+    most) from `_search_bits`; a slot is eligible while it holds fewer than
+    t_max components and at least psi_min free bits. Pruning-only commits
+    exactly 32 bits, as the copy does. Otherwise the task commits at most
+    psi_max bits; if every slot under `mask` has psi_max + psi_min bits free,
+    each keeps psi_min free whatever bit-width is picked, and
+    adaptive_quantize, capped at psi_max, cannot run out of bits, so the
+    task is not resampled either.
+    """
+    if state.config.mode == "pruning-only":
+        return True
+    psi_min, most = _search_bits(state)
+    return _mask_bit_budget(state.store, mask) >= most + psi_min
+
+
+def _start(state: RunState, t, store: WeightSlotStore, psi_min):
+    """(task t's search on `store`, its validation split).
+
+    Past this call only the search and its batches hold the task's data, and
+    they let it go once the winner's training is sent to a worker.
+    """
+    cfg = state.config
+    data = state.suite.get_task(t)
+    return (start_search(t, store, cfg.model, data,
+                         replace(cfg.prune, psi_min=psi_min), cfg.train),
+            (data.x_val, data.y_val))
+
+
+def _begin_ahead(state: RunState, t: int, mask) -> _Ahead:
+    """Start task t's search on the store as it will be once `mask` commits."""
+    psi_min, most = _search_bits(state)
+    ahead = _Ahead()
+    started = ahead.run(_start, state, t, state.store.projected(mask, most), psi_min)
+    if started is not None:
+        ahead.search, ahead.val = started
+    return ahead
+
+
+def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min,
+                    look_ahead: bool):
+    """(winner's mask, its JobResult, validation split, next _Ahead or None).
+
+    Task t's search comes from `ahead`, or starts here. Its winner is chosen
+    unless that is done, and the choice is logged. With look_ahead, task
+    t+1's search begins before the wait for the winner, if that is exact;
+    while the winner trains, t+1's winner is chosen as soon as its
+    population is in.
+    """
+    search, val = (_start(state, t, state.store, psi_min) if ahead is None
+                   else ahead.take())
+    if search.log is None:
+        choose_winner(search)
+    state.prune_logs.append(search.log)
+    ahead = None
+    if (look_ahead and t + 1 < state.suite.n_tasks
+            and _lookahead_is_exact(state, search.mask)):
+        ahead = _begin_ahead(state, t + 1, search.mask)
+    while (ahead is not None and ahead.error is None
+           and ahead.search.log is None and not search.winner.ready):
+        POOL.wait_any([search.winner, ahead.search.population])
+        if ahead.search.population.ready:
+            ahead.run(choose_winner, ahead.search)
+    return search.mask, search.trained(), val, ahead
+
+
+def _run_task_full(state: RunState, t, ahead, look_ahead):
     """Population pruning then adaptive quantization, with budget retries.
 
     A quantizer that needs more bits than the sampled slots can hold triggers
-    a fresh population restricted to roomier slots; the floor rises each
-    round, so the loop ends at psi_max.
+    a fresh population restricted to roomier slots, over the task's data
+    built again; the floor rises each round, so the loop ends at psi_max. A
+    retry never follows a lookahead: `_lookahead_is_exact` rules it out.
     """
     cfg = state.config
     psi_min = cfg.prune.psi_min
     while True:
-        prune_cfg = replace(cfg.prune, psi_min=psi_min)
-        mask, weights, q_ref = adaptive_prune(
-            t, state.store, cfg.model, data, prune_cfg, cfg.train,
-            sink=state.prune_logs.append)
+        mask, result, val, next_ahead = _trained_winner(state, t, ahead, psi_min,
+                                                        look_ahead)
         budget = _mask_bit_budget(state.store, mask)
         try:
-            q, q_acc = adaptive_quantize(
-                t, cfg.model, mask, weights, q_ref,
-                (data.x_val, data.y_val), cfg.quant, psi_cap=budget)
+            q, q_acc = adaptive_quantize(t, cfg.model, mask, result.weights(),
+                                         result.accuracy, val, cfg.quant,
+                                         psi_cap=budget)
         except CapacityExhausted as exc:
             if budget + 1 > cfg.quant.psi_max:
                 raise CapacityExhausted(
                     exc.layers,
                     f"task {t}: no slot set can hold more than {budget} bits",
                 ) from exc
-            psi_min = budget + 1
+            psi_min, ahead = budget + 1, None
             continue
-        return q, weights, q_ref, q_acc
+        return q, result, q_acc, next_ahead
 
 
-def _run_task_pruning_only(state: RunState, t, data):
+def _run_task_pruning_only(state: RunState, t, ahead, look_ahead):
     """Population pruning, then store the winner as raw 32-bit patterns.
 
     The patterns hold the trained float32 values exactly, so q_quant is q_ref.
     """
-    cfg = state.config
-    prune_cfg = replace(cfg.prune, psi_min=SLOT_BITS)
-    mask, weights, q_ref = adaptive_prune(
-        t, state.store, cfg.model, data, prune_cfg, cfg.train,
-        sink=state.prune_logs.append)
-    return identity_quantize(mask, weights), weights, q_ref, q_ref
+    mask, result, _, next_ahead = _trained_winner(state, t, ahead, SLOT_BITS,
+                                                  look_ahead)
+    q = identity_quantize(mask, result.weights())
+    return q, result, result.accuracy, next_ahead
 
 
-def _run_task_quantization_only(state: RunState, t, data):
-    """No pruning: train the dense network and quantize every slot."""
+def _run_task_quantization_only(state: RunState, t, ahead, look_ahead):
+    """No pruning: train the dense network and quantize every slot.
+
+    With no population to search, nothing is begun ahead, so `ahead` is None.
+    """
     cfg = state.config
     spec = cfg.model
+    data = state.suite.get_task(t)
     mask = full_mask(spec)
     init = xavier_init(spec, derive_seed(cfg.prune.seed, t, ROLE_INIT, 0))
-    weights, q_ref = train_winner(t, 0, spec, init, mask, data, cfg.prune, cfg.train)
+    result, = submit_full_training(t, 0, spec, init, mask, data, cfg.prune,
+                                   cfg.train).wait()
     saturated = tuple(
         i for i in range(state.store.layer_count)
         if not state.store.eligible_slots(i, cfg.quant.psi_init).all()
@@ -155,13 +295,14 @@ def _run_task_quantization_only(state: RunState, t, data):
             f"{cfg.quant.psi_init}-bit components")
     budget = _mask_bit_budget(state.store, mask)
     q, q_acc = adaptive_quantize(
-        t, spec, mask, weights, q_ref, (data.x_val, data.y_val),
-        cfg.quant, psi_cap=budget)
-    return q, weights, q_ref, q_acc
+        t, spec, mask, result.weights(), result.accuracy,
+        (data.x_val, data.y_val), cfg.quant, psi_cap=budget)
+    return q, result, q_acc, None
 
 
-# Each returns (quantized winner, its full-precision weights, validation
-# accuracy before and after quantization).
+# Each takes (state, task, its _Ahead or None, look_ahead) and returns
+# (quantized winner, the winner's JobResult, its validation accuracy after
+# quantization, task t+1's _Ahead or None).
 _MODE_RUNNERS = {
     "full": _run_task_full,
     "pruning-only": _run_task_pruning_only,
@@ -169,12 +310,21 @@ _MODE_RUNNERS = {
 }
 
 
-def execute_task(state: RunState, t: int) -> None:
-    data = state.suite.get_task(t)
-    q, weights, q_ref, q_acc = _MODE_RUNNERS[state.config.mode](state, t, data)
+def execute_task(state: RunState, t: int, ahead: _Ahead | None = None,
+                 look_ahead: bool = False) -> _Ahead | None:
+    """Run task t: search, quantize, commit, re-evaluate, checkpoint.
+
+    `ahead` holds task t's search begun during task t-1; its held-back
+    warnings and error surface first. With look_ahead, task t+1's search
+    may begin while task t's winner trains; it is returned, for the call
+    that runs task t+1.
+    """
+    q, result, q_acc, ahead = _MODE_RUNNERS[state.config.mode](
+        state, t, ahead, look_ahead)
     state.store.commit(t, q.mask, q.codebook.psi, q.codes)
-    state.tasks[t] = TaskRecord(q.codebook, [b.copy() for b in weights.biases],
-                                q_ref, q_acc, weights)
+    state.tasks[t] = TaskRecord(q.codebook,
+                                [np.array(b, dtype=np.float64) for b in result.biases],
+                                result.accuracy, q_acc, result.values)
 
     row = []
     for e in range(t + 1):
@@ -184,21 +334,26 @@ def execute_task(state: RunState, t: int) -> None:
     state.matrix.append_row(row)
     state.next_task = t + 1
     save_run_checkpoint(state)
+    return ahead
 
 
 def execute_run(state: RunState) -> None:
-    """Run every remaining task, then write reports.
+    """Run every remaining task, one task ahead, then write reports.
 
     On capacity exhaustion the current state is checkpointed before the error
     propagates, so the run can be inspected or resumed with a wider budget.
+    On any error, training jobs still in flight are dropped.
     """
     os.makedirs(state.config.output_dir, exist_ok=True)
+    ahead = None
     try:
         for t in range(state.next_task, state.suite.n_tasks):
-            execute_task(state, t)
+            ahead = execute_task(state, t, ahead, look_ahead=True)
     except CapacityExhausted:
         save_run_checkpoint(state)
         raise
+    finally:
+        POOL.cancel()
     write_reports(state)
 
 

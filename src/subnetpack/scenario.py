@@ -29,6 +29,8 @@ _TAG_SPLIT = 2
 _TAG_VAL = 3
 _TAG_BLOBS = 4
 
+_GATHER_ROWS = 512  # rows per permuting gather: bounds its scratch copy
+
 
 @dataclass
 class TaskData:
@@ -67,7 +69,8 @@ class ScenarioSuite:
 
     Descriptors are per-task: a pixel permutation (permuted), a class-id tuple
     (split), or a task seed (synthetic). get_task materializes TaskData on
-    demand so only one task's tensors live at a time. test_split builds only a
+    demand so only the tasks in use hold tensors: a run holds its current
+    task and, while that finishes, the next. test_split builds only a
     task's test arrays, for re-evaluating past tasks; synthetic tasks draw
     train and test from one rng stream, so there it draws the whole task.
     """
@@ -84,13 +87,19 @@ class ScenarioSuite:
 
     def get_task(self, i: int) -> TaskData:
         self._check_index(i)
+        rng = rng_from(self.seed, i, _TAG_VAL)
         if self.kind == "synthetic":
             x_train, y_train, x_test, y_test = self._blobs(i)
+            xtr, ytr, xv, yv = stratified_val_split(x_train, y_train, 0.1, rng)
         else:
-            x_train, y_train = self._select(i, *self._train)
+            # validation rows come from the labels alone, so each split's
+            # pixels are gathered once, never as a whole permuted train set
+            x, y = self._train
+            rows, y = self._rows(i, y)
+            val = _val_mask(y, 0.1, rng)
+            xtr, ytr = self._pixels(i, x, rows[~val]), y[~val]
+            xv, yv = self._pixels(i, x, rows[val]), y[val]
             x_test, y_test = self.test_split(i)
-        xtr, ytr, xv, yv = stratified_val_split(
-            x_train, y_train, 0.1, rng_from(self.seed, i, _TAG_VAL))
         return TaskData(i, self.n_classes, xtr, ytr, xv, yv, x_test, y_test)
 
     def test_split(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,20 +109,33 @@ class ScenarioSuite:
             # train and test come from one rng stream: draw them both
             _, _, x_test, y_test = self._blobs(i)
             return x_test, y_test
-        return self._select(i, *self._test)
+        x, y = self._test
+        rows, y = self._rows(i, y)
+        return self._pixels(i, x, rows), y
 
     def _check_index(self, i):
         if not (0 <= i < self.n_tasks):
             raise IndexError(f"task {i} outside [0, {self.n_tasks})")
 
-    def _select(self, i, x, y):
-        """Task i's view of one base split: permuted pixels or relabelled classes."""
+    def _rows(self, i, y):
+        """Task i's rows of a base split, and their labels: relabelled classes."""
         d = self.descriptors[i]
         if self.kind == "permuted":
-            return (x.copy() if d is None else np.take(x, d, axis=1)), y.copy()
+            return np.arange(len(y)), y.copy()
+        keep = np.flatnonzero(np.isin(y, d))
         relabel = {c: j for j, c in enumerate(d)}
-        keep = np.isin(y, d)
-        return x[keep], np.array([relabel[int(c)] for c in y[keep]], dtype=np.int64)
+        return keep, np.array([relabel[int(c)] for c in y[keep]], dtype=np.int64)
+
+    def _pixels(self, i, x, rows):
+        """Base features x at `rows`, in task i's pixel order."""
+        d = self.descriptors[i]
+        if self.kind != "permuted" or d is None:
+            return x[rows]
+        out = np.empty((len(rows), x.shape[1]), dtype=x.dtype)
+        for start in range(0, len(rows), _GATHER_ROWS):
+            np.take(x[rows[start:start + _GATHER_ROWS]], d, axis=1,
+                    out=out[start:start + _GATHER_ROWS])
+        return out
 
     def _blobs(self, i):
         p = self._blob_params
@@ -145,6 +167,12 @@ def stratified_val_split(x, y, fraction, rng):
     Each class with at least two samples contributes max(1, floor(fraction *
     count)) validation rows, chosen by seeded shuffle within the class.
     """
+    mask = _val_mask(y, fraction, rng)
+    return x[~mask], y[~mask], x[mask], y[mask]
+
+
+def _val_mask(y, fraction, rng) -> np.ndarray:
+    """stratified_val_split's validation rows of labels y, as a bool mask."""
     val_idx = []
     for c in np.unique(y):
         rows = np.flatnonzero(y == c)
@@ -156,7 +184,7 @@ def stratified_val_split(x, y, fraction, rng):
     val_idx = np.sort(np.concatenate(val_idx)) if val_idx else np.zeros(0, dtype=int)
     mask = np.zeros(len(y), dtype=bool)
     mask[val_idx] = True
-    return x[~mask], y[~mask], x[mask], y[mask]
+    return mask
 
 
 # -- IDX ingestion -----------------------------------------------------------

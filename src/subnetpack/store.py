@@ -12,7 +12,12 @@ and commit all read it from the store.
 bytes), the codes as one little-endian psi-bit stream in slot order
 (ceil(used*psi/8) bytes), both with zero pad bits. `from_state_dict` reads
 that layout, or the bool masks and uint32 codes of checkpoint format 1, and
-rebuilds counts and budgets in one pass instead of replaying commits.
+rebuilds counts and budgets in one pass instead of replaying commits. A
+committed task never changes, so each allocation is packed once, on the
+first save, and a loaded one keeps the packed arrays it was read from.
+
+`projected` copies the budgets with one more component under a mask, for a
+run that samples the next task before the current one commits.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +79,15 @@ class TaskAllocation:
     psi: int
     mask: TaskMask
     codes: list[np.ndarray]
+    # (masks, codes) as state_dict writes them: packed once, on the first
+    # save, or kept as from_state_dict read them. A committed task never changes.
+    packed: tuple | None = field(default=None, repr=False, compare=False)
+
+    def packed_layers(self) -> tuple[list, list]:
+        if self.packed is None:
+            self.packed = ([np.packbits(m.ravel(), bitorder="little") for m in self.mask],
+                           [_pack_codes(c, self.psi) for c in self.codes])
+        return self.packed
 
 
 class WeightSlotStore:
@@ -190,6 +204,18 @@ class WeightSlotStore:
         self._occupy(mask, psi)
         self.tasks[task_id] = TaskAllocation(task_id, psi, mask, clean_codes)
 
+    def projected(self, mask, psi: int) -> "WeightSlotStore":
+        """A copy whose slots under `mask` hold one more psi-bit component.
+
+        It records no task. Eligibility, sampling and sparsity read it as they
+        would read this store after committing `mask` at psi bits.
+        """
+        copy = WeightSlotStore(self.layer_shapes, t_max=self.t_max)
+        copy._comp_count = [c.copy() for c in self._comp_count]
+        copy._remaining = [r.copy() for r in self._remaining]
+        copy._occupy(TaskMask(mask), psi)
+        return copy
+
     def _occupy(self, mask: TaskMask, psi: int) -> None:
         """Add one psi-bit component to every masked slot, densely."""
         for i, m in enumerate(mask):
@@ -207,8 +233,8 @@ class WeightSlotStore:
                 {
                     "task_id": a.task_id,
                     "psi": a.psi,
-                    "mask": [np.packbits(m.ravel(), bitorder="little") for m in a.mask],
-                    "codes": [_pack_codes(c, a.psi) for c in a.codes],
+                    "mask": list(a.packed_layers()[0]),
+                    "codes": list(a.packed_layers()[1]),
                 }
                 for a in self.tasks.values()
             ],
@@ -244,8 +270,9 @@ class WeightSlotStore:
                       for i, shape in enumerate(store.layer_shapes)]
             mask = TaskMask([m for m, _ in layers])
             store._occupy(mask, psi)
-            store.tasks[task_id] = TaskAllocation(task_id, psi, mask,
-                                                  [c for _, c in layers])
+            store.tasks[task_id] = TaskAllocation(
+                task_id, psi, mask, [c for _, c in layers],
+                packed=(list(rec["mask"]), list(rec["codes"])) if packed else None)
         over = [i for i in range(store.layer_count)
                 if store._comp_count[i].max() > store.t_max
                 or store._remaining[i].min() < 0]

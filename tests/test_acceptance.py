@@ -65,11 +65,10 @@ def test_criterion_2_four_bit_drop(desk):
     for t in sorted(desk.store.tasks):
         task = desk.suite.get_task(t)
         alloc = desk.store.tasks[t]
-        fp = desk.tasks[t].weights
-        masked = [fp.weights[i][alloc.mask[i]]
-                  for i in range(desk.store.layer_count)]
+        rec = desk.tasks[t]
+        masked = [np.asarray(v, dtype=np.float64) for v in rec.values]
         q = nonlinear_quantize(4, masked, desk.config.quant, mask=alloc.mask)
-        view = DenseWeights(dequantize(q), [b.copy() for b in fp.biases])
+        view = DenseWeights(dequantize(q), [b.copy() for b in rec.biases])
         acc = evaluate(desk.config.model, view, list(alloc.mask),
                        task.x_val, task.y_val)
         drops.append(desk.tasks[t].q_ref - acc)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ def test_pruning_only_stores_trained_weights_losslessly(tmp_path):
     rec = state.tasks[0]
     view, mask = task_view(state, 0)
     for i, m in enumerate(mask):
-        np.testing.assert_array_equal(view.weights[i][m], rec.weights.weights[i][m])
+        np.testing.assert_array_equal(view.weights[i][m], rec.values[i])
     assert rec.q_quant == rec.q_ref
 
 
@@ -545,3 +546,94 @@ def test_format_1_checkpoint_still_reads(tmp_path, capsys):
         assert again.store.tasks[t].mask.same_as(alloc.mask)
         for a, b in zip(again.store.tasks[t].codes, alloc.codes):
             np.testing.assert_array_equal(a, b)
+
+
+# -- the one-task lookahead ----------------------------------------------------
+
+def record_run(monkeypatch, run):
+    """Events of run(): searches started, commits, checkpoint saves, warnings.
+
+    A save records (next_task, prune logs written); a warning its category
+    and text.
+    """
+    from subnetpack import runner
+    from subnetpack.store import WeightSlotStore
+    events = []
+    start_search, commit, save = (runner.start_search, WeightSlotStore.commit,
+                                  runner.save_checkpoint)
+
+    def recording_start(task_id, *args):
+        events.append(("search", task_id))
+        return start_search(task_id, *args)
+
+    def recording_commit(store, task_id, *args):
+        events.append(("commit", task_id))
+        return commit(store, task_id, *args)
+
+    def recording_save(path, payload):
+        events.append(("save", payload["next_task"], len(payload["prune_logs"])))
+        return save(path, payload)
+
+    monkeypatch.setattr(runner, "start_search", recording_start)
+    monkeypatch.setattr(WeightSlotStore, "commit", recording_commit)
+    monkeypatch.setattr(runner, "save_checkpoint", recording_save)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, category, *rest: events.append(
+            ("warn", category.__name__, str(message)))
+        result = run()
+    return result, events
+
+
+def out_bytes(out):
+    files = {name: (out / name).read_bytes()
+             for name in ("accuracy_matrix.csv", "capacity.csv",
+                          "scenario_manifest.txt", "checkpoint.bin")}
+    files["summary.json"] = read_without_timestamp(out / "summary.json")
+    return files
+
+
+@pytest.mark.parametrize("mode", ["full", "pruning-only"])
+def test_lookahead_changes_nothing_observable(tmp_path, monkeypatch, mode):
+    from subnetpack import runner
+    out = tmp_path / "out"
+    runs = {}
+    for exact in (False, True):
+        with monkeypatch.context() as patch:
+            if not exact:
+                patch.setattr(runner, "_lookahead_is_exact", lambda state, mask: False)
+            state = new_state(make_cfg(out, f"run.mode = {mode}\n"))
+            _, events = record_run(patch, lambda: execute_run(state))
+        runs[exact] = out_bytes(out), events
+        for path in out.iterdir():
+            path.unlink()
+    (sequential, plain), (ahead, overlapped) = runs[False], runs[True]
+    assert ahead == sequential
+    # saves, prune logs and warnings come at the same points, and each save
+    # holds one prune log per task done
+    shown = [e for e in overlapped if e[0] in ("save", "warn")]
+    assert shown == [e for e in plain if e[0] in ("save", "warn")]
+    assert [e for e in shown if e[0] == "save"] == [("save", t, t) for t in (1, 2, 3)]
+    if mode == "pruning-only":
+        assert any(e[0] == "warn" for e in shown)
+    # task 1's population went out before task 0 committed, and not without
+    # the lookahead
+    assert overlapped.index(("search", 1)) < overlapped.index(("commit", 0))
+    assert plain.index(("search", 1)) > plain.index(("commit", 0))
+
+
+def test_lookahead_holds_a_failing_next_task_back(tmp_path, monkeypatch, capsys):
+    # task 0 takes every slot, so task 1, sampled while task 0 is still
+    # training, finds none eligible; that surfaces only after task 0's
+    # checkpoint, which is what a run without the lookahead writes
+    from subnetpack.cli import EXIT_CAPACITY
+    cfg = write_cfg_file(tmp_path, "prune.t_l = 1\nprune.v_min = 0.0\n"
+                                   "prune.v_max = 0.0\n")
+    code, events = record_run(monkeypatch, lambda: main(["run", "--config", cfg]))
+    assert code == EXIT_CAPACITY
+    assert "capacity exhausted" in capsys.readouterr().err
+    assert events.index(("search", 1)) < events.index(("commit", 0))
+    assert [e for e in events if e[0] == "save"][0] == ("save", 1, 1)
+    resumed = state_from_checkpoint(str(tmp_path / "out" / "checkpoint.bin"))
+    assert resumed.next_task == 1
+    assert [log.task_id for log in resumed.prune_logs] == [0]

@@ -449,3 +449,95 @@ def test_encoded_store_size_gate():
     bound = empty + payload + arrays * ARRAY_OVERHEAD + len(store.tasks) * TASK_OVERHEAD
     assert len(encode_state(store.state_dict())) <= bound
     assert sum(sum(store.packed_bytes(t)) for t in store.tasks) == payload
+
+
+def test_projected_store_reads_as_the_committed_one():
+    # the copy a run samples the next task from: every slot under the mask
+    # holds one more psi-bit component, and the store itself is untouched
+    rng = np.random.default_rng(5)
+    store = WeightSlotStore([(6, 5), (3, 6)], t_max=3)
+    first = TaskMask([rng.random(s) < 0.5 for s in store.layer_shapes])
+    store.commit(0, first, 9, codes_for(first))
+    mask = TaskMask([rng.random(s) < 0.5 for s in store.layer_shapes])
+    before = [store.remaining_bits(i) for i in range(store.layer_count)]
+    projected = store.projected(mask, 7)
+    committed = WeightSlotStore.from_state_dict(store.state_dict())
+    committed.commit(1, mask, 7, codes_for(mask))
+    other = TaskMask([rng.random(s) < 0.5 for s in store.layer_shapes])
+    assert projected.hypothetical_sparsity(other) == committed.hypothetical_sparsity(other)
+    for i in range(store.layer_count):
+        np.testing.assert_array_equal(projected.remaining_bits(i),
+                                      committed.remaining_bits(i))
+        np.testing.assert_array_equal(projected.component_counts(i),
+                                      committed.component_counts(i))
+        np.testing.assert_array_equal(store.remaining_bits(i), before[i])
+    assert projected.tasks == {} and sorted(store.tasks) == [0]
+
+
+@pytest.mark.filterwarnings("ignore::subnetpack.errors.CapacityWarning")
+@pytest.mark.parametrize("seed", range(20))
+def test_budget_rule_makes_the_projection_exact(seed):
+    # runner._lookahead_is_exact: when every slot under the mask has
+    # psi_max + psi_min bits free, a copy holding psi_max-bit components
+    # draws the same next mask as the store after a commit at any bit-width
+    # up to psi_max
+    rng = np.random.default_rng(seed)
+    psi_max, psi_min = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+    store = WeightSlotStore([(5, 8), (4, 5)], t_max=int(rng.integers(2, 5)))
+    for t in range(int(rng.integers(0, 4))):
+        m = TaskMask([rng.random(s) < 0.4 for s in store.layer_shapes])
+        m = TaskMask([m[i] & store.eligible_slots(i, 8).reshape(m[i].shape)
+                      for i in range(store.layer_count)])
+        store.commit(t, m, 8, codes_for(m))
+    roomy = [store.eligible_slots(i, psi_max + psi_min).reshape(s)
+             for i, s in enumerate(store.layer_shapes)]
+    mask = TaskMask([r & (rng.random(r.shape) < 0.5) for r in roomy])
+    projected = store.projected(mask, psi_max)
+    for psi in range(1, psi_max + 1):
+        committed = WeightSlotStore.from_state_dict(store.state_dict())
+        committed.commit(99, mask, psi, codes_for(mask))
+        for i in range(store.layer_count):
+            np.testing.assert_array_equal(projected.eligible_slots(i, psi_min),
+                                          committed.eligible_slots(i, psi_min))
+        draws = [sample_candidate_full(s, 0.3, 0.6, psi_min,
+                                       np.random.default_rng(seed))
+                 for s in (projected, committed)]
+        assert draws[0].same_as(draws[1])
+
+
+def test_a_run_packs_each_task_once(tmp_path, monkeypatch):
+    # a committed task never changes, so later checkpoint saves reuse its
+    # packed arrays, and a loaded store reuses the arrays it read
+    from subnetpack import store as store_module
+    from subnetpack.config import build_run_config, parse_config_text
+    from subnetpack.runner import (execute_run, new_state, save_run_checkpoint,
+                                   state_from_checkpoint)
+    packs = []
+    pack = store_module._pack_codes
+
+    def counting_pack(codes, psi):
+        packs.append(psi)
+        return pack(codes, psi)
+
+    monkeypatch.setattr(store_module, "_pack_codes", counting_pack)
+    cfg = build_run_config(parse_config_text(f"""
+scenario.kind = synthetic
+scenario.n_tasks = 3
+scenario.classes = 4
+scenario.dim = 12
+scenario.samples = 40
+model.layers = 12,16,4
+prune.population = 2
+prune.short_epochs = 1
+prune.full_epochs = 5
+run.output_dir = {tmp_path / "out"}
+"""))
+    state = new_state(cfg)
+    execute_run(state)
+    assert len(packs) == 3 * state.store.layer_count  # one call per layer
+    written = (tmp_path / "out" / "checkpoint.bin").read_bytes()
+    loaded = state_from_checkpoint(str(tmp_path / "out" / "checkpoint.bin"))
+    del packs[:]
+    save_run_checkpoint(loaded)
+    assert packs == []
+    assert (tmp_path / "out" / "checkpoint.bin").read_bytes() == written

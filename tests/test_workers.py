@@ -136,6 +136,60 @@ def test_workers_train_uint8_pixels_as_their_floats(tmp_path):
     assert acc == evaluate(spec, want, mask, x_val, data.y_val)
 
 
+def test_batches_queue_without_blocking_and_train_their_own_split():
+    # two job lists on two tasks, submitted back to back and waited on in the
+    # other order: each job trains on its own task's split, so each list
+    # gives what it gives alone
+    tasks = [synthetic_blobs(n_tasks=1, classes=4, dim=12, samples=80,
+                             separation=8.0, seed=s).get_task(0) for s in (11, 12)]
+    init = xavier_init(SPEC, 0)
+    rng = np.random.default_rng(3)
+    jobs = [[(init, [rng.random(s) < 0.6 for s in SPEC.shapes], TRAIN)
+             for _ in range(3)] for _ in tasks]
+    alone = [workers.train_jobs(SPEC, data, js) for data, js in zip(tasks, jobs)]
+    batches = [workers.submit(SPEC, data, js) for data, js in zip(tasks, jobs)]
+    assert workers.POOL.pending == 6
+    assert not any(b.ready for b in batches)
+    together = [[(r.weights(), r.accuracy) for r in b.wait()] for b in batches[::-1]][::-1]
+    assert workers.POOL.pending == 0
+    for got, want in zip(together, alone):
+        for (gw, ga), (ww, wa) in zip(got, want):
+            assert ga == wa
+            for a, b in zip(gw.weights + gw.biases, ww.weights + ww.biases):
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_a_reply_carries_the_in_mask_float32_values():
+    data = blob_task()
+    mask = [np.random.default_rng(1).random(s) < 0.5 for s in SPEC.shapes]
+    trained, untrained = workers.submit(
+        SPEC, data, [(xavier_init(SPEC, 2), mask, TRAIN),
+                     (xavier_init(SPEC, 2), mask, TrainConfig(epochs=0))]).wait()
+    for values, m in zip(trained.values, mask):
+        assert values.dtype == np.float32 and values.shape == (int(m.sum()),)
+    # with no SGD step the values are the float64 initial weights, kept whole
+    for values, w, m in zip(untrained.values, xavier_init(SPEC, 2).weights, mask):
+        assert values.dtype == np.float64
+        np.testing.assert_array_equal(values, w[m])
+
+
+def test_cancel_drops_jobs_in_flight():
+    data = blob_task()
+    long = TrainConfig(epochs=400, batch_size=4, seed=0)
+    batch = workers.submit(SPEC, data, [(xavier_init(SPEC, 0), full_mask(SPEC), long)] * 3)
+    procs = [w.proc for w in workers.POOL.workers]
+    start = time.monotonic()
+    workers.POOL.cancel()
+    assert time.monotonic() - start < 10.0
+    assert workers.POOL.pending == 0 and workers.POOL.workers == []
+    assert all(p.poll() is not None for p in procs)
+    with pytest.raises(RuntimeError, match="cancelled"):
+        batch.wait()
+    (weights, _), = workers.train_jobs(SPEC, data, [(xavier_init(SPEC, 0),
+                                                     full_mask(SPEC), TRAIN)])
+    assert weights.weights[0].shape == SPEC.shapes[0]
+
+
 def test_run_resumes_to_the_same_bytes_after_a_worker_dies(tmp_path):
     cfg_text = SYNTHETIC + f"run.output_dir = {tmp_path / 'out'}\n"
     execute_run(new_state(build_run_config(parse_config_text(cfg_text))))
@@ -246,3 +300,83 @@ def test_read_only_commands_start_no_worker(tmp_path, digit_config):
                            "--output-dir", str(tmp_path / "report" / "out")]) == 0
     assert run_child(tmp_path / "inspect", None,
                      args=["inspect-checkpoint", "--checkpoint", checkpoint]) == 0
+
+
+FAILING_PARENT = """
+import sys
+from subnetpack import runner, workers
+from subnetpack.cli import main
+
+pids = []
+start = workers._Worker.__init__
+
+
+def started(self):
+    start(self)
+    pids.append(self.proc.pid)
+
+
+quantize = runner.adaptive_quantize
+
+
+def fails(t, *args, **kwargs):
+    if t == 0:
+        print("workers", *pids, flush=True)
+        print("pending", workers.POOL.pending, flush=True)
+        raise RuntimeError("quantization failed on purpose")
+    return quantize(t, *args, **kwargs)
+
+
+workers._Worker.__init__ = started
+runner.adaptive_quantize = fails
+sys.exit(main(sys.argv[1:]))
+"""
+
+# replies of ~100 KB, more than a pipe holds, from candidates slow enough
+# that task 1's population is still training when task 0 quantizes
+WIDE_SYNTHETIC = """
+scenario.kind = synthetic
+scenario.n_tasks = 3
+scenario.classes = 4
+scenario.dim = 600
+scenario.samples = 60
+model.layers = 600,100,4
+train.batch_size = 8
+prune.population = 6
+prune.short_epochs = 40
+prune.full_epochs = 1
+run.output_dir = out
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads worker states in /proc")
+def test_a_parent_error_with_jobs_in_flight_neither_hangs_nor_leaks(tmp_path):
+    (tmp_path / "run.cfg").write_text(WIDE_SYNTHETIC)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-c", FAILING_PARENT, "run", "--config", "run.cfg"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30)
+    assert time.monotonic() - start < 30.0
+    assert proc.returncode != 0
+    assert "RuntimeError: quantization failed on purpose" in proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    lines = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+    assert int(lines["pending"]) > 0  # task 1's population was in flight
+    pids = [int(p) for p in lines["workers"].split()]
+    assert pids
+    deadline = time.monotonic() + 10.0
+    while pids and time.monotonic() < deadline:
+        pids = [p for p in pids if _alive(p)]
+        time.sleep(0.05)
+    assert pids == []
+
+
+def _alive(pid) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
