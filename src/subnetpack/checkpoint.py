@@ -8,7 +8,8 @@ Arrays hold bool or little-endian numbers only. The decoder accepts exactly
 what the encoder writes and raises CheckpointError for anything else.
 
 Version 2 stores the slot store bit-packed (see `store`); version 1 held
-bool masks and uint32 codes. Both are read; saves write version 2.
+bool masks and uint32 codes. Both are read, and `load_checkpoint` returns the
+version with the payload; saves write version 2.
 """
 
 from __future__ import annotations
@@ -196,21 +197,8 @@ def save_checkpoint(path, state: dict) -> None:
         raise
 
 
-def checkpoint_version(path) -> int:
-    """Format version from the header, validating the magic only."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(len(MAGIC) + 4)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from None
-    if len(head) < len(MAGIC) + 4:
-        raise CheckpointError(f"{path}: file too short ({len(head)} bytes)")
-    if head[:len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {head[:len(MAGIC)]!r}")
-    return struct.unpack_from("<I", head, len(MAGIC))[0]
-
-
-def load_checkpoint(path) -> dict:
+def load_checkpoint(path) -> tuple[int, dict]:
+    """(format version, payload); CheckpointError unless a save wrote the file."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -233,4 +221,4 @@ def load_checkpoint(path) -> dict:
         raise CheckpointError(
             f"{path}: checksum mismatch (stored {stored:#018x}, "
             f"computed {actual:#018x})")
-    return decode_state(payload, str(path))
+    return version, decode_state(payload, str(path))

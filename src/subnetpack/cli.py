@@ -8,9 +8,9 @@ Subcommands: run, resume, report, inspect-checkpoint, make-data. Exit codes:
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
-from .checkpoint import checkpoint_version
 from .config import load_run_config
 from .errors import (CapacityExhausted, CheckpointError, ConfigError, IdxFormatError,
                      WorkerDied)
@@ -53,10 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
     data_p = sub.add_parser("make-data",
                             help="generate procedural digit IDX files")
     data_p.add_argument("--out", required=True, help="output directory")
-    data_p.add_argument("--n-train", type=int, default=24000)
-    data_p.add_argument("--n-test", type=int, default=4000)
-    data_p.add_argument("--seed", type=int, default=0)
-    data_p.add_argument("--noise", type=float, default=0.12)
+    for name in ("n_train", "n_test", "seed", "noise"):
+        default = inspect.signature(write_digit_idx).parameters[name].default
+        data_p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                            default=default)
     return parser
 
 
@@ -94,16 +94,15 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    version = checkpoint_version(args.checkpoint)
     state = state_from_checkpoint(args.checkpoint, need_suite=False)
-    print(f"format version: {version}")
+    print(f"format version: {state.format_version}")
     print(f"mode: {state.config.mode}")
     print(f"model layers: {','.join(str(v) for v in state.config.model.layer_sizes)}")
     print(f"next task: {state.next_task}")
     sizes = {t: state.store.packed_bytes(t) for t in sorted(state.store.tasks)}
     for t, (mask_bytes, code_bytes) in sizes.items():
         alloc = state.store.tasks[t]
-        used = sum(alloc.mask.active_counts())
+        used = sum(alloc.active_counts())
         print(f"task {t}: psi={alloc.psi} slots={used} "
               f"val_acc={state.tasks[t].q_quant:.4f} "
               f"bytes={mask_bytes + code_bytes} (mask {mask_bytes}, codes {code_bytes})")
@@ -116,8 +115,11 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_make_data(args) -> int:
-    paths = write_digit_idx(args.out, n_train=args.n_train, n_test=args.n_test,
-                            seed=args.seed, noise=args.noise)
+    try:
+        paths = write_digit_idx(args.out, n_train=args.n_train, n_test=args.n_test,
+                                seed=args.seed, noise=args.noise)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
     return EXIT_OK

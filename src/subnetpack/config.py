@@ -196,16 +196,23 @@ def load_run_config(path, overrides=None) -> RunConfig:
 
 
 def build_suite(cfg: ScenarioConfig) -> ScenarioSuite:
-    """Materialize the scenario a config describes; the only reader of its files."""
-    if cfg.kind == "synthetic":
-        return synthetic_blobs(cfg.n_tasks, cfg.classes, cfg.dim,
-                               cfg.samples, cfg.separation, cfg.seed)
-    for name in _IDX_FIELDS:
-        path = getattr(cfg, name)
-        if not os.path.exists(path):
-            raise ConfigError(f"scenario.{name}: no such file {path!r}")
-    train = load_idx(cfg.train_images, cfg.train_labels)
-    test = load_idx(cfg.test_images, cfg.test_labels)
-    if cfg.kind == "permuted":
-        return permuted_scenario(train, test, cfg.n_tasks, cfg.seed)
-    return split_scenario(train, test, cfg.classes_per_task, cfg.seed)
+    """Materialize the scenario a config describes; the only reader of its files.
+
+    A value the scenario's constructor refuses raises ConfigError.
+    """
+    if cfg.kind != "synthetic":
+        for name in _IDX_FIELDS:
+            path = getattr(cfg, name)
+            if not os.path.exists(path):
+                raise ConfigError(f"scenario.{name}: no such file {path!r}")
+        train = load_idx(cfg.train_images, cfg.train_labels)
+        test = load_idx(cfg.test_images, cfg.test_labels)
+    try:
+        if cfg.kind == "synthetic":
+            return synthetic_blobs(cfg.n_tasks, cfg.classes, cfg.dim,
+                                   cfg.samples, cfg.separation, cfg.seed)
+        if cfg.kind == "permuted":
+            return permuted_scenario(train, test, cfg.n_tasks, cfg.seed)
+        return split_scenario(train, test, cfg.classes_per_task, cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(f"scenario: {exc}") from None

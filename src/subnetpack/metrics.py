@@ -36,11 +36,6 @@ class AccuracyMatrix:
     def n_episodes(self) -> int:
         return len(self.rows)
 
-    def value(self, episode: int, task: int) -> float:
-        if task > episode:
-            raise IndexError(f"task {task} not yet seen at episode {episode}")
-        return self.rows[episode][task]
-
     def final_row(self) -> tuple[float, ...]:
         if not self.rows:
             raise ValueError("empty accuracy matrix")
@@ -71,7 +66,7 @@ def forget_check(matrix: AccuracyMatrix) -> list[tuple[int, int]]:
 
 def _task_bits(alloc, table_entries: int) -> int:
     """Coded weights + table entries * (32-bit value + psi-bit code) + mask."""
-    used = sum(alloc.mask.active_counts())
+    used = sum(alloc.active_counts())
     return used * alloc.psi + table_entries * (SLOT_BITS + alloc.psi) + used
 
 

@@ -27,35 +27,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SelectionWarning
-from .network import DenseWeights, ModelSpec, TrainConfig, xavier_init
+from .network import ModelSpec, TrainConfig, xavier_init
 from .scenario import TaskData
 from .seeding import derive_seed, rng_from
-from .store import TaskMask, WeightSlotStore, sample_candidate_full
+from .store import WeightSlotStore, sample_candidate_full
 from .workers import Batch, JobResult, submit
 
 # rng stream roles, combined as (seed, task_id, role, index)
 ROLE_INIT = 0
 ROLE_CANDIDATE = 1
 ROLE_FULLTRAIN = 2
-
-
-@dataclass
-class Candidate:
-    """One population member: mask plus its short-training result and score."""
-
-    index: int
-    mask: TaskMask
-    result: JobResult
-    sparsity: float
-
-    @property
-    def accuracy(self) -> float:
-        return self.result.accuracy
-
-    @property
-    def weights(self) -> DenseWeights:
-        """The short-trained weights, rebuilt from the result when asked."""
-        return self.result.weights()
 
 
 @dataclass(frozen=True)
@@ -137,9 +118,9 @@ def _short_job(index, task_id, store: WeightSlotStore, cfg: PruneConfig,
 class Search:
     """One task's population search, from `start_search` to its winner.
 
-    `population` trains the members `indices`; `choose_winner` then sets
-    `log`, submits `winner`, the chosen member's full training, and lets go
-    of `data`.
+    `population` trains the members; each JobResult holds its member's mask
+    and short-trained weights. `choose_winner` then sets `log`, submits
+    `winner`, the chosen member's full training, and lets go of `data`.
     """
 
     task_id: int
@@ -148,18 +129,12 @@ class Search:
     data: TaskData | None
     cfg: PruneConfig
     train_cfg: TrainConfig
-    indices: list
     population: Batch
     log: PruneLog | None = None
     winner: Batch | None = None
 
-    def candidates(self) -> list[Candidate]:
-        """The population, once trained, scored on the search's store."""
-        return [Candidate(i, r.mask, r, self.store.hypothetical_sparsity(r.mask).weighted)
-                for i, r in zip(self.indices, self.population.wait())]
-
     @property
-    def mask(self) -> TaskMask:
+    def mask(self) -> list:
         """The winner's mask, once chosen."""
         return self.winner.jobs[0][1]
 
@@ -174,7 +149,7 @@ def _search(indices, task_id, store: WeightSlotStore, spec, init_weights,
     jobs = [_short_job(i, task_id, store, cfg, train_cfg) for i in indices]
     batch = submit(spec, data, [(init_weights, mask, short_cfg)
                                 for mask, short_cfg in jobs])
-    return Search(task_id, store, spec, data, cfg, train_cfg, list(indices), batch)
+    return Search(task_id, store, spec, data, cfg, train_cfg, batch)
 
 
 def start_search(task_id, store: WeightSlotStore, spec, data,
@@ -189,13 +164,13 @@ def start_search(task_id, store: WeightSlotStore, spec, data,
 
 
 def make_candidate(index, task_id, store: WeightSlotStore, spec, init_weights,
-                   data, cfg: PruneConfig, train_cfg: TrainConfig) -> Candidate:
-    """Sample, short-train, and score candidate `index` on its own.
+                   data, cfg: PruneConfig, train_cfg: TrainConfig) -> JobResult:
+    """Sample and short-train candidate `index` on its own.
 
     It equals member `index` of adaptive_prune's population.
     """
     return _search([index], task_id, store, spec, init_weights, data, cfg,
-                   train_cfg).candidates()[0]
+                   train_cfg).population.wait()[0]
 
 
 def submit_full_training(task_id, index, spec, weights, mask, data,
@@ -220,10 +195,11 @@ def choose_winner(search: Search) -> PruneLog:
     Waits for the population, scores it, and returns the PruneLog of the
     choice; `search.trained()` then waits for the winner.
     """
-    population = search.candidates()
+    population = search.population.wait()
     cfg = search.cfg
-    accuracies = tuple(c.accuracy for c in population)
-    sparsities = tuple(c.sparsity for c in population)
+    accuracies = tuple(r.accuracy for r in population)
+    sparsities = tuple(search.store.hypothetical_sparsity(r.mask).weighted
+                       for r in population)
     if max(accuracies) == 0.0:
         warnings.warn(
             f"task {search.task_id}: every candidate scored zero accuracy; "
@@ -234,7 +210,7 @@ def choose_winner(search: Search) -> PruneLog:
     chosen = select_best(accuracies, sparsities, cfg.alpha, cfg.beta)
     winner = population[chosen]
     search.winner = submit_full_training(search.task_id, chosen, search.spec,
-                                         winner.weights, winner.mask, search.data,
+                                         winner.weights(), winner.mask, search.data,
                                          cfg, search.train_cfg)
     search.data = None
     search.log = PruneLog(

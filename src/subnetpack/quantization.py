@@ -49,7 +49,7 @@ class Codebook:
 class QuantizedTaskWeights:
     """Codes per masked slot (row-major slot order) plus the owning codebook."""
 
-    mask: object  # TaskMask or sequence of per-layer bool arrays
+    mask: list  # per-layer bool arrays
     codes: list[np.ndarray]  # uint32 per layer
     codebook: Codebook
 

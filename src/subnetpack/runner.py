@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .checkpoint import checkpoint_version, load_checkpoint, save_checkpoint
+from .checkpoint import VERSION, load_checkpoint, save_checkpoint
 from .config import RunConfig, build_run_config, build_suite, parse_config_text
 from .errors import CapacityExhausted, CheckpointError, ConfigError
 from .metrics import AccuracyMatrix, capacity_report, forget_check, lifelong_accuracy
@@ -72,6 +72,7 @@ class RunState:
     store: WeightSlotStore
     matrix: AccuracyMatrix
     manifest: str
+    format_version: int  # of the checkpoint it was read from; VERSION in a new run
     tasks: dict[int, TaskRecord] = field(default_factory=dict)
     prune_logs: list = field(default_factory=list)
     next_task: int = 0
@@ -91,7 +92,7 @@ def new_state(cfg: RunConfig) -> RunState:
         raise ConfigError(
             f"model output {spec.layer_sizes[-1]} != {suite.n_classes} classes")
     store = WeightSlotStore(spec.shapes, t_max=cfg.prune.t_l)
-    return RunState(cfg, suite, store, AccuracyMatrix(), suite.manifest_text())
+    return RunState(cfg, suite, store, AccuracyMatrix(), suite.manifest_text(), VERSION)
 
 
 def task_view(state: RunState, task_id: int):
@@ -205,15 +206,13 @@ def _begin_ahead(state: RunState, t: int, mask) -> _Ahead:
     return ahead
 
 
-def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min,
-                    look_ahead: bool):
+def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min):
     """(winner's mask, its JobResult, validation split, next _Ahead or None).
 
     Task t's search comes from `ahead`, or starts here. Its winner is chosen
-    unless that is done, and the choice is logged. With look_ahead, task
-    t+1's search begins before the wait for the winner, if that is exact;
-    while the winner trains, t+1's winner is chosen as soon as its
-    population is in.
+    unless that is done, and the choice is logged. Task t+1's search begins
+    before the wait for the winner, if that is exact; while the winner
+    trains, t+1's winner is chosen as soon as its population is in.
     """
     search, val = (_start(state, t, state.store, psi_min) if ahead is None
                    else ahead.take())
@@ -221,8 +220,7 @@ def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min,
         choose_winner(search)
     state.prune_logs.append(search.log)
     ahead = None
-    if (look_ahead and t + 1 < state.suite.n_tasks
-            and _lookahead_is_exact(state, search.mask)):
+    if t + 1 < state.suite.n_tasks and _lookahead_is_exact(state, search.mask):
         ahead = _begin_ahead(state, t + 1, search.mask)
     while (ahead is not None and ahead.error is None
            and ahead.search.log is None and not search.winner.ready):
@@ -232,7 +230,7 @@ def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min,
     return search.mask, search.trained(), val, ahead
 
 
-def _run_task_full(state: RunState, t, ahead, look_ahead):
+def _run_task_full(state: RunState, t, ahead):
     """Population pruning then adaptive quantization, with budget retries.
 
     A quantizer that needs more bits than the sampled slots can hold triggers
@@ -243,8 +241,7 @@ def _run_task_full(state: RunState, t, ahead, look_ahead):
     cfg = state.config
     psi_min = cfg.prune.psi_min
     while True:
-        mask, result, val, next_ahead = _trained_winner(state, t, ahead, psi_min,
-                                                        look_ahead)
+        mask, result, val, next_ahead = _trained_winner(state, t, ahead, psi_min)
         budget = _mask_bit_budget(state.store, mask)
         try:
             q, q_acc = adaptive_quantize(t, cfg.model, mask, result.weights(),
@@ -261,18 +258,17 @@ def _run_task_full(state: RunState, t, ahead, look_ahead):
         return q, result, q_acc, next_ahead
 
 
-def _run_task_pruning_only(state: RunState, t, ahead, look_ahead):
+def _run_task_pruning_only(state: RunState, t, ahead):
     """Population pruning, then store the winner as raw 32-bit patterns.
 
     The patterns hold the trained float32 values exactly, so q_quant is q_ref.
     """
-    mask, result, _, next_ahead = _trained_winner(state, t, ahead, SLOT_BITS,
-                                                  look_ahead)
+    mask, result, _, next_ahead = _trained_winner(state, t, ahead, SLOT_BITS)
     q = identity_quantize(mask, result.weights())
     return q, result, result.accuracy, next_ahead
 
 
-def _run_task_quantization_only(state: RunState, t, ahead, look_ahead):
+def _run_task_quantization_only(state: RunState, t, ahead):
     """No pruning: train the dense network and quantize every slot.
 
     With no population to search, nothing is begun ahead, so `ahead` is None.
@@ -300,7 +296,7 @@ def _run_task_quantization_only(state: RunState, t, ahead, look_ahead):
     return q, result, q_acc, None
 
 
-# Each takes (state, task, its _Ahead or None, look_ahead) and returns
+# Each takes (state, task, its _Ahead or None) and returns
 # (quantized winner, the winner's JobResult, its validation accuracy after
 # quantization, task t+1's _Ahead or None).
 _MODE_RUNNERS = {
@@ -310,17 +306,14 @@ _MODE_RUNNERS = {
 }
 
 
-def execute_task(state: RunState, t: int, ahead: _Ahead | None = None,
-                 look_ahead: bool = False) -> _Ahead | None:
+def execute_task(state: RunState, t: int, ahead: _Ahead | None = None) -> _Ahead | None:
     """Run task t: search, quantize, commit, re-evaluate, checkpoint.
 
     `ahead` holds task t's search begun during task t-1; its held-back
-    warnings and error surface first. With look_ahead, task t+1's search
-    may begin while task t's winner trains; it is returned, for the call
-    that runs task t+1.
+    warnings and error surface first. Task t+1's search may begin while
+    task t's winner trains; it is returned, for the call that runs task t+1.
     """
-    q, result, q_acc, ahead = _MODE_RUNNERS[state.config.mode](
-        state, t, ahead, look_ahead)
+    q, result, q_acc, ahead = _MODE_RUNNERS[state.config.mode](state, t, ahead)
     state.store.commit(t, q.mask, q.codebook.psi, q.codes)
     state.tasks[t] = TaskRecord(q.codebook,
                                 [np.array(b, dtype=np.float64) for b in result.biases],
@@ -348,7 +341,7 @@ def execute_run(state: RunState) -> None:
     ahead = None
     try:
         for t in range(state.next_task, state.suite.n_tasks):
-            ahead = execute_task(state, t, ahead, look_ahead=True)
+            ahead = execute_task(state, t, ahead)
     except CapacityExhausted:
         save_run_checkpoint(state)
         raise
@@ -425,15 +418,13 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
     CheckpointError, as does one whose copies of a fact disagree. The
     scenario data is opened only with need_suite.
     """
-    payload = load_checkpoint(path)
-    # format 1 stored the slot store unpacked; each store reader refuses the
-    # other's dtypes, so a file swapped between these two reads is rejected
-    packed = checkpoint_version(path) >= 2
+    version, payload = load_checkpoint(path)
     try:
         cfg = build_run_config(parse_config_text(payload["config"]))
-        store = WeightSlotStore.from_state_dict(payload["store"], packed=packed)
+        # format 1 stored the slot store unpacked
+        store = WeightSlotStore.from_state_dict(payload["store"], packed=version >= 2)
         state = RunState(cfg, None, store, AccuracyMatrix(payload["matrix"]),
-                         _expect(payload["manifest"], str),
+                         _expect(payload["manifest"], str), version,
                          tasks=_read_records(payload, store),
                          next_task=_expect(payload["next_task"], int))
         state.prune_logs = [
@@ -499,7 +490,7 @@ def write_reports(state: RunState) -> dict:
     per_task_sparsity = {
         str(t): [
             1.0 - used / size
-            for used, size in zip(state.store.tasks[t].mask.active_counts(),
+            for used, size in zip(state.store.tasks[t].active_counts(),
                                   state.store.layer_sizes)
         ]
         for t in sorted(state.store.tasks)

@@ -30,6 +30,7 @@ _TAG_VAL = 3
 _TAG_BLOBS = 4
 
 _GATHER_ROWS = 512  # rows per permuting gather: bounds its scratch copy
+DIGIT_NOISE = 0.12  # pixel noise sigma of the procedural digits
 
 
 @dataclass
@@ -289,6 +290,8 @@ def split_scenario(train, test, classes_per_task, seed) -> ScenarioSuite:
     """Disjoint class-group tasks over a seeded shuffle of the class ids."""
     x_train, y_train = train
     all_classes = np.unique(np.concatenate((y_train, test[1])))
+    if classes_per_task < 1:
+        raise ValueError("classes_per_task must be >= 1")
     if classes_per_task > len(all_classes):
         raise ValueError(
             f"classes_per_task {classes_per_task} exceeds {len(all_classes)} classes")
@@ -306,8 +309,6 @@ def split_scenario(train, test, classes_per_task, seed) -> ScenarioSuite:
 
 
 def _make_blobs(classes, dim, samples, separation, rng):
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     means = []
     for _ in range(classes):
         placed = False
@@ -340,6 +341,8 @@ def synthetic_blobs(n_tasks, classes, dim, samples, separation, seed) -> Scenari
         raise ValueError("separation must be > 0")
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     suite = ScenarioSuite("synthetic", seed, n_tasks, dim, classes,
                           [seed] * n_tasks,
                           _blob_params={"dim": dim, "samples": samples,
@@ -388,7 +391,7 @@ def _blur_matrix(sigma, size=28):
     return K
 
 
-def make_digit_images(n, seed, noise=0.12):
+def make_digit_images(n, seed, noise=DIGIT_NOISE):
     """Deterministic handwritten-digit stand-in: (uint8 images (n,28,28), labels).
 
     Each sample is a glyph template with a random shift of up to 3 pixels,
@@ -422,10 +425,12 @@ def make_digit_images(n, seed, noise=0.12):
     return np.round(images * 255.0).astype(np.uint8), labels.astype(np.int64)
 
 
-def write_digit_idx(out_dir, n_train=24000, n_test=4000, seed=0, noise=0.12):
+def write_digit_idx(out_dir, n_train=24000, n_test=4000, seed=0, noise=DIGIT_NOISE):
     """Emit train/test IDX pairs of procedural digits; returns the four paths."""
     import os
 
+    if min(n_train, n_test) < 0:
+        raise ValueError(f"image counts must be >= 0, got {n_train} and {n_test}")
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for tag, n, stream in (("train", n_train, 1), ("test", n_test, 2)):

@@ -3,6 +3,7 @@
 Every weight position is a 32-bit slot carved into task-exclusive components.
 A component is (task_id, bit_width, code); the store tracks per-slot component
 counts and remaining bits, and owns the committed per-task masks and codes.
+A mask is a list of per-layer bool arrays shaped like the layers' weights.
 `t_max` is the one cap on components per slot. A run sets it once, from its
 pruning config's component cap, in `runner.new_state`; eligibility, sampling
 and commit all read it from the store.
@@ -34,50 +35,25 @@ from .errors import CapacityExhausted, CapacityWarning, CommitRejected
 SLOT_BITS = 32
 
 
-class TaskMask:
-    """Per-layer boolean masks for one task; layer arrays match weight shapes."""
-
-    def __init__(self, layers):
-        self.layers = [np.asarray(m, dtype=bool) for m in layers]
-
-    def __iter__(self):
-        return iter(self.layers)
-
-    def __len__(self):
-        return len(self.layers)
-
-    def __getitem__(self, i):
-        return self.layers[i]
-
-    def active_counts(self) -> list[int]:
-        return [int(m.sum()) for m in self.layers]
-
-    def same_as(self, other: "TaskMask") -> bool:
-        return len(self) == len(other) and all(
-            a.shape == b.shape and np.array_equal(a, b) for a, b in zip(self, other)
-        )
-
-
 @dataclass(frozen=True)
 class SparsityReport:
-    """Per-layer free-slot ratios with their weighted and normalized sums."""
+    """Per-layer free-slot ratios and their sum weighted by layer size."""
 
     per_layer: tuple[float, ...]
     weighted: float
-    normalized: float
 
 
 @dataclass
 class TaskAllocation:
     """One committed task: bit-width, masks, and per-layer codes.
 
-    codes[i] holds one uint32 per active mask slot of layer i, in row-major
-    slot order.
+    mask[i] is layer i's bool mask, shaped like its weights; codes[i] holds
+    one uint32 per active mask slot of layer i, in row-major slot order.
     """
 
     task_id: int
     psi: int
-    mask: TaskMask
+    mask: list[np.ndarray]
     codes: list[np.ndarray]
     # (masks, codes) as state_dict writes them: packed once, on the first
     # save, or kept as from_state_dict read them. A committed task never changes.
@@ -88,6 +64,10 @@ class TaskAllocation:
             self.packed = ([np.packbits(m.ravel(), bitorder="little") for m in self.mask],
                            [_pack_codes(c, self.psi) for c in self.codes])
         return self.packed
+
+    def active_counts(self) -> list[int]:
+        """Masked slots per layer."""
+        return [int(np.count_nonzero(m)) for m in self.mask]
 
 
 class WeightSlotStore:
@@ -117,60 +97,35 @@ class WeightSlotStore:
     def component_counts(self, layer: int) -> np.ndarray:
         return self._comp_count[layer].copy()
 
-    def slot_components(self, layer: int, slot: int) -> list[tuple[int, int, int]]:
-        """(task_id, bit_width, code) entries of one slot, in commit order."""
-        out = []
-        for alloc in self.tasks.values():
-            flat = alloc.mask[layer].ravel()
-            if flat[slot]:
-                pos = int(np.count_nonzero(flat[:slot]))
-                out.append((alloc.task_id, alloc.psi, int(alloc.codes[layer][pos])))
-        return out
-
     # -- sparsity ----------------------------------------------------------
 
-    def sparsity_level(self, layer: int) -> float:
-        """Fraction of the layer's slots not yet assigned to any task."""
-        used = int(np.count_nonzero(self._comp_count[layer]))
-        return (self.layer_sizes[layer] - used) / self.layer_sizes[layer]
+    def hypothetical_sparsity(self, mask) -> SparsityReport:
+        """Free-slot ratios as if `mask` were committed on top of the current tasks.
 
-    def weighted_sparsity(self) -> SparsityReport:
-        per_layer = tuple(self.sparsity_level(i) for i in range(self.layer_count))
-        return self._report(per_layer)
-
-    def hypothetical_sparsity(self, mask: TaskMask) -> SparsityReport:
-        """Sparsity as if `mask` were committed on top of the current tasks."""
-        per_layer = []
-        for i in range(self.layer_count):
-            used = np.count_nonzero(
-                (self._comp_count[i] > 0) | mask[i].ravel()
-            )
-            per_layer.append((self.layer_sizes[i] - int(used)) / self.layer_sizes[i])
-        return self._report(tuple(per_layer))
-
-    def _report(self, per_layer) -> SparsityReport:
-        weighted = sum(s * u for s, u in zip(self.layer_sizes, per_layer))
-        return SparsityReport(per_layer, weighted, weighted / self.total_slots)
+        An all-False mask gives the store's own sparsity.
+        """
+        per_layer = tuple(
+            (size - int(np.count_nonzero((counts > 0) | m.ravel()))) / size
+            for size, counts, m in zip(self.layer_sizes, self._comp_count, mask))
+        return SparsityReport(per_layer,
+                              sum(s * u for s, u in zip(self.layer_sizes, per_layer)))
 
     # -- eligibility and sampling -------------------------------------------
 
     def eligible_slots(self, layer: int, psi_min: int) -> np.ndarray:
         return (self._comp_count[layer] < self.t_max) & (self._remaining[layer] >= psi_min)
 
-    def eligible(self, layer: int, slot: int, psi_min: int) -> bool:
-        return bool(self.eligible_slots(layer, psi_min)[slot])
-
     # -- commit --------------------------------------------------------------
 
     def commit(self, task_id: int, mask, psi: int, codes) -> None:
         """Append (task_id, psi, code) components to every masked slot.
 
-        `mask` is a TaskMask or any sequence of per-layer bool arrays; the
-        store keeps it as a TaskMask. All-or-nothing: any ineligible slot,
-        duplicate task id, or malformed codes rejects the whole commit and
-        leaves the store untouched.
+        `mask` is a sequence of per-layer bool arrays; the store keeps them as
+        a list. All-or-nothing: any ineligible slot, duplicate task id, or
+        malformed codes rejects the whole commit and leaves the store
+        untouched.
         """
-        mask = TaskMask(mask)
+        mask = [np.asarray(m, dtype=bool) for m in mask]
         if task_id in self.tasks:
             raise CommitRejected(f"task {task_id} is already committed")
         if not (1 <= psi <= SLOT_BITS):
@@ -213,10 +168,10 @@ class WeightSlotStore:
         copy = WeightSlotStore(self.layer_shapes, t_max=self.t_max)
         copy._comp_count = [c.copy() for c in self._comp_count]
         copy._remaining = [r.copy() for r in self._remaining]
-        copy._occupy(TaskMask(mask), psi)
+        copy._occupy(mask, psi)
         return copy
 
-    def _occupy(self, mask: TaskMask, psi: int) -> None:
+    def _occupy(self, mask, psi: int) -> None:
         """Add one psi-bit component to every masked slot, densely."""
         for i, m in enumerate(mask):
             flat = m.ravel()
@@ -244,7 +199,7 @@ class WeightSlotStore:
         """(mask, codes) bytes of a task's record as `state_dict` writes it."""
         alloc = self.tasks[task_id]
         return (sum(_nbytes(size) for size in self.layer_sizes),
-                sum(_nbytes(n * alloc.psi) for n in alloc.mask.active_counts()))
+                sum(_nbytes(n * alloc.psi) for n in alloc.active_counts()))
 
     @classmethod
     def from_state_dict(cls, state: dict, packed: bool = True) -> "WeightSlotStore":
@@ -268,7 +223,7 @@ class WeightSlotStore:
             layers = [read_layer(rec["mask"][i], rec["codes"][i], psi, shape,
                                  f"task {task_id} layer {i}")
                       for i, shape in enumerate(store.layer_shapes)]
-            mask = TaskMask([m for m, _ in layers])
+            mask = [m for m, _ in layers]
             store._occupy(mask, psi)
             store.tasks[task_id] = TaskAllocation(
                 task_id, psi, mask, [c for _, c in layers],
@@ -354,7 +309,7 @@ def sample_candidate_mask(store, layer, target_sparsity, psi_min, rng) -> np.nda
     return flat.reshape(store.layer_shapes[layer])
 
 
-def sample_candidate_full(store, v_min, v_max, psi_min, rng) -> TaskMask:
+def sample_candidate_full(store, v_min, v_max, psi_min, rng) -> list[np.ndarray]:
     """Candidate mask over all layers, target sparsity ~ U[v_min, v_max] per layer."""
     if not (0.0 <= v_min <= v_max <= 1.0):
         raise ValueError(f"need 0 <= v_min <= v_max <= 1, got [{v_min}, {v_max}]")
@@ -362,4 +317,4 @@ def sample_candidate_full(store, v_min, v_max, psi_min, rng) -> TaskMask:
     for i in range(store.layer_count):
         s = rng.uniform(v_min, v_max)
         layers.append(sample_candidate_mask(store, i, s, psi_min, rng))
-    return TaskMask(layers)
+    return layers

@@ -11,7 +11,6 @@ the pool size cannot change a byte.
 `Batch.wait` returns that list's results in job order. Jobs of every batch
 share one first-in, first-out queue, so a run can keep training one task's
 winner while the next task's candidates queue behind it (see `runner`).
-`train_jobs` is submit-then-wait.
 
 The pool starts on the first submit and lives as long as the process; it
 holds one worker per CPU the process may use, capped at the most jobs it has
@@ -401,11 +400,3 @@ def submit(spec, data, jobs) -> Batch:
     """Queue jobs [(weights, mask, cfg)] in the worker pool; see TrainPool.submit."""
     return POOL.submit(spec, data, jobs)
 
-
-def train_jobs(spec, data, jobs):
-    """Train and score jobs [(weights, mask, cfg)] in the worker pool.
-
-    Returns [(trained weights, accuracy on data's validation split)] in job
-    order: submit, then wait.
-    """
-    return [(r.weights(), r.accuracy) for r in submit(spec, data, jobs).wait()]

@@ -1,6 +1,9 @@
-"""Shared test oracles: exhaustive 1-D k-means, least-squares separability."""
+"""Shared test oracles: exhaustive 1-D k-means, least-squares separability,
+readers of a slot store's committed masks and codes, and a run stopped
+after a given checkpoint."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 
@@ -41,3 +44,58 @@ def lstsq_accuracy(x_train, y_train, x_test, y_test, classes):
     W, *_ = np.linalg.lstsq(X, np.eye(classes)[y_train], rcond=None)
     Xt = np.hstack([x_test, np.ones((len(x_test), 1))])
     return float((np.argmax(Xt @ W, axis=1) == y_test).mean())
+
+
+def same_masks(a, b):
+    """Whether two masks (lists of per-layer bool arrays) are equal."""
+    return len(a) == len(b) and all(
+        x.shape == y.shape and np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def slot_components(store, layer, slot):
+    """(task_id, bit_width, code) entries of one slot, in commit order.
+
+    Read from the committed tasks' masks and codes: a task's codes hold one
+    entry per masked slot, in row-major slot order.
+    """
+    out = []
+    for alloc in store.tasks.values():
+        flat = alloc.mask[layer].ravel()
+        if flat[slot]:
+            pos = int(np.count_nonzero(flat[:slot]))
+            out.append((alloc.task_id, alloc.psi, int(alloc.codes[layer][pos])))
+    return out
+
+
+class Interrupted(Exception):
+    """Raised by a patched checkpoint save to stop a run."""
+
+
+def run_until_saved(state, saves):
+    """execute_run(state), stopped by an error raised after its saves-th save.
+
+    Returns the ids of the tasks whose search had started by then. The run
+    looks one task ahead, so the next task's search is among them: it is in
+    flight when the run stops, and the run drops it.
+    """
+    from subnetpack import runner
+    save, start = runner.save_checkpoint, runner.start_search
+    saved, started = [], []
+
+    def save_then_stop(path, payload):
+        save(path, payload)
+        saved.append(path)
+        if len(saved) == saves:
+            raise Interrupted(f"stopped after checkpoint {saves}")
+
+    def recording_start(task_id, *args):
+        started.append(task_id)
+        return start(task_id, *args)
+
+    with mock.patch.object(runner, "save_checkpoint", save_then_stop), \
+            mock.patch.object(runner, "start_search", recording_start):
+        try:
+            runner.execute_run(state)
+        except Interrupted:
+            return started
+    raise AssertionError(f"the run wrote fewer than {saves} checkpoints")

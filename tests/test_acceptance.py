@@ -6,22 +6,20 @@ share a single three-task permuted-digit run (around two minutes); the rest
 are fast randomized checks against independent reference implementations.
 """
 
-import os
-
 import numpy as np
 import pytest
 
-from helpers import contiguous_optimum, kmeans_wcss
+from helpers import (contiguous_optimum, kmeans_wcss, run_until_saved, same_masks,
+                     slot_components)
 from subnetpack.config import QuantConfig, build_run_config, parse_config_text
 from subnetpack.errors import CommitRejected
 from subnetpack.metrics import capacity, capacity_report, forget_check, lifelong_accuracy
 from subnetpack.network import DenseWeights, ModelSpec, evaluate, loss_and_grads, xavier_init
 from subnetpack.pruning import select_best
 from subnetpack.quantization import dequantize, kmeans_1d, nonlinear_quantize
-from subnetpack.runner import (execute_run, execute_task, new_state,
-                               state_from_checkpoint, task_view)
+from subnetpack.runner import execute_run, new_state, state_from_checkpoint, task_view
 from subnetpack.scenario import write_digit_idx
-from subnetpack.store import SLOT_BITS, TaskMask, WeightSlotStore
+from subnetpack.store import SLOT_BITS, WeightSlotStore
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -82,7 +80,7 @@ def test_criterion_3_capacity_bound(desk):
     formula_ok = True
     worst_pct = 0.0
     for t, alloc in desk.store.tasks.items():
-        used = sum(alloc.mask.active_counts())
+        used = sum(alloc.active_counts())
         b = alloc.psi
         hand = used * b + desk.store.layer_count * (1 << b) * (SLOT_BITS + b) + used
         formula_ok &= hand == capacity(desk.store, t)
@@ -103,7 +101,7 @@ def test_criterion_4_forget_free(desk):
     task0 = desk.suite.get_task(0)
     view, mask = task_view(desk, 0)
     acc = evaluate(desk.config.model, view, mask, task0.x_test, task0.y_test)
-    exact = acc == desk.matrix.value(0, 0) == desk.matrix.value(2, 0)
+    exact = acc == desk.matrix.rows[0][0] == desk.matrix.rows[2][0]
     verdict(4, not violations and exact,
             f"violations {violations}, replayed task 0 accuracy {acc:.4f} "
             f"{'==' if exact else '!='} recorded cells")
@@ -279,7 +277,7 @@ def test_criterion_8_store_against_reference_model():
             before_counts = [store.component_counts(i) for i in range(len(shapes))]
             before_bits = [store.remaining_bits(i) for i in range(len(shapes))]
             try:
-                store.commit(task, TaskMask(mask_layers), psi, codes)
+                store.commit(task, mask_layers, psi, codes)
                 landed = True
             except CommitRejected:
                 landed = False
@@ -307,7 +305,7 @@ def test_criterion_8_store_against_reference_model():
             counts = store.component_counts(i)
             bits = store.remaining_bits(i)
             for slot in range(size):
-                comps = store.slot_components(i, slot)
+                comps = slot_components(store, i, slot)
                 assert comps == model.get((i, slot), [])
                 assert counts[slot] == len(comps)
                 assert bits[slot] == SLOT_BITS - sum(p for _, p, _ in comps)
@@ -322,7 +320,7 @@ def test_criterion_8_store_against_reference_model():
             assert np.array_equal(clone.remaining_bits(i), store.remaining_bits(i))
         for t, alloc in store.tasks.items():
             assert clone.tasks[t].psi == alloc.psi
-            assert clone.tasks[t].mask.same_as(alloc.mask)
+            assert same_masks(clone.tasks[t].mask, alloc.mask)
             assert all(np.array_equal(a, b) and a.dtype == b.dtype
                        for a, b in zip(clone.tasks[t].codes, alloc.codes))
     verdict(8, True,
@@ -373,12 +371,12 @@ def test_criterion_9_determinism_and_resume(tmp_path):
                     == _stable_lines(tmp_path / "b" / "summary.json"))
 
     part = new_state(_blob_cfg(tmp_path / "p"))
-    os.makedirs(part.config.output_dir, exist_ok=True)
-    execute_task(part, 0)  # stop after the first episode, then reload
+    # stop after the first episode, with task 1's search begun, then reload
+    begun = run_until_saved(part, 1)
     del part
     resumed = state_from_checkpoint(str(tmp_path / "p" / "checkpoint.bin"))
     execute_run(resumed)
-    resume_ok = (resumed.matrix.rows == a.matrix.rows
+    resume_ok = (1 in begun and resumed.matrix.rows == a.matrix.rows
                  and ({t: x.psi for t, x in resumed.store.tasks.items()}
                       == {t: x.psi for t, x in a.store.tasks.items()})
                  and ({t: r.q_ref for t, r in resumed.tasks.items()}

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from subnetpack import checkpoint
-from subnetpack.checkpoint import (MAGIC, VERSION, checkpoint_version,
-                                   decode_state, encode_state,
+from subnetpack.checkpoint import (MAGIC, VERSION, decode_state, encode_state,
                                    load_checkpoint, save_checkpoint)
 from subnetpack.errors import CheckpointError
 
@@ -104,8 +103,9 @@ def test_decoder_fuzz_decodes_or_raises_checkpoint_error():
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "state.bin"
     save_checkpoint(path, SAMPLE)
-    assert deep_equal(load_checkpoint(path), SAMPLE)
-    assert checkpoint_version(path) == VERSION
+    version, payload = load_checkpoint(path)
+    assert version == VERSION
+    assert deep_equal(payload, SAMPLE)
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -133,11 +133,10 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
-    with pytest.raises(CheckpointError):
-        checkpoint_version(path)
 
 
-def test_load_rejects_future_version(tmp_path):
+def test_load_rejects_future_version(tmp_path, capsys):
+    from subnetpack.cli import EXIT_CHECKPOINT, main
     path = tmp_path / "state.bin"
     save_checkpoint(path, SAMPLE)
     raw = bytearray(path.read_bytes())
@@ -145,7 +144,8 @@ def test_load_rejects_future_version(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="newer"):
         load_checkpoint(path)
-    assert checkpoint_version(path) == VERSION + 1
+    assert main(["inspect-checkpoint", "--checkpoint", str(path)]) == EXIT_CHECKPOINT
+    assert "newer than supported" in capsys.readouterr().err
 
 
 def test_load_rejects_version_zero(tmp_path):
@@ -175,7 +175,7 @@ def test_arrays_survive_non_native_order(tmp_path):
     arr = np.arange(6, dtype=">f8").reshape(2, 3)
     path = tmp_path / "be.bin"
     save_checkpoint(path, {"arr": arr})
-    back = load_checkpoint(path)["arr"]
+    back = load_checkpoint(path)[1]["arr"]
     np.testing.assert_array_equal(back, arr.astype("<f8"))
     assert back.dtype == np.dtype("float64")
 
@@ -209,5 +209,5 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     assert path.read_bytes() == before
-    assert deep_equal(load_checkpoint(path), SAMPLE)
+    assert deep_equal(load_checkpoint(path)[1], SAMPLE)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.bin"]

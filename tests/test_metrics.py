@@ -5,7 +5,7 @@ from subnetpack.metrics import (AccuracyMatrix, capacity, capacity_actual,
                                 capacity_report, forget_check,
                                 lifelong_accuracy)
 from subnetpack.quantization import Codebook
-from subnetpack.store import TaskMask, WeightSlotStore
+from subnetpack.store import WeightSlotStore
 
 
 def half_used_store(psi=2):
@@ -16,9 +16,7 @@ def half_used_store(psi=2):
         m = np.zeros(100, dtype=bool)
         m[:50] = True
         layers.append(m.reshape(10, 10))
-    mask = TaskMask(layers)
-    codes = [np.zeros(50, dtype=np.uint32) for _ in range(2)]
-    store.commit(0, mask, psi, codes)
+    store.commit(0, layers, psi, [np.zeros(50, dtype=np.uint32) for _ in range(2)])
     return store
 
 
@@ -51,7 +49,7 @@ def test_capacity_no_codebook_at_32_bits():
 
 def test_capacity_empty_mask_is_codebook_only():
     store = WeightSlotStore([(10, 10), (10, 10)])
-    mask = TaskMask([np.zeros((10, 10), dtype=bool)] * 2)
+    mask = [np.zeros((10, 10), dtype=bool)] * 2
     store.commit(0, mask, 2, [np.zeros(0, dtype=np.uint32)] * 2)
     assert capacity(store, 0) == 272
 
@@ -77,8 +75,7 @@ def test_capacity_report_accumulates():
             m = np.zeros(100, dtype=bool)
             m[pick] = True
             layers.append(m.reshape(10, 10))
-        mask = TaskMask(layers)
-        store.commit(t, mask, psi, [np.zeros(20, dtype=np.uint32)] * 2)
+        store.commit(t, layers, psi, [np.zeros(20, dtype=np.uint32)] * 2)
     books = {0: Codebook(2, [np.zeros(4, dtype=np.float32)] * 2),
              1: Codebook(3, [np.zeros(8, dtype=np.float32)] * 2)}
     report = capacity_report(store, books)
@@ -111,11 +108,13 @@ def test_matrix_row_shape_enforced():
     assert m.n_episodes == 2
 
 
-def test_matrix_value_access():
+def test_matrix_rows_hold_each_episode():
+    # row e holds tasks 0..e: a task not yet seen has no cell
     m = AccuracyMatrix([(0.8,), (0.8, 0.6)])
-    assert m.value(1, 0) == 0.8
+    assert m.rows == [(0.8,), (0.8, 0.6)]
+    assert m.rows[1][0] == 0.8
     with pytest.raises(IndexError):
-        m.value(0, 1)
+        m.rows[0][1]
 
 
 def test_lifelong_accuracy_mean_of_final_row():

@@ -5,14 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import run_until_saved, same_masks
 from subnetpack.cli import main
 from subnetpack.config import build_run_config, parse_config_text
 from subnetpack.errors import CapacityExhausted
 from subnetpack.metrics import forget_check, lifelong_accuracy
 from subnetpack.network import evaluate
-from subnetpack.runner import (execute_run, execute_task, new_state,
-                               state_from_checkpoint, task_view,
-                               write_reports)
+from subnetpack.runner import (execute_run, new_state, state_from_checkpoint,
+                               task_view, write_reports)
 from subnetpack.scenario import ScenarioSuite, write_digit_idx
 from subnetpack.store import SLOT_BITS
 
@@ -95,8 +95,8 @@ def test_resume_equals_uninterrupted(tmp_path):
     execute_run(full_state)
 
     part_state = new_state(make_cfg(tmp_path / "part"))
-    os.makedirs(part_state.config.output_dir, exist_ok=True)
-    execute_task(part_state, 0)  # checkpoint saved after the episode
+    # stopped once task 0's checkpoint is saved, with task 1's search begun
+    assert 1 in run_until_saved(part_state, 1)
     del part_state
 
     resumed = state_from_checkpoint(str(tmp_path / "part" / "checkpoint.bin"))
@@ -122,8 +122,8 @@ def test_task_view_reevaluation_is_bit_exact(tmp_path):
         task = state.suite.get_task(t)
         view, mask = task_view(state, t)
         acc = evaluate(state.config.model, view, mask, task.x_test, task.y_test)
-        assert acc == state.matrix.value(t, t)
-        assert acc == state.matrix.value(2, t)
+        assert acc == state.matrix.rows[t][t]
+        assert acc == state.matrix.rows[2][t]
 
 
 def test_permuted_run_builds_each_task_once(tmp_path, monkeypatch):
@@ -191,7 +191,7 @@ def test_pruning_only_stores_trained_weights_losslessly(tmp_path):
     # training yields float32 values, so the 32-bit identity codes hold the
     # trained winner exactly and storing it costs no accuracy
     state = new_state(make_cfg(tmp_path / "out", "run.mode = pruning-only\n"))
-    execute_task(state, 0)
+    run_until_saved(state, 1)
     rec = state.tasks[0]
     view, mask = task_view(state, 0)
     for i, m in enumerate(mask):
@@ -275,7 +275,7 @@ def test_cli_run_and_inspect(tmp_path, capsys):
     totals = [0, 0]
     for t, alloc in sorted(state.store.tasks.items()):
         mask = sum(-(-size // 8) for size in state.store.layer_sizes)
-        codes = sum(-(-used * alloc.psi // 8) for used in alloc.mask.active_counts())
+        codes = sum(-(-used * alloc.psi // 8) for used in alloc.active_counts())
         totals = [totals[0] + mask, totals[1] + codes]
         line = next(ln for ln in lines if ln.startswith(f"task {t}: "))
         assert line.endswith(f" bytes={mask + codes} (mask {mask}, codes {codes})")
@@ -314,6 +314,32 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("permuted", "scenario.n_tasks=0"),
+    ("synthetic", "scenario.n_tasks=0"),
+    ("synthetic", "scenario.samples=0"),
+    ("synthetic", "scenario.separation=0"),
+    ("split", "scenario.classes_per_task=0"),
+    ("make-data", "--n-train=-1"),
+])
+def test_cli_out_of_range_scenario_values_exit_2(tmp_path, capsys, kind, value):
+    # refused when the suite is built: no task starts, so no output appears
+    if kind == "make-data":
+        argv = ["make-data", "--out", str(tmp_path / "data"), value]
+    else:
+        cfg = write_cfg_file(tmp_path)
+        if kind != "synthetic":
+            paths = write_digit_idx(tmp_path / "data", n_train=30, n_test=10, seed=3)
+            (tmp_path / "run.cfg").write_text(
+                "".join(f"scenario.{k} = {v}\n" for k, v in paths.items())
+                + f"scenario.kind = {kind}\nmodel.layers = 784,8,10\n"
+                + f"run.output_dir = {tmp_path / 'out'}\n")
+        argv = ["run", "--config", cfg, "--set", value]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_capacity_exit_code(tmp_path, capsys):
@@ -403,7 +429,7 @@ def test_cli_malformed_checkpoints_exit_4(tmp_path, capsys):
                 "task missing from biases", "rejected replay", "config text",
                 "centroid tables", "short mask", "long codes", "code pad bits",
                 "unpacked mask", "zero psi", "one mask layer", "over budget"):
-        payload = load_checkpoint(good)
+        _, payload = load_checkpoint(good)
         _corrupt(payload, how)
         bad = str(tmp_path / "bad.bin")
         save_checkpoint(bad, payload)
@@ -413,16 +439,22 @@ def test_cli_malformed_checkpoints_exit_4(tmp_path, capsys):
         assert "checkpoint error" in capsys.readouterr().err
 
 
-def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, capsys):
+def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, monkeypatch,
+                                                       capsys):
     # each fact below is held twice; a checksummed payload whose copies
     # disagree must be refused, not resumed into a skipped or failed task
+    from subnetpack import runner
     from subnetpack.checkpoint import load_checkpoint, save_checkpoint
-    state = new_state(make_cfg(tmp_path / "out"))
-    ckpt = tmp_path / "out" / "checkpoint.bin"
     saved = []  # the checkpoint after 1, 2 and 3 tasks
-    for t in range(3):
-        execute_task(state, t)
-        saved.append(ckpt.read_bytes())
+
+    def keeping_save(path, payload):
+        save_checkpoint(path, payload)
+        saved.append((tmp_path / "out" / "checkpoint.bin").read_bytes())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "save_checkpoint", keeping_save)
+        execute_run(new_state(make_cfg(tmp_path / "out")))
+    assert len(saved) == 3
 
     def rewound(p):
         p["next_task"] = 1
@@ -442,7 +474,7 @@ def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, capsys):
     for done, change in ((3, rewound), (2, advanced), (1, narrow_cap),
                          (1, wider_hidden)):
         (tmp_path / "bad.bin").write_bytes(saved[done - 1])
-        payload = load_checkpoint(bad)
+        _, payload = load_checkpoint(bad)
         change(payload)
         save_checkpoint(bad, payload)
         name = change.__name__
@@ -485,7 +517,7 @@ def test_checkpoint_with_model_and_mode_entries_still_loads(tmp_path, capsys):
     cfg = write_cfg_file(tmp_path, "scenario.n_tasks = 2\n")
     assert main(["run", "--config", cfg]) == 0
     ckpt = str(tmp_path / "out" / "checkpoint.bin")
-    payload = load_checkpoint(ckpt)
+    _, payload = load_checkpoint(ckpt)
     assert "model" not in payload and "mode" not in payload
     state = state_from_checkpoint(ckpt, need_suite=False)
     spec = state.config.model
@@ -518,10 +550,10 @@ def test_format_1_checkpoint_still_reads(tmp_path, capsys):
     # checkpoint.bin was written in format 1 by a full run of BASE (with
     # run.output_dir = out), and the reports beside it by `report` from the
     # same code; reading it trains nothing, so the bytes hold on any CPU
-    from subnetpack.checkpoint import checkpoint_version
+    from subnetpack.checkpoint import load_checkpoint
     from subnetpack.runner import save_run_checkpoint
     old = os.path.join(FIXTURE_V1, "checkpoint.bin")
-    assert checkpoint_version(old) == 1
+    assert load_checkpoint(old)[0] == 1
     assert main(["report", "--checkpoint", old, "--output-dir",
                  str(tmp_path / "v1")]) == 0
     for name in REPORTS:
@@ -533,7 +565,7 @@ def test_format_1_checkpoint_still_reads(tmp_path, capsys):
     state = state_from_checkpoint(old, need_suite=False,
                                   output_dir=str(tmp_path / "resaved"))
     new = save_run_checkpoint(state)
-    assert checkpoint_version(new) == 2
+    assert load_checkpoint(new)[0] == 2
     assert os.path.getsize(new) < os.path.getsize(old)
     assert main(["report", "--checkpoint", new, "--output-dir",
                  str(tmp_path / "v2")]) == 0
@@ -543,7 +575,7 @@ def test_format_1_checkpoint_still_reads(tmp_path, capsys):
             read_without_timestamp(os.path.join(FIXTURE_V1, name))), name
     again = state_from_checkpoint(new, need_suite=False)
     for t, alloc in state.store.tasks.items():
-        assert again.store.tasks[t].mask.same_as(alloc.mask)
+        assert same_masks(again.store.tasks[t].mask, alloc.mask)
         for a, b in zip(again.store.tasks[t].codes, alloc.codes):
             np.testing.assert_array_equal(a, b)
 

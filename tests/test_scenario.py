@@ -249,9 +249,8 @@ def test_blobs_validation():
         synthetic_blobs(2, 3, 6, 20, 0.0, seed=0)
     with pytest.raises(ValueError):
         synthetic_blobs(0, 3, 6, 20, 5.0, seed=0)
-    suite = synthetic_blobs(1, 3, 6, 0, 5.0, seed=0)
-    with pytest.raises(ValueError):
-        suite.get_task(0)
+    with pytest.raises(ValueError, match="samples"):
+        synthetic_blobs(1, 3, 6, 0, 5.0, seed=0)  # refused before a task is drawn
 
 
 def test_blobs_impossible_placement():

@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from helpers import same_masks, slot_components
 from subnetpack.errors import CapacityExhausted, CapacityWarning, CommitRejected
 from subnetpack.metrics import capacity
 from subnetpack.network import ModelSpec, full_mask
-from subnetpack.store import (SLOT_BITS, TaskMask, WeightSlotStore,
-                              sample_candidate_full, sample_candidate_mask)
+from subnetpack.store import (SLOT_BITS, WeightSlotStore, sample_candidate_full,
+                              sample_candidate_mask)
 
 
 def mask_of(store, layer_flats):
-    return TaskMask([
-        np.asarray(flat, dtype=bool).reshape(shape)
-        for flat, shape in zip(layer_flats, store.layer_shapes)
-    ])
+    return [np.asarray(flat, dtype=bool).reshape(shape)
+            for flat, shape in zip(layer_flats, store.layer_shapes)]
+
+
+def sparsity(store):
+    """The store's own free-slot ratios: a hypothetical commit of nothing."""
+    return store.hypothetical_sparsity([np.zeros(s, dtype=bool)
+                                        for s in store.layer_shapes])
 
 
 def codes_for(mask, value=0):
@@ -27,9 +32,8 @@ def test_fresh_store_state():
     assert store.total_slots == 10
     np.testing.assert_array_equal(store.remaining_bits(0), np.full(6, SLOT_BITS))
     np.testing.assert_array_equal(store.component_counts(1), np.zeros(4))
-    assert store.sparsity_level(0) == 1.0
-    assert store.weighted_sparsity().weighted == 10.0
-    assert store.weighted_sparsity().normalized == 1.0
+    assert sparsity(store).per_layer == (1.0, 1.0)
+    assert sparsity(store).weighted == 10.0
 
 
 def test_commit_updates_budget_and_components():
@@ -38,9 +42,13 @@ def test_commit_updates_budget_and_components():
     store.commit(0, mask, 4, codes_for(mask, 3))
     np.testing.assert_array_equal(store.component_counts(0), [1, 1, 0, 0, 1, 0])
     np.testing.assert_array_equal(store.remaining_bits(0), [28, 28, 32, 32, 28, 32])
-    assert store.slot_components(0, 0) == [(0, 4, 3)]
-    assert store.slot_components(0, 2) == []
-    assert store.sparsity_level(0) == 0.5
+    alloc = store.tasks[0]
+    assert alloc.psi == 4 and alloc.active_counts() == [3]
+    np.testing.assert_array_equal(alloc.mask[0].ravel(), [1, 1, 0, 0, 1, 0])
+    np.testing.assert_array_equal(alloc.codes[0], [3, 3, 3])
+    assert slot_components(store, 0, 0) == [(0, 4, 3)]
+    assert slot_components(store, 0, 2) == []
+    assert sparsity(store).per_layer == (0.5,)
 
 
 def test_commit_rejections():
@@ -54,7 +62,7 @@ def test_commit_rejections():
     with pytest.raises(CommitRejected):
         store.commit(1, mask, 33, codes_for(mask))
     with pytest.raises(CommitRejected):
-        store.commit(1, TaskMask([np.ones((3, 2), dtype=bool)]), 2, [np.zeros(6, np.uint32)])
+        store.commit(1, [np.ones((3, 2), dtype=bool)], 2, [np.zeros(6, np.uint32)])
     with pytest.raises(CommitRejected):
         store.commit(1, mask, 2, [np.zeros(1, np.uint32)])  # wrong code count
     with pytest.raises(CommitRejected):
@@ -66,7 +74,7 @@ def test_commit_respects_t_l():
     mask = mask_of(store, [[1, 0]])
     store.commit(0, mask, 2, codes_for(mask))
     store.commit(1, mask, 2, codes_for(mask))
-    assert store.slot_components(0, 0) == [(0, 2, 0), (1, 2, 0)]
+    assert slot_components(store, 0, 0) == [(0, 2, 0), (1, 2, 0)]
     with pytest.raises(CommitRejected):
         store.commit(2, mask, 2, codes_for(mask))
     # the other slot is still free
@@ -111,23 +119,20 @@ def test_eligibility_rules():
     store.commit(1, second, 1, codes_for(second))
     # slot 0 now has two components, t_max reached
     np.testing.assert_array_equal(store.eligible_slots(0, psi_min=1), [False, True, True])
-    assert store.eligible(0, 1, psi_min=1)
-    assert not store.eligible(0, 0, psi_min=1)
 
 
 def test_sparsity_weighted_and_hypothetical():
     store = WeightSlotStore([(2, 3), (1, 4)])
     mask = mask_of(store, [[1, 1, 1, 0, 0, 0], [1, 1, 1, 1]])
     store.commit(0, mask, 2, codes_for(mask))
-    rep = store.weighted_sparsity()
+    rep = sparsity(store)
     assert rep.per_layer == (0.5, 0.0)
     assert rep.weighted == 6 * 0.5 + 4 * 0.0
-    assert rep.normalized == 3.0 / 10.0
 
     hypo = store.hypothetical_sparsity(mask_of(store, [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0]]))
     assert hypo.per_layer == (1.0 / 3.0, 0.0)
     # store state is unchanged by the hypothetical
-    assert store.weighted_sparsity().per_layer == (0.5, 0.0)
+    assert sparsity(store).per_layer == (0.5, 0.0)
 
 
 def test_sample_candidate_mask_size():
@@ -177,24 +182,26 @@ def test_sample_candidate_full_validates_range():
         sample_candidate_full(store, 0.9, 0.2, 2, np.random.default_rng(0))
 
 
-def test_commit_keeps_a_task_mask_for_a_plain_list():
-    # full_mask returns a list of arrays; the store must still hold a TaskMask
+def test_commit_keeps_a_bool_mask_list():
+    # a mask of 0/1 ints is kept as per-layer bool arrays in a list
     spec = ModelSpec((3, 4, 2))
     store = WeightSlotStore(spec.shapes)
-    mask = full_mask(spec)
+    mask = [m.astype(np.uint8) for m in full_mask(spec)]
     store.commit(0, mask, 2, [np.zeros(m.size, dtype=np.uint32) for m in mask])
-    assert isinstance(store.tasks[0].mask, TaskMask)
+    kept = store.tasks[0].mask
+    assert isinstance(kept, list) and all(m.dtype == bool for m in kept)
+    assert same_masks(kept, full_mask(spec))
     # 20 slots * 2 bits + 2 layers * 4 entries * 34 bits + 20 mask bits
     assert capacity(store, 0) == 40 + 272 + 20
     clone = WeightSlotStore.from_state_dict(store.state_dict())
-    assert clone.tasks[0].mask.same_as(store.tasks[0].mask)
+    assert same_masks(clone.tasks[0].mask, store.tasks[0].mask)
 
 
 def test_state_dict_round_trip():
     store = WeightSlotStore([(2, 3), (3, 2)], t_max=3)
     rng = np.random.default_rng(5)
     for task in range(3):
-        mask = TaskMask([rng.random(s) < 0.4 for s in store.layer_shapes])
+        mask = [rng.random(s) < 0.4 for s in store.layer_shapes]
         psi = int(rng.integers(1, 6))
         codes = [rng.integers(0, 1 << psi, size=int(m.sum())).astype(np.uint32)
                  for m in mask]
@@ -219,8 +226,8 @@ def test_budget_fuzz_small():
     slots = {(i, s): [] for i in range(2) for s in range(store.layer_sizes[i])}
     for task in range(400):
         psi = int(rng.integers(1, 34))
-        mask = TaskMask([rng.random(shape) < rng.random()
-                         for shape in store.layer_shapes])
+        mask = [rng.random(shape) < rng.random()
+                for shape in store.layer_shapes]
         codes = [
             rng.integers(0, 1 << min(psi, 31), size=int(m.sum())).astype(np.uint32)
             for m in mask
@@ -291,7 +298,7 @@ def test_state_dict_round_trip_every_bit_width():
     rng = np.random.default_rng(11)
     for psi in range(1, SLOT_BITS + 1):
         store = WeightSlotStore([(5, 7), (3, 1)], t_max=1)
-        mask = TaskMask([rng.random(s) < 0.6 for s in store.layer_shapes])
+        mask = [rng.random(s) < 0.6 for s in store.layer_shapes]
         codes = [rng.integers(0, 1 << psi, int(m.sum()), dtype=np.uint64).astype(np.uint32)
                  for m in mask]
         store.commit(0, mask, psi, codes)
@@ -309,7 +316,7 @@ def test_state_dict_round_trip_every_bit_width():
 
 def _one_task_state(packed=True, psi=3, shapes=((3, 3),), t_max=4):
     store = WeightSlotStore(shapes, t_max=t_max)
-    mask = TaskMask([np.eye(*s, dtype=bool) for s in shapes])
+    mask = [np.eye(*s, dtype=bool) for s in shapes]
     codes = [np.arange(int(m.sum()), dtype=np.uint32) % (1 << psi) for m in mask]
     make = packed_record if packed else v1_record
     return {"layer_shapes": [list(s) for s in shapes], "t_max": t_max,
@@ -396,7 +403,7 @@ def test_from_state_dict_agrees_with_replay():
         records = []
         for task in range(int(rng.integers(1, 5))):
             psi = int(rng.integers(1, 33))
-            mask = TaskMask([rng.random(s) < rng.random() for s in shapes])
+            mask = [rng.random(s) < rng.random() for s in shapes]
             codes = [rng.integers(0, 1 << psi, int(m.sum()), dtype=np.uint64).astype(np.uint32)
                      for m in mask]
             records.append((task, psi, mask, codes))
@@ -438,13 +445,13 @@ def test_encoded_store_size_gate():
     store = WeightSlotStore([(40, 25), (25, 10)], t_max=4)
     for task in range(6):
         psi = int(rng.integers(1, 9))
-        mask = TaskMask([rng.random(s) < 0.2 for s in store.layer_shapes])
+        mask = [rng.random(s) < 0.2 for s in store.layer_shapes]
         codes = [rng.integers(0, 1 << psi, int(m.sum())).astype(np.uint32) for m in mask]
         store.commit(task, mask, psi, codes)
     empty = len(encode_state(WeightSlotStore(store.layer_shapes).state_dict()))
     payload = sum(math.ceil(used * a.psi / 8) + math.ceil(size / 8)
                   for a in store.tasks.values()
-                  for used, size in zip(a.mask.active_counts(), store.layer_sizes))
+                  for used, size in zip(a.active_counts(), store.layer_sizes))
     arrays = 2 * store.layer_count * len(store.tasks)
     bound = empty + payload + arrays * ARRAY_OVERHEAD + len(store.tasks) * TASK_OVERHEAD
     assert len(encode_state(store.state_dict())) <= bound
@@ -456,14 +463,14 @@ def test_projected_store_reads_as_the_committed_one():
     # holds one more psi-bit component, and the store itself is untouched
     rng = np.random.default_rng(5)
     store = WeightSlotStore([(6, 5), (3, 6)], t_max=3)
-    first = TaskMask([rng.random(s) < 0.5 for s in store.layer_shapes])
+    first = [rng.random(s) < 0.5 for s in store.layer_shapes]
     store.commit(0, first, 9, codes_for(first))
-    mask = TaskMask([rng.random(s) < 0.5 for s in store.layer_shapes])
+    mask = [rng.random(s) < 0.5 for s in store.layer_shapes]
     before = [store.remaining_bits(i) for i in range(store.layer_count)]
     projected = store.projected(mask, 7)
     committed = WeightSlotStore.from_state_dict(store.state_dict())
     committed.commit(1, mask, 7, codes_for(mask))
-    other = TaskMask([rng.random(s) < 0.5 for s in store.layer_shapes])
+    other = [rng.random(s) < 0.5 for s in store.layer_shapes]
     assert projected.hypothetical_sparsity(other) == committed.hypothetical_sparsity(other)
     for i in range(store.layer_count):
         np.testing.assert_array_equal(projected.remaining_bits(i),
@@ -485,13 +492,13 @@ def test_budget_rule_makes_the_projection_exact(seed):
     psi_max, psi_min = int(rng.integers(2, 9)), int(rng.integers(1, 4))
     store = WeightSlotStore([(5, 8), (4, 5)], t_max=int(rng.integers(2, 5)))
     for t in range(int(rng.integers(0, 4))):
-        m = TaskMask([rng.random(s) < 0.4 for s in store.layer_shapes])
-        m = TaskMask([m[i] & store.eligible_slots(i, 8).reshape(m[i].shape)
-                      for i in range(store.layer_count)])
+        m = [rng.random(s) < 0.4 for s in store.layer_shapes]
+        m = [m[i] & store.eligible_slots(i, 8).reshape(m[i].shape)
+             for i in range(store.layer_count)]
         store.commit(t, m, 8, codes_for(m))
     roomy = [store.eligible_slots(i, psi_max + psi_min).reshape(s)
              for i, s in enumerate(store.layer_shapes)]
-    mask = TaskMask([r & (rng.random(r.shape) < 0.5) for r in roomy])
+    mask = [r & (rng.random(r.shape) < 0.5) for r in roomy]
     projected = store.projected(mask, psi_max)
     for psi in range(1, psi_max + 1):
         committed = WeightSlotStore.from_state_dict(store.state_dict())
@@ -502,7 +509,7 @@ def test_budget_rule_makes_the_projection_exact(seed):
         draws = [sample_candidate_full(s, 0.3, 0.6, psi_min,
                                        np.random.default_rng(seed))
                  for s in (projected, committed)]
-        assert draws[0].same_as(draws[1])
+        assert same_masks(draws[0], draws[1])
 
 
 def test_a_run_packs_each_task_once(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import subnetpack
+from helpers import run_until_saved
 from subnetpack import workers
 from subnetpack.cli import EXIT_WORKER, main
 from subnetpack.config import build_run_config, parse_config_text
@@ -17,7 +18,7 @@ from subnetpack.errors import DegenerateMaskWarning, ShapeMismatchError, WorkerD
 from subnetpack.network import (ModelSpec, TrainConfig, as_floats, evaluate,
                                 full_mask, train_masked, xavier_init)
 from subnetpack.pruning import PruneConfig, adaptive_prune, make_candidate
-from subnetpack.runner import execute_run, execute_task, new_state, state_from_checkpoint
+from subnetpack.runner import execute_run, new_state, state_from_checkpoint
 from subnetpack.scenario import (load_idx, permuted_scenario, synthetic_blobs,
                                  write_digit_idx)
 from subnetpack.store import WeightSlotStore
@@ -91,12 +92,12 @@ def test_worker_exception_comes_back_as_itself():
     init = xavier_init(SPEC, 0)
     bad = [np.ones((3, 3), dtype=bool)] * SPEC.n_layers
     with pytest.raises(ShapeMismatchError):
-        workers.train_jobs(SPEC, data, [(init, full_mask(SPEC), TRAIN),
-                                        (init, bad, TRAIN)])
+        workers.submit(SPEC, data, [(init, full_mask(SPEC), TRAIN),
+                                    (init, bad, TRAIN)]).wait()
     # the pool survives a failed job and trains the next list
-    (weights, acc), = workers.train_jobs(SPEC, data, [(init, full_mask(SPEC), TRAIN)])
-    assert 0.0 <= acc <= 1.0
-    assert weights.weights[0].shape == SPEC.shapes[0]
+    result, = workers.submit(SPEC, data, [(init, full_mask(SPEC), TRAIN)]).wait()
+    assert 0.0 <= result.accuracy <= 1.0
+    assert result.weights().weights[0].shape == SPEC.shapes[0]
 
 
 def test_killed_worker_raises_promptly_with_its_exit_status():
@@ -127,13 +128,14 @@ def test_workers_train_uint8_pixels_as_their_floats(tmp_path):
     init = xavier_init(spec, 4)
     mask = [np.random.default_rng(4).random(s) < 0.5 for s in spec.shapes]
     cfg = TrainConfig(epochs=2, batch_size=16, lr_initial=0.1, seed=4)
-    (weights, acc), = workers.train_jobs(spec, data, [(init, mask, cfg)])
+    result, = workers.submit(spec, data, [(init, mask, cfg)]).wait()
+    weights = result.weights()
     x_train = as_floats(data.x_train, np.float32)
     x_val = as_floats(data.x_val, np.float64)
     want = train_masked(spec, init, mask, (x_train, data.y_train), cfg)
     for got, ref in zip(weights.weights + weights.biases, want.weights + want.biases):
         np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
-    assert acc == evaluate(spec, want, mask, x_val, data.y_val)
+    assert result.accuracy == evaluate(spec, want, mask, x_val, data.y_val)
 
 
 def test_batches_queue_without_blocking_and_train_their_own_split():
@@ -146,15 +148,16 @@ def test_batches_queue_without_blocking_and_train_their_own_split():
     rng = np.random.default_rng(3)
     jobs = [[(init, [rng.random(s) < 0.6 for s in SPEC.shapes], TRAIN)
              for _ in range(3)] for _ in tasks]
-    alone = [workers.train_jobs(SPEC, data, js) for data, js in zip(tasks, jobs)]
+    alone = [workers.submit(SPEC, data, js).wait() for data, js in zip(tasks, jobs)]
     batches = [workers.submit(SPEC, data, js) for data, js in zip(tasks, jobs)]
     assert workers.POOL.pending == 6
     assert not any(b.ready for b in batches)
-    together = [[(r.weights(), r.accuracy) for r in b.wait()] for b in batches[::-1]][::-1]
+    together = [b.wait() for b in batches[::-1]][::-1]
     assert workers.POOL.pending == 0
     for got, want in zip(together, alone):
-        for (gw, ga), (ww, wa) in zip(got, want):
-            assert ga == wa
+        for g, w in zip(got, want):
+            assert g.accuracy == w.accuracy
+            gw, ww = g.weights(), w.weights()
             for a, b in zip(gw.weights + gw.biases, ww.weights + ww.biases):
                 np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -185,9 +188,9 @@ def test_cancel_drops_jobs_in_flight():
     assert all(p.poll() is not None for p in procs)
     with pytest.raises(RuntimeError, match="cancelled"):
         batch.wait()
-    (weights, _), = workers.train_jobs(SPEC, data, [(xavier_init(SPEC, 0),
-                                                     full_mask(SPEC), TRAIN)])
-    assert weights.weights[0].shape == SPEC.shapes[0]
+    result, = workers.submit(SPEC, data, [(xavier_init(SPEC, 0),
+                                           full_mask(SPEC), TRAIN)]).wait()
+    assert result.weights().weights[0].shape == SPEC.shapes[0]
 
 
 def test_run_resumes_to_the_same_bytes_after_a_worker_dies(tmp_path):
@@ -197,7 +200,7 @@ def test_run_resumes_to_the_same_bytes_after_a_worker_dies(tmp_path):
     shutil.rmtree(tmp_path / "out")
 
     state = new_state(build_run_config(parse_config_text(cfg_text)))
-    execute_task(state, 0)
+    assert 1 in run_until_saved(state, 1)  # task 1's search was begun and dropped
     kill_a_worker()
     with pytest.raises(WorkerDied):
         execute_run(state)
