@@ -33,7 +33,7 @@ KEYS = {
     "scenario.classes_per_task": "classes per task (`split`)",
     "scenario.classes": "classes per task (`synthetic`)",
     "scenario.dim": "feature dimension (`synthetic`)",
-    "scenario.samples": "train samples per class (`synthetic`)",
+    "scenario.samples": "train samples per class, at least 2 (`synthetic`)",
     "scenario.separation": "class-mean spacing (`synthetic`)",
     "model.layers": "comma list: input dim, hidden sizes, class count",
     "train.batch_size": "minibatch size",
@@ -207,6 +207,11 @@ def build_suite(cfg: ScenarioConfig) -> ScenarioSuite:
                 raise ConfigError(f"scenario.{name}: no such file {path!r}")
         train = load_idx(cfg.train_images, cfg.train_labels)
         test = load_idx(cfg.test_images, cfg.test_labels)
+        for split, (x, _) in (("train", train), ("test", test)):
+            if len(x) == 0:
+                name = f"{split}_images"
+                raise ConfigError(f"scenario.{name}: {getattr(cfg, name)!r} holds "
+                                  f"no images, so the {split} split is empty")
     try:
         if cfg.kind == "synthetic":
             return synthetic_blobs(cfg.n_tasks, cfg.classes, cfg.dim,

@@ -3,7 +3,8 @@
 For each task a population of candidate masks is sampled under the store's
 eligibility rules, each candidate short-trains from the same fresh
 initializer, and the winner of a blended accuracy/sparsity score is trained
-in full. The winner's mask and weights feed the quantization stage.
+in full. The winner's job then quantizes its task and scores it on the test
+split, in the worker that trained it (see `workers`).
 
 Masks are sampled, and candidates scored, in the calling process. Training
 and the validation accuracy run in `workers`: the whole population goes to
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import SelectionWarning
 from .network import ModelSpec, TrainConfig, xavier_init
+from .quantization import QuantConfig
 from .scenario import TaskData
 from .seeding import derive_seed, rng_from
 from .store import WeightSlotStore, sample_candidate_full
@@ -120,7 +122,8 @@ class Search:
 
     `population` trains the members; each JobResult holds its member's mask
     and short-trained weights. `choose_winner` then sets `log`, submits
-    `winner`, the chosen member's full training, and lets go of `data`.
+    `winner`, the chosen member's full training finishing the task with
+    `quant` (see `submit_full_training`), and lets go of `data`.
     """
 
     task_id: int
@@ -129,6 +132,7 @@ class Search:
     data: TaskData | None
     cfg: PruneConfig
     train_cfg: TrainConfig
+    quant: QuantConfig | None
     population: Batch
     log: PruneLog | None = None
     winner: Batch | None = None
@@ -139,28 +143,30 @@ class Search:
         return self.winner.jobs[0][1]
 
     def trained(self) -> JobResult:
-        """The winner after full training; waits for it."""
+        """The winner after full training, its task finished; waits for it."""
         return self.winner.wait()[0]
 
 
 def _search(indices, task_id, store: WeightSlotStore, spec, init_weights,
-            data, cfg: PruneConfig, train_cfg: TrainConfig) -> Search:
+            data, cfg: PruneConfig, train_cfg: TrainConfig, quant=None) -> Search:
     """Sample the members `indices` and submit their short training."""
     jobs = [_short_job(i, task_id, store, cfg, train_cfg) for i in indices]
     batch = submit(spec, data, [(init_weights, mask, short_cfg)
                                 for mask, short_cfg in jobs])
-    return Search(task_id, store, spec, data, cfg, train_cfg, batch)
+    return Search(task_id, store, spec, data, cfg, train_cfg, quant, batch)
 
 
 def start_search(task_id, store: WeightSlotStore, spec, data,
-                 cfg: PruneConfig, train_cfg: TrainConfig) -> Search:
+                 cfg: PruneConfig, train_cfg: TrainConfig,
+                 quant: QuantConfig | None = None) -> Search:
     """First half of adaptive_prune: sample the population, submit its training.
 
-    Does not wait for the workers.
+    Does not wait for the workers. `quant` is how the winner's job finishes
+    the task; see `submit_full_training`.
     """
     init_weights = xavier_init(spec, derive_seed(cfg.seed, task_id, ROLE_INIT, 0))
     return _search(range(cfg.population), task_id, store, spec, init_weights,
-                   data, cfg, train_cfg)
+                   data, cfg, train_cfg, quant)
 
 
 def make_candidate(index, task_id, store: WeightSlotStore, spec, init_weights,
@@ -174,19 +180,23 @@ def make_candidate(index, task_id, store: WeightSlotStore, spec, init_weights,
 
 
 def submit_full_training(task_id, index, spec, weights, mask, data,
-                         cfg: PruneConfig, train_cfg: TrainConfig) -> Batch:
-    """Submit the full training of the chosen member `index`.
+                         cfg: PruneConfig, train_cfg: TrainConfig,
+                         quant: QuantConfig | None) -> Batch:
+    """Submit the full training of the chosen member `index`; it finishes the task.
 
     Trains for cfg.full_epochs on the train split with the member's
-    ROLE_FULLTRAIN seed; the batch's one result is scored on the validation
-    split. Both run in a training worker.
+    ROLE_FULLTRAIN seed, and the batch's one result is scored on the
+    validation split. The job then quantizes the trained weights: with
+    adaptive_quantize, uncapped, when `quant` is a QuantConfig, and with
+    identity_quantize when it is None. It scores the quantized weights on
+    the test split. All of it runs in a training worker.
     """
     full_cfg = replace(
         train_cfg,
         epochs=cfg.full_epochs,
         seed=derive_seed(cfg.seed, task_id, ROLE_FULLTRAIN, index),
     )
-    return submit(spec, data, [(weights, mask, full_cfg)])
+    return submit(spec, data, [(weights, mask, full_cfg, quant)])
 
 
 def choose_winner(search: Search) -> PruneLog:
@@ -211,7 +221,7 @@ def choose_winner(search: Search) -> PruneLog:
     winner = population[chosen]
     search.winner = submit_full_training(search.task_id, chosen, search.spec,
                                          winner.weights(), winner.mask, search.data,
-                                         cfg, search.train_cfg)
+                                         cfg, search.train_cfg, search.quant)
     search.data = None
     search.log = PruneLog(
         search.task_id,

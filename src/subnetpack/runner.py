@@ -1,27 +1,38 @@
 """Sequential task loop: prune, quantize, commit, evaluate, checkpoint.
 
 Each task carves its sub-network out of the shared slot store, quantizes it,
-and commits. Every task seen so far is then re-evaluated from the store's
-dequantized components, which is what makes the past-task columns of the
-accuracy matrix bit-stable. A checkpoint lands after every task so a run can
-resume from any prefix and reproduce the uninterrupted result exactly.
+and commits. The numeric work runs in the training workers: the winner's job
+trains, quantizes with the bit-width ladder uncapped, and scores the
+quantized weights on the task's test split (see `workers`). This process
+holds the ladder's choice to the mask's slot budget (`fit_budget`), commits,
+and appends the accuracy-matrix row; on a clean run it makes no BLAS call.
+
+A row holds every task seen so far. Task t's own cell is the worker's test
+accuracy; a past task's cell is its diagonal cell, because its committed
+record never changes. That is checked, not assumed: each task's record
+(mask, codes, centroids and biases) has a blake2b digest taken at commit, and
+a task whose record no longer matches it is re-evaluated from the store's
+dequantized components, so a changed task shows in `forget_check`. A
+checkpoint lands after every task so a run can resume from any prefix and
+reproduce the uninterrupted result exactly.
 
 `execute_run` looks one task ahead. Once task t's winner is chosen and
 submitted for full training, task t+1's population is sampled from a copy
 of the store in which t's mask already holds a component of the most bits t
 can commit, and submitted behind it; t+1's winner is chosen and submitted as
 soon as that population returns. So the workers train t+1 while t's winner
-trains and while this process quantizes, commits, re-evaluates and
-checkpoints task t, which still happen in task order. The copy draws the
-masks the real commit would, bit for bit, when `_lookahead_is_exact` holds;
-otherwise task t+1 starts after task t's checkpoint, through the same
-functions. Warnings, errors and the prune log of work done ahead are held
-back until task t+1 starts, after task t's checkpoint, where a run without
-the lookahead would report them.
+trains and quantizes and while this process commits and checkpoints task t,
+which still happen in task order. The copy draws the masks the real commit
+would, bit for bit, when `_lookahead_is_exact` holds; otherwise task t+1
+starts after task t's checkpoint, through the same functions. Warnings,
+errors and the prune log of work done ahead are held back until task t+1
+starts, after task t's checkpoint, where a run without the lookahead would
+report them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -38,8 +49,7 @@ from .metrics import AccuracyMatrix, capacity_report, forget_check, lifelong_acc
 from .network import DenseWeights, evaluate, full_mask, xavier_init
 from .pruning import (ROLE_INIT, PruneLog, Search, choose_winner, start_search,
                       submit_full_training)
-from .quantization import (Codebook, QuantizedTaskWeights, adaptive_quantize,
-                           dequantize, identity_quantize)
+from .quantization import Codebook, QuantizedTaskWeights, dequantize, fit_budget
 from .scenario import ScenarioSuite
 from .seeding import derive_seed
 from .store import SLOT_BITS, WeightSlotStore
@@ -55,7 +65,9 @@ class TaskRecord:
     The bit-width, mask and codes live only in the store. `values` are the
     full-precision winner's weights inside its mask, per layer in row-major
     slot order (float32 after any SGD step), held in memory only: None after
-    a load.
+    a load. `digest` is `_record_digest` of the record that scored the task's
+    diagonal accuracy cell, also in memory only: None after a load until a
+    re-evaluation reproduces that cell.
     """
 
     codebook: Codebook
@@ -63,6 +75,7 @@ class TaskRecord:
     q_ref: float
     q_quant: float
     values: list | None = None
+    digest: bytes | None = None
 
 
 @dataclass
@@ -104,6 +117,35 @@ def task_view(state: RunState, task_id: int):
     return weights, list(alloc.mask)
 
 
+def _record_digest(state: RunState, task_id: int) -> bytes:
+    """blake2b of what task_view rebuilds a task from: mask, codes, codebook, biases."""
+    alloc, rec = state.store.tasks[task_id], state.tasks[task_id]
+    h = hashlib.blake2b(str(rec.codebook.psi).encode())
+    for arrays in (alloc.mask, alloc.codes, rec.codebook.centroids, rec.biases):
+        for a in arrays:
+            h.update(np.ascontiguousarray(a))
+    return h.digest()
+
+
+def _past_accuracy(state: RunState, task_id: int) -> float:
+    """A committed task's test accuracy as the store holds it now.
+
+    While its record matches its digest this is its diagonal cell; otherwise
+    the task is evaluated again, from `task_view`.
+    """
+    rec = state.tasks[task_id]
+    digest = _record_digest(state, task_id)
+    scored = state.matrix.rows[task_id][task_id]
+    if digest == rec.digest:
+        return scored
+    x_test, y_test = state.suite.test_split(task_id)
+    view, mask = task_view(state, task_id)
+    acc = evaluate(state.config.model, view, mask, x_test, y_test)
+    if rec.digest is None and acc == scored:
+        rec.digest = digest  # a loaded task, as it was scored
+    return acc
+
+
 def _mask_bit_budget(store: WeightSlotStore, mask) -> int:
     """Tightest remaining-bit budget over the mask's slots."""
     budget = SLOT_BITS
@@ -119,7 +161,6 @@ class _Ahead:
 
     def __init__(self):
         self.search: Search | None = None
-        self.val = None  # the task's validation split
         self.error: Exception | None = None
         self.caught = []
 
@@ -137,8 +178,8 @@ class _Ahead:
             finally:
                 self.caught += caught
 
-    def take(self) -> tuple[Search, tuple]:
-        """(search, validation split), after the held-back warnings and error.
+    def take(self) -> Search:
+        """The search, after the held-back warnings and error.
 
         Warnings are issued as `warnings.warn` issued them; the error is
         raised. The _Ahead keeps no reference to what it hands over.
@@ -153,8 +194,7 @@ class _Ahead:
                     "__warningregistry__", {}))
         if self.error is not None:
             raise self.error
-        taken = self.search, self.val
-        self.search = self.val = None
+        taken, self.search = self.search, None
         return taken
 
 
@@ -173,9 +213,8 @@ def _lookahead_is_exact(state: RunState, mask) -> bool:
     t_max components and at least psi_min free bits. Pruning-only commits
     exactly 32 bits, as the copy does. Otherwise the task commits at most
     psi_max bits; if every slot under `mask` has psi_max + psi_min bits free,
-    each keeps psi_min free whatever bit-width is picked, and
-    adaptive_quantize, capped at psi_max, cannot run out of bits, so the
-    task is not resampled either.
+    each keeps psi_min free whatever bit-width is picked, and `fit_budget`
+    passes any choice up to psi_max, so the task is not resampled either.
     """
     if state.config.mode == "pruning-only":
         return True
@@ -183,39 +222,37 @@ def _lookahead_is_exact(state: RunState, mask) -> bool:
     return _mask_bit_budget(state.store, mask) >= most + psi_min
 
 
-def _start(state: RunState, t, store: WeightSlotStore, psi_min):
-    """(task t's search on `store`, its validation split).
+def _start(state: RunState, t, store: WeightSlotStore, psi_min) -> Search:
+    """Task t's search on `store`; its winner's job quantizes with the ladder,
+    or stores 32-bit patterns in pruning-only runs.
 
     Past this call only the search and its batches hold the task's data, and
     they let it go once the winner's training is sent to a worker.
     """
     cfg = state.config
-    data = state.suite.get_task(t)
-    return (start_search(t, store, cfg.model, data,
-                         replace(cfg.prune, psi_min=psi_min), cfg.train),
-            (data.x_val, data.y_val))
+    quant = None if cfg.mode == "pruning-only" else cfg.quant
+    return start_search(t, store, cfg.model, state.suite.get_task(t),
+                        replace(cfg.prune, psi_min=psi_min), cfg.train, quant)
 
 
 def _begin_ahead(state: RunState, t: int, mask) -> _Ahead:
     """Start task t's search on the store as it will be once `mask` commits."""
     psi_min, most = _search_bits(state)
     ahead = _Ahead()
-    started = ahead.run(_start, state, t, state.store.projected(mask, most), psi_min)
-    if started is not None:
-        ahead.search, ahead.val = started
+    ahead.search = ahead.run(_start, state, t, state.store.projected(mask, most),
+                             psi_min)
     return ahead
 
 
 def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min):
-    """(winner's mask, its JobResult, validation split, next _Ahead or None).
+    """(winner's mask, its finished JobResult, next _Ahead or None).
 
     Task t's search comes from `ahead`, or starts here. Its winner is chosen
     unless that is done, and the choice is logged. Task t+1's search begins
     before the wait for the winner, if that is exact; while the winner
     trains, t+1's winner is chosen as soon as its population is in.
     """
-    search, val = (_start(state, t, state.store, psi_min) if ahead is None
-                   else ahead.take())
+    search = _start(state, t, state.store, psi_min) if ahead is None else ahead.take()
     if search.log is None:
         choose_winner(search)
     state.prune_logs.append(search.log)
@@ -227,13 +264,13 @@ def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min):
         POOL.wait_any([search.winner, ahead.search.population])
         if ahead.search.population.ready:
             ahead.run(choose_winner, ahead.search)
-    return search.mask, search.trained(), val, ahead
+    return search.mask, search.trained(), ahead
 
 
 def _run_task_full(state: RunState, t, ahead):
     """Population pruning then adaptive quantization, with budget retries.
 
-    A quantizer that needs more bits than the sampled slots can hold triggers
+    A bit-width that needs more bits than the sampled slots can hold triggers
     a fresh population restricted to roomier slots, over the task's data
     built again; the floor rises each round, so the loop ends at psi_max. A
     retry never follows a lookahead: `_lookahead_is_exact` rules it out.
@@ -241,12 +278,11 @@ def _run_task_full(state: RunState, t, ahead):
     cfg = state.config
     psi_min = cfg.prune.psi_min
     while True:
-        mask, result, val, next_ahead = _trained_winner(state, t, ahead, psi_min)
+        mask, result, next_ahead = _trained_winner(state, t, ahead, psi_min)
         budget = _mask_bit_budget(state.store, mask)
         try:
-            q, q_acc = adaptive_quantize(t, cfg.model, mask, result.weights(),
-                                         result.accuracy, val, cfg.quant,
-                                         psi_cap=budget)
+            fit_budget(t, cfg.model, result.codebook.psi, result.q_acc,
+                       result.accuracy, cfg.quant, budget)
         except CapacityExhausted as exc:
             if budget + 1 > cfg.quant.psi_max:
                 raise CapacityExhausted(
@@ -255,17 +291,15 @@ def _run_task_full(state: RunState, t, ahead):
                 ) from exc
             psi_min, ahead = budget + 1, None
             continue
-        return q, result, q_acc, next_ahead
+        return mask, result, next_ahead
 
 
 def _run_task_pruning_only(state: RunState, t, ahead):
-    """Population pruning, then store the winner as raw 32-bit patterns.
+    """Population pruning; the winner is stored as raw 32-bit patterns.
 
     The patterns hold the trained float32 values exactly, so q_quant is q_ref.
     """
-    mask, result, _, next_ahead = _trained_winner(state, t, ahead, SLOT_BITS)
-    q = identity_quantize(mask, result.weights())
-    return q, result, result.accuracy, next_ahead
+    return _trained_winner(state, t, ahead, SLOT_BITS)
 
 
 def _run_task_quantization_only(state: RunState, t, ahead):
@@ -275,11 +309,10 @@ def _run_task_quantization_only(state: RunState, t, ahead):
     """
     cfg = state.config
     spec = cfg.model
-    data = state.suite.get_task(t)
     mask = full_mask(spec)
     init = xavier_init(spec, derive_seed(cfg.prune.seed, t, ROLE_INIT, 0))
-    result, = submit_full_training(t, 0, spec, init, mask, data, cfg.prune,
-                                   cfg.train).wait()
+    result, = submit_full_training(t, 0, spec, init, mask, state.suite.get_task(t),
+                                   cfg.prune, cfg.train, cfg.quant).wait()
     saturated = tuple(
         i for i in range(state.store.layer_count)
         if not state.store.eligible_slots(i, cfg.quant.psi_init).all()
@@ -289,16 +322,13 @@ def _run_task_quantization_only(state: RunState, t, ahead):
             saturated,
             f"task {t}: a dense mask needs every slot eligible for "
             f"{cfg.quant.psi_init}-bit components")
-    budget = _mask_bit_budget(state.store, mask)
-    q, q_acc = adaptive_quantize(
-        t, spec, mask, result.weights(), result.accuracy,
-        (data.x_val, data.y_val), cfg.quant, psi_cap=budget)
-    return q, result, q_acc, None
+    fit_budget(t, spec, result.codebook.psi, result.q_acc, result.accuracy,
+               cfg.quant, _mask_bit_budget(state.store, mask))
+    return mask, result, None
 
 
-# Each takes (state, task, its _Ahead or None) and returns
-# (quantized winner, the winner's JobResult, its validation accuracy after
-# quantization, task t+1's _Ahead or None).
+# Each takes (state, task, its _Ahead or None) and returns (the winner's
+# mask, its finished JobResult, task t+1's _Ahead or None).
 _MODE_RUNNERS = {
     "full": _run_task_full,
     "pruning-only": _run_task_pruning_only,
@@ -307,24 +337,20 @@ _MODE_RUNNERS = {
 
 
 def execute_task(state: RunState, t: int, ahead: _Ahead | None = None) -> _Ahead | None:
-    """Run task t: search, quantize, commit, re-evaluate, checkpoint.
+    """Run task t: search, quantize, commit, fill its accuracy row, checkpoint.
 
     `ahead` holds task t's search begun during task t-1; its held-back
     warnings and error surface first. Task t+1's search may begin while
     task t's winner trains; it is returned, for the call that runs task t+1.
     """
-    q, result, q_acc, ahead = _MODE_RUNNERS[state.config.mode](state, t, ahead)
-    state.store.commit(t, q.mask, q.codebook.psi, q.codes)
-    state.tasks[t] = TaskRecord(q.codebook,
+    mask, result, ahead = _MODE_RUNNERS[state.config.mode](state, t, ahead)
+    state.store.commit(t, mask, result.codebook.psi, result.codes)
+    state.tasks[t] = TaskRecord(result.codebook,
                                 [np.array(b, dtype=np.float64) for b in result.biases],
-                                result.accuracy, q_acc, result.values)
-
-    row = []
-    for e in range(t + 1):
-        x_test, y_test = state.suite.test_split(e)
-        view, view_mask = task_view(state, e)
-        row.append(evaluate(state.config.model, view, view_mask, x_test, y_test))
-    state.matrix.append_row(row)
+                                result.accuracy, result.q_acc, result.values)
+    state.tasks[t].digest = _record_digest(state, t)
+    state.matrix.append_row([_past_accuracy(state, e) for e in range(t)]
+                            + [result.test_acc])
     state.next_task = t + 1
     save_run_checkpoint(state)
     return ahead

@@ -341,8 +341,11 @@ def synthetic_blobs(n_tasks, classes, dim, samples, separation, seed) -> Scenari
         raise ValueError("separation must be > 0")
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if samples < 2:
+        # stratified_val_split takes validation rows only from a class with
+        # two or more train samples
+        raise ValueError(f"samples must be >= 2, got {samples}: with fewer, "
+                         "every task's validation split is empty")
     suite = ScenarioSuite("synthetic", seed, n_tasks, dim, classes,
                           [seed] * n_tasks,
                           _blob_params={"dim": dim, "samples": samples,

@@ -14,16 +14,23 @@ winner while the next task's candidates queue behind it (see `runner`).
 
 The pool starts on the first submit and lives as long as the process; it
 holds one worker per CPU the process may use, capped at the most jobs it has
-had queued or running at once. A worker is sent the train and validation
-split of the job it takes before the job, unless it holds that split already,
-in row blocks of the split's own dtype (uint8 pixels for image tasks). It
-turns the pixels into floats once, as they arrive: the train split into
-float32, which SGD computes in, and the validation split into float64, which
-evaluation computes in. A reply carries the trained weights inside the job's
-mask and the biases, as float32 whenever that keeps every bit (it does after
-any SGD step, which computes in float32); the caller scatters them into a
-copy of the job's initial weights only where it needs dense weights. Workers
-exit when their input closes.
+had queued or running at once. A worker is sent the train, validation and
+test split of the job it takes before the job, unless it holds that split
+already, in the split's own dtype (uint8 pixels for image tasks), the train
+split in row blocks. It turns the pixels into floats once, as they arrive:
+the train split into float32, which SGD computes in, and the validation split
+into float64, which evaluation computes in; the test split stays as sent. A
+reply carries the trained weights inside the job's mask and the biases, as
+float32 whenever that keeps every bit (it does after any SGD step, which
+computes in float32); the caller scatters them into a copy of the job's
+initial weights only where it needs dense weights. Workers exit when their
+input closes.
+
+A winner's job also finishes its task, so the run process makes no BLAS
+call for it: after training, the worker quantizes the weights
+(`adaptive_quantize`, uncapped, or `identity_quantize`), scores the
+quantized weights on the validation split and on the test split, and the
+reply adds the codebook, the codes and both accuracies.
 
 Warnings a job raises are re-issued by `Batch.wait`, and a job's exception is
 raised again there. A worker that dies raises WorkerDied with its exit
@@ -50,6 +57,7 @@ import numpy as np
 
 from .errors import WorkerDied
 from .network import DenseWeights, as_floats, evaluate, train_masked
+from .quantization import Codebook, adaptive_quantize, dequantize, identity_quantize
 
 BLOCK_ROWS = 1024  # train-split rows per message
 _SIZE = struct.Struct("<Q")
@@ -107,18 +115,42 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return small if np.array_equal(small, a) else a
 
 
-def _run_job(spec, split, weights, mask, cfg):
-    """(("ok", values, biases, accuracy) or ("error", exc, traceback), warnings)."""
-    x_train, y_train, x_val, y_val = split
+def _finish(spec, weights, mask, accuracy, split, quant):
+    """(codebook, codes, quantized validation accuracy, test accuracy).
+
+    `quant` is the bit-width ladder's QuantConfig, or None for 32-bit
+    patterns, which keep the validation accuracy. The test accuracy is the
+    one `runner.task_view` rebuilds: the same codes, codebook and biases.
+    """
+    _, _, x_val, y_val, x_test, y_test = split
+    if quant is None:
+        q, q_acc = identity_quantize(mask, weights), accuracy
+    else:
+        q, q_acc = adaptive_quantize(spec, mask, weights, accuracy, (x_val, y_val), quant)
+    view = DenseWeights(dequantize(q), weights.biases)
+    return q.codebook, q.codes, q_acc, evaluate(spec, view, mask, x_test, y_test)
+
+
+def _run_job(spec, split, weights, mask, cfg, *quant):
+    """(("ok", values, biases, accuracy, finished) or ("error", exc, traceback),
+    warnings).
+
+    A winner's job has one more argument, its `quant`: the job then finishes
+    its task, and `finished` is `_finish`'s tuple. For other jobs it is None.
+    """
+    x_train, y_train, x_val, y_val, _, _ = split
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             weights = train_masked(spec, weights, mask, (x_train, y_train), cfg)
+            accuracy = evaluate(spec, weights, mask, x_val, y_val)
             result = ("ok",
                       [_narrow(w[np.asarray(m, dtype=bool)])
                        for w, m in zip(weights.weights, mask)],
                       [_narrow(b) for b in weights.biases],
-                      evaluate(spec, weights, mask, x_val, y_val))
+                      accuracy,
+                      _finish(spec, weights, mask, accuracy, split, *quant)
+                      if quant else None)
         except Exception as exc:
             import traceback
             try:
@@ -145,16 +177,16 @@ def serve() -> None:
     while (msg := _read(inp)) is not None:
         kind = msg[0]
         if kind == "split":
-            _, shape, y_train, x_val, y_val = msg
+            _, shape, y_train, x_val, y_val, x_test, y_test = msg
             split = (np.empty(shape, dtype=np.float32), y_train,
-                     as_floats(x_val, np.float64), y_val)
+                     as_floats(x_val, np.float64), y_val, x_test, y_test)
         elif kind == "rows":
             _, start, block = msg
             split[0][start:start + len(block)] = as_floats(block, np.float32)
         else:
-            _, spec, weights, mask, cfg = msg
+            _, spec, *job = msg
             try:
-                _write(out, _frame(_run_job(spec, split, weights, mask, cfg)))
+                _write(out, _frame(_run_job(spec, split, *job)))
             except BrokenPipeError:
                 os._exit(0)  # nothing left to flush to
 
@@ -167,7 +199,10 @@ class JobResult:
 
     `values[i]` holds layer i's weights under the job's mask in row-major
     order; the accuracy is on the validation split. `init` and `mask` are the
-    job's own.
+    job's own. A winner's job also holds its quantized task: `codebook`,
+    `codes` (uint32 per masked slot of each layer, in row-major order), the
+    validation accuracy `q_acc` and the test accuracy `test_acc` of the
+    quantized weights; these are None for other jobs.
     """
 
     values: list
@@ -175,6 +210,10 @@ class JobResult:
     accuracy: float
     init: DenseWeights
     mask: object
+    codebook: Codebook | None = None
+    codes: list | None = None
+    q_acc: float | None = None
+    test_acc: float | None = None
 
     def weights(self) -> DenseWeights:
         """The trained weights: `init` outside the mask, `values` inside.
@@ -251,8 +290,9 @@ class Batch:
             if status == "error":
                 exc, trace = rest
                 raise exc from RuntimeError(f"in a training worker:\n{trace}")
-        return [JobResult(*rest, init, mask)
-                for ((_, *rest), _), (init, mask, _) in zip(replies, self.jobs)]
+        return [JobResult(values, biases, accuracy, init, mask, *(finished or ()))
+                for ((_, values, biases, accuracy, finished), _), (init, mask, *_)
+                in zip(replies, self.jobs)]
 
 
 class TrainPool:
@@ -275,7 +315,8 @@ class TrainPool:
         Returns without waiting for a job: idle workers are only sent their
         jobs, with the split first where needed. Each job trains with
         train_masked on data's train split and is scored with evaluate on its
-        validation split, in a worker.
+        validation split, in a worker. A job (weights, mask, cfg, quant) also
+        finishes its task: see `_finish`.
         """
         batch = Batch(self, spec, data, jobs)
         self._queue.extend((batch, i) for i in range(len(batch.jobs)))
@@ -371,11 +412,12 @@ class TrainPool:
 
 
 def _ship(data, workers) -> None:
-    """Send data's train and validation split to `workers`, block by block."""
+    """Send data's splits to `workers`, the train split block by block."""
     if not workers:
         return
     x = data.x_train
-    header = _frame(("split", x.shape, data.y_train, data.x_val, data.y_val))
+    header = _frame(("split", x.shape, data.y_train, data.x_val, data.y_val,
+                     data.x_test, data.y_test))
     for w in workers:
         w.send(header)
     for start in range(0, len(x), BLOCK_ROWS):
@@ -397,6 +439,6 @@ atexit.register(POOL.close)
 
 
 def submit(spec, data, jobs) -> Batch:
-    """Queue jobs [(weights, mask, cfg)] in the worker pool; see TrainPool.submit."""
+    """Queue training jobs in the worker pool; see TrainPool.submit."""
     return POOL.submit(spec, data, jobs)
 

@@ -6,11 +6,12 @@ from helpers import contiguous_optimum, kmeans_wcss
 
 from subnetpack.errors import (CapacityExhausted, CorruptCodesError,
                                ToleranceWarning)
-from subnetpack.network import DenseWeights, ModelSpec, full_mask
+from subnetpack.network import DenseWeights, ModelSpec, evaluate, forward, full_mask
 from subnetpack.quantization import (Codebook, QuantConfig,
                                      QuantizedTaskWeights, adaptive_quantize,
-                                     dequantize, identity_quantize, kmeans_1d,
-                                     nonlinear_quantize, reconstruction_error)
+                                     dequantize, fit_budget, identity_quantize,
+                                     kmeans_1d, nonlinear_quantize,
+                                     reconstruction_error)
 
 CFG = QuantConfig(psi_init=1, psi_max=8, kmeans_iters=50, kmeans_restarts=3, seed=0)
 
@@ -216,20 +217,22 @@ def _two_sample_problem():
 def test_adaptive_quantize_escalates_until_tolerance():
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=4, delta=0.0, seed=0)
-    q, acc = adaptive_quantize(0, spec, mask, w, 1.0, val, cfg)
+    q, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
     psi = q.codebook.psi
     assert psi == 2
     assert acc == 1.0
 
 
 def test_adaptive_quantize_warns_at_psi_max():
+    # the ladder stops at psi_max above tolerance; fit_budget warns
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=1, delta=0.3, seed=0)
-    with pytest.warns(ToleranceWarning):
-        q, acc = adaptive_quantize(0, spec, mask, w, 1.0, val, cfg)
-        psi = q.codebook.psi
+    q, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
+    psi = q.codebook.psi
     assert psi == 1
     assert acc == 0.5
+    with pytest.warns(ToleranceWarning):
+        fit_budget(0, spec, psi, acc, 1.0, cfg, budget=32)
 
 
 def test_adaptive_quantize_trivial_when_representable():
@@ -239,7 +242,7 @@ def test_adaptive_quantize_trivial_when_representable():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.array([0, 1])
     cfg = QuantConfig(psi_init=1, psi_max=8, delta=0.0, seed=0)
-    q, acc = adaptive_quantize(0, spec, mask, w, 1.0, (x, y), cfg)
+    q, acc = adaptive_quantize(spec, mask, w, 1.0, (x, y), cfg)
     psi = q.codebook.psi
     assert psi == 1
     assert acc == 1.0
@@ -248,17 +251,90 @@ def test_adaptive_quantize_trivial_when_representable():
 def test_adaptive_quantize_vacuous_delta():
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=8, delta=1.0, seed=0)
-    psi = adaptive_quantize(0, spec, mask, w, 1.0, val, cfg)[0].codebook.psi
+    psi = adaptive_quantize(spec, mask, w, 1.0, val, cfg)[0].codebook.psi
     assert psi == 1
 
 
 def test_adaptive_quantize_respects_bit_budget():
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=4, delta=0.0, seed=0)
+    q, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
     with pytest.raises(CapacityExhausted):
-        adaptive_quantize(0, spec, mask, w, 1.0, val, cfg, psi_cap=1)
+        fit_budget(0, spec, q.codebook.psi, acc, 1.0, cfg, budget=1)
     with pytest.raises(CapacityExhausted):
-        adaptive_quantize(0, spec, mask, w, 1.0, val, cfg, psi_cap=0)
+        fit_budget(0, spec, q.codebook.psi, acc, 1.0, cfg, budget=0)
+
+
+def capped_ladder(task_id, spec, mask, weights, q_ref, val, cfg, budget):
+    """The bit-width ladder stopped at the slot budget: the reference for
+    adaptive_quantize plus fit_budget. It quantizes and scores one bit-width
+    at a time and raises as soon as the next one would not fit."""
+    cap = min(cfg.psi_max, budget)
+    layers = range(spec.n_layers)
+    if cfg.psi_init > cap:
+        raise CapacityExhausted(
+            layers, f"bit-width {cfg.psi_init} exceeds the {cap}-bit slot budget of the mask")
+    masked = [w[m] for w, m in zip(weights.weights, mask)]
+    psi, warm = cfg.psi_init, None
+    while True:
+        q = nonlinear_quantize(psi, masked, cfg, warm=warm, mask=mask)
+        acc = evaluate(spec, DenseWeights(dequantize(q), weights.biases), mask, *val)
+        if acc >= q_ref - cfg.delta:
+            return q, acc
+        if psi >= cfg.psi_max:
+            warnings.warn(f"task {task_id}: accuracy {acc:.4f} still below "
+                          f"{q_ref - cfg.delta:.4f} at psi_max={cfg.psi_max}",
+                          ToleranceWarning)
+            return q, acc
+        if psi + 1 > cap:
+            raise CapacityExhausted(
+                layers, f"bit-width {psi + 1} exceeds the {cap}-bit slot budget of the mask")
+        warm, psi = q.codebook, psi + 1
+
+
+def _outcome(fn):
+    """(result or the CapacityExhausted's layers and message, warnings issued)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            q, acc = fn()
+            out = (q.codebook.psi, acc, [c.tolist() for c in q.codes],
+                   [c.tolist() for c in q.codebook.centroids])
+        except CapacityExhausted as exc:
+            out = ("CapacityExhausted", exc.layers, str(exc))
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("psi_init, psi_max, q_ref, chosen, warns", [
+    (1, 6, 1.0, 4, False),  # within tolerance partway up the ladder
+    (4, 8, 1.0, 4, False),  # within tolerance at psi_init
+    (1, 4, 2.0, 4, True),  # never within tolerance: psi_max, with a warning
+    (2, 2, 1.0, 2, True),  # one bit-width, above tolerance
+])
+def test_uncapped_ladder_and_budget_give_the_capped_ladder(psi_init, psi_max, q_ref,
+                                                           chosen, warns):
+    # labels are the full-precision network's own predictions, so q_ref 1.0
+    # is reachable and 2.0 is not
+    rng = np.random.default_rng(4)
+    spec = ModelSpec((6, 5, 3))
+    w = DenseWeights([rng.normal(size=s) for s in spec.shapes],
+                     [rng.normal(size=s[0]) for s in spec.shapes])
+    mask = [rng.random(s) < 0.7 for s in spec.shapes]
+    x = rng.random((40, 6))
+    val = (x, np.argmax(forward(spec, w, mask, x), axis=1))
+    cfg = QuantConfig(psi_init=psi_init, psi_max=psi_max, delta=0.0, seed=3)
+    q, acc = adaptive_quantize(spec, mask, w, q_ref, val, cfg)
+    assert q.codebook.psi == chosen
+
+    for budget in range(psi_init - 1, psi_max + 1):
+        def fitted():
+            fit_budget(7, spec, q.codebook.psi, acc, q_ref, cfg, budget)
+            return q, acc
+        want = _outcome(lambda: capped_ladder(7, spec, mask, w, q_ref, val, cfg, budget))
+        assert _outcome(fitted) == want, budget
+        (kind, *_), caught = want
+        assert (kind == "CapacityExhausted") == (budget < chosen), budget
+        assert bool(caught) == (warns and budget >= chosen), budget
 
 
 def test_quantization_deterministic():

@@ -342,6 +342,35 @@ def test_cli_out_of_range_scenario_values_exit_2(tmp_path, capsys, kind, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_one_sample_per_class_exits_2(tmp_path, capsys):
+    # a class needs two train samples to give the validation split a row
+    cfg = write_cfg_file(tmp_path)
+    assert main(["run", "--config", cfg, "--set", "scenario.samples=1"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "validation split is empty" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_cli_idx_files_without_images_exit_2(tmp_path, capsys, empty):
+    counts = {"train": 30, "test": 10, empty: 0}
+    assert main(["make-data", "--out", str(tmp_path / "data"),
+                 f"--n-train={counts['train']}", f"--n-test={counts['test']}"]) == 0
+    images = tmp_path / "data" / f"{empty}-images.idx"
+    (tmp_path / "run.cfg").write_text(
+        "".join(f"scenario.{split}_{kind} = {tmp_path / 'data'}/{split}-{kind}.idx\n"
+                for split in ("train", "test") for kind in ("images", "labels"))
+        + "scenario.kind = permuted\nmodel.layers = 784,8,10\n"
+        + f"run.output_dir = {tmp_path / 'out'}\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(tmp_path / "run.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert str(images) in err
+    assert f"{empty} split is empty" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_capacity_exit_code(tmp_path, capsys):
     cfg = write_cfg_file(
         tmp_path,
@@ -669,3 +698,44 @@ def test_lookahead_holds_a_failing_next_task_back(tmp_path, monkeypatch, capsys)
     resumed = state_from_checkpoint(str(tmp_path / "out" / "checkpoint.bin"))
     assert resumed.next_task == 1
     assert [log.task_id for log in resumed.prune_logs] == [0]
+
+
+@pytest.mark.parametrize("mode", ["full", "pruning-only", "quantization-only"])
+def test_run_process_makes_no_blas_call(tmp_path, monkeypatch, mode):
+    # the winner's worker quantizes and scores its task, and a past task
+    # whose record is unchanged keeps its diagonal cell: with the forward
+    # pass of this process raising, a run writes what it writes without
+    from subnetpack import network
+    out = tmp_path / "out"
+    runs = []
+    for patched in (False, True):
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # pruning-only's CapacityWarnings
+            if patched:
+                patch.setattr(network, "_forward_cached", lambda *args: 1 / 0)
+            execute_run(new_state(make_cfg(out, f"run.mode = {mode}\n")))
+        runs.append(out_bytes(out))
+        for path in out.iterdir():
+            path.unlink()
+    assert runs[0] == runs[1]
+
+
+def test_a_task_changed_after_its_commit_is_evaluated_again(tmp_path, monkeypatch):
+    # zeroing task 0's codes after its checkpoint changes its record, so the
+    # later rows evaluate it again and the change shows in summary.json
+    from subnetpack import runner
+    state = new_state(make_cfg(tmp_path / "out"))
+    save = runner.save_checkpoint
+
+    def save_then_corrupt(path, payload):
+        save(path, payload)
+        if payload["next_task"] == 1:
+            for codes in state.store.tasks[0].codes:
+                codes[:] = 0
+
+    monkeypatch.setattr(runner, "save_checkpoint", save_then_corrupt)
+    execute_run(state)
+    rows = state.matrix.rows
+    assert rows[1][0] == rows[2][0] != rows[0][0]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["forget_violations"] == [[1, 0], [2, 0]]

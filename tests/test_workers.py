@@ -319,7 +319,7 @@ def started(self):
     pids.append(self.proc.pid)
 
 
-quantize = runner.adaptive_quantize
+fit = runner.fit_budget
 
 
 def fails(t, *args, **kwargs):
@@ -327,16 +327,17 @@ def fails(t, *args, **kwargs):
         print("workers", *pids, flush=True)
         print("pending", workers.POOL.pending, flush=True)
         raise RuntimeError("quantization failed on purpose")
-    return quantize(t, *args, **kwargs)
+    return fit(t, *args, **kwargs)
 
 
 workers._Worker.__init__ = started
-runner.adaptive_quantize = fails
+runner.fit_budget = fails
 sys.exit(main(sys.argv[1:]))
 """
 
 # replies of ~100 KB, more than a pipe holds, from candidates slow enough
-# that task 1's population is still training when task 0 quantizes
+# that task 1's population is still training when task 0's quantized winner
+# is held to its slot budget
 WIDE_SYNTHETIC = """
 scenario.kind = synthetic
 scenario.n_tasks = 3
