@@ -8,8 +8,9 @@ split, in the worker that trained it (see `workers`).
 
 Masks are sampled, and candidates scored, in the calling process. Training
 and the validation accuracy run in `workers`: the whole population goes to
-the pool as one job list, so candidates short-train in parallel, each in a
-single-BLAS-thread process running the pre-masked float32 SGD of
+the pool as one job list naming the task by its suite and id, so candidates
+short-train in parallel, each in a single-BLAS-thread process that builds the
+task's splits itself and runs the pre-masked float32 SGD of
 `network.train_masked`. Every job derives its seed from (seed, task, index),
 so neither the pool size nor the job order changes a result.
 
@@ -28,9 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SelectionWarning
-from .network import ModelSpec, TrainConfig, xavier_init
+from .network import TrainConfig, xavier_init
 from .quantization import QuantConfig
-from .scenario import TaskData
 from .seeding import derive_seed, rng_from
 from .store import WeightSlotStore, sample_candidate_full
 from .workers import Batch, JobResult, submit
@@ -120,16 +120,14 @@ def _short_job(index, task_id, store: WeightSlotStore, cfg: PruneConfig,
 class Search:
     """One task's population search, from `start_search` to its winner.
 
-    `population` trains the members; each JobResult holds its member's mask
-    and short-trained weights. `choose_winner` then sets `log`, submits
-    `winner`, the chosen member's full training finishing the task with
-    `quant` (see `submit_full_training`), and lets go of `data`.
+    `population` trains the members on the task; each JobResult holds its
+    member's mask and short-trained weights. `choose_winner` then sets `log`
+    and submits `winner`, the chosen member's full training finishing the
+    task with `quant` (see `submit_full_training`).
     """
 
     task_id: int
     store: WeightSlotStore  # the store the masks were drawn from
-    spec: ModelSpec
-    data: TaskData | None
     cfg: PruneConfig
     train_cfg: TrainConfig
     quant: QuantConfig | None
@@ -148,43 +146,44 @@ class Search:
 
 
 def _search(indices, task_id, store: WeightSlotStore, spec, init_weights,
-            data, cfg: PruneConfig, train_cfg: TrainConfig, quant=None) -> Search:
+            suite, cfg: PruneConfig, train_cfg: TrainConfig, quant=None) -> Search:
     """Sample the members `indices` and submit their short training."""
     jobs = [_short_job(i, task_id, store, cfg, train_cfg) for i in indices]
-    batch = submit(spec, data, [(init_weights, mask, short_cfg)
-                                for mask, short_cfg in jobs])
-    return Search(task_id, store, spec, data, cfg, train_cfg, quant, batch)
+    batch = submit(spec, suite, task_id, [(init_weights, mask, short_cfg)
+                                          for mask, short_cfg in jobs])
+    return Search(task_id, store, cfg, train_cfg, quant, batch)
 
 
-def start_search(task_id, store: WeightSlotStore, spec, data,
+def start_search(task_id, store: WeightSlotStore, spec, suite,
                  cfg: PruneConfig, train_cfg: TrainConfig,
                  quant: QuantConfig | None = None) -> Search:
     """First half of adaptive_prune: sample the population, submit its training.
 
-    Does not wait for the workers. `quant` is how the winner's job finishes
-    the task; see `submit_full_training`.
+    The members train on task `task_id` of `suite`. Does not wait for the
+    workers. `quant` is how the winner's job finishes the task; see
+    `submit_full_training`.
     """
     init_weights = xavier_init(spec, derive_seed(cfg.seed, task_id, ROLE_INIT, 0))
     return _search(range(cfg.population), task_id, store, spec, init_weights,
-                   data, cfg, train_cfg, quant)
+                   suite, cfg, train_cfg, quant)
 
 
 def make_candidate(index, task_id, store: WeightSlotStore, spec, init_weights,
-                   data, cfg: PruneConfig, train_cfg: TrainConfig) -> JobResult:
+                   suite, cfg: PruneConfig, train_cfg: TrainConfig) -> JobResult:
     """Sample and short-train candidate `index` on its own.
 
     It equals member `index` of adaptive_prune's population.
     """
-    return _search([index], task_id, store, spec, init_weights, data, cfg,
+    return _search([index], task_id, store, spec, init_weights, suite, cfg,
                    train_cfg).population.wait()[0]
 
 
-def submit_full_training(task_id, index, spec, weights, mask, data,
+def submit_full_training(task_id, index, spec, weights, mask, suite,
                          cfg: PruneConfig, train_cfg: TrainConfig,
                          quant: QuantConfig | None) -> Batch:
     """Submit the full training of the chosen member `index`; it finishes the task.
 
-    Trains for cfg.full_epochs on the train split with the member's
+    Trains on task `task_id` of `suite` for cfg.full_epochs with the member's
     ROLE_FULLTRAIN seed, and the batch's one result is scored on the
     validation split. The job then quantizes the trained weights: with
     adaptive_quantize, uncapped, when `quant` is a QuantConfig, and with
@@ -196,7 +195,7 @@ def submit_full_training(task_id, index, spec, weights, mask, data,
         epochs=cfg.full_epochs,
         seed=derive_seed(cfg.seed, task_id, ROLE_FULLTRAIN, index),
     )
-    return submit(spec, data, [(weights, mask, full_cfg, quant)])
+    return submit(spec, suite, task_id, [(weights, mask, full_cfg, quant)])
 
 
 def choose_winner(search: Search) -> PruneLog:
@@ -219,10 +218,10 @@ def choose_winner(search: Search) -> PruneLog:
         )
     chosen = select_best(accuracies, sparsities, cfg.alpha, cfg.beta)
     winner = population[chosen]
-    search.winner = submit_full_training(search.task_id, chosen, search.spec,
-                                         winner.weights(), winner.mask, search.data,
+    task = search.population  # its spec and suite
+    search.winner = submit_full_training(search.task_id, chosen, task.spec,
+                                         winner.weights(), winner.mask, task.suite,
                                          cfg, search.train_cfg, search.quant)
-    search.data = None
     search.log = PruneLog(
         search.task_id,
         accuracies,
@@ -234,7 +233,7 @@ def choose_winner(search: Search) -> PruneLog:
     return search.log
 
 
-def adaptive_prune(task_id, store: WeightSlotStore, spec, data,
+def adaptive_prune(task_id, store: WeightSlotStore, spec, suite,
                    cfg: PruneConfig, train_cfg: TrainConfig, sink=None):
     """Population search for one task; returns (mask, weights, accuracy).
 
@@ -243,7 +242,7 @@ def adaptive_prune(task_id, store: WeightSlotStore, spec, data,
     when given, receives one PruneLog. It is start_search, then choose_winner,
     then a wait for the winner.
     """
-    search = start_search(task_id, store, spec, data, cfg, train_cfg)
+    search = start_search(task_id, store, spec, suite, cfg, train_cfg)
     log = choose_winner(search)
     result = search.trained()
     if sink is not None:

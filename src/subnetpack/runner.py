@@ -39,6 +39,7 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
+from itertools import zip_longest
 
 import numpy as np
 
@@ -95,8 +96,15 @@ class RunState:
         return os.path.join(self.config.output_dir, CHECKPOINT_NAME)
 
 
-def new_state(cfg: RunConfig) -> RunState:
+def _checked_suite(cfg: RunConfig, manifest: str | None = None) -> ScenarioSuite:
+    """cfg's suite; ConfigError unless it fits the model and `manifest`, if given."""
     suite = build_suite(cfg.scenario)
+    if manifest is not None:
+        for was, now in zip_longest(manifest.splitlines(),
+                                    suite.manifest_text().splitlines(), fillvalue=""):
+            if was != now:
+                raise ConfigError("the scenario data changed since the checkpoint: "
+                                  f"manifest line {was!r} is now {now!r}")
     spec = cfg.model
     if spec.layer_sizes[0] != suite.input_dim:
         raise ConfigError(
@@ -104,7 +112,12 @@ def new_state(cfg: RunConfig) -> RunState:
     if spec.layer_sizes[-1] != suite.n_classes:
         raise ConfigError(
             f"model output {spec.layer_sizes[-1]} != {suite.n_classes} classes")
-    store = WeightSlotStore(spec.shapes, t_max=cfg.prune.t_l)
+    return suite
+
+
+def new_state(cfg: RunConfig) -> RunState:
+    suite = _checked_suite(cfg)
+    store = WeightSlotStore(cfg.model.shapes, t_max=cfg.prune.t_l)
     return RunState(cfg, suite, store, AccuracyMatrix(), suite.manifest_text(), VERSION)
 
 
@@ -224,14 +237,12 @@ def _lookahead_is_exact(state: RunState, mask) -> bool:
 
 def _start(state: RunState, t, store: WeightSlotStore, psi_min) -> Search:
     """Task t's search on `store`; its winner's job quantizes with the ladder,
-    or stores 32-bit patterns in pruning-only runs.
-
-    Past this call only the search and its batches hold the task's data, and
-    they let it go once the winner's training is sent to a worker.
+    or stores 32-bit patterns in pruning-only runs. The jobs name the task,
+    and the workers build it: this process never does.
     """
     cfg = state.config
     quant = None if cfg.mode == "pruning-only" else cfg.quant
-    return start_search(t, store, cfg.model, state.suite.get_task(t),
+    return start_search(t, store, cfg.model, state.suite,
                         replace(cfg.prune, psi_min=psi_min), cfg.train, quant)
 
 
@@ -271,9 +282,9 @@ def _run_task_full(state: RunState, t, ahead):
     """Population pruning then adaptive quantization, with budget retries.
 
     A bit-width that needs more bits than the sampled slots can hold triggers
-    a fresh population restricted to roomier slots, over the task's data
-    built again; the floor rises each round, so the loop ends at psi_max. A
-    retry never follows a lookahead: `_lookahead_is_exact` rules it out.
+    a fresh population of the same task restricted to roomier slots; the
+    floor rises each round, so the loop ends at psi_max. A retry never follows
+    a lookahead: `_lookahead_is_exact` rules it out.
     """
     cfg = state.config
     psi_min = cfg.prune.psi_min
@@ -311,7 +322,7 @@ def _run_task_quantization_only(state: RunState, t, ahead):
     spec = cfg.model
     mask = full_mask(spec)
     init = xavier_init(spec, derive_seed(cfg.prune.seed, t, ROLE_INIT, 0))
-    result, = submit_full_training(t, 0, spec, init, mask, state.suite.get_task(t),
+    result, = submit_full_training(t, 0, spec, init, mask, state.suite,
                                    cfg.prune, cfg.train, cfg.quant).wait()
     saturated = tuple(
         i for i in range(state.store.layer_count)
@@ -442,7 +453,9 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
 
     A payload that does not hold a state this module wrote raises
     CheckpointError, as does one whose copies of a fact disagree. The
-    scenario data is opened only with need_suite.
+    scenario data is opened only with need_suite; a suite whose manifest
+    differs from the stored one, because its files changed, raises
+    ConfigError.
     """
     version, payload = load_checkpoint(path)
     try:
@@ -470,7 +483,7 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
     if output_dir is not None:
         cfg.output_dir = output_dir
     if need_suite:
-        state.suite = build_suite(cfg.scenario)
+        state.suite = _checked_suite(cfg, state.manifest)
     return state
 
 

@@ -70,10 +70,10 @@ class ScenarioSuite:
 
     Descriptors are per-task: a pixel permutation (permuted), a class-id tuple
     (split), or a task seed (synthetic). get_task materializes TaskData on
-    demand so only the tasks in use hold tensors: a run holds its current
-    task and, while that finishes, the next. test_split builds only a
-    task's test arrays, for re-evaluating past tasks; synthetic tasks draw
-    train and test from one rng stream, so there it draws the whole task.
+    demand; the training workers do, each from its own copy of the suite
+    (see `workers`). test_split builds only a task's test arrays, for
+    re-evaluating a changed past task; synthetic tasks draw train and test
+    from one rng stream, so there it draws the whole task.
     """
 
     kind: str

@@ -14,12 +14,11 @@ winner while the next task's candidates queue behind it (see `runner`).
 
 The pool starts on the first submit and lives as long as the process; it
 holds one worker per CPU the process may use, capped at the most jobs it has
-had queued or running at once. A worker is sent the train, validation and
-test split of the job it takes before the job, unless it holds that split
-already, in the split's own dtype (uint8 pixels for image tasks), the train
-split in row blocks. It turns the pixels into floats once, as they arrive:
-the train split into float32, which SGD computes in, and the validation split
-into float64, which evaluation computes in; the test split stays as sent. A
+had queued or running at once. A job names its task by a ScenarioSuite and
+a task id. A worker is sent the suite once, before its first job on it, and
+builds the task with `get_task`, turning the train split into float32 (SGD
+computes in it) and the validation split into float64 (evaluation does); it
+keeps the last two tasks it used, as a run has two live (see `runner`). A
 reply carries the trained weights inside the job's mask and the biases, as
 float32 whenever that keeps every bit (it does after any SGD step, which
 computes in float32); the caller scatters them into a copy of the job's
@@ -32,12 +31,12 @@ call for it: after training, the worker quantizes the weights
 quantized weights on the validation split and on the test split, and the
 reply adds the codebook, the codes and both accuracies.
 
-Warnings a job raises are re-issued by `Batch.wait`, and a job's exception is
-raised again there. A worker that dies raises WorkerDied with its exit
-status; the pool then stops its other workers, every unfinished batch raises
-it too, and the next submit starts afresh. `TrainPool.cancel` drops every
-job not yet returned, killing the workers running one, since nobody will read
-their replies.
+Warnings a job raises are re-issued by `Batch.wait`, and a job's exception,
+one raised building its task included, is raised again there. A worker that
+dies raises WorkerDied with its exit status; the pool then stops its other
+workers, every unfinished batch raises it too, and the next submit starts
+afresh. `TrainPool.cancel` drops every job not yet returned, killing the
+workers running one, since nobody will read their replies.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from .errors import WorkerDied
 from .network import DenseWeights, as_floats, evaluate, train_masked
 from .quantization import Codebook, adaptive_quantize, dequantize, identity_quantize
 
-BLOCK_ROWS = 1024  # train-split rows per message
+TASKS_KEPT = 2  # tasks whose float splits a worker keeps
 _SIZE = struct.Struct("<Q")
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # `-c`, not `-m` or multiprocessing's spawn: the child never imports the
@@ -131,17 +130,32 @@ def _finish(spec, weights, mask, accuracy, split, quant):
     return q.codebook, q.codes, q_acc, evaluate(spec, view, mask, x_test, y_test)
 
 
-def _run_job(spec, split, weights, mask, cfg, *quant):
+def _split(suite, kept: dict, task_id):
+    """Task `task_id`'s float splits; `kept` holds the last TASKS_KEPT used."""
+    split = kept.pop(task_id, None)
+    if split is None:
+        while len(kept) >= TASKS_KEPT:  # before the build, to bound the peak
+            del kept[next(iter(kept))]
+        data = suite.get_task(task_id)
+        split = (as_floats(data.x_train, np.float32), data.y_train,
+                 as_floats(data.x_val, np.float64), data.y_val,
+                 data.x_test, data.y_test)
+    kept[task_id] = split  # the most recently used last
+    return split
+
+
+def _run_job(spec, suite, kept, task_id, weights, mask, cfg, *quant):
     """(("ok", values, biases, accuracy, finished) or ("error", exc, traceback),
     warnings).
 
     A winner's job has one more argument, its `quant`: the job then finishes
     its task, and `finished` is `_finish`'s tuple. For other jobs it is None.
     """
-    x_train, y_train, x_val, y_val, _, _ = split
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            split = _split(suite, kept, task_id)
+            x_train, y_train, x_val, y_val, _, _ = split
             weights = train_masked(spec, weights, mask, (x_train, y_train), cfg)
             accuracy = evaluate(spec, weights, mask, x_val, y_val)
             result = ("ok",
@@ -173,20 +187,14 @@ def serve() -> None:
     inp = sys.stdin.buffer
     out = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # stray prints go to stderr, not into the replies
-    split = None
+    suite, kept = None, {}
     while (msg := _read(inp)) is not None:
-        kind = msg[0]
-        if kind == "split":
-            _, shape, y_train, x_val, y_val, x_test, y_test = msg
-            split = (np.empty(shape, dtype=np.float32), y_train,
-                     as_floats(x_val, np.float64), y_val, x_test, y_test)
-        elif kind == "rows":
-            _, start, block = msg
-            split[0][start:start + len(block)] = as_floats(block, np.float32)
+        if msg[0] == "suite":
+            suite, kept = msg[1], {}
         else:
             _, spec, *job = msg
             try:
-                _write(out, _frame(_run_job(spec, split, *job)))
+                _write(out, _frame(_run_job(spec, suite, kept, *job)))
             except BrokenPipeError:
                 os._exit(0)  # nothing left to flush to
 
@@ -234,10 +242,10 @@ class _Worker:
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         self.proc = subprocess.Popen(_COMMAND, stdin=subprocess.PIPE,
                                      stdout=subprocess.PIPE, env=env)
-        self.split = None  # weakref to the TaskData whose split it holds
+        self.suite = None  # weakref to the ScenarioSuite it was last sent
 
-    def holds(self, data) -> bool:
-        return self.split is not None and self.split() is data
+    def holds(self, suite) -> bool:
+        return self.suite is not None and self.suite() is suite
 
     def send(self, frame) -> None:
         try:
@@ -252,18 +260,18 @@ class _Worker:
 class Batch:
     """A job list handed to the pool; `wait` returns its results.
 
-    After the batch's first failed job none of its queued jobs starts; the
-    ones already running finish. The batch lets go of its TaskData once its
-    last job is sent.
+    Every job of a batch trains on task `task_id` of `suite`. After the
+    batch's first failed job none of its queued jobs starts; the ones already
+    running finish.
     """
 
-    def __init__(self, pool: "TrainPool", spec, data, jobs):
+    def __init__(self, pool: "TrainPool", spec, suite, task_id, jobs):
         self.pool = pool
         self.spec = spec
-        self.data = data
+        self.suite = suite
+        self.task_id = task_id
         self.jobs = [tuple(job) for job in jobs]
         self.replies = [None] * len(self.jobs)
-        self.unsent = len(self.jobs)  # jobs neither sent nor dropped
         self.left = len(self.jobs)  # jobs neither answered nor dropped
         self.failed = False  # a job raised
         self.error = None  # the pool stopped before the batch was done
@@ -309,16 +317,16 @@ class TrainPool:
         """Jobs queued or running."""
         return len(self._queue) + len(self._busy)
 
-    def submit(self, spec, data, jobs) -> Batch:
-        """Queue jobs [(weights, mask, cfg)] to train on data.
+    def submit(self, spec, suite, task_id, jobs) -> Batch:
+        """Queue jobs [(weights, mask, cfg)] to train on task `task_id` of `suite`.
 
         Returns without waiting for a job: idle workers are only sent their
-        jobs, with the split first where needed. Each job trains with
-        train_masked on data's train split and is scored with evaluate on its
-        validation split, in a worker. A job (weights, mask, cfg, quant) also
-        finishes its task: see `_finish`.
+        jobs, with the suite first where needed. Each job trains with
+        train_masked on the task's train split and is scored with evaluate on
+        its validation split, in a worker. A job (weights, mask, cfg, quant)
+        also finishes its task: see `_finish`.
         """
-        batch = Batch(self, spec, data, jobs)
+        batch = Batch(self, spec, suite, task_id, jobs)
         self._queue.extend((batch, i) for i in range(len(batch.jobs)))
         try:
             while len(self.workers) < min(_usable_cpus(), self.pending):
@@ -341,23 +349,19 @@ class TrainPool:
             raise
 
     def _dispatch(self):
-        """Hand queued jobs to idle workers, shipping each its job's split."""
-        taken = []
+        """Hand queued jobs to idle workers, sending each the job's suite first
+        unless it holds it."""
         while self._idle and self._queue:
             batch, i = self._queue.popleft()
-            batch.unsent -= 1
             if batch.failed:
                 batch.left -= 1
-            else:
-                taken.append((self._idle.pop(0), batch, i))
-        for data in {id(b.data): b.data for _, b, _ in taken}.values():
-            _ship(data, [w for w, b, _ in taken
-                         if b.data is data and not w.holds(data)])
-        for w, batch, i in taken:
-            w.send(_frame(("train", batch.spec) + batch.jobs[i]))
+                continue
+            w = self._idle.pop(0)
+            if not w.holds(batch.suite):
+                w.send(_frame(("suite", batch.suite)))
+                w.suite = weakref.ref(batch.suite)
+            w.send(_frame(("train", batch.spec, batch.task_id) + batch.jobs[i]))
             self._busy[w.proc.stdout.fileno()] = (w, batch, i)
-            if batch.unsent == 0:
-                batch.data = None
 
     def _receive(self):
         """Read every reply that is in, waiting for one, then dispatch."""
@@ -411,23 +415,6 @@ class TrainPool:
             w.proc.stdout.close()
 
 
-def _ship(data, workers) -> None:
-    """Send data's splits to `workers`, the train split block by block."""
-    if not workers:
-        return
-    x = data.x_train
-    header = _frame(("split", x.shape, data.y_train, data.x_val, data.y_val,
-                     data.x_test, data.y_test))
-    for w in workers:
-        w.send(header)
-    for start in range(0, len(x), BLOCK_ROWS):
-        frame = _frame(("rows", start, x[start:start + BLOCK_ROWS]))
-        for w in workers:
-            w.send(frame)
-    for w in workers:
-        w.split = weakref.ref(data)
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -438,7 +425,7 @@ POOL = TrainPool()
 atexit.register(POOL.close)
 
 
-def submit(spec, data, jobs) -> Batch:
+def submit(spec, suite, task_id, jobs) -> Batch:
     """Queue training jobs in the worker pool; see TrainPool.submit."""
-    return POOL.submit(spec, data, jobs)
+    return POOL.submit(spec, suite, task_id, jobs)
 

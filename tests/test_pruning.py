@@ -6,7 +6,7 @@ from subnetpack.errors import SelectionWarning
 from subnetpack.network import ModelSpec, TrainConfig, xavier_init
 from subnetpack.pruning import (PruneConfig, PruneLog, adaptive_prune,
                                 make_candidate, select_best)
-from subnetpack.scenario import TaskData, synthetic_blobs
+from subnetpack.scenario import permuted_scenario, synthetic_blobs
 from subnetpack.seeding import derive_seed
 from subnetpack.store import WeightSlotStore
 
@@ -14,10 +14,9 @@ SPEC = ModelSpec((12, 16, 4))
 TRAIN = TrainConfig(epochs=50, batch_size=16, lr_initial=0.3, lr_floor=0.001, seed=0)
 
 
-def blob_task():
-    suite = synthetic_blobs(n_tasks=1, classes=4, dim=12, samples=80,
-                            separation=8.0, seed=11)
-    return suite.get_task(0)
+def blob_suite(n_tasks=1):
+    return synthetic_blobs(n_tasks=n_tasks, classes=4, dim=12, samples=80,
+                           separation=8.0, seed=11)
 
 
 def test_select_best_equal_accuracy_prefers_sparser():
@@ -99,13 +98,13 @@ def test_prune_config_validation():
 
 
 def test_make_candidate_independent_of_generation_order():
-    data = blob_task()
+    suite = blob_suite()
     cfg = PruneConfig(population=5, short_epochs=2, seed=3)
     store = WeightSlotStore(SPEC.shapes)
     init = xavier_init(SPEC, 7)
-    solo = make_candidate(3, 0, store, SPEC, init, data, cfg, TRAIN)
+    solo = make_candidate(3, 0, store, SPEC, init, suite, cfg, TRAIN)
     in_sequence = [
-        make_candidate(i, 0, store, SPEC, init, data, cfg, TRAIN)
+        make_candidate(i, 0, store, SPEC, init, suite, cfg, TRAIN)
         for i in range(cfg.population)
     ][3]
     assert same_masks(solo.mask, in_sequence.mask)
@@ -117,12 +116,12 @@ def test_make_candidate_independent_of_generation_order():
 
 
 def test_make_candidate_sparsity_within_band():
-    data = blob_task()
+    suite = blob_suite()
     cfg = PruneConfig(population=8, short_epochs=0, v_min=0.45, v_max=0.85, seed=5)
     store = WeightSlotStore(SPEC.shapes)
     init = xavier_init(SPEC, 7)
     for i in range(cfg.population):
-        cand = make_candidate(i, 0, store, SPEC, init, data, cfg, TRAIN)
+        cand = make_candidate(i, 0, store, SPEC, init, suite, cfg, TRAIN)
         report = store.hypothetical_sparsity(cand.mask)
         for layer, s in enumerate(report.per_layer):
             size = SPEC.shapes[layer][0] * SPEC.shapes[layer][1]
@@ -131,12 +130,12 @@ def test_make_candidate_sparsity_within_band():
 
 
 def test_adaptive_prune_solves_separable_task():
-    data = blob_task()
+    suite = blob_suite()
     cfg = PruneConfig(population=4, short_epochs=3, full_epochs=40,
                       v_min=0.3, v_max=0.7, seed=0)
     store = WeightSlotStore(SPEC.shapes)
     logs = []
-    mask, weights, q_ref = adaptive_prune(0, store, SPEC, data, cfg, TRAIN,
+    mask, weights, q_ref = adaptive_prune(0, store, SPEC, suite, cfg, TRAIN,
                                           sink=logs.append)
     assert q_ref >= 0.99
     assert len(logs) == 1
@@ -152,10 +151,10 @@ def test_adaptive_prune_solves_separable_task():
 
 
 def test_adaptive_prune_deterministic():
-    data = blob_task()
+    suite = blob_suite()
     cfg = PruneConfig(population=3, short_epochs=2, full_epochs=5, seed=9)
-    a = adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, data, cfg, TRAIN)
-    b = adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, data, cfg, TRAIN)
+    a = adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, suite, cfg, TRAIN)
+    b = adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, suite, cfg, TRAIN)
     assert same_masks(a[0], b[0])
     for wa, wb in zip(a[1].weights, b[1].weights):
         np.testing.assert_array_equal(wa, wb)
@@ -163,41 +162,41 @@ def test_adaptive_prune_deterministic():
 
 
 def test_adaptive_prune_tasks_differ():
-    data = blob_task()
+    suite = blob_suite(n_tasks=2)
     cfg = PruneConfig(population=3, short_epochs=0, full_epochs=0, seed=9)
     store = WeightSlotStore(SPEC.shapes)
-    mask0, _, _ = adaptive_prune(0, store, SPEC, data, cfg, TRAIN)
-    mask1, _, _ = adaptive_prune(1, store, SPEC, data, cfg, TRAIN)
+    mask0, _, _ = adaptive_prune(0, store, SPEC, suite, cfg, TRAIN)
+    mask1, _, _ = adaptive_prune(1, store, SPEC, suite, cfg, TRAIN)
     assert not same_masks(mask0, mask1)
 
 
 def test_adaptive_prune_population_one():
-    data = blob_task()
+    suite = blob_suite()
     cfg = PruneConfig(population=1, short_epochs=1, full_epochs=1, seed=2)
     logs = []
-    adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, data, cfg, TRAIN,
+    adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, suite, cfg, TRAIN,
                    sink=logs.append)
     assert logs[0].chosen == 0
 
 
 def test_adaptive_prune_full_train_starts_from_winner():
     # zero full-train epochs returns the winner's short-trained weights as-is
-    data = blob_task()
+    suite = blob_suite()
     cfg = PruneConfig(population=3, short_epochs=2, full_epochs=0, seed=4)
     store = WeightSlotStore(SPEC.shapes)
     logs = []
-    mask, weights, _ = adaptive_prune(0, store, SPEC, data, cfg, TRAIN,
+    mask, weights, _ = adaptive_prune(0, store, SPEC, suite, cfg, TRAIN,
                                       sink=logs.append)
     init = xavier_init(SPEC, derive_seed(cfg.seed, 0, 0, 0))
     rebuilt = make_candidate(logs[0].chosen, 0, WeightSlotStore(SPEC.shapes),
-                             SPEC, init, data, cfg, TRAIN)
+                             SPEC, init, suite, cfg, TRAIN)
     assert same_masks(rebuilt.mask, mask)
     for a, b in zip(weights.weights, rebuilt.weights().weights):
         np.testing.assert_array_equal(a, b)
 
 
 def test_adaptive_prune_avoids_saturated_slots():
-    data = blob_task()
+    suite = blob_suite(n_tasks=2)
     store = WeightSlotStore(SPEC.shapes, t_max=1)
     # flip a fixed block of each layer to used so it is ineligible at t_l=1
     blocked = []
@@ -209,7 +208,7 @@ def test_adaptive_prune_avoids_saturated_slots():
     store.commit(0, blocked, 2, codes)
     cfg = PruneConfig(population=2, short_epochs=0, full_epochs=0,
                       v_min=0.5, v_max=0.9, t_l=1, seed=1)
-    mask, _, _ = adaptive_prune(1, store, SPEC, data, cfg, TRAIN)
+    mask, _, _ = adaptive_prune(1, store, SPEC, suite, cfg, TRAIN)
     for layer in range(SPEC.n_layers):
         overlap = mask[layer] & blocked[layer]
         assert not overlap.any()
@@ -218,9 +217,8 @@ def test_adaptive_prune_avoids_saturated_slots():
 def test_adaptive_prune_warns_when_no_candidate_learns():
     # zero inputs and biases keep every logit at zero; ties resolve to class
     # 0 while the labels are all 1, so every candidate scores exactly 0
-    x = np.zeros((8, 12))
-    y = np.ones(8, dtype=np.int64)
-    data = TaskData(0, 4, x, y, x.copy(), y.copy(), x.copy(), y.copy())
+    zeros = (np.zeros((8, 12), dtype=np.uint8), np.ones(8, dtype=np.int64))
+    suite = permuted_scenario(zeros, zeros, n_tasks=1, seed=0)
     cfg = PruneConfig(population=3, short_epochs=0, full_epochs=0, seed=0)
     with pytest.warns(SelectionWarning):
-        adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, data, cfg, TRAIN)
+        adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, suite, cfg, TRAIN)

@@ -126,8 +126,7 @@ def test_task_view_reevaluation_is_bit_exact(tmp_path):
         assert acc == state.matrix.rows[2][t]
 
 
-def test_permuted_run_builds_each_task_once(tmp_path, monkeypatch):
-    # past tasks are re-evaluated from test_split, never from a whole task
+def permuted_digits_cfg(tmp_path):
     paths = write_digit_idx(tmp_path / "data", n_train=300, n_test=100, seed=2)
     text = "".join(f"scenario.{k} = {v}\n" for k, v in paths.items()) + f"""
 scenario.kind = permuted
@@ -138,19 +137,92 @@ prune.short_epochs = 1
 prune.full_epochs = 1
 run.output_dir = {tmp_path / "out"}
 """
-    state = new_state(build_run_config(parse_config_text(text)))
+    return build_run_config(parse_config_text(text))
+
+
+def test_permuted_run_builds_no_task_in_the_run_process(tmp_path, monkeypatch):
+    # the workers build the tasks they train on, and a past task whose record
+    # is unchanged keeps its diagonal cell, so this process builds none
+    state = new_state(permuted_digits_cfg(tmp_path))
     built = []
-    get_task = ScenarioSuite.get_task
+    get_task, test_split = ScenarioSuite.get_task, ScenarioSuite.test_split
 
     def counting_get_task(suite, i):
         built.append(i)
         return get_task(suite, i)
 
+    def counting_test_split(suite, i):
+        built.append(i)
+        return test_split(suite, i)
+
     monkeypatch.setattr(ScenarioSuite, "get_task", counting_get_task)
+    monkeypatch.setattr(ScenarioSuite, "test_split", counting_test_split)
     execute_run(state)
-    assert built == [0, 1, 2]
+    assert built == []
     assert [len(r) for r in state.matrix.rows] == [1, 2, 3]
     assert forget_check(state.matrix) == []
+
+
+def test_a_run_sends_each_worker_the_suite_once_and_no_pixels(tmp_path, monkeypatch):
+    # fails on the parent, which sent each worker every task's splits
+    import pickle
+
+    from subnetpack import workers
+    state = new_state(permuted_digits_cfg(tmp_path))
+    sent = []  # (worker, message) in send order
+    send = workers._Worker.send
+
+    def recording_send(worker, frame):
+        sent.append((worker, pickle.loads(frame[1], buffers=frame[2:])))
+        return send(worker, frame)
+
+    monkeypatch.setattr(workers._Worker, "send", recording_send)
+    execute_run(state)
+
+    def array_shapes(msg):
+        buffers = []
+        pickle.dumps(msg, protocol=5, buffer_callback=buffers.append)
+        return {memoryview(b).shape for b in buffers}
+
+    spec = state.config.model
+    model_shapes = set(spec.shapes) | {(n,) for n in spec.layer_sizes[1:]}
+    jobs = [msg for _, msg in sent if msg[0] == "train"]
+    assert len(jobs) == 3 * (2 + 1)  # two candidates and a winner per task
+    assert all(array_shapes(msg) <= model_shapes for msg in jobs)
+    for worker in {w for w, _ in sent}:
+        kinds = [msg[0] for w, msg in sent if w is worker]
+        assert kinds[0] == "suite" and kinds.count("suite") == 1
+    assert len(sent) == len(jobs) + len({w for w, _ in sent})
+
+
+def test_cli_resume_on_changed_data_exits_2(tmp_path, capsys):
+    # fails on the parent, which resumed on the changed data and exited 0:
+    # without class 9 the 5-task split scenario has 4 tasks of other classes
+    from subnetpack.scenario import load_idx, save_idx
+    paths = write_digit_idx(tmp_path / "data", n_train=300, n_test=100, seed=2)
+    text = "".join(f"scenario.{k} = {v}\n" for k, v in paths.items()) + f"""
+scenario.kind = split
+scenario.classes_per_task = 2
+model.layers = 784,8,2
+prune.population = 2
+prune.short_epochs = 1
+prune.full_epochs = 1
+run.output_dir = {tmp_path / "out"}
+"""
+    state = new_state(build_run_config(parse_config_text(text)))
+    run_until_saved(state, 1)
+    for split in ("train", "test"):
+        images, labels = paths[f"{split}_images"], paths[f"{split}_labels"]
+        x, y = load_idx(images, labels)
+        save_idx(images, labels, x[y != 9], y[y != 9])
+    before = (tmp_path / "out" / "checkpoint.bin").read_bytes()
+    with pytest.warns(UserWarning, match="dropping 1 leftover class"):
+        code = main(["resume", "--checkpoint", str(tmp_path / "out" / "checkpoint.bin")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: the scenario data changed since the checkpoint" in err
+    assert "manifest line 'n_tasks=5' is now 'n_tasks=4'" in err
+    assert (tmp_path / "out" / "checkpoint.bin").read_bytes() == before
 
 
 def test_budget_retry_resamples_roomier_slots(tmp_path):

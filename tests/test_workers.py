@@ -49,15 +49,15 @@ run.seed = 1
 """
 
 
-def blob_task():
+def blob_suite(seed=11):
     return synthetic_blobs(n_tasks=1, classes=4, dim=12, samples=80,
-                           separation=8.0, seed=11).get_task(0)
+                           separation=8.0, seed=seed)
 
 
 def started_pool():
     """The process's pool with at least one live worker."""
     make_candidate(0, 0, WeightSlotStore(SPEC.shapes), SPEC, xavier_init(SPEC, 1),
-                   blob_task(), PruneConfig(population=1, short_epochs=1), TRAIN)
+                   blob_suite(), PruneConfig(population=1, short_epochs=1), TRAIN)
     return workers.POOL
 
 
@@ -84,20 +84,23 @@ def test_degenerate_mask_warning_reaches_the_caller():
     cfg = PruneConfig(population=2, short_epochs=1, full_epochs=1,
                       v_min=1.0, v_max=1.0, seed=0)
     with pytest.warns(DegenerateMaskWarning):
-        adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, blob_task(), cfg, TRAIN)
+        adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, blob_suite(), cfg, TRAIN)
 
 
 def test_worker_exception_comes_back_as_itself():
-    data = blob_task()
+    suite = blob_suite()
     init = xavier_init(SPEC, 0)
     bad = [np.ones((3, 3), dtype=bool)] * SPEC.n_layers
-    with pytest.raises(ShapeMismatchError):
-        workers.submit(SPEC, data, [(init, full_mask(SPEC), TRAIN),
-                                    (init, bad, TRAIN)]).wait()
-    # the pool survives a failed job and trains the next list
-    result, = workers.submit(SPEC, data, [(init, full_mask(SPEC), TRAIN)]).wait()
-    assert 0.0 <= result.accuracy <= 1.0
-    assert result.weights().weights[0].shape == SPEC.shapes[0]
+    # a bad mask, and a task outside the suite, which the worker builds
+    for task_id, mask, error in ((0, bad, ShapeMismatchError),
+                                 (1, full_mask(SPEC), IndexError)):
+        with pytest.raises(error):
+            workers.submit(SPEC, suite, task_id, [(init, full_mask(SPEC), TRAIN),
+                                                  (init, mask, TRAIN)]).wait()
+        # the pool survives a failed job and trains the next list
+        result, = workers.submit(SPEC, suite, 0, [(init, full_mask(SPEC), TRAIN)]).wait()
+        assert 0.0 <= result.accuracy <= 1.0
+        assert result.weights().weights[0].shape == SPEC.shapes[0]
 
 
 def test_killed_worker_raises_promptly_with_its_exit_status():
@@ -105,20 +108,21 @@ def test_killed_worker_raises_promptly_with_its_exit_status():
     cfg = PruneConfig(population=2, short_epochs=1, full_epochs=1, seed=0)
     start = time.monotonic()
     with pytest.raises(WorkerDied) as info:
-        adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, blob_task(), cfg, TRAIN)
+        adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, blob_suite(), cfg, TRAIN)
     assert time.monotonic() - start < 10.0
     assert info.value.pid == pid
     assert info.value.status == -signal.SIGKILL
     # the next call starts a fresh pool
     _, _, q_ref = adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC,
-                                 blob_task(), cfg, TRAIN)
+                                 blob_suite(), cfg, TRAIN)
     assert 0.0 <= q_ref <= 1.0
 
 
 def test_workers_train_uint8_pixels_as_their_floats(tmp_path):
-    # a worker expands the shipped pixels once: float32 for training, float64
-    # for validation. The shapes keep every matmul small enough that OpenBLAS
-    # runs it on one thread here too, as in the worker.
+    # a worker builds the task from the suite it was sent and expands the
+    # pixels once: float32 for training, float64 for validation. The shapes
+    # keep every matmul small enough that OpenBLAS runs it on one thread here
+    # too, as in the worker.
     p = write_digit_idx(tmp_path, n_train=600, n_test=50, seed=4)
     suite = permuted_scenario(load_idx(p["train_images"], p["train_labels"]),
                               load_idx(p["test_images"], p["test_labels"]), 2, seed=4)
@@ -128,7 +132,7 @@ def test_workers_train_uint8_pixels_as_their_floats(tmp_path):
     init = xavier_init(spec, 4)
     mask = [np.random.default_rng(4).random(s) < 0.5 for s in spec.shapes]
     cfg = TrainConfig(epochs=2, batch_size=16, lr_initial=0.1, seed=4)
-    result, = workers.submit(spec, data, [(init, mask, cfg)]).wait()
+    result, = workers.submit(spec, suite, 1, [(init, mask, cfg)]).wait()
     weights = result.weights()
     x_train = as_floats(data.x_train, np.float32)
     x_val = as_floats(data.x_val, np.float64)
@@ -139,17 +143,16 @@ def test_workers_train_uint8_pixels_as_their_floats(tmp_path):
 
 
 def test_batches_queue_without_blocking_and_train_their_own_split():
-    # two job lists on two tasks, submitted back to back and waited on in the
-    # other order: each job trains on its own task's split, so each list
-    # gives what it gives alone
-    tasks = [synthetic_blobs(n_tasks=1, classes=4, dim=12, samples=80,
-                             separation=8.0, seed=s).get_task(0) for s in (11, 12)]
+    # two job lists on the tasks of two suites, submitted back to back and
+    # waited on in the other order: each job trains on its own task's split,
+    # so each list gives what it gives alone
+    suites = [blob_suite(seed) for seed in (11, 12)]
     init = xavier_init(SPEC, 0)
     rng = np.random.default_rng(3)
     jobs = [[(init, [rng.random(s) < 0.6 for s in SPEC.shapes], TRAIN)
-             for _ in range(3)] for _ in tasks]
-    alone = [workers.submit(SPEC, data, js).wait() for data, js in zip(tasks, jobs)]
-    batches = [workers.submit(SPEC, data, js) for data, js in zip(tasks, jobs)]
+             for _ in range(3)] for _ in suites]
+    alone = [workers.submit(SPEC, suite, 0, js).wait() for suite, js in zip(suites, jobs)]
+    batches = [workers.submit(SPEC, suite, 0, js) for suite, js in zip(suites, jobs)]
     assert workers.POOL.pending == 6
     assert not any(b.ready for b in batches)
     together = [b.wait() for b in batches[::-1]][::-1]
@@ -163,10 +166,9 @@ def test_batches_queue_without_blocking_and_train_their_own_split():
 
 
 def test_a_reply_carries_the_in_mask_float32_values():
-    data = blob_task()
     mask = [np.random.default_rng(1).random(s) < 0.5 for s in SPEC.shapes]
     trained, untrained = workers.submit(
-        SPEC, data, [(xavier_init(SPEC, 2), mask, TRAIN),
+        SPEC, blob_suite(), 0, [(xavier_init(SPEC, 2), mask, TRAIN),
                      (xavier_init(SPEC, 2), mask, TrainConfig(epochs=0))]).wait()
     for values, m in zip(trained.values, mask):
         assert values.dtype == np.float32 and values.shape == (int(m.sum()),)
@@ -177,9 +179,10 @@ def test_a_reply_carries_the_in_mask_float32_values():
 
 
 def test_cancel_drops_jobs_in_flight():
-    data = blob_task()
+    suite = blob_suite()
     long = TrainConfig(epochs=400, batch_size=4, seed=0)
-    batch = workers.submit(SPEC, data, [(xavier_init(SPEC, 0), full_mask(SPEC), long)] * 3)
+    batch = workers.submit(SPEC, suite, 0,
+                           [(xavier_init(SPEC, 0), full_mask(SPEC), long)] * 3)
     procs = [w.proc for w in workers.POOL.workers]
     start = time.monotonic()
     workers.POOL.cancel()
@@ -188,8 +191,8 @@ def test_cancel_drops_jobs_in_flight():
     assert all(p.poll() is not None for p in procs)
     with pytest.raises(RuntimeError, match="cancelled"):
         batch.wait()
-    result, = workers.submit(SPEC, data, [(xavier_init(SPEC, 0),
-                                           full_mask(SPEC), TRAIN)]).wait()
+    result, = workers.submit(SPEC, suite, 0, [(xavier_init(SPEC, 0),
+                                               full_mask(SPEC), TRAIN)]).wait()
     assert result.weights().weights[0].shape == SPEC.shapes[0]
 
 
