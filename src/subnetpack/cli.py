@@ -2,7 +2,8 @@
 
 Subcommands: run, resume, report, inspect-checkpoint, make-data. Exit codes:
 0 success, 2 bad configuration or input data, 3 capacity exhausted,
-4 corrupt or unsupported checkpoint, 5 a training worker process died.
+4 corrupt or unsupported checkpoint, or `report` on one with no completed
+task, 5 a training worker process died.
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ def _cmd_resume(args) -> int:
 def _cmd_report(args) -> int:
     state = state_from_checkpoint(args.checkpoint, need_suite=False,
                                   output_dir=args.output_dir)
+    if state.matrix.n_episodes == 0:
+        raise CheckpointError(f"{args.checkpoint}: no task has completed, so "
+                              "there is nothing to report")
     paths = write_reports(state)
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")

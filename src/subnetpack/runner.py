@@ -159,16 +159,6 @@ def _past_accuracy(state: RunState, task_id: int) -> float:
     return acc
 
 
-def _mask_bit_budget(store: WeightSlotStore, mask) -> int:
-    """Tightest remaining-bit budget over the mask's slots."""
-    budget = SLOT_BITS
-    for i in range(store.layer_count):
-        flat = mask[i].ravel()
-        if flat.any():
-            budget = min(budget, int(store.remaining_bits(i)[flat].min()))
-    return budget
-
-
 class _Ahead:
     """Task t+1's search begun during task t, its warnings and error held back."""
 
@@ -232,7 +222,7 @@ def _lookahead_is_exact(state: RunState, mask) -> bool:
     if state.config.mode == "pruning-only":
         return True
     psi_min, most = _search_bits(state)
-    return _mask_bit_budget(state.store, mask) >= most + psi_min
+    return state.store.mask_bit_budget(mask) >= most + psi_min
 
 
 def _start(state: RunState, t, store: WeightSlotStore, psi_min) -> Search:
@@ -290,7 +280,7 @@ def _run_task_full(state: RunState, t, ahead):
     psi_min = cfg.prune.psi_min
     while True:
         mask, result, next_ahead = _trained_winner(state, t, ahead, psi_min)
-        budget = _mask_bit_budget(state.store, mask)
+        budget = state.store.mask_bit_budget(mask)
         try:
             fit_budget(t, cfg.model, result.codebook.psi, result.q_acc,
                        result.accuracy, cfg.quant, budget)
@@ -334,7 +324,7 @@ def _run_task_quantization_only(state: RunState, t, ahead):
             f"task {t}: a dense mask needs every slot eligible for "
             f"{cfg.quant.psi_init}-bit components")
     fit_budget(t, spec, result.codebook.psi, result.q_acc, result.accuracy,
-               cfg.quant, _mask_bit_budget(state.store, mask))
+               cfg.quant, state.store.mask_bit_budget(mask))
     return mask, result, None
 
 

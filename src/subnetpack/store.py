@@ -115,6 +115,15 @@ class WeightSlotStore:
     def eligible_slots(self, layer: int, psi_min: int) -> np.ndarray:
         return (self._comp_count[layer] < self.t_max) & (self._remaining[layer] >= psi_min)
 
+    def mask_bit_budget(self, mask) -> int:
+        """Tightest remaining-bit budget over the mask's slots."""
+        budget = SLOT_BITS
+        for remaining, m in zip(self._remaining, mask):
+            flat = m.ravel()
+            if flat.any():
+                budget = min(budget, int(remaining[flat].min()))
+        return budget
+
     # -- commit --------------------------------------------------------------
 
     def commit(self, task_id: int, mask, psi: int, codes) -> None:
@@ -197,9 +206,8 @@ class WeightSlotStore:
 
     def packed_bytes(self, task_id: int) -> tuple[int, int]:
         """(mask, codes) bytes of a task's record as `state_dict` writes it."""
-        alloc = self.tasks[task_id]
-        return (sum(_nbytes(size) for size in self.layer_sizes),
-                sum(_nbytes(n * alloc.psi) for n in alloc.active_counts()))
+        masks, codes = self.tasks[task_id].packed_layers()
+        return sum(m.nbytes for m in masks), sum(c.nbytes for c in codes)
 
     @classmethod
     def from_state_dict(cls, state: dict, packed: bool = True) -> "WeightSlotStore":

@@ -25,6 +25,12 @@ computes in float32); the caller scatters them into a copy of the job's
 initial weights only where it needs dense weights. Workers exit when their
 input closes.
 
+Each message on a pipe is one protocol-5 pickle, arrays in band: the
+pickler writes a large array's bytes straight to the pipe and the reader
+reads them straight into the array's buffer. A worker has at most one reply
+in flight: it is sent a job only while idle. A reply is (outcome, warnings):
+the job's JobResult fields, or its exception and traceback text.
+
 A winner's job also finishes its task, so the run process makes no BLAS
 call for it: after training, the worker quantizes the weights
 (`adaptive_quantize`, uncapped, or `identity_quantize`), scores the
@@ -45,7 +51,6 @@ import atexit
 import os
 import pickle
 import select
-import struct
 import sys
 import warnings
 import weakref
@@ -59,51 +64,12 @@ from .network import DenseWeights, as_floats, evaluate, train_masked
 from .quantization import Codebook, adaptive_quantize, dequantize, identity_quantize
 
 TASKS_KEPT = 2  # tasks whose float splits a worker keeps
-_SIZE = struct.Struct("<Q")
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # `-c`, not `-m` or multiprocessing's spawn: the child never imports the
 # caller's __main__
 _COMMAND = [sys.executable, "-c",
             f"import sys; sys.path.insert(0, {_SRC!r}); "
             "from subnetpack.workers import serve; serve()"]
-
-
-def _frame(obj) -> list:
-    """One message as byte views: part count and sizes, pickle, array buffers.
-
-    Arrays travel out of band, so neither side copies them into a pickle.
-    """
-    buffers = []
-    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    parts = [memoryview(data)] + [b.raw() for b in buffers]
-    sizes = [p.nbytes for p in parts]
-    return [struct.pack(f"<{len(sizes) + 1}Q", len(sizes), *sizes)] + parts
-
-
-def _write(stream, frame) -> None:
-    for part in frame:
-        stream.write(part)
-    stream.flush()
-
-
-def _read(stream):
-    """The next message on `stream`, or None at end of input."""
-
-    def exactly(n):
-        buf = bytearray(n)
-        return buf if stream.readinto(buf) == n else None
-
-    head = exactly(_SIZE.size)
-    if head is None:
-        return None
-    count, = _SIZE.unpack(head)
-    sizes = exactly(count * _SIZE.size)
-    if sizes is None:
-        return None
-    parts = [exactly(n) for n in struct.unpack(f"<{count}Q", sizes)]
-    if None in parts:
-        return None
-    return pickle.loads(parts[0], buffers=parts[1:])
 
 
 # -- worker side ---------------------------------------------------------------
@@ -114,8 +80,8 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return small if np.array_equal(small, a) else a
 
 
-def _finish(spec, weights, mask, accuracy, split, quant):
-    """(codebook, codes, quantized validation accuracy, test accuracy).
+def _finish(spec, weights, mask, accuracy, split, quant) -> dict:
+    """The JobResult fields `codebook`, `codes`, `q_acc` and `test_acc`.
 
     `quant` is the bit-width ladder's QuantConfig, or None for 32-bit
     patterns, which keep the validation accuracy. The test accuracy is the
@@ -127,7 +93,8 @@ def _finish(spec, weights, mask, accuracy, split, quant):
     else:
         q, q_acc = adaptive_quantize(spec, mask, weights, accuracy, (x_val, y_val), quant)
     view = DenseWeights(dequantize(q), weights.biases)
-    return q.codebook, q.codes, q_acc, evaluate(spec, view, mask, x_test, y_test)
+    return dict(codebook=q.codebook, codes=q.codes, q_acc=q_acc,
+                test_acc=evaluate(spec, view, mask, x_test, y_test))
 
 
 def _split(suite, kept: dict, task_id):
@@ -145,11 +112,12 @@ def _split(suite, kept: dict, task_id):
 
 
 def _run_job(spec, suite, kept, task_id, weights, mask, cfg, *quant):
-    """(("ok", values, biases, accuracy, finished) or ("error", exc, traceback),
-    warnings).
+    """(outcome, warnings): the reply to one job.
 
-    A winner's job has one more argument, its `quant`: the job then finishes
-    its task, and `finished` is `_finish`'s tuple. For other jobs it is None.
+    `outcome` is a dict of the job's JobResult fields but `init` and `mask`,
+    or (exception, traceback text) if the job raised. A winner's job has one
+    more argument, its `quant`: the job then finishes its task, and the dict
+    adds `_finish`'s fields.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -158,21 +126,21 @@ def _run_job(spec, suite, kept, task_id, weights, mask, cfg, *quant):
             x_train, y_train, x_val, y_val, _, _ = split
             weights = train_masked(spec, weights, mask, (x_train, y_train), cfg)
             accuracy = evaluate(spec, weights, mask, x_val, y_val)
-            result = ("ok",
-                      [_narrow(w[np.asarray(m, dtype=bool)])
-                       for w, m in zip(weights.weights, mask)],
-                      [_narrow(b) for b in weights.biases],
-                      accuracy,
-                      _finish(spec, weights, mask, accuracy, split, *quant)
-                      if quant else None)
+            outcome = dict(
+                values=[_narrow(w[np.asarray(m, dtype=bool)])
+                        for w, m in zip(weights.weights, mask)],
+                biases=[_narrow(b) for b in weights.biases],
+                accuracy=accuracy,
+                **(_finish(spec, weights, mask, accuracy, split, *quant)
+                   if quant else {}))
         except Exception as exc:
             import traceback
             try:
                 pickle.loads(pickle.dumps(exc))
             except Exception:
                 exc = RuntimeError(repr(exc))
-            result = ("error", exc, traceback.format_exc())
-    return result, [(w.category, str(w.message)) for w in caught]
+            outcome = (exc, traceback.format_exc())
+    return outcome, [(w.category, str(w.message)) for w in caught]
 
 
 def serve() -> None:
@@ -180,7 +148,7 @@ def serve() -> None:
 
     Ctrl-C reaches the whole process group; the caller handles it by
     stopping its workers, so a worker ignores SIGINT. A caller gone mid-job
-    (its end of the reply pipe closed) ends the worker quietly.
+    (its end of the reply pipe closed) or mid-message ends the worker quietly.
     """
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -188,13 +156,18 @@ def serve() -> None:
     out = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # stray prints go to stderr, not into the replies
     suite, kept = None, {}
-    while (msg := _read(inp)) is not None:
+    while True:
+        try:
+            msg = pickle.load(inp)
+        except (EOFError, pickle.UnpicklingError):
+            return  # input closed, between messages or inside one
         if msg[0] == "suite":
             suite, kept = msg[1], {}
         else:
             _, spec, *job = msg
             try:
-                _write(out, _frame(_run_job(spec, suite, kept, *job)))
+                pickle.dump(_run_job(spec, suite, kept, *job), out, protocol=5)
+                out.flush()
             except BrokenPipeError:
                 os._exit(0)  # nothing left to flush to
 
@@ -247,9 +220,10 @@ class _Worker:
     def holds(self, suite) -> bool:
         return self.suite is not None and self.suite() is suite
 
-    def send(self, frame) -> None:
+    def send(self, msg) -> None:
         try:
-            _write(self.proc.stdin, frame)
+            pickle.dump(msg, self.proc.stdin, protocol=5)
+            self.proc.stdin.flush()
         except OSError:
             raise self.died() from None
 
@@ -294,13 +268,12 @@ class Batch:
         for _, caught in replies:
             for category, message in caught:
                 warnings.warn(message, category, stacklevel=2)
-        for (status, *rest), _ in replies:
-            if status == "error":
-                exc, trace = rest
+        for outcome, _ in replies:
+            if not isinstance(outcome, dict):
+                exc, trace = outcome
                 raise exc from RuntimeError(f"in a training worker:\n{trace}")
-        return [JobResult(values, biases, accuracy, init, mask, *(finished or ()))
-                for ((_, values, biases, accuracy, finished), _), (init, mask, *_)
-                in zip(replies, self.jobs)]
+        return [JobResult(init=init, mask=mask, **outcome)
+                for (outcome, _), (init, mask, *_) in zip(replies, self.jobs)]
 
 
 class TrainPool:
@@ -358,25 +331,29 @@ class TrainPool:
                 continue
             w = self._idle.pop(0)
             if not w.holds(batch.suite):
-                w.send(_frame(("suite", batch.suite)))
+                w.send(("suite", batch.suite))
                 w.suite = weakref.ref(batch.suite)
-            w.send(_frame(("train", batch.spec, batch.task_id) + batch.jobs[i]))
+            w.send(("train", batch.spec, batch.task_id) + batch.jobs[i])
             self._busy[w.proc.stdout.fileno()] = (w, batch, i)
 
     def _receive(self):
         """Read every reply that is in, waiting for one, then dispatch."""
         if not self._busy:
             raise RuntimeError("waiting on a batch with no job queued or running")
+        # select sees only the pipe, not what the reader has buffered; that is
+        # sound because a worker has at most one reply in flight, so no byte
+        # is left buffered once a whole reply is read
         ready, _, _ = select.select(list(self._busy), [], [])
         for fd in ready:
             w, batch, i = self._busy[fd]
-            reply = _read(w.proc.stdout)
-            if reply is None:
-                raise w.died()
+            try:
+                reply = pickle.load(w.proc.stdout)
+            except (EOFError, pickle.UnpicklingError):
+                raise w.died() from None  # its reply ended early
             del self._busy[fd]
             batch.replies[i] = reply
             batch.left -= 1
-            batch.failed = batch.failed or reply[0][0] == "error"
+            batch.failed = batch.failed or not isinstance(reply[0], dict)
             self._idle.append(w)
         self._dispatch()
 

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from helpers import run_until_saved, same_masks
-from subnetpack.cli import main
+from subnetpack.cli import EXIT_CHECKPOINT, main
 from subnetpack.config import build_run_config, parse_config_text
 from subnetpack.errors import CapacityExhausted
 from subnetpack.metrics import forget_check, lifelong_accuracy
 from subnetpack.network import evaluate
-from subnetpack.runner import (execute_run, new_state, state_from_checkpoint,
-                               task_view, write_reports)
+from subnetpack.runner import (execute_run, new_state, save_run_checkpoint,
+                               state_from_checkpoint, task_view, write_reports)
 from subnetpack.scenario import ScenarioSuite, write_digit_idx
 from subnetpack.store import SLOT_BITS
 
@@ -172,9 +172,9 @@ def test_a_run_sends_each_worker_the_suite_once_and_no_pixels(tmp_path, monkeypa
     sent = []  # (worker, message) in send order
     send = workers._Worker.send
 
-    def recording_send(worker, frame):
-        sent.append((worker, pickle.loads(frame[1], buffers=frame[2:])))
-        return send(worker, frame)
+    def recording_send(worker, msg):
+        sent.append((worker, msg))
+        return send(worker, msg)
 
     monkeypatch.setattr(workers._Worker, "send", recording_send)
     execute_run(state)
@@ -358,6 +358,24 @@ def test_cli_run_and_inspect(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "reports" / "accuracy_matrix.csv").read_bytes() == (
         tmp_path / "out" / "accuracy_matrix.csv").read_bytes()
+
+
+def test_cli_report_on_a_checkpoint_with_no_task_exits_4(tmp_path, capsys):
+    # fails on the parent, where write_reports raised ValueError (exit 1)
+    cfg = write_cfg_file(tmp_path)
+    ckpt = save_run_checkpoint(new_state(make_cfg(tmp_path / "out")))
+    assert main(["report", "--checkpoint", ckpt,
+                 "--output-dir", str(tmp_path / "reports")]) == EXIT_CHECKPOINT
+    assert "no task has completed" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+    # resume runs such a checkpoint from task 0, as `run` would
+    assert main(["resume", "--checkpoint", ckpt]) == 0
+    assert "tasks completed: 3" in capsys.readouterr().out
+    fresh = tmp_path / "fresh"
+    assert main(["run", "--config", cfg, "--set", f"run.output_dir={fresh}"]) == 0
+    capsys.readouterr()
+    for name in ("accuracy_matrix.csv", "capacity.csv", "scenario_manifest.txt"):
+        assert (tmp_path / "out" / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def test_cli_run_with_overrides(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -226,6 +227,50 @@ def test_cli_maps_a_dead_worker_to_its_exit_code(tmp_path, monkeypatch, capsys):
     assert "training worker 1234 exited with status -9" in capsys.readouterr().err
 
 
+# a worker that reads its suite and its job, writes the first half of a reply
+# and exits
+HALF_REPLY = f"""
+import pickle, sys
+sys.path.insert(0, {SRC!r})
+import numpy as np
+pickle.load(sys.stdin.buffer)
+pickle.load(sys.stdin.buffer)
+reply = pickle.dumps(({{"values": [np.zeros(5000)]}}, []), protocol=5)
+sys.stdout.buffer.write(reply[:len(reply) // 2])
+sys.stdout.buffer.flush()
+sys.exit(3)
+"""
+
+
+def test_a_reply_cut_short_raises_worker_died(tmp_path, monkeypatch, capsys):
+    # a bare pickle.load of the cut reply raises UnpicklingError instead
+    workers.POOL.close()
+    monkeypatch.setattr(workers, "_COMMAND", [sys.executable, "-c", HALF_REPLY])
+    init = xavier_init(SPEC, 0)
+    with pytest.raises(WorkerDied) as info:
+        workers.submit(SPEC, blob_suite(), 0, [(init, full_mask(SPEC), TRAIN)]).wait()
+    assert info.value.status == 3
+    assert workers.POOL.workers == []
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SYNTHETIC + f"run.output_dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_WORKER
+    assert "exited with status 3" in capsys.readouterr().err
+
+
+def test_a_worker_whose_input_ends_inside_a_message_exits_quietly():
+    # a bare pickle.load raises there, and the worker exits 1 with a traceback
+    mask = [np.random.default_rng(1).random(s) < 0.5 for s in SPEC.shapes]
+    suite = pickle.dumps(("suite", blob_suite()), protocol=5)
+    job = pickle.dumps(("train", SPEC, 0, xavier_init(SPEC, 0), mask, TRAIN),
+                       protocol=5)
+    for data in (suite[:1], suite[:len(suite) // 2], suite + job[:len(job) // 2],
+                 suite + job[:-1]):
+        proc = subprocess.Popen(workers._COMMAND, stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(data, timeout=60)
+        assert (proc.returncode, out, err) == (0, b"", b"")
+
+
 # -- whole runs in child processes ---------------------------------------------
 
 DIGITS = """
@@ -387,3 +432,106 @@ def _alive(pid) -> bool:
             return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
     except FileNotFoundError:
         return False
+
+
+# stops a run at the point argv[1] names, prints its workers and the jobs
+# they have queued or running, and waits to be killed: "saved N" right after
+# the N-th checkpoint save, "renaming N" between the N-th save's temp-file
+# write and its rename
+KILLABLE = """
+import os, sys, time
+from subnetpack import runner, workers
+from subnetpack.cli import main
+
+point, n = sys.argv[1], int(sys.argv[2])
+pids, saves, renames = [], [], []
+start = workers._Worker.__init__
+
+
+def started(self):
+    start(self)
+    pids.append(self.proc.pid)
+
+
+def stop():
+    print("pending", workers.POOL.pending, flush=True)
+    print("workers", *pids, flush=True)
+    time.sleep(300)
+
+
+save = runner.save_checkpoint
+
+
+def save_then_stop(path, payload):
+    save(path, payload)
+    saves.append(path)
+    if point == "saved" and len(saves) == n:
+        stop()
+
+
+rename = os.replace
+
+
+def stop_then_rename(src, dst):
+    renames.append(dst)
+    if point == "renaming" and len(renames) == n:
+        stop()
+    rename(src, dst)
+
+
+workers._Worker.__init__ = started
+runner.save_checkpoint = save_then_stop
+os.replace = stop_then_rename
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+@pytest.fixture(scope="module")
+def killable_run(tmp_path_factory):
+    """(config path, report bytes of the run uninterrupted)."""
+    root = tmp_path_factory.mktemp("killable")
+    # candidates train long enough that the next task's search outlasts the
+    # current task's winner, so it is still in flight at the checkpoint
+    (root / "run.cfg").write_text(
+        SYNTHETIC.replace("prune.short_epochs = 3", "prune.short_epochs = 60")
+        + "run.output_dir = out\n")
+    (root / "full").mkdir()
+    subprocess.run([sys.executable, "-m", "subnetpack.cli", "run", "--config",
+                    str(root / "run.cfg")], cwd=root / "full",
+                   env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.DEVNULL,
+                   timeout=300, check=True)
+    return root / "run.cfg", report_bytes(root / "full" / "out")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads worker states in /proc")
+@pytest.mark.parametrize("point, n, resumed_at", [("saved", 1, 1), ("saved", 2, 2),
+                                                  ("renaming", 2, 1)])
+def test_a_run_killed_anywhere_resumes_to_the_same_bytes(tmp_path, killable_run,
+                                                          point, n, resumed_at):
+    config, uninterrupted = killable_run
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen([sys.executable, "-c", KILLABLE, point, str(n), "run",
+                             "--config", str(config)],
+                            cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True)
+    with proc.stdout:
+        lines = dict(proc.stdout.readline().rstrip("\n").split(" ", 1)
+                     for _ in range(2))
+        proc.kill()
+        assert proc.wait(timeout=10) == -signal.SIGKILL
+    assert int(lines["pending"]) > 0  # the next task's search is in flight
+    pids = [int(p) for p in lines["workers"].split()]
+    assert pids
+    deadline = time.monotonic() + 10.0
+    while pids and time.monotonic() < deadline:
+        pids = [p for p in pids if _alive(p)]
+        time.sleep(0.05)
+    assert pids == []  # no worker outlives its killed parent
+
+    checkpoint = tmp_path / "out" / "checkpoint.bin"
+    assert (tmp_path / "out" / "checkpoint.bin.tmp").exists() == (point == "renaming")
+    assert state_from_checkpoint(str(checkpoint), need_suite=False).next_task == resumed_at
+    subprocess.run([sys.executable, "-m", "subnetpack.cli", "resume",
+                    "--checkpoint", str(checkpoint)],
+                   cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, timeout=300,
+                   check=True)
+    assert report_bytes(tmp_path / "out") == uninterrupted
