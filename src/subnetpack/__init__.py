@@ -14,9 +14,9 @@ from .network import (DenseWeights, ModelSpec, TrainConfig, evaluate,
                       full_mask, loss_and_grads, train_masked, xavier_init)
 from .store import (SLOT_BITS, SparsityReport, WeightSlotStore,
                     sample_candidate_full, sample_candidate_mask)
-from .quantization import (Codebook, QuantConfig, QuantizedTaskWeights,
-                           adaptive_quantize, dequantize, fit_budget,
-                           identity_quantize, kmeans_1d, nonlinear_quantize)
+from .quantization import (Codebook, QuantConfig, adaptive_quantize, dequantize,
+                           fit_budget, identity_quantize, kmeans_1d,
+                           nonlinear_quantize)
 from .pruning import PruneConfig, PruneLog, adaptive_prune, select_best
 from .metrics import (AccuracyMatrix, CapacityEntry, CapacityReport, capacity,
                       capacity_actual, capacity_report, forget_check,

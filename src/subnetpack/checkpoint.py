@@ -35,8 +35,8 @@ _T_LIST = 5
 _T_DICT = 6
 _T_ARRAY = 7
 
-_DTYPES = frozenset(np.dtype(c).newbyteorder("<").str.encode("ascii")
-                    for c in "?bBhHiIqQefdFD")
+_DTYPES = {d.str.encode("ascii"): d  # the array dtypes a checkpoint may hold
+           for d in (np.dtype(c).newbyteorder("<") for c in "?bBhHiIqQefdFD")}
 
 
 def _encode_into(buf: bytearray, node) -> None:
@@ -91,43 +91,58 @@ def _encode_into(buf: bytearray, node) -> None:
         raise TypeError(f"cannot encode {type(node).__name__}")
 
 
+_U8 = struct.Struct("<B")
+_I64 = struct.Struct("<q")
+_F64 = struct.Struct("<d")
+_U64 = struct.Struct("<Q")
+
+
 class _Reader:
-    def __init__(self, data: bytes, path: str):
-        self.data = data
+    """Reads fields in place: at an offset into a memoryview of the payload."""
+
+    def __init__(self, data, path: str):
+        self.data = memoryview(data)
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointError(
-                f"{self.path}: payload truncated at byte {self.pos}")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+    def truncated(self) -> CheckpointError:
+        return CheckpointError(f"{self.path}: payload truncated at byte {self.pos}")
 
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    def take(self, n: int) -> memoryview:
+        at = self.pos
+        if at + n > len(self.data):
+            raise self.truncated()
+        self.pos = at + n
+        return self.data[at:at + n]
+
+    def unpack(self, fmt: struct.Struct):
+        try:
+            out = fmt.unpack_from(self.data, self.pos)
+        except struct.error:
+            raise self.truncated() from None
+        self.pos += fmt.size
+        return out
 
 
 def _decode_node(r: _Reader):
-    tag = r.take(1)[0]
+    (tag,) = r.unpack(_U8)
     if tag == _T_NONE:
         return None
     if tag == _T_INT:
-        return r.unpack("<q")[0]
+        return r.unpack(_I64)[0]
     if tag == _T_FLOAT:
-        return r.unpack("<d")[0]
+        return r.unpack(_F64)[0]
     if tag == _T_STR:
-        (n,) = r.unpack("<Q")
-        return r.take(n).decode("utf-8")
+        (n,) = r.unpack(_U64)
+        return str(r.take(n), "utf-8")
     if tag == _T_BYTES:
-        (n,) = r.unpack("<Q")
+        (n,) = r.unpack(_U64)
         return bytes(r.take(n))
     if tag == _T_LIST:
-        (n,) = r.unpack("<Q")
+        (n,) = r.unpack(_U64)
         return [_decode_node(r) for _ in range(n)]
     if tag == _T_DICT:
-        (n,) = r.unpack("<Q")
+        (n,) = r.unpack(_U64)
         out = {}
         last = None
         for _ in range(n):
@@ -139,15 +154,15 @@ def _decode_node(r: _Reader):
             last = key
         return out
     if tag == _T_ARRAY:
-        (dlen,) = r.unpack("<B")
-        dtype_text = r.take(dlen)
-        if dtype_text not in _DTYPES:
+        (dlen,) = r.unpack(_U8)
+        dtype_text = bytes(r.take(dlen))
+        dtype = _DTYPES.get(dtype_text)
+        if dtype is None:
             raise CheckpointError(f"{r.path}: array dtype {dtype_text!r} at byte {r.pos}")
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}Q") if ndim else ()
-        (nbytes,) = r.unpack("<Q")
-        return np.frombuffer(r.take(nbytes), dtype=dtype_text.decode("ascii")
-                             ).reshape(shape).copy()
+        (ndim,) = r.unpack(_U8)
+        shape = r.unpack(struct.Struct(f"<{ndim}Q")) if ndim else ()
+        (nbytes,) = r.unpack(_U64)
+        return np.frombuffer(r.take(nbytes), dtype=dtype).reshape(shape).copy()
     raise CheckpointError(f"{r.path}: unknown node tag {tag} at byte {r.pos - 1}")
 
 
@@ -157,7 +172,8 @@ def encode_state(state: dict) -> bytes:
     return bytes(buf)
 
 
-def decode_state(payload: bytes, path: str = "<memory>") -> dict:
+def decode_state(payload, path: str = "<memory>") -> dict:
+    """The state `encode_state` wrote into `payload`, any bytes-like object."""
     r = _Reader(payload, path)
     try:
         node = _decode_node(r)
@@ -214,8 +230,8 @@ def load_checkpoint(path) -> tuple[int, dict]:
         age = "newer than supported" if version > VERSION else "unknown"
         raise CheckpointError(
             f"{path}: format version {version} {age} (reads 1 to {VERSION})")
-    payload, trailer = blob[head:-8], blob[-8:]
-    (stored,) = struct.unpack("<Q", trailer)
+    payload = memoryview(blob)[head:-8]
+    (stored,) = _U64.unpack_from(blob, len(blob) - 8)
     actual = _digest(payload)
     if stored != actual:
         raise CheckpointError(

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: run, resume, report, inspect-checkpoint, make-data. Exit codes:
-0 success, 2 bad configuration or input data, 3 capacity exhausted,
+0 success, 2 bad configuration or input data, or an output directory that
+cannot be created (found before any task trains), 3 capacity exhausted,
 4 corrupt or unsupported checkpoint, or `report` on one with no completed
 task, 5 a training worker process died.
 """

@@ -14,11 +14,12 @@ task's splits itself and runs the pre-masked float32 SGD of
 `network.train_masked`. Every job derives its seed from (seed, task, index),
 so neither the pool size nor the job order changes a result.
 
-`adaptive_prune` is its two halves run in sequence: `start_search` samples
-the population and submits its training, and `choose_winner` waits for it,
-chooses the winner and submits the winner's full training; neither blocks
-on the winner. Between them the caller is free, which `runner` uses to start
-the next task's search while this task's winner trains.
+A search has two halves: `start_search` samples the population and submits
+its training, and `choose_winner` waits for it, chooses the winner and
+submits the winner's full training; neither blocks on the winner, which
+`Search.trained` waits for. Between them the caller is free, which `runner`
+uses to start the next task's search while this task's winner trains.
+`adaptive_prune` runs the three in sequence.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def _search(indices, task_id, store: WeightSlotStore, spec, init_weights,
 def start_search(task_id, store: WeightSlotStore, spec, suite,
                  cfg: PruneConfig, train_cfg: TrainConfig,
                  quant: QuantConfig | None = None) -> Search:
-    """First half of adaptive_prune: sample the population, submit its training.
+    """First half of a search: sample the population, submit its training.
 
     The members train on task `task_id` of `suite`. Does not wait for the
     workers. `quant` is how the winner's job finishes the task; see
@@ -172,7 +173,7 @@ def make_candidate(index, task_id, store: WeightSlotStore, spec, init_weights,
                    suite, cfg: PruneConfig, train_cfg: TrainConfig) -> JobResult:
     """Sample and short-train candidate `index` on its own.
 
-    It equals member `index` of adaptive_prune's population.
+    It equals member `index` of start_search's population.
     """
     return _search([index], task_id, store, spec, init_weights, suite, cfg,
                    train_cfg).population.wait()[0]
@@ -199,7 +200,7 @@ def submit_full_training(task_id, index, spec, weights, mask, suite,
 
 
 def choose_winner(search: Search) -> PruneLog:
-    """Second half of adaptive_prune: choose the winner, submit its training.
+    """Second half of a search: choose the winner, submit its training.
 
     Waits for the population, scores it, and returns the PruneLog of the
     choice; `search.trained()` then waits for the winner.

@@ -1,10 +1,13 @@
 """Codebook quantization: 1-D k-means, per-layer codebooks, adaptive bit-width.
 
 Weights inside a task's mask are clustered into 2^psi centroids per layer;
-codes index the centroid table. Centroids are held as IEEE-754 32-bit values,
-matching the serialized form bit-exactly. The adaptive loop raises psi one bit
-at a time until validation accuracy is within delta of the full-precision
-reference, or psi_max.
+codes index the centroid table. A quantized task is its mask, its codes (one
+uint32 array per layer, in the row-major order of the masked slots) and its
+Codebook: the quantizers return the codes and the codebook, and `dequantize`
+reads all three. Centroids are held as IEEE-754 32-bit values, matching the
+serialized form bit-exactly. The adaptive loop raises psi one bit at a time
+until validation accuracy is within delta of the full-precision reference,
+or psi_max.
 
 In a run, the winner's job quantizes its task in the worker that trained it
 (`workers`), with `adaptive_quantize` or, in pruning-only runs,
@@ -49,15 +52,6 @@ class Codebook:
 
     psi: int
     centroids: list[np.ndarray]  # float32, length <= 2^psi per layer
-
-
-@dataclass
-class QuantizedTaskWeights:
-    """Codes per masked slot (row-major slot order) plus the owning codebook."""
-
-    mask: list  # per-layer bool arrays
-    codes: list[np.ndarray]  # uint32 per layer
-    codebook: Codebook
 
 
 def _prefix_sums(sorted_values):
@@ -226,13 +220,13 @@ def _split_worst(sorted_values, p1, p2, centroids, k_target):
     return np.asarray(cent)
 
 
-def nonlinear_quantize(psi, masked_values, cfg: QuantConfig, warm: Codebook | None = None,
-                       mask=None):
-    """Cluster each layer's masked weights into 2^psi codes plus a codebook.
+def nonlinear_quantize(psi, masked_values, cfg: QuantConfig, warm: Codebook | None = None):
+    """(codes, codebook): each layer's masked weights clustered into 2^psi codes.
 
-    masked_values is one 1-D array per layer (row-major slot order). Layers
-    with no masked weights get an empty codebook entry. A warm codebook from a
-    lower bit-width seeds the restarts so reconstruction error cannot rise.
+    masked_values is one 1-D array per layer (row-major slot order); codes
+    holds one uint32 array per layer in the same order. Layers with no masked
+    weights get an empty codebook entry. A warm codebook from a lower
+    bit-width seeds the restarts so reconstruction error cannot rise.
     """
     if psi < 1:
         raise ValueError("psi must be >= 1")
@@ -254,14 +248,15 @@ def nonlinear_quantize(psi, masked_values, cfg: QuantConfig, warm: Codebook | No
         centroids, codes = kmeans_1d(vals, k, cfg, rng=rng, extra_init=extra)
         centroid_tables.append(centroids.astype(np.float32))
         code_arrays.append(codes)
-    return QuantizedTaskWeights(mask, code_arrays, Codebook(psi, centroid_tables))
+    return code_arrays, Codebook(psi, centroid_tables)
 
 
 def identity_quantize(mask, trained_weights: DenseWeights):
-    """32-bit storage for pruning-only runs: codes are float32 bit patterns.
+    """(codes, codebook) of 32-bit storage for pruning-only runs.
 
-    No codebook is needed; dequantize recovers the float32 cast of each masked
-    weight directly from its code.
+    Each code is the float32 bit pattern of a masked weight, so the psi-32
+    codebook holds no centroids; dequantize recovers the float32 cast of each
+    masked weight directly from its code.
     """
     code_arrays, tables = [], []
     for i, m in enumerate(mask):
@@ -269,41 +264,35 @@ def identity_quantize(mask, trained_weights: DenseWeights):
         vals = trained_weights.weights[i].ravel()[flat].astype(np.float32)
         code_arrays.append(vals.view(np.uint32).copy())
         tables.append(np.zeros(0, dtype=np.float32))
-    return QuantizedTaskWeights(mask, code_arrays, Codebook(32, tables))
+    return code_arrays, Codebook(32, tables)
 
 
-def dequantize(q: QuantizedTaskWeights) -> list[np.ndarray]:
-    """Full-shape weight arrays from codes; slots outside the mask are zero."""
-    identity = q.codebook.psi == 32
+def dequantize(mask, codes, codebook: Codebook) -> list[np.ndarray]:
+    """Full-shape weight arrays of a task from its mask, codes and codebook.
+
+    `codes[i]` holds layer i's codes in the row-major order of the slots
+    `mask[i]` marks; slots outside the mask are zero. A code outside its
+    layer's codebook raises CorruptCodesError.
+    """
+    identity = codebook.psi == 32
     out = []
-    for i, m in enumerate(q.mask):
-        m = np.asarray(m, dtype=bool)
-        codes = q.codes[i]
+    for i, m in enumerate(mask):
+        m, c = np.asarray(m, dtype=bool), codes[i]
         full = np.zeros(m.size, dtype=np.float64)
         if identity:
-            values = codes.view(np.float32)
+            values = c.view(np.float32)
         else:
-            table = q.codebook.centroids[i]
-            if codes.size and (len(table) == 0 or codes.max() >= len(table)):
+            table = codebook.centroids[i]
+            if c.size and (len(table) == 0 or c.max() >= len(table)):
                 raise CorruptCodesError(
-                    f"layer {i}: code {int(codes.max())} outside codebook of {len(table)}"
+                    f"layer {i}: code {int(c.max())} outside codebook of {len(table)}"
                 )
-            values = table[codes]
-        if codes.size:
+            values = table[c]
+        if c.size:
             # scattering through indices is about 3x faster than a bool mask
             full[np.flatnonzero(m)] = values
         out.append(full.reshape(m.shape))
     return out
-
-
-def reconstruction_error(q: QuantizedTaskWeights, masked_values) -> float:
-    """Total squared error between masked weights and their codebook values."""
-    total = 0.0
-    for vals, codes, table in zip(masked_values, q.codes, q.codebook.centroids):
-        vals = np.asarray(vals, dtype=np.float64).ravel()
-        if vals.size:
-            total += float(((vals - table[codes].astype(np.float64)) ** 2).sum())
-    return total
 
 
 def adaptive_quantize(spec, mask, trained_weights: DenseWeights, q_ref, val_data,
@@ -311,9 +300,9 @@ def adaptive_quantize(spec, mask, trained_weights: DenseWeights, q_ref, val_data
     """Escalate bit-width until quantized accuracy is within delta of q_ref.
 
     Starts at psi_init and stops at psi_max whatever the accuracy. Returns
-    (QuantizedTaskWeights, quantized accuracy); the chosen bit-width is
-    q.codebook.psi. It reads no slot budget: `fit_budget` holds the choice to
-    one afterwards.
+    (codes, codebook, quantized accuracy) as `nonlinear_quantize` gives them
+    at the chosen bit-width, codebook.psi. It reads no slot budget:
+    `fit_budget` holds the choice to one afterwards.
     """
     X_val, y_val = val_data
     masked_values = [
@@ -322,13 +311,14 @@ def adaptive_quantize(spec, mask, trained_weights: DenseWeights, q_ref, val_data
     ]
     warm = None
     for psi in range(cfg.psi_init, cfg.psi_max + 1):
-        q = nonlinear_quantize(psi, masked_values, cfg, warm=warm, mask=mask)
-        view = DenseWeights(dequantize(q), [b.copy() for b in trained_weights.biases])
+        codes, book = nonlinear_quantize(psi, masked_values, cfg, warm=warm)
+        view = DenseWeights(dequantize(mask, codes, book),
+                            [b.copy() for b in trained_weights.biases])
         acc = evaluate(spec, view, mask, X_val, y_val)
         if acc >= q_ref - cfg.delta:
             break
-        warm = q.codebook
-    return q, acc
+        warm = book
+    return codes, book, acc
 
 
 def fit_budget(task_id, spec, psi, q_acc, q_ref, cfg: QuantConfig, budget) -> None:

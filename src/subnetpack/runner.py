@@ -27,7 +27,8 @@ would, bit for bit, when `_lookahead_is_exact` holds; otherwise task t+1
 starts after task t's checkpoint, through the same functions. Warnings,
 errors and the prune log of work done ahead are held back until task t+1
 starts, after task t's checkpoint, where a run without the lookahead would
-report them.
+report them. A quantization-only run has no search: task t+1's dense
+training reads no store, so it is submitted before task t's is waited on.
 """
 
 from __future__ import annotations
@@ -50,11 +51,11 @@ from .metrics import AccuracyMatrix, capacity_report, forget_check, lifelong_acc
 from .network import DenseWeights, evaluate, full_mask, xavier_init
 from .pruning import (ROLE_INIT, PruneLog, Search, choose_winner, start_search,
                       submit_full_training)
-from .quantization import Codebook, QuantizedTaskWeights, dequantize, fit_budget
-from .scenario import ScenarioSuite
+from .quantization import Codebook, dequantize, fit_budget
+from .scenario import ScenarioSuite, make_output_dir
 from .seeding import derive_seed
 from .store import SLOT_BITS, WeightSlotStore
-from .workers import POOL
+from .workers import POOL, Batch
 
 CHECKPOINT_NAME = "checkpoint.bin"
 
@@ -125,8 +126,8 @@ def task_view(state: RunState, task_id: int):
     """(weights, mask) for a committed task, rebuilt from store components."""
     alloc = state.store.tasks[task_id]
     rec = state.tasks[task_id]
-    q = QuantizedTaskWeights(alloc.mask, alloc.codes, rec.codebook)
-    weights = DenseWeights(dequantize(q), [b.copy() for b in rec.biases])
+    weights = DenseWeights(dequantize(alloc.mask, alloc.codes, rec.codebook),
+                           [b.copy() for b in rec.biases])
     return weights, list(alloc.mask)
 
 
@@ -303,17 +304,26 @@ def _run_task_pruning_only(state: RunState, t, ahead):
     return _trained_winner(state, t, ahead, SLOT_BITS)
 
 
+def _dense_training(state: RunState, t) -> Batch:
+    """Submit task t's dense training, which finishes the task."""
+    cfg = state.config
+    spec = cfg.model
+    init = xavier_init(spec, derive_seed(cfg.prune.seed, t, ROLE_INIT, 0))
+    return submit_full_training(t, 0, spec, init, full_mask(spec), state.suite,
+                                cfg.prune, cfg.train, cfg.quant)
+
+
 def _run_task_quantization_only(state: RunState, t, ahead):
     """No pruning: train the dense network and quantize every slot.
 
-    With no population to search, nothing is begun ahead, so `ahead` is None.
+    Dense training reads no store, so task t+1's job is submitted before
+    task t's is waited on, and handed to task t+1 as its `ahead`: task t's
+    job, or None when nothing was begun for it.
     """
     cfg = state.config
-    spec = cfg.model
-    mask = full_mask(spec)
-    init = xavier_init(spec, derive_seed(cfg.prune.seed, t, ROLE_INIT, 0))
-    result, = submit_full_training(t, 0, spec, init, mask, state.suite,
-                                   cfg.prune, cfg.train, cfg.quant).wait()
+    batch = _dense_training(state, t) if ahead is None else ahead
+    ahead = _dense_training(state, t + 1) if t + 1 < state.suite.n_tasks else None
+    result, = batch.wait()
     saturated = tuple(
         i for i in range(state.store.layer_count)
         if not state.store.eligible_slots(i, cfg.quant.psi_init).all()
@@ -323,13 +333,15 @@ def _run_task_quantization_only(state: RunState, t, ahead):
             saturated,
             f"task {t}: a dense mask needs every slot eligible for "
             f"{cfg.quant.psi_init}-bit components")
-    fit_budget(t, spec, result.codebook.psi, result.q_acc, result.accuracy,
-               cfg.quant, state.store.mask_bit_budget(mask))
-    return mask, result, None
+    fit_budget(t, cfg.model, result.codebook.psi, result.q_acc, result.accuracy,
+               cfg.quant, state.store.mask_bit_budget(result.mask))
+    return result.mask, result, ahead
 
 
-# Each takes (state, task, its _Ahead or None) and returns (the winner's
-# mask, its finished JobResult, task t+1's _Ahead or None).
+# Each takes (state, task, what was begun for it during task t-1 or None) and
+# returns (the winner's mask, its finished JobResult, what it began for task
+# t+1 or None). What is begun ahead is an _Ahead, or in quantization-only runs
+# the dense training's Batch.
 _MODE_RUNNERS = {
     "full": _run_task_full,
     "pruning-only": _run_task_pruning_only,
@@ -337,12 +349,14 @@ _MODE_RUNNERS = {
 }
 
 
-def execute_task(state: RunState, t: int, ahead: _Ahead | None = None) -> _Ahead | None:
+def execute_task(state: RunState, t: int,
+                 ahead: _Ahead | Batch | None = None) -> _Ahead | Batch | None:
     """Run task t: search, quantize, commit, fill its accuracy row, checkpoint.
 
-    `ahead` holds task t's search begun during task t-1; its held-back
-    warnings and error surface first. Task t+1's search may begin while
-    task t's winner trains; it is returned, for the call that runs task t+1.
+    `ahead` is what was begun for task t during task t-1: its search, whose
+    held-back warnings and error surface first, or in quantization-only runs
+    its dense training. What is begun for task t+1 while task t's winner
+    trains is returned, for the call that runs task t+1.
     """
     mask, result, ahead = _MODE_RUNNERS[state.config.mode](state, t, ahead)
     state.store.commit(t, mask, result.codebook.psi, result.codes)
@@ -360,11 +374,12 @@ def execute_task(state: RunState, t: int, ahead: _Ahead | None = None) -> _Ahead
 def execute_run(state: RunState) -> None:
     """Run every remaining task, one task ahead, then write reports.
 
-    On capacity exhaustion the current state is checkpointed before the error
-    propagates, so the run can be inspected or resumed with a wider budget.
-    On any error, training jobs still in flight are dropped.
+    An output directory that cannot be created raises ConfigError before any
+    task trains. On capacity exhaustion the current state is checkpointed
+    before the error propagates, so the run can be inspected or resumed with
+    a wider budget. On any error, training jobs still in flight are dropped.
     """
-    os.makedirs(state.config.output_dir, exist_ok=True)
+    make_output_dir(state.config.output_dir)
     ahead = None
     try:
         for t in range(state.next_task, state.suite.n_tasks):
@@ -401,7 +416,7 @@ def _state_payload(state: RunState) -> dict:
 
 
 def save_run_checkpoint(state: RunState) -> str:
-    os.makedirs(state.config.output_dir, exist_ok=True)
+    make_output_dir(state.config.output_dir)
     save_checkpoint(state.checkpoint_path, _state_payload(state))
     return state.checkpoint_path
 
@@ -492,7 +507,7 @@ def write_reports(state: RunState) -> dict:
     if state.matrix.n_episodes == 0:
         raise ValueError("nothing to report: no task has completed")
     out = state.config.output_dir
-    os.makedirs(out, exist_ok=True)
+    make_output_dir(out)
     paths = {}
 
     n = state.matrix.n_episodes

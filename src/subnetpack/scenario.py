@@ -11,13 +11,14 @@ data.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IdxFormatError
+from .errors import ConfigError, IdxFormatError
 from .seeding import derive_seed, rng_from
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -428,13 +429,24 @@ def make_digit_images(n, seed, noise=DIGIT_NOISE):
     return np.round(images * 255.0).astype(np.uint8), labels.astype(np.int64)
 
 
+def make_output_dir(path) -> None:
+    """Create the directory `path` unless it exists.
+
+    ConfigError, naming the path, if it cannot be created: a file in its
+    place, say.
+    """
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {os.fspath(path)!r}: "
+                          f"{exc.strerror}") from None
+
+
 def write_digit_idx(out_dir, n_train=24000, n_test=4000, seed=0, noise=DIGIT_NOISE):
     """Emit train/test IDX pairs of procedural digits; returns the four paths."""
-    import os
-
     if min(n_train, n_test) < 0:
         raise ValueError(f"image counts must be >= 0, got {n_train} and {n_test}")
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
     paths = {}
     for tag, n, stream in (("train", n_train, 1), ("test", n_test, 2)):
         images, labels = make_digit_images(n, derive_seed(seed, 0x5EED, stream), noise)

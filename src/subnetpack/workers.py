@@ -89,11 +89,12 @@ def _finish(spec, weights, mask, accuracy, split, quant) -> dict:
     """
     _, _, x_val, y_val, x_test, y_test = split
     if quant is None:
-        q, q_acc = identity_quantize(mask, weights), accuracy
+        (codes, codebook), q_acc = identity_quantize(mask, weights), accuracy
     else:
-        q, q_acc = adaptive_quantize(spec, mask, weights, accuracy, (x_val, y_val), quant)
-    view = DenseWeights(dequantize(q), weights.biases)
-    return dict(codebook=q.codebook, codes=q.codes, q_acc=q_acc,
+        codes, codebook, q_acc = adaptive_quantize(spec, mask, weights, accuracy,
+                                                   (x_val, y_val), quant)
+    view = DenseWeights(dequantize(mask, codes, codebook), weights.biases)
+    return dict(codebook=codebook, codes=codes, q_acc=q_acc,
                 test_acc=evaluate(spec, view, mask, x_test, y_test))
 
 

@@ -65,8 +65,9 @@ def test_criterion_2_four_bit_drop(desk):
         alloc = desk.store.tasks[t]
         rec = desk.tasks[t]
         masked = [np.asarray(v, dtype=np.float64) for v in rec.values]
-        q = nonlinear_quantize(4, masked, desk.config.quant, mask=alloc.mask)
-        view = DenseWeights(dequantize(q), [b.copy() for b in rec.biases])
+        codes, book = nonlinear_quantize(4, masked, desk.config.quant)
+        view = DenseWeights(dequantize(alloc.mask, codes, book),
+                            [b.copy() for b in rec.biases])
         acc = evaluate(desk.config.model, view, list(alloc.mask),
                        task.x_val, task.y_val)
         drops.append(desk.tasks[t].q_ref - acc)

@@ -1,13 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import same_masks
 from subnetpack.errors import SelectionWarning
-from subnetpack.network import ModelSpec, TrainConfig, xavier_init
-from subnetpack.pruning import (PruneConfig, PruneLog, adaptive_prune,
-                                make_candidate, select_best)
+from subnetpack.network import ModelSpec, TrainConfig
+from subnetpack.pruning import (PruneConfig, PruneLog, choose_winner, select_best,
+                                start_search)
 from subnetpack.scenario import permuted_scenario, synthetic_blobs
-from subnetpack.seeding import derive_seed
 from subnetpack.store import WeightSlotStore
 
 SPEC = ModelSpec((12, 16, 4))
@@ -17,6 +18,13 @@ TRAIN = TrainConfig(epochs=50, batch_size=16, lr_initial=0.3, lr_floor=0.001, se
 def blob_suite(n_tasks=1):
     return synthetic_blobs(n_tasks=n_tasks, classes=4, dim=12, samples=80,
                            separation=8.0, seed=11)
+
+
+def searched(task_id, store, suite, cfg):
+    """Task `task_id`'s search on `store`: (Search, PruneLog, trained winner)."""
+    search = start_search(task_id, store, SPEC, suite, cfg, TRAIN)
+    log = choose_winner(search)
+    return search, log, search.trained()
 
 
 def test_select_best_equal_accuracy_prefers_sparser():
@@ -98,15 +106,13 @@ def test_prune_config_validation():
 
 
 def test_make_candidate_independent_of_generation_order():
+    # member 3 of a population is the same whatever comes after it
     suite = blob_suite()
     cfg = PruneConfig(population=5, short_epochs=2, seed=3)
     store = WeightSlotStore(SPEC.shapes)
-    init = xavier_init(SPEC, 7)
-    solo = make_candidate(3, 0, store, SPEC, init, suite, cfg, TRAIN)
-    in_sequence = [
-        make_candidate(i, 0, store, SPEC, init, suite, cfg, TRAIN)
-        for i in range(cfg.population)
-    ][3]
+    solo = start_search(0, store, SPEC, suite, replace(cfg, population=4),
+                        TRAIN).population.wait()[3]
+    in_sequence = start_search(0, store, SPEC, suite, cfg, TRAIN).population.wait()[3]
     assert same_masks(solo.mask, in_sequence.mask)
     for a, b in zip(solo.weights().weights, in_sequence.weights().weights):
         np.testing.assert_array_equal(a, b)
@@ -119,9 +125,7 @@ def test_make_candidate_sparsity_within_band():
     suite = blob_suite()
     cfg = PruneConfig(population=8, short_epochs=0, v_min=0.45, v_max=0.85, seed=5)
     store = WeightSlotStore(SPEC.shapes)
-    init = xavier_init(SPEC, 7)
-    for i in range(cfg.population):
-        cand = make_candidate(i, 0, store, SPEC, init, suite, cfg, TRAIN)
+    for cand in start_search(0, store, SPEC, suite, cfg, TRAIN).population.wait():
         report = store.hypothetical_sparsity(cand.mask)
         for layer, s in enumerate(report.per_layer):
             size = SPEC.shapes[layer][0] * SPEC.shapes[layer][1]
@@ -134,49 +138,44 @@ def test_adaptive_prune_solves_separable_task():
     cfg = PruneConfig(population=4, short_epochs=3, full_epochs=40,
                       v_min=0.3, v_max=0.7, seed=0)
     store = WeightSlotStore(SPEC.shapes)
-    logs = []
-    mask, weights, q_ref = adaptive_prune(0, store, SPEC, suite, cfg, TRAIN,
-                                          sink=logs.append)
-    assert q_ref >= 0.99
-    assert len(logs) == 1
-    log = logs[0]
+    search, log, result = searched(0, store, suite, cfg)
+    assert result.accuracy >= 0.99
+    assert search.log is log
     assert isinstance(log, PruneLog)
     assert len(log.accuracies) == cfg.population
     assert log.chosen == select_best(log.accuracies, log.sparsities,
                                      cfg.alpha, cfg.beta)
     assert log.chosen == int(np.argmax(log.scores))
     np.testing.assert_allclose(
-        log.winner_layer_sparsity, store.hypothetical_sparsity(mask).per_layer)
+        log.winner_layer_sparsity, store.hypothetical_sparsity(search.mask).per_layer)
     assert store.tasks == {}  # pruning itself commits nothing
 
 
 def test_adaptive_prune_deterministic():
     suite = blob_suite()
     cfg = PruneConfig(population=3, short_epochs=2, full_epochs=5, seed=9)
-    a = adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, suite, cfg, TRAIN)
-    b = adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, suite, cfg, TRAIN)
-    assert same_masks(a[0], b[0])
-    for wa, wb in zip(a[1].weights, b[1].weights):
+    a, _, result_a = searched(0, WeightSlotStore(SPEC.shapes), suite, cfg)
+    b, _, result_b = searched(0, WeightSlotStore(SPEC.shapes), suite, cfg)
+    assert same_masks(a.mask, b.mask)
+    for wa, wb in zip(result_a.weights().weights, result_b.weights().weights):
         np.testing.assert_array_equal(wa, wb)
-    assert a[2] == b[2]
+    assert result_a.accuracy == result_b.accuracy
 
 
 def test_adaptive_prune_tasks_differ():
     suite = blob_suite(n_tasks=2)
     cfg = PruneConfig(population=3, short_epochs=0, full_epochs=0, seed=9)
     store = WeightSlotStore(SPEC.shapes)
-    mask0, _, _ = adaptive_prune(0, store, SPEC, suite, cfg, TRAIN)
-    mask1, _, _ = adaptive_prune(1, store, SPEC, suite, cfg, TRAIN)
-    assert not same_masks(mask0, mask1)
+    task0, _, _ = searched(0, store, suite, cfg)
+    task1, _, _ = searched(1, store, suite, cfg)
+    assert not same_masks(task0.mask, task1.mask)
 
 
 def test_adaptive_prune_population_one():
     suite = blob_suite()
     cfg = PruneConfig(population=1, short_epochs=1, full_epochs=1, seed=2)
-    logs = []
-    adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, suite, cfg, TRAIN,
-                   sink=logs.append)
-    assert logs[0].chosen == 0
+    _, log, _ = searched(0, WeightSlotStore(SPEC.shapes), suite, cfg)
+    assert log.chosen == 0
 
 
 def test_adaptive_prune_full_train_starts_from_winner():
@@ -184,14 +183,11 @@ def test_adaptive_prune_full_train_starts_from_winner():
     suite = blob_suite()
     cfg = PruneConfig(population=3, short_epochs=2, full_epochs=0, seed=4)
     store = WeightSlotStore(SPEC.shapes)
-    logs = []
-    mask, weights, _ = adaptive_prune(0, store, SPEC, suite, cfg, TRAIN,
-                                      sink=logs.append)
-    init = xavier_init(SPEC, derive_seed(cfg.seed, 0, 0, 0))
-    rebuilt = make_candidate(logs[0].chosen, 0, WeightSlotStore(SPEC.shapes),
-                             SPEC, init, suite, cfg, TRAIN)
-    assert same_masks(rebuilt.mask, mask)
-    for a, b in zip(weights.weights, rebuilt.weights().weights):
+    search, log, result = searched(0, store, suite, cfg)
+    rebuilt = start_search(0, WeightSlotStore(SPEC.shapes), SPEC, suite, cfg,
+                           TRAIN).population.wait()[log.chosen]
+    assert same_masks(rebuilt.mask, search.mask)
+    for a, b in zip(result.weights().weights, rebuilt.weights().weights):
         np.testing.assert_array_equal(a, b)
 
 
@@ -208,9 +204,9 @@ def test_adaptive_prune_avoids_saturated_slots():
     store.commit(0, blocked, 2, codes)
     cfg = PruneConfig(population=2, short_epochs=0, full_epochs=0,
                       v_min=0.5, v_max=0.9, t_l=1, seed=1)
-    mask, _, _ = adaptive_prune(1, store, SPEC, suite, cfg, TRAIN)
+    search, _, _ = searched(1, store, suite, cfg)
     for layer in range(SPEC.n_layers):
-        overlap = mask[layer] & blocked[layer]
+        overlap = search.mask[layer] & blocked[layer]
         assert not overlap.any()
 
 
@@ -221,4 +217,4 @@ def test_adaptive_prune_warns_when_no_candidate_learns():
     suite = permuted_scenario(zeros, zeros, n_tasks=1, seed=0)
     cfg = PruneConfig(population=3, short_epochs=0, full_epochs=0, seed=0)
     with pytest.warns(SelectionWarning):
-        adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, suite, cfg, TRAIN)
+        searched(0, WeightSlotStore(SPEC.shapes), suite, cfg)

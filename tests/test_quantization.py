@@ -7,13 +7,21 @@ from helpers import contiguous_optimum, kmeans_wcss
 from subnetpack.errors import (CapacityExhausted, CorruptCodesError,
                                ToleranceWarning)
 from subnetpack.network import DenseWeights, ModelSpec, evaluate, forward, full_mask
-from subnetpack.quantization import (Codebook, QuantConfig,
-                                     QuantizedTaskWeights, adaptive_quantize,
+from subnetpack.quantization import (Codebook, QuantConfig, adaptive_quantize,
                                      dequantize, fit_budget, identity_quantize,
-                                     kmeans_1d, nonlinear_quantize,
-                                     reconstruction_error)
+                                     kmeans_1d, nonlinear_quantize)
 
 CFG = QuantConfig(psi_init=1, psi_max=8, kmeans_iters=50, kmeans_restarts=3, seed=0)
+
+
+def reconstruction_error(codes, codebook, masked_values) -> float:
+    """Total squared error between masked weights and their codebook values."""
+    total = 0.0
+    for vals, layer_codes, table in zip(masked_values, codes, codebook.centroids):
+        vals = np.asarray(vals, dtype=np.float64).ravel()
+        if vals.size:
+            total += float(((vals - table[layer_codes].astype(np.float64)) ** 2).sum())
+    return total
 
 
 def test_quant_config_validation():
@@ -99,37 +107,33 @@ def test_kmeans_matches_exhaustive_oracle():
 
 def test_nonlinear_quantize_psi1_example():
     # frozen oracle: codes (0,0,1,1), codebook (-0.95, 0.95)
-    q = nonlinear_quantize(1, [np.array([-1.0, -0.9, 0.8, 1.1])], CFG)
-    book = q.codebook
+    codes, book = nonlinear_quantize(1, [np.array([-1.0, -0.9, 0.8, 1.1])], CFG)
     assert book.psi == 1
     np.testing.assert_allclose(book.centroids[0], [-0.95, 0.95], atol=1e-6)
-    np.testing.assert_array_equal(q.codes[0], [0, 0, 1, 1])
+    np.testing.assert_array_equal(codes[0], [0, 0, 1, 1])
     assert book.centroids[0].dtype == np.float32
 
 
 def test_nonlinear_quantize_table_sizes():
     rng = np.random.default_rng(0)
     vals = [rng.normal(size=500), rng.normal(size=300)]
-    q = nonlinear_quantize(3, vals, CFG)
-    book = q.codebook
-    for codes, table in zip(q.codes, book.centroids):
+    codes, book = nonlinear_quantize(3, vals, CFG)
+    for layer_codes, table in zip(codes, book.centroids):
         assert len(table) <= 8
-        assert codes.max() < len(table)
+        assert layer_codes.max() < len(table)
 
 
 def test_nonlinear_quantize_empty_layer():
-    q = nonlinear_quantize(2, [np.zeros(0), np.array([1.0, 2.0])], CFG)
-    book = q.codebook
+    codes, book = nonlinear_quantize(2, [np.zeros(0), np.array([1.0, 2.0])], CFG)
     assert len(book.centroids[0]) == 0
-    assert len(q.codes[0]) == 0
+    assert len(codes[0]) == 0
     assert len(book.centroids[1]) == 2
 
 
 def test_dequantize_table_lookup():
     mask = [np.ones((1, 4), dtype=bool)]
     book = Codebook(1, [np.array([-0.95, 0.95], dtype=np.float32)])
-    q = QuantizedTaskWeights(mask, [np.array([0, 1, 1, 0], dtype=np.uint32)], book)
-    out = dequantize(q)
+    out = dequantize(mask, [np.array([0, 1, 1, 0], dtype=np.uint32)], book)
     np.testing.assert_allclose(
         out[0], [[-0.95, 0.95, 0.95, -0.95]], atol=1e-6)
 
@@ -137,17 +141,15 @@ def test_dequantize_table_lookup():
 def test_dequantize_zeros_outside_mask():
     mask = [np.array([[True, False], [False, True]])]
     book = Codebook(1, [np.array([2.0, -3.0], dtype=np.float32)])
-    q = QuantizedTaskWeights(mask, [np.array([1, 0], dtype=np.uint32)], book)
-    out = dequantize(q)
+    out = dequantize(mask, [np.array([1, 0], dtype=np.uint32)], book)
     np.testing.assert_array_equal(out[0], [[-3.0, 0.0], [0.0, 2.0]])
 
 
 def test_dequantize_rejects_bad_codes():
     mask = [np.ones((1, 2), dtype=bool)]
     book = Codebook(1, [np.array([0.5, 1.5], dtype=np.float32)])
-    q = QuantizedTaskWeights(mask, [np.array([0, 2], dtype=np.uint32)], book)
     with pytest.raises(CorruptCodesError):
-        dequantize(q)
+        dequantize(mask, [np.array([0, 2], dtype=np.uint32)], book)
 
 
 def test_round_trip_exact_on_representable_values():
@@ -156,18 +158,17 @@ def test_round_trip_exact_on_representable_values():
     rng = np.random.default_rng(4)
     vals = levels[rng.integers(0, 4, size=50)]
     mask = [np.ones((5, 10), dtype=bool)]
-    q = nonlinear_quantize(2, [vals], CFG, mask=mask)
-    out = dequantize(q)
+    codes, book = nonlinear_quantize(2, [vals], CFG)
+    out = dequantize(mask, codes, book)
     np.testing.assert_array_equal(out[0].ravel(), vals)
 
 
 def test_reconstruction_error_bounded_by_cluster_radius():
     rng = np.random.default_rng(8)
     vals = rng.normal(size=200)
-    q = nonlinear_quantize(2, [vals], CFG)
-    book = q.codebook
+    codes, book = nonlinear_quantize(2, [vals], CFG)
     table = book.centroids[0].astype(np.float64)
-    recon = table[q.codes[0]]
+    recon = table[codes[0]]
     mids = (table[:-1] + table[1:]) / 2.0
     radius = max(abs(np.concatenate([table[:1] - vals.min(),
                                      np.diff(table) / 2,
@@ -181,9 +182,8 @@ def test_monotone_reconstruction_with_warm_start():
     prev_book = None
     prev_err = np.inf
     for psi in range(1, 7):
-        q = nonlinear_quantize(psi, vals, CFG, warm=prev_book)
-        book = q.codebook
-        err = reconstruction_error(q, vals)
+        codes, book = nonlinear_quantize(psi, vals, CFG, warm=prev_book)
+        err = reconstruction_error(codes, book, vals)
         assert err <= prev_err + 1e-12
         prev_book, prev_err = book, err
 
@@ -194,10 +194,9 @@ def test_identity_quantize_round_trip():
     w = DenseWeights([rng.normal(size=s) for s in spec.shapes],
                      [rng.normal(size=s[0]) for s in spec.shapes])
     mask = [rng.random(s) < 0.6 for s in spec.shapes]
-    q = identity_quantize(mask, w)
-    book = q.codebook
+    codes, book = identity_quantize(mask, w)
     assert book.psi == 32
-    out = dequantize(q)
+    out = dequantize(mask, codes, book)
     for i in range(spec.n_layers):
         expect = np.where(mask[i], w.weights[i].astype(np.float32).astype(np.float64), 0.0)
         np.testing.assert_array_equal(out[i], expect)
@@ -217,8 +216,8 @@ def _two_sample_problem():
 def test_adaptive_quantize_escalates_until_tolerance():
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=4, delta=0.0, seed=0)
-    q, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
-    psi = q.codebook.psi
+    _, book, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
+    psi = book.psi
     assert psi == 2
     assert acc == 1.0
 
@@ -227,8 +226,8 @@ def test_adaptive_quantize_warns_at_psi_max():
     # the ladder stops at psi_max above tolerance; fit_budget warns
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=1, delta=0.3, seed=0)
-    q, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
-    psi = q.codebook.psi
+    _, book, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
+    psi = book.psi
     assert psi == 1
     assert acc == 0.5
     with pytest.warns(ToleranceWarning):
@@ -242,8 +241,8 @@ def test_adaptive_quantize_trivial_when_representable():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.array([0, 1])
     cfg = QuantConfig(psi_init=1, psi_max=8, delta=0.0, seed=0)
-    q, acc = adaptive_quantize(spec, mask, w, 1.0, (x, y), cfg)
-    psi = q.codebook.psi
+    _, book, acc = adaptive_quantize(spec, mask, w, 1.0, (x, y), cfg)
+    psi = book.psi
     assert psi == 1
     assert acc == 1.0
 
@@ -251,18 +250,18 @@ def test_adaptive_quantize_trivial_when_representable():
 def test_adaptive_quantize_vacuous_delta():
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=8, delta=1.0, seed=0)
-    psi = adaptive_quantize(spec, mask, w, 1.0, val, cfg)[0].codebook.psi
+    psi = adaptive_quantize(spec, mask, w, 1.0, val, cfg)[1].psi
     assert psi == 1
 
 
 def test_adaptive_quantize_respects_bit_budget():
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=4, delta=0.0, seed=0)
-    q, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
+    _, book, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
     with pytest.raises(CapacityExhausted):
-        fit_budget(0, spec, q.codebook.psi, acc, 1.0, cfg, budget=1)
+        fit_budget(0, spec, book.psi, acc, 1.0, cfg, budget=1)
     with pytest.raises(CapacityExhausted):
-        fit_budget(0, spec, q.codebook.psi, acc, 1.0, cfg, budget=0)
+        fit_budget(0, spec, book.psi, acc, 1.0, cfg, budget=0)
 
 
 def capped_ladder(task_id, spec, mask, weights, q_ref, val, cfg, budget):
@@ -277,19 +276,20 @@ def capped_ladder(task_id, spec, mask, weights, q_ref, val, cfg, budget):
     masked = [w[m] for w, m in zip(weights.weights, mask)]
     psi, warm = cfg.psi_init, None
     while True:
-        q = nonlinear_quantize(psi, masked, cfg, warm=warm, mask=mask)
-        acc = evaluate(spec, DenseWeights(dequantize(q), weights.biases), mask, *val)
+        codes, book = nonlinear_quantize(psi, masked, cfg, warm=warm)
+        acc = evaluate(spec, DenseWeights(dequantize(mask, codes, book), weights.biases),
+                       mask, *val)
         if acc >= q_ref - cfg.delta:
-            return q, acc
+            return codes, book, acc
         if psi >= cfg.psi_max:
             warnings.warn(f"task {task_id}: accuracy {acc:.4f} still below "
                           f"{q_ref - cfg.delta:.4f} at psi_max={cfg.psi_max}",
                           ToleranceWarning)
-            return q, acc
+            return codes, book, acc
         if psi + 1 > cap:
             raise CapacityExhausted(
                 layers, f"bit-width {psi + 1} exceeds the {cap}-bit slot budget of the mask")
-        warm, psi = q.codebook, psi + 1
+        warm, psi = book, psi + 1
 
 
 def _outcome(fn):
@@ -297,9 +297,9 @@ def _outcome(fn):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            q, acc = fn()
-            out = (q.codebook.psi, acc, [c.tolist() for c in q.codes],
-                   [c.tolist() for c in q.codebook.centroids])
+            codes, book, acc = fn()
+            out = (book.psi, acc, [c.tolist() for c in codes],
+                   [c.tolist() for c in book.centroids])
         except CapacityExhausted as exc:
             out = ("CapacityExhausted", exc.layers, str(exc))
     return out, [(w.category, str(w.message)) for w in caught]
@@ -323,13 +323,13 @@ def test_uncapped_ladder_and_budget_give_the_capped_ladder(psi_init, psi_max, q_
     x = rng.random((40, 6))
     val = (x, np.argmax(forward(spec, w, mask, x), axis=1))
     cfg = QuantConfig(psi_init=psi_init, psi_max=psi_max, delta=0.0, seed=3)
-    q, acc = adaptive_quantize(spec, mask, w, q_ref, val, cfg)
-    assert q.codebook.psi == chosen
+    codes, book, acc = adaptive_quantize(spec, mask, w, q_ref, val, cfg)
+    assert book.psi == chosen
 
     for budget in range(psi_init - 1, psi_max + 1):
         def fitted():
-            fit_budget(7, spec, q.codebook.psi, acc, q_ref, cfg, budget)
-            return q, acc
+            fit_budget(7, spec, book.psi, acc, q_ref, cfg, budget)
+            return codes, book, acc
         want = _outcome(lambda: capped_ladder(7, spec, mask, w, q_ref, val, cfg, budget))
         assert _outcome(fitted) == want, budget
         (kind, *_), caught = want
@@ -340,16 +340,15 @@ def test_uncapped_ladder_and_budget_give_the_capped_ladder(psi_init, psi_max, q_
 def test_quantization_deterministic():
     rng = np.random.default_rng(6)
     vals = [rng.normal(size=300)]
-    a = nonlinear_quantize(3, vals, CFG)
-    b = nonlinear_quantize(3, vals, CFG)
-    book_a, book_b = a.codebook, b.codebook
+    codes_a, book_a = nonlinear_quantize(3, vals, CFG)
+    codes_b, book_b = nonlinear_quantize(3, vals, CFG)
     np.testing.assert_array_equal(book_a.centroids[0], book_b.centroids[0])
-    np.testing.assert_array_equal(a.codes[0], b.codes[0])
+    np.testing.assert_array_equal(codes_a[0], codes_b[0])
 
 
 def test_centroids_serialize_bit_exact():
     rng = np.random.default_rng(12)
-    book = nonlinear_quantize(4, [rng.normal(size=200)], CFG).codebook
+    _, book = nonlinear_quantize(4, [rng.normal(size=200)], CFG)
     raw = book.centroids[0].tobytes()
     back = np.frombuffer(raw, dtype=np.float32)
     np.testing.assert_array_equal(back, book.centroids[0])

@@ -378,6 +378,31 @@ def test_cli_report_on_a_checkpoint_with_no_task_exits_4(tmp_path, capsys):
         assert (tmp_path / "out" / name).read_bytes() == (fresh / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["run", "resume", "report", "make-data"])
+def test_cli_output_dir_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, command):
+    # fails on the parent, where os.makedirs raised FileExistsError (exit 1)
+    from subnetpack.workers import TrainPool
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    one_task = make_cfg(tmp_path / "out", "scenario.n_tasks = 1\n")
+    if command == "report":
+        execute_run(new_state(one_task))
+        ckpt = str(tmp_path / "out" / "checkpoint.bin")
+    else:  # resume has task 0 still to train
+        ckpt = save_run_checkpoint(new_state(one_task))
+    argv = {
+        "run": ["run", "--config", write_cfg_file(tmp_path),
+                "--set", f"run.output_dir={taken}"],
+        "resume": ["resume", "--checkpoint", ckpt, "--output-dir", str(taken)],
+        "report": ["report", "--checkpoint", ckpt, "--output-dir", str(taken)],
+        "make-data": ["make-data", "--out", str(taken), "--n-train=10", "--n-test=10"],
+    }[command]
+    monkeypatch.setattr(TrainPool, "submit", lambda *args: pytest.fail("a job ran"))
+    assert main(argv) == 2
+    assert f"cannot create output directory {str(taken)!r}" in capsys.readouterr().err
+    assert taken.read_text() == "a file"
+
+
 def test_cli_run_with_overrides(tmp_path, capsys):
     cfg = write_cfg_file(tmp_path)
     out2 = str(tmp_path / "out2")
@@ -788,6 +813,32 @@ def test_lookahead_holds_a_failing_next_task_back(tmp_path, monkeypatch, capsys)
     resumed = state_from_checkpoint(str(tmp_path / "out" / "checkpoint.bin"))
     assert resumed.next_task == 1
     assert [log.task_id for log in resumed.prune_logs] == [0]
+
+
+def test_quantization_only_submits_the_next_task_before_waiting(tmp_path, monkeypatch):
+    # fails on the parent, which submitted task t+1's dense training only
+    # after task t's checkpoint
+    from subnetpack import runner
+    from subnetpack.workers import Batch
+    events = []
+    submit, wait = runner.submit_full_training, Batch.wait
+
+    def recording_submit(task_id, *args):
+        events.append(("submit", task_id))
+        return submit(task_id, *args)
+
+    def recording_wait(batch):
+        events.append(("wait", batch.task_id))
+        return wait(batch)
+
+    monkeypatch.setattr(runner, "submit_full_training", recording_submit)
+    monkeypatch.setattr(Batch, "wait", recording_wait)
+    state = new_state(make_cfg(tmp_path / "out", "run.mode = quantization-only\n"))
+    _, saves = record_run(monkeypatch, lambda: execute_run(state))
+    assert events == [("submit", 0), ("submit", 1), ("wait", 0),
+                      ("submit", 2), ("wait", 1), ("wait", 2)]
+    assert [e for e in saves if e[0] == "save"] == [("save", t, 0) for t in (1, 2, 3)]
+    assert forget_check(state.matrix) == []
 
 
 @pytest.mark.parametrize("mode", ["full", "pruning-only", "quantization-only"])

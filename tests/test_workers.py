@@ -18,7 +18,7 @@ from subnetpack.config import build_run_config, parse_config_text
 from subnetpack.errors import DegenerateMaskWarning, ShapeMismatchError, WorkerDied
 from subnetpack.network import (ModelSpec, TrainConfig, as_floats, evaluate,
                                 full_mask, train_masked, xavier_init)
-from subnetpack.pruning import PruneConfig, adaptive_prune, make_candidate
+from subnetpack.pruning import PruneConfig, choose_winner, start_search
 from subnetpack.runner import execute_run, new_state, state_from_checkpoint
 from subnetpack.scenario import (load_idx, permuted_scenario, synthetic_blobs,
                                  write_digit_idx)
@@ -55,10 +55,17 @@ def blob_suite(seed=11):
                            separation=8.0, seed=seed)
 
 
+def trained_winner(cfg):
+    """The trained winner of task 0's search on an empty store."""
+    search = start_search(0, WeightSlotStore(SPEC.shapes), SPEC, blob_suite(), cfg, TRAIN)
+    choose_winner(search)
+    return search.trained()
+
+
 def started_pool():
     """The process's pool with at least one live worker."""
-    make_candidate(0, 0, WeightSlotStore(SPEC.shapes), SPEC, xavier_init(SPEC, 1),
-                   blob_suite(), PruneConfig(population=1, short_epochs=1), TRAIN)
+    start_search(0, WeightSlotStore(SPEC.shapes), SPEC, blob_suite(),
+                 PruneConfig(population=1, short_epochs=1), TRAIN).population.wait()
     return workers.POOL
 
 
@@ -85,7 +92,7 @@ def test_degenerate_mask_warning_reaches_the_caller():
     cfg = PruneConfig(population=2, short_epochs=1, full_epochs=1,
                       v_min=1.0, v_max=1.0, seed=0)
     with pytest.warns(DegenerateMaskWarning):
-        adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, blob_suite(), cfg, TRAIN)
+        trained_winner(cfg)
 
 
 def test_worker_exception_comes_back_as_itself():
@@ -109,14 +116,12 @@ def test_killed_worker_raises_promptly_with_its_exit_status():
     cfg = PruneConfig(population=2, short_epochs=1, full_epochs=1, seed=0)
     start = time.monotonic()
     with pytest.raises(WorkerDied) as info:
-        adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC, blob_suite(), cfg, TRAIN)
+        trained_winner(cfg)
     assert time.monotonic() - start < 10.0
     assert info.value.pid == pid
     assert info.value.status == -signal.SIGKILL
     # the next call starts a fresh pool
-    _, _, q_ref = adaptive_prune(0, WeightSlotStore(SPEC.shapes), SPEC,
-                                 blob_suite(), cfg, TRAIN)
-    assert 0.0 <= q_ref <= 1.0
+    assert 0.0 <= trained_winner(cfg).accuracy <= 1.0
 
 
 def test_workers_train_uint8_pixels_as_their_floats(tmp_path):
