@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: run, resume, report, inspect-checkpoint, make-data. Exit codes:
-0 success, 2 bad configuration or input data, or an output directory that
-cannot be created (found before any task trains), 3 capacity exhausted,
+0 success, 2 bad configuration or input data, an input file that cannot be
+read, or an output directory that cannot be created (found before any task
+trains), 3 capacity exhausted,
 4 corrupt or unsupported checkpoint, or `report` on one with no completed
 task, 5 a training worker process died.
 """

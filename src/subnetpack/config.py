@@ -195,18 +195,29 @@ def load_run_config(path, overrides=None) -> RunConfig:
     return build_run_config(apply_overrides(parse_config_text(text), overrides))
 
 
+def _read_idx(cfg: ScenarioConfig, split):
+    """load_idx of a split's image and label files; ConfigError if one is unreadable."""
+    images, labels = f"{split}_images", f"{split}_labels"
+    try:
+        return load_idx(getattr(cfg, images), getattr(cfg, labels))
+    except OSError as exc:
+        key = images if exc.filename == getattr(cfg, images) else labels
+        raise ConfigError(f"scenario.{key}: cannot read {getattr(cfg, key)!r}: "
+                          f"{exc.strerror or exc}") from None
+
+
 def build_suite(cfg: ScenarioConfig) -> ScenarioSuite:
     """Materialize the scenario a config describes; the only reader of its files.
 
-    A value the scenario's constructor refuses raises ConfigError.
+    A file that cannot be read, or a value the scenario's constructor
+    refuses, raises ConfigError.
     """
     if cfg.kind != "synthetic":
         for name in _IDX_FIELDS:
             path = getattr(cfg, name)
             if not os.path.exists(path):
                 raise ConfigError(f"scenario.{name}: no such file {path!r}")
-        train = load_idx(cfg.train_images, cfg.train_labels)
-        test = load_idx(cfg.test_images, cfg.test_labels)
+        train, test = _read_idx(cfg, "train"), _read_idx(cfg, "test")
         for split, (x, _) in (("train", train), ("test", test)):
             if len(x) == 0:
                 name = f"{split}_images"

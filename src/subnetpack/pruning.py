@@ -19,7 +19,8 @@ its training, and `choose_winner` waits for it, chooses the winner and
 submits the winner's full training; neither blocks on the winner, which
 `Search.trained` waits for. Between them the caller is free, which `runner`
 uses to start the next task's search while this task's winner trains.
-`adaptive_prune` runs the three in sequence.
+`adaptive_prune` runs the three in sequence. `start_dense` begins a search
+with no population: the dense network's full training is its winner.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SelectionWarning
-from .network import TrainConfig, xavier_init
+from .network import TrainConfig, full_mask, xavier_init
 from .quantization import QuantConfig
 from .seeding import derive_seed, rng_from
 from .store import WeightSlotStore, sample_candidate_full
@@ -124,15 +125,16 @@ class Search:
     `population` trains the members on the task; each JobResult holds its
     member's mask and short-trained weights. `choose_winner` then sets `log`
     and submits `winner`, the chosen member's full training finishing the
-    task with `quant` (see `submit_full_training`).
+    task with `quant` (see `submit_full_training`). One from `start_dense`
+    has no store, population or log.
     """
 
     task_id: int
-    store: WeightSlotStore  # the store the masks were drawn from
+    store: WeightSlotStore | None  # the store the masks were drawn from
     cfg: PruneConfig
     train_cfg: TrainConfig
     quant: QuantConfig | None
-    population: Batch
+    population: Batch | None
     log: PruneLog | None = None
     winner: Batch | None = None
 
@@ -164,9 +166,22 @@ def start_search(task_id, store: WeightSlotStore, spec, suite,
     workers. `quant` is how the winner's job finishes the task; see
     `submit_full_training`.
     """
-    init_weights = xavier_init(spec, derive_seed(cfg.seed, task_id, ROLE_INIT, 0))
-    return _search(range(cfg.population), task_id, store, spec, init_weights,
-                   suite, cfg, train_cfg, quant)
+    return _search(range(cfg.population), task_id, store, spec,
+                   _initial_weights(task_id, spec, cfg), suite, cfg, train_cfg, quant)
+
+
+def start_dense(task_id, spec, suite, cfg: PruneConfig, train_cfg: TrainConfig,
+                quant: QuantConfig) -> Search:
+    """A search with no population: the dense network, from the task's fresh
+    initializer, is member 0 and the winner; submits its full training."""
+    winner = submit_full_training(task_id, 0, spec, _initial_weights(task_id, spec, cfg),
+                                  full_mask(spec), suite, cfg, train_cfg, quant)
+    return Search(task_id, None, cfg, train_cfg, quant, None, winner=winner)
+
+
+def _initial_weights(task_id, spec, cfg: PruneConfig):
+    """Task `task_id`'s fresh initializer, shared by every member it trains."""
+    return xavier_init(spec, derive_seed(cfg.seed, task_id, ROLE_INIT, 0))
 
 
 def make_candidate(index, task_id, store: WeightSlotStore, spec, init_weights,

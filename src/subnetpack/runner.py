@@ -16,19 +16,18 @@ dequantized components, so a changed task shows in `forget_check`. A
 checkpoint lands after every task so a run can resume from any prefix and
 reproduce the uninterrupted result exactly.
 
-`execute_run` looks one task ahead. Once task t's winner is chosen and
-submitted for full training, task t+1's population is sampled from a copy
-of the store in which t's mask already holds a component of the most bits t
-can commit, and submitted behind it; t+1's winner is chosen and submitted as
-soon as that population returns. So the workers train t+1 while t's winner
-trains and quantizes and while this process commits and checkpoints task t,
-which still happen in task order. The copy draws the masks the real commit
-would, bit for bit, when `_lookahead_is_exact` holds; otherwise task t+1
-starts after task t's checkpoint, through the same functions. Warnings,
-errors and the prune log of work done ahead are held back until task t+1
-starts, after task t's checkpoint, where a run without the lookahead would
-report them. A quantization-only run has no search: task t+1's dense
-training reads no store, so it is submitted before task t's is waited on.
+`execute_run` looks one task ahead, in every mode. Once task t's winner is
+submitted for full training, `_start` begins task t+1: its population is
+sampled from a copy of the store in which t's mask already holds a component
+of the most bits t can commit, and submitted behind it; t+1's winner is
+chosen and submitted as soon as that population returns. A quantization-only
+task's dense training is its winner from the start. So the workers train t+1
+while t's winner trains and quantizes and while this process commits and
+checkpoints task t, which still happen in task order. The copy draws the
+masks the real commit would, bit for bit, when `_lookahead_is_exact` holds;
+otherwise task t+1 starts after task t's checkpoint, through the same
+functions. Warnings, errors and the prune log of work done ahead are held
+back until task t+1 starts, where a run without the lookahead reports them.
 """
 
 from __future__ import annotations
@@ -48,14 +47,12 @@ from .checkpoint import VERSION, load_checkpoint, save_checkpoint
 from .config import RunConfig, build_run_config, build_suite, parse_config_text
 from .errors import CapacityExhausted, CheckpointError, ConfigError
 from .metrics import AccuracyMatrix, capacity_report, forget_check, lifelong_accuracy
-from .network import DenseWeights, evaluate, full_mask, xavier_init
-from .pruning import (ROLE_INIT, PruneLog, Search, choose_winner, start_search,
-                      submit_full_training)
+from .network import DenseWeights, evaluate
+from .pruning import PruneLog, Search, choose_winner, start_dense, start_search
 from .quantization import Codebook, dequantize, fit_budget
 from .scenario import ScenarioSuite, make_output_dir
-from .seeding import derive_seed
 from .store import SLOT_BITS, WeightSlotStore
-from .workers import POOL, Batch
+from .workers import POOL
 
 CHECKPOINT_NAME = "checkpoint.bin"
 
@@ -161,7 +158,7 @@ def _past_accuracy(state: RunState, task_id: int) -> float:
 
 
 class _Ahead:
-    """Task t+1's search begun during task t, its warnings and error held back."""
+    """A task's work, begun: its search, its warnings and error held back."""
 
     def __init__(self):
         self.search: Search | None = None
@@ -210,59 +207,68 @@ def _search_bits(state: RunState) -> tuple[int, int]:
 
 
 def _lookahead_is_exact(state: RunState, mask) -> bool:
-    """Whether the next task draws the same masks before `mask` commits as after.
+    """Whether the next task begins the same work before `mask` commits as after.
 
-    The next task samples from `store.projected(mask, most)`, with (psi_min,
-    most) from `_search_bits`; a slot is eligible while it holds fewer than
-    t_max components and at least psi_min free bits. Pruning-only commits
-    exactly 32 bits, as the copy does. Otherwise the task commits at most
-    psi_max bits; if every slot under `mask` has psi_max + psi_min bits free,
-    each keeps psi_min free whatever bit-width is picked, and `fit_budget`
-    passes any choice up to psi_max, so the task is not resampled either.
+    Dense training reads no store. A search samples from
+    `store.projected(mask, most)`, with (psi_min, most) from `_search_bits`;
+    a slot is eligible while it holds fewer than t_max components and at
+    least psi_min free bits. Pruning-only commits exactly 32 bits, as the
+    copy does. A full task commits at most psi_max bits; if every slot under
+    `mask` has psi_max + psi_min bits free, each keeps psi_min free whatever
+    bit-width is picked, and `fit_budget` passes any choice up to psi_max,
+    so the task is not resampled either.
     """
-    if state.config.mode == "pruning-only":
+    if state.config.mode != "full":
         return True
     psi_min, most = _search_bits(state)
     return state.store.mask_bit_budget(mask) >= most + psi_min
 
 
-def _start(state: RunState, t, store: WeightSlotStore, psi_min) -> Search:
-    """Task t's search on `store`; its winner's job quantizes with the ladder,
-    or stores 32-bit patterns in pruning-only runs. The jobs name the task,
-    and the workers build it: this process never does.
+def _start(state: RunState, t, psi_min, after=None) -> _Ahead:
+    """Begin task t's search or dense training; warnings and error wait for `take()`.
+
+    A search samples from the store as it is, or as it will be once the mask
+    `after` commits. The winner's job quantizes with the ladder, or stores
+    32-bit patterns in pruning-only runs. The jobs name the task, and the
+    workers build it: this process never does.
     """
     cfg = state.config
-    quant = None if cfg.mode == "pruning-only" else cfg.quant
-    return start_search(t, store, cfg.model, state.suite,
-                        replace(cfg.prune, psi_min=psi_min), cfg.train, quant)
-
-
-def _begin_ahead(state: RunState, t: int, mask) -> _Ahead:
-    """Start task t's search on the store as it will be once `mask` commits."""
-    psi_min, most = _search_bits(state)
+    prune = replace(cfg.prune, psi_min=psi_min)
     ahead = _Ahead()
-    ahead.search = ahead.run(_start, state, t, state.store.projected(mask, most),
-                             psi_min)
+    if cfg.mode == "quantization-only":
+        ahead.search = ahead.run(start_dense, t, cfg.model, state.suite, prune,
+                                 cfg.train, cfg.quant)
+        return ahead
+    store = state.store if after is None else state.store.projected(
+        after, _search_bits(state)[1])
+    quant = None if cfg.mode == "pruning-only" else cfg.quant
+    ahead.search = ahead.run(start_search, t, store, cfg.model, state.suite, prune,
+                             cfg.train, quant)
     return ahead
 
 
-def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min):
+def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min=None):
     """(winner's mask, its finished JobResult, next _Ahead or None).
 
-    Task t's search comes from `ahead`, or starts here. Its winner is chosen
-    unless that is done, and the choice is logged. Task t+1's search begins
-    before the wait for the winner, if that is exact; while the winner
-    trains, t+1's winner is chosen as soon as its population is in.
+    Task t's work comes from `ahead`, or starts here with the floor `psi_min`
+    (by default a first search's, from `_search_bits`). Its winner is chosen
+    unless it has one, and a search's choice is logged. Task t+1's work begins before the wait for
+    the winner, if that is exact; while the winner trains, t+1's winner is
+    chosen as soon as its population is in.
     """
-    search = _start(state, t, state.store, psi_min) if ahead is None else ahead.take()
-    if search.log is None:
+    first, _ = _search_bits(state)
+    if ahead is None:
+        ahead = _start(state, t, first if psi_min is None else psi_min)
+    search = ahead.take()
+    if search.winner is None:
         choose_winner(search)
-    state.prune_logs.append(search.log)
+    if search.log is not None:
+        state.prune_logs.append(search.log)
     ahead = None
     if t + 1 < state.suite.n_tasks and _lookahead_is_exact(state, search.mask):
-        ahead = _begin_ahead(state, t + 1, search.mask)
+        ahead = _start(state, t + 1, first, after=search.mask)
     while (ahead is not None and ahead.error is None
-           and ahead.search.log is None and not search.winner.ready):
+           and ahead.search.winner is None and not search.winner.ready):
         POOL.wait_any([search.winner, ahead.search.population])
         if ahead.search.population.ready:
             ahead.run(choose_winner, ahead.search)
@@ -278,7 +284,7 @@ def _run_task_full(state: RunState, t, ahead):
     a lookahead: `_lookahead_is_exact` rules it out.
     """
     cfg = state.config
-    psi_min = cfg.prune.psi_min
+    psi_min = None
     while True:
         mask, result, next_ahead = _trained_winner(state, t, ahead, psi_min)
         budget = state.store.mask_bit_budget(mask)
@@ -296,34 +302,12 @@ def _run_task_full(state: RunState, t, ahead):
         return mask, result, next_ahead
 
 
-def _run_task_pruning_only(state: RunState, t, ahead):
-    """Population pruning; the winner is stored as raw 32-bit patterns.
-
-    The patterns hold the trained float32 values exactly, so q_quant is q_ref.
-    """
-    return _trained_winner(state, t, ahead, SLOT_BITS)
-
-
-def _dense_training(state: RunState, t) -> Batch:
-    """Submit task t's dense training, which finishes the task."""
-    cfg = state.config
-    spec = cfg.model
-    init = xavier_init(spec, derive_seed(cfg.prune.seed, t, ROLE_INIT, 0))
-    return submit_full_training(t, 0, spec, init, full_mask(spec), state.suite,
-                                cfg.prune, cfg.train, cfg.quant)
-
-
 def _run_task_quantization_only(state: RunState, t, ahead):
     """No pruning: train the dense network and quantize every slot.
 
-    Dense training reads no store, so task t+1's job is submitted before
-    task t's is waited on, and handed to task t+1 as its `ahead`: task t's
-    job, or None when nothing was begun for it.
+    A saturated store fails the task before its training is waited on.
     """
     cfg = state.config
-    batch = _dense_training(state, t) if ahead is None else ahead
-    ahead = _dense_training(state, t + 1) if t + 1 < state.suite.n_tasks else None
-    result, = batch.wait()
     saturated = tuple(
         i for i in range(state.store.layer_count)
         if not state.store.eligible_slots(i, cfg.quant.psi_init).all()
@@ -333,30 +317,29 @@ def _run_task_quantization_only(state: RunState, t, ahead):
             saturated,
             f"task {t}: a dense mask needs every slot eligible for "
             f"{cfg.quant.psi_init}-bit components")
+    mask, result, ahead = _trained_winner(state, t, ahead)
     fit_budget(t, cfg.model, result.codebook.psi, result.q_acc, result.accuracy,
-               cfg.quant, state.store.mask_bit_budget(result.mask))
-    return result.mask, result, ahead
+               cfg.quant, state.store.mask_bit_budget(mask))
+    return mask, result, ahead
 
 
-# Each takes (state, task, what was begun for it during task t-1 or None) and
-# returns (the winner's mask, its finished JobResult, what it began for task
-# t+1 or None). What is begun ahead is an _Ahead, or in quantization-only runs
-# the dense training's Batch.
+# Each takes (state, task, the _Ahead begun for it during task t-1 or None)
+# and returns (the winner's mask, its finished JobResult, the _Ahead begun for
+# task t+1 or None). Pruning-only stores the winner as raw 32-bit patterns,
+# which hold the trained float32 values exactly, so q_quant is q_ref.
 _MODE_RUNNERS = {
     "full": _run_task_full,
-    "pruning-only": _run_task_pruning_only,
+    "pruning-only": _trained_winner,
     "quantization-only": _run_task_quantization_only,
 }
 
 
-def execute_task(state: RunState, t: int,
-                 ahead: _Ahead | Batch | None = None) -> _Ahead | Batch | None:
+def execute_task(state: RunState, t: int, ahead: _Ahead | None = None) -> _Ahead | None:
     """Run task t: search, quantize, commit, fill its accuracy row, checkpoint.
 
-    `ahead` is what was begun for task t during task t-1: its search, whose
-    held-back warnings and error surface first, or in quantization-only runs
-    its dense training. What is begun for task t+1 while task t's winner
-    trains is returned, for the call that runs task t+1.
+    `ahead` is the work begun for task t during task t-1; its held-back
+    warnings and error surface first. The work begun for task t+1 while task
+    t's winner trains is returned, for the call that runs task t+1.
     """
     mask, result, ahead = _MODE_RUNNERS[state.config.mode](state, t, ahead)
     state.store.commit(t, mask, result.codebook.psi, result.codes)
@@ -460,11 +443,16 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
     CheckpointError, as does one whose copies of a fact disagree. The
     scenario data is opened only with need_suite; a suite whose manifest
     differs from the stored one, because its files changed, raises
-    ConfigError.
+    ConfigError. `output_dir` replaces the stored `run.output_dir`, so the
+    checkpoints and reports the state writes, and what resumes them, stay
+    there.
     """
     version, payload = load_checkpoint(path)
     try:
-        cfg = build_run_config(parse_config_text(payload["config"]))
+        raw = parse_config_text(payload["config"])
+        if output_dir is not None:
+            raw["run.output_dir"] = output_dir
+        cfg = build_run_config(raw)
         # format 1 stored the slot store unpacked
         store = WeightSlotStore.from_state_dict(payload["store"], packed=version >= 2)
         state = RunState(cfg, None, store, AccuracyMatrix(payload["matrix"]),
@@ -485,8 +473,6 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
     if held != want:
         raise CheckpointError(f"{path}: next_task, task ids, slot cap and layer "
                               f"shapes {held} disagree with {want}")
-    if output_dir is not None:
-        cfg.output_dir = output_dir
     if need_suite:
         state.suite = _checked_suite(cfg, state.manifest)
     return state

@@ -299,12 +299,24 @@ def test_capacity_exhaustion_checkpoints_state(tmp_path):
     assert resumed.matrix.n_episodes == 1
 
 
-def test_quantization_only_capacity_exhaustion(tmp_path):
+def test_quantization_only_capacity_exhaustion(tmp_path, monkeypatch):
+    # task 1's dense training, begun during task 0, is dropped unwaited: the
+    # saturated store fails task 1 first. Fails on the parent, which waited
+    # for task 1's job before the check
+    from subnetpack.workers import Batch
+    waited, wait = [], Batch.wait
+
+    def recording_wait(batch):
+        waited.append(batch.task_id)
+        return wait(batch)
+
+    monkeypatch.setattr(Batch, "wait", recording_wait)
     extra = "prune.t_l = 1\nscenario.n_tasks = 2\nrun.mode = quantization-only\n"
     state = new_state(make_cfg(tmp_path / "out", extra))
     with pytest.raises(CapacityExhausted) as err:
         execute_run(state)
     assert len(err.value.layers) == 2  # both layers saturated
+    assert waited == [0]
 
 
 def test_write_reports_requires_progress(tmp_path):
@@ -429,6 +441,19 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    # an IDX path that exists but cannot be read, here a directory; fails on
+    # the parent, where IsADirectoryError left the CLI with a traceback
+    paths = write_digit_idx(tmp_path / "data", n_train=30, n_test=10, seed=3)
+    paths["train_images"] = str(tmp_path / "data")
+    unreadable = tmp_path / "unreadable.cfg"
+    unreadable.write_text(
+        "".join(f"scenario.{k} = {v}\n" for k, v in paths.items())
+        + "scenario.kind = permuted\nmodel.layers = 784,8,10\n"
+        + f"run.output_dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(unreadable)]) == 2
+    err = capsys.readouterr().err
+    assert f"scenario.train_images: cannot read {str(tmp_path / 'data')!r}" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind, value", [
@@ -496,6 +521,27 @@ def test_cli_capacity_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "capacity exhausted" in err
     assert "layers" in err
+
+
+def test_cli_resume_into_another_directory_stays_there(tmp_path, capsys):
+    # the redirected checkpoint names its own directory, so resuming it
+    # writes nothing to the first; fails on the parent, whose checkpoint kept
+    # the first directory
+    cfg = write_cfg_file(
+        tmp_path,
+        "prune.v_min = 0.0\nprune.v_max = 0.0\nprune.t_l = 1\n"
+        "prune.population = 1\nprune.short_epochs = 0\n"
+        "prune.full_epochs = 0\nscenario.n_tasks = 2\n")
+    first, second = tmp_path / "out", tmp_path / "out2"
+    assert main(["run", "--config", cfg]) == 3
+    assert main(["resume", "--checkpoint", str(first / "checkpoint.bin"),
+                 "--output-dir", str(second)]) == 3
+    (first / "checkpoint.bin").unlink()
+    assert main(["resume", "--checkpoint", str(second / "checkpoint.bin")]) == 3
+    capsys.readouterr()
+    assert not (first / "checkpoint.bin").exists()
+    assert state_from_checkpoint(str(second / "checkpoint.bin"),
+                                 need_suite=False).config.output_dir == str(second)
 
 
 def test_cli_checkpoint_errors(tmp_path, capsys):
@@ -729,18 +775,20 @@ def test_format_1_checkpoint_still_reads(tmp_path, capsys):
 def record_run(monkeypatch, run):
     """Events of run(): searches started, commits, checkpoint saves, warnings.
 
-    A save records (next_task, prune logs written); a warning its category
-    and text.
+    A search is a population search or a quantization-only task's dense
+    training. A save records (next_task, prune logs written); a warning its
+    category and text.
     """
     from subnetpack import runner
     from subnetpack.store import WeightSlotStore
     events = []
-    start_search, commit, save = (runner.start_search, WeightSlotStore.commit,
-                                  runner.save_checkpoint)
+    commit, save = WeightSlotStore.commit, runner.save_checkpoint
 
-    def recording_start(task_id, *args):
-        events.append(("search", task_id))
-        return start_search(task_id, *args)
+    def recording(start):
+        def recording_start(task_id, *args):
+            events.append(("search", task_id))
+            return start(task_id, *args)
+        return recording_start
 
     def recording_commit(store, task_id, *args):
         events.append(("commit", task_id))
@@ -750,7 +798,8 @@ def record_run(monkeypatch, run):
         events.append(("save", payload["next_task"], len(payload["prune_logs"])))
         return save(path, payload)
 
-    monkeypatch.setattr(runner, "start_search", recording_start)
+    for name in ("start_search", "start_dense"):
+        monkeypatch.setattr(runner, name, recording(getattr(runner, name)))
     monkeypatch.setattr(WeightSlotStore, "commit", recording_commit)
     monkeypatch.setattr(runner, "save_checkpoint", recording_save)
     with warnings.catch_warnings():
@@ -769,8 +818,9 @@ def out_bytes(out):
     return files
 
 
-@pytest.mark.parametrize("mode", ["full", "pruning-only"])
+@pytest.mark.parametrize("mode", ["full", "pruning-only", "quantization-only"])
 def test_lookahead_changes_nothing_observable(tmp_path, monkeypatch, mode):
+    # quantization-only fails on the parent, where the rule did not govern it
     from subnetpack import runner
     out = tmp_path / "out"
     runs = {}
@@ -786,14 +836,16 @@ def test_lookahead_changes_nothing_observable(tmp_path, monkeypatch, mode):
     (sequential, plain), (ahead, overlapped) = runs[False], runs[True]
     assert ahead == sequential
     # saves, prune logs and warnings come at the same points, and each save
-    # holds one prune log per task done
+    # holds one prune log per task searched
     shown = [e for e in overlapped if e[0] in ("save", "warn")]
     assert shown == [e for e in plain if e[0] in ("save", "warn")]
-    assert [e for e in shown if e[0] == "save"] == [("save", t, t) for t in (1, 2, 3)]
+    searched = 0 if mode == "quantization-only" else 1
+    assert [e for e in shown if e[0] == "save"] == [("save", t, searched * t)
+                                                     for t in (1, 2, 3)]
     if mode == "pruning-only":
         assert any(e[0] == "warn" for e in shown)
-    # task 1's population went out before task 0 committed, and not without
-    # the lookahead
+    # task 1's population or dense training went out before task 0
+    # committed, and not without the lookahead
     assert overlapped.index(("search", 1)) < overlapped.index(("commit", 0))
     assert plain.index(("search", 1)) > plain.index(("commit", 0))
 
@@ -818,10 +870,10 @@ def test_lookahead_holds_a_failing_next_task_back(tmp_path, monkeypatch, capsys)
 def test_quantization_only_submits_the_next_task_before_waiting(tmp_path, monkeypatch):
     # fails on the parent, which submitted task t+1's dense training only
     # after task t's checkpoint
-    from subnetpack import runner
+    from subnetpack import pruning
     from subnetpack.workers import Batch
     events = []
-    submit, wait = runner.submit_full_training, Batch.wait
+    submit, wait = pruning.submit_full_training, Batch.wait
 
     def recording_submit(task_id, *args):
         events.append(("submit", task_id))
@@ -831,7 +883,7 @@ def test_quantization_only_submits_the_next_task_before_waiting(tmp_path, monkey
         events.append(("wait", batch.task_id))
         return wait(batch)
 
-    monkeypatch.setattr(runner, "submit_full_training", recording_submit)
+    monkeypatch.setattr(pruning, "submit_full_training", recording_submit)
     monkeypatch.setattr(Batch, "wait", recording_wait)
     state = new_state(make_cfg(tmp_path / "out", "run.mode = quantization-only\n"))
     _, saves = record_run(monkeypatch, lambda: execute_run(state))
