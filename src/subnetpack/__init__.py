@@ -18,9 +18,8 @@ from .quantization import (Codebook, QuantConfig, adaptive_quantize, dequantize,
                            fit_budget, identity_quantize, kmeans_1d,
                            nonlinear_quantize)
 from .pruning import PruneConfig, PruneLog, adaptive_prune, select_best
-from .metrics import (AccuracyMatrix, CapacityEntry, CapacityReport, capacity,
-                      capacity_actual, capacity_report, forget_check,
-                      lifelong_accuracy)
+from .metrics import (AccuracyMatrix, capacity, capacity_actual, capacity_report,
+                      forget_check, lifelong_accuracy)
 from .scenario import (ScenarioSuite, TaskData, load_idx, make_digit_images,
                        permuted_scenario, save_idx, split_scenario,
                        stratified_val_split, synthetic_blobs, write_digit_idx)

@@ -12,6 +12,7 @@ every stage's seed, and `scenario.seed` too when that is not set.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -145,16 +146,23 @@ def apply_overrides(raw, overrides) -> dict:
 
 
 def _typed(key, text):
-    """A raw value as the type of its field's default; None means a path."""
+    """A raw value as the type of its field's default; None means a path.
+
+    A float key refuses `inf` and `nan`, which `float` parses.
+    """
     default = key_default(key)
     try:
         if isinstance(default, tuple):
             return tuple(int(v) for v in text.split(","))
-        if isinstance(default, (int, float)):
-            return type(default)(text)
+        if not isinstance(default, (int, float)):
+            return text
+        value = type(default)(text)
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {text!r}") from None
-    return text
+    # an int above 1e308 would overflow math.isfinite
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key}: {text!r} is not a finite number")
+    return value
 
 
 def build_run_config(raw: dict) -> RunConfig:

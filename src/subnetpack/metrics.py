@@ -4,12 +4,10 @@ The accuracy matrix records R[e][t], task t's accuracy after episode e.
 Committed components never change, so past-task entries must stay bit-equal
 down the column; forget_check verifies exactly that. Capacity counts the bits
 a task occupies: coded weights, codebook tables, and one mask bit per used
-slot.
+slot. capacity_report returns summary.json's capacity section.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .store import SLOT_BITS, WeightSlotStore
 
@@ -87,52 +85,24 @@ def capacity_actual(store: WeightSlotStore, task_id: int, codebook) -> int:
     return _task_bits(store.tasks[task_id], sum(len(t) for t in codebook.centroids))
 
 
-@dataclass(frozen=True)
-class CapacityEntry:
-    task_id: int
-    psi: int
-    bits: int
-    bits_actual: int
-    percent: float
-    percent_actual: float
-    cumulative_bits: int
+def capacity_report(store: WeightSlotStore, codebooks: dict) -> dict:
+    """summary.json's capacity section: every committed task, in task order.
 
-
-@dataclass(frozen=True)
-class CapacityReport:
-    """Per-task storage costs against the dense 32-bit weight footprint."""
-
-    entries: tuple[CapacityEntry, ...]
-    dense_bits: int
-
-    @property
-    def total_bits(self) -> int:
-        return sum(e.bits for e in self.entries)
-
-    @property
-    def total_percent(self) -> float:
-        return 100.0 * self.total_bits / self.dense_bits
-
-
-def capacity_report(store: WeightSlotStore, codebooks: dict) -> CapacityReport:
-    """Capacity entries for every committed task, in task order.
-
-    codebooks maps every committed task_id to that task's Codebook.
+    codebooks maps every committed task_id to that task's Codebook. Percents
+    are of `dense_bits`, the dense 32-bit weight footprint; each `per_task`
+    row is one line of capacity.csv.
     """
     dense = store.total_slots * SLOT_BITS
-    entries = []
+    rows = []
     running = 0
     for task_id in sorted(store.tasks):
         bits = capacity(store, task_id)
         actual = capacity_actual(store, task_id, codebooks[task_id])
         running += bits
-        entries.append(CapacityEntry(
-            task_id,
-            store.tasks[task_id].psi,
-            bits,
-            actual,
-            100.0 * bits / dense,
-            100.0 * actual / dense,
-            running,
-        ))
-    return CapacityReport(tuple(entries), dense)
+        rows.append({
+            "task": task_id, "psi": store.tasks[task_id].psi, "bits": bits,
+            "bits_actual": actual, "percent": 100.0 * bits / dense,
+            "percent_actual": 100.0 * actual / dense, "cumulative_bits": running,
+        })
+    return {"dense_bits": dense, "total_bits": running,
+            "total_percent": 100.0 * running / dense, "per_task": rows}

@@ -4,10 +4,11 @@ Weights inside a task's mask are clustered into 2^psi centroids per layer;
 codes index the centroid table. A quantized task is its mask, its codes (one
 uint32 array per layer, in the row-major order of the masked slots) and its
 Codebook: the quantizers return the codes and the codebook, and `dequantize`
-reads all three. Centroids are held as IEEE-754 32-bit values, matching the
-serialized form bit-exactly. The adaptive loop raises psi one bit at a time
-until validation accuracy is within delta of the full-precision reference,
-or psi_max.
+reads all three. `dequantized_weights` adds the biases: every quantized task
+that is scored is rebuilt by it. Centroids are held as IEEE-754 32-bit
+values, matching the serialized form bit-exactly. The adaptive loop raises
+psi one bit at a time until validation accuracy is within delta of the
+full-precision reference, or psi_max.
 
 In a run, the winner's job quantizes its task in the worker that trained it
 (`workers`), with `adaptive_quantize` or, in pruning-only runs,
@@ -295,6 +296,11 @@ def dequantize(mask, codes, codebook: Codebook) -> list[np.ndarray]:
     return out
 
 
+def dequantized_weights(mask, codes, codebook: Codebook, biases) -> DenseWeights:
+    """A quantized task's DenseWeights: `dequantize`'s arrays and a copy of `biases`."""
+    return DenseWeights(dequantize(mask, codes, codebook), [b.copy() for b in biases])
+
+
 def adaptive_quantize(spec, mask, trained_weights: DenseWeights, q_ref, val_data,
                       cfg: QuantConfig):
     """Escalate bit-width until quantized accuracy is within delta of q_ref.
@@ -312,8 +318,7 @@ def adaptive_quantize(spec, mask, trained_weights: DenseWeights, q_ref, val_data
     warm = None
     for psi in range(cfg.psi_init, cfg.psi_max + 1):
         codes, book = nonlinear_quantize(psi, masked_values, cfg, warm=warm)
-        view = DenseWeights(dequantize(mask, codes, book),
-                            [b.copy() for b in trained_weights.biases])
+        view = dequantized_weights(mask, codes, book, trained_weights.biases)
         acc = evaluate(spec, view, mask, X_val, y_val)
         if acc >= q_ref - cfg.delta:
             break

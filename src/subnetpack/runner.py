@@ -47,9 +47,9 @@ from .checkpoint import VERSION, load_checkpoint, save_checkpoint
 from .config import RunConfig, build_run_config, build_suite, parse_config_text
 from .errors import CapacityExhausted, CheckpointError, ConfigError
 from .metrics import AccuracyMatrix, capacity_report, forget_check, lifelong_accuracy
-from .network import DenseWeights, evaluate
+from .network import evaluate
 from .pruning import PruneLog, Search, choose_winner, start_dense, start_search
-from .quantization import Codebook, dequantize, fit_budget
+from .quantization import Codebook, dequantized_weights, fit_budget
 from .scenario import ScenarioSuite, make_output_dir
 from .store import SLOT_BITS, WeightSlotStore
 from .workers import POOL
@@ -123,8 +123,7 @@ def task_view(state: RunState, task_id: int):
     """(weights, mask) for a committed task, rebuilt from store components."""
     alloc = state.store.tasks[task_id]
     rec = state.tasks[task_id]
-    weights = DenseWeights(dequantize(alloc.mask, alloc.codes, rec.codebook),
-                           [b.copy() for b in rec.biases])
+    weights = dequantized_weights(alloc.mask, alloc.codes, rec.codebook, rec.biases)
     return weights, list(alloc.mask)
 
 
@@ -508,11 +507,11 @@ def write_reports(state: RunState) -> dict:
     cap = capacity_report(state.store,
                           {t: r.codebook for t, r in state.tasks.items()})
     lines = ["task,mode,psi,bits,bits_actual,percent,percent_actual,cumulative_bits"]
-    for entry in cap.entries:
+    for row in cap["per_task"]:
         lines.append(
-            f"{entry.task_id},{state.config.mode},{entry.psi},{entry.bits},"
-            f"{entry.bits_actual},{_fmt(entry.percent)},"
-            f"{_fmt(entry.percent_actual)},{entry.cumulative_bits}")
+            f"{row['task']},{state.config.mode},{row['psi']},{row['bits']},"
+            f"{row['bits_actual']},{_fmt(row['percent'])},"
+            f"{_fmt(row['percent_actual'])},{row['cumulative_bits']}")
     paths["capacity"] = os.path.join(out, "capacity.csv")
     with open(paths["capacity"], "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -537,20 +536,7 @@ def write_reports(state: RunState) -> dict:
         "accuracy_quantized": {str(t): r.q_quant for t, r in state.tasks.items()},
         "quantization_drop": {str(t): r.q_ref - r.q_quant for t, r in state.tasks.items()},
         "task_layer_usage_sparsity": per_task_sparsity,
-        "capacity": {
-            "dense_bits": cap.dense_bits,
-            "total_bits": cap.total_bits,
-            "total_percent": cap.total_percent,
-            "per_task": [
-                {
-                    "task": e.task_id, "psi": e.psi, "bits": e.bits,
-                    "bits_actual": e.bits_actual, "percent": e.percent,
-                    "percent_actual": e.percent_actual,
-                    "cumulative_bits": e.cumulative_bits,
-                }
-                for e in cap.entries
-            ],
-        },
+        "capacity": cap,
         "prune_logs": [asdict(log) for log in state.prune_logs],
     }
     paths["summary"] = os.path.join(out, "summary.json")

@@ -309,19 +309,27 @@ def split_scenario(train, test, classes_per_task, seed) -> ScenarioSuite:
                          classes_per_task, descriptors, _train=train, _test=test)
 
 
-def _make_blobs(classes, dim, samples, separation, rng):
+def _place_means(classes, dim, separation, rng):
+    """`classes` means drawn from rng, pairwise at least `separation` apart.
+
+    Each mean gets 200 draws; a mean that none of them can place raises
+    ValueError.
+    """
     means = []
     for _ in range(classes):
-        placed = False
         for _ in range(200):
             candidate = rng.normal(0.0, separation, size=dim)
             if all(np.linalg.norm(candidate - m) >= separation for m in means):
                 means.append(candidate)
-                placed = True
                 break
-        if not placed:
+        else:
             raise ValueError(
                 f"could not place {classes} means at separation {separation}")
+    return means
+
+
+def _make_blobs(classes, dim, samples, separation, rng):
+    means = _place_means(classes, dim, separation, rng)
     n_test = max(1, samples // 4)
     xs, ys = [], []
     for split_n in (samples, n_test):
@@ -347,11 +355,14 @@ def synthetic_blobs(n_tasks, classes, dim, samples, separation, seed) -> Scenari
         # two or more train samples
         raise ValueError(f"samples must be >= 2, got {samples}: with fewer, "
                          "every task's validation split is empty")
-    suite = ScenarioSuite("synthetic", seed, n_tasks, dim, classes,
-                          [seed] * n_tasks,
-                          _blob_params={"dim": dim, "samples": samples,
-                                        "separation": separation})
-    return suite
+    # each task draws its means again from the same stream when it is built;
+    # drawing them here refuses a separation they cannot meet before any task
+    for i in range(n_tasks):
+        _place_means(classes, dim, separation, rng_from(seed, i, _TAG_BLOBS))
+    return ScenarioSuite("synthetic", seed, n_tasks, dim, classes,
+                         [seed] * n_tasks,
+                         _blob_params={"dim": dim, "samples": samples,
+                                       "separation": separation})
 
 
 # -- procedural digit glyphs -------------------------------------------------

@@ -61,7 +61,8 @@ import numpy as np
 
 from .errors import WorkerDied
 from .network import DenseWeights, as_floats, evaluate, train_masked
-from .quantization import Codebook, adaptive_quantize, dequantize, identity_quantize
+from .quantization import (Codebook, adaptive_quantize, dequantized_weights,
+                           identity_quantize)
 
 TASKS_KEPT = 2  # tasks whose float splits a worker keeps
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -85,7 +86,8 @@ def _finish(spec, weights, mask, accuracy, split, quant) -> dict:
 
     `quant` is the bit-width ladder's QuantConfig, or None for 32-bit
     patterns, which keep the validation accuracy. The test accuracy is the
-    one `runner.task_view` rebuilds: the same codes, codebook and biases.
+    one `runner.task_view` replays: both rebuild the task with
+    `dequantized_weights` from the same codes, codebook and biases.
     """
     _, _, x_val, y_val, x_test, y_test = split
     if quant is None:
@@ -93,7 +95,7 @@ def _finish(spec, weights, mask, accuracy, split, quant) -> dict:
     else:
         codes, codebook, q_acc = adaptive_quantize(spec, mask, weights, accuracy,
                                                    (x_val, y_val), quant)
-    view = DenseWeights(dequantize(mask, codes, codebook), weights.biases)
+    view = dequantized_weights(mask, codes, codebook, weights.biases)
     return dict(codebook=codebook, codes=codes, q_acc=q_acc,
                 test_acc=evaluate(spec, view, mask, x_test, y_test))
 

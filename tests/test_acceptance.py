@@ -89,7 +89,7 @@ def test_criterion_3_capacity_bound(desk):
     # measured tables can only shrink the bound
     report = capacity_report(desk.store,
                              {t: r.codebook for t, r in desk.tasks.items()})
-    actual_pct = max(e.percent_actual for e in report.entries)
+    actual_pct = max(e["percent_actual"] for e in report["per_task"])
     verdict(3, formula_ok and worst_pct <= 15.0 and actual_pct <= worst_pct + 1e-9,
             f"worst per-task footprint {worst_pct:.2f}% of dense "
             f"(measured {actual_pct:.2f}%) needs <= 15%, formula check "

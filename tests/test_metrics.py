@@ -79,20 +79,20 @@ def test_capacity_report_accumulates():
     books = {0: Codebook(2, [np.zeros(4, dtype=np.float32)] * 2),
              1: Codebook(3, [np.zeros(8, dtype=np.float32)] * 2)}
     report = capacity_report(store, books)
-    assert [e.task_id for e in report.entries] == [0, 1]
-    assert report.dense_bits == 200 * 32
-    assert report.entries[0].cumulative_bits == report.entries[0].bits
-    assert report.entries[1].cumulative_bits == (
-        report.entries[0].bits + report.entries[1].bits)
-    assert report.total_bits == sum(e.bits for e in report.entries)
-    for e in report.entries:
-        assert e.percent == pytest.approx(100.0 * e.bits / report.dense_bits)
-        assert e.percent_actual == pytest.approx(
-            100.0 * e.bits_actual / report.dense_bits)
+    rows = report["per_task"]
+    assert [e["task"] for e in rows] == [0, 1]
+    assert report["dense_bits"] == 200 * 32
+    assert rows[0]["cumulative_bits"] == rows[0]["bits"]
+    assert rows[1]["cumulative_bits"] == rows[0]["bits"] + rows[1]["bits"]
+    assert report["total_bits"] == sum(e["bits"] for e in rows)
+    for e in rows:
+        assert e["percent"] == pytest.approx(100.0 * e["bits"] / report["dense_bits"])
+        assert e["percent_actual"] == pytest.approx(
+            100.0 * e["bits_actual"] / report["dense_bits"])
     # task 1's full tables cost the worst case in both columns
-    assert report.entries[1].bits_actual == report.entries[1].bits
-    assert report.total_percent == pytest.approx(
-        100.0 * report.total_bits / report.dense_bits)
+    assert rows[1]["bits_actual"] == rows[1]["bits"]
+    assert report["total_percent"] == pytest.approx(
+        100.0 * report["total_bits"] / report["dense_bits"])
 
 
 def test_matrix_row_shape_enforced():

@@ -461,6 +461,9 @@ def test_cli_config_errors(tmp_path, capsys):
     ("synthetic", "scenario.n_tasks=0"),
     ("synthetic", "scenario.samples=0"),
     ("synthetic", "scenario.separation=0"),
+    # 30 means 8 apart do not fit on a line within a few standard deviations;
+    # the suite used to accept them and a worker's get_task raised (exit 1)
+    ("synthetic", "scenario.classes=30 scenario.dim=1 model.layers=1,16,30"),
     ("split", "scenario.classes_per_task=0"),
     ("make-data", "--n-train=-1"),
 ])
@@ -476,9 +479,25 @@ def test_cli_out_of_range_scenario_values_exit_2(tmp_path, capsys, kind, value):
                 "".join(f"scenario.{k} = {v}\n" for k, v in paths.items())
                 + f"scenario.kind = {kind}\nmodel.layers = 784,8,10\n"
                 + f"run.output_dir = {tmp_path / 'out'}\n")
-        argv = ["run", "--config", cfg, "--set", value]
+        argv = ["run", "--config", cfg]
+        for item in value.split():
+            argv += ["--set", item]
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [
+    "train.lr_initial=inf", "train.lr_decay=inf", "scenario.separation=inf",
+    "prune.alpha=nan", "prune.beta=inf", "quant.delta=nan", "quant.delta=inf",
+])
+def test_cli_non_finite_float_values_exit_2(tmp_path, capsys, value):
+    # float() parses inf and nan; each used to train and exit 0 or 1
+    cfg = write_cfg_file(tmp_path, "scenario.n_tasks = 2\n")
+    assert main(["run", "--config", cfg, "--set", value]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"{value.partition('=')[0]}: " in err and "not a finite number" in err
     assert not (tmp_path / "out").exists()
 
 

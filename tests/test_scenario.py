@@ -254,9 +254,8 @@ def test_blobs_validation():
 
 
 def test_blobs_impossible_placement():
-    suite = synthetic_blobs(1, 40, 1, 5, 50.0, seed=0)
     with pytest.raises(ValueError, match="could not place"):
-        suite.get_task(0)
+        synthetic_blobs(1, 40, 1, 5, 50.0, seed=0)
 
 
 def test_stratified_val_split_counts():
