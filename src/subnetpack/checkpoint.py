@@ -5,7 +5,9 @@ trailing little-endian u64 BLAKE2b digest of the payload. The payload is a
 tagged tree of None/int/float/str/bytes/list/dict/ndarray nodes, everything
 little-endian, dict keys sorted so equal states serialize to equal bytes.
 Arrays hold bool or little-endian numbers only. The decoder accepts exactly
-what the encoder writes and raises CheckpointError for anything else.
+what the encoder writes and raises CheckpointError for anything else. It
+reads the payload once, in place: each field is unpacked at an offset into a
+memoryview, and only strings, bytes and array contents are copied out.
 
 Version 2 stores the slot store bit-packed (see `store`); version 1 held
 bool masks and uint32 codes. Both are read, and `load_checkpoint` returns the
@@ -91,79 +93,84 @@ def _encode_into(buf: bytearray, node) -> None:
         raise TypeError(f"cannot encode {type(node).__name__}")
 
 
-_U8 = struct.Struct("<B")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U64 = struct.Struct("<Q")
 
 
-class _Reader:
-    """Reads fields in place: at an offset into a memoryview of the payload."""
-
-    def __init__(self, data, path: str):
-        self.data = memoryview(data)
-        self.pos = 0
-        self.path = path
-
-    def truncated(self) -> CheckpointError:
-        return CheckpointError(f"{self.path}: payload truncated at byte {self.pos}")
-
-    def take(self, n: int) -> memoryview:
-        at = self.pos
-        if at + n > len(self.data):
-            raise self.truncated()
-        self.pos = at + n
-        return self.data[at:at + n]
-
-    def unpack(self, fmt: struct.Struct):
-        try:
-            out = fmt.unpack_from(self.data, self.pos)
-        except struct.error:
-            raise self.truncated() from None
-        self.pos += fmt.size
-        return out
+def _truncated(path: str, pos: int) -> CheckpointError:
+    return CheckpointError(f"{path}: payload truncated after byte {pos}")
 
 
-def _decode_node(r: _Reader):
-    (tag,) = r.unpack(_U8)
-    if tag == _T_NONE:
-        return None
-    if tag == _T_INT:
-        return r.unpack(_I64)[0]
-    if tag == _T_FLOAT:
-        return r.unpack(_F64)[0]
-    if tag == _T_STR:
-        (n,) = r.unpack(_U64)
-        return str(r.take(n), "utf-8")
-    if tag == _T_BYTES:
-        (n,) = r.unpack(_U64)
-        return bytes(r.take(n))
-    if tag == _T_LIST:
-        (n,) = r.unpack(_U64)
-        return [_decode_node(r) for _ in range(n)]
-    if tag == _T_DICT:
-        (n,) = r.unpack(_U64)
-        out = {}
-        last = None
-        for _ in range(n):
-            at = r.pos
-            key = _decode_node(r)
-            if not isinstance(key, str) or (last is not None and key <= last):
-                raise CheckpointError(f"{r.path}: dict key at byte {at} not a str in order")
-            out[key] = _decode_node(r)
-            last = key
-        return out
-    if tag == _T_ARRAY:
-        (dlen,) = r.unpack(_U8)
-        dtype_text = bytes(r.take(dlen))
-        dtype = _DTYPES.get(dtype_text)
-        if dtype is None:
-            raise CheckpointError(f"{r.path}: array dtype {dtype_text!r} at byte {r.pos}")
-        (ndim,) = r.unpack(_U8)
-        shape = r.unpack(struct.Struct(f"<{ndim}Q")) if ndim else ()
-        (nbytes,) = r.unpack(_U64)
-        return np.frombuffer(r.take(nbytes), dtype=dtype).reshape(shape).copy()
-    raise CheckpointError(f"{r.path}: unknown node tag {tag} at byte {r.pos - 1}")
+def _decode_node(data: memoryview, pos: int, path: str):
+    """(node, end offset) of the node at `pos` in the payload `data`.
+
+    Reads each field in place with `unpack_from`; a module-level function,
+    so decoding makes no reference cycle that would keep the payload alive.
+    """
+    try:
+        tag = data[pos]
+        pos += 1
+        if tag == _T_INT:
+            return _I64.unpack_from(data, pos)[0], pos + 8
+        if tag == _T_FLOAT:
+            return _F64.unpack_from(data, pos)[0], pos + 8
+        if tag in (_T_STR, _T_BYTES):
+            (n,) = _U64.unpack_from(data, pos)
+            pos += 8
+            end = pos + n
+            if end > len(data):
+                raise _truncated(path, pos)
+            raw = data[pos:end]
+            return (str(raw, "utf-8") if tag == _T_STR else bytes(raw)), end
+        if tag == _T_LIST:
+            (n,) = _U64.unpack_from(data, pos)
+            pos += 8
+            out = []
+            for _ in range(n):
+                item, pos = _decode_node(data, pos, path)
+                out.append(item)
+            return out, pos
+        if tag == _T_DICT:
+            (n,) = _U64.unpack_from(data, pos)
+            pos += 8
+            out = {}
+            last = None
+            for _ in range(n):
+                if data[pos] != _T_STR:
+                    raise CheckpointError(f"{path}: dict key at byte {pos} not a str")
+                (klen,) = _U64.unpack_from(data, pos + 1)
+                pos += 9
+                end = pos + klen
+                if end > len(data):
+                    raise _truncated(path, pos)
+                key = str(data[pos:end], "utf-8")
+                if last is not None and key <= last:
+                    raise CheckpointError(f"{path}: dict key at byte {pos} out of order")
+                out[key], pos = _decode_node(data, end, path)
+                last = key
+            return out, pos
+        if tag == _T_ARRAY:
+            dlen = data[pos]
+            dtype_text = bytes(data[pos + 1:pos + 1 + dlen])
+            dtype = _DTYPES.get(dtype_text)
+            if dtype is None:
+                raise CheckpointError(f"{path}: array dtype {dtype_text!r} at byte {pos}")
+            pos += 1 + dlen
+            ndim = data[pos]
+            shape = struct.unpack_from(f"<{ndim}Q", data, pos + 1)
+            pos += 1 + 8 * ndim
+            (nbytes,) = _U64.unpack_from(data, pos)
+            pos += 8
+            end = pos + nbytes
+            if end > len(data):
+                raise _truncated(path, pos)
+            return np.frombuffer(data[pos:end], dtype=dtype).reshape(shape).copy(), end
+        if tag == _T_NONE:
+            return None, pos
+    except (IndexError, struct.error):
+        raise _truncated(path, pos) from None
+    raise CheckpointError(f"{path}: unknown node tag {tag} at byte {pos - 1}")
 
 
 def encode_state(state: dict) -> bytes:
@@ -174,14 +181,14 @@ def encode_state(state: dict) -> bytes:
 
 def decode_state(payload, path: str = "<memory>") -> dict:
     """The state `encode_state` wrote into `payload`, any bytes-like object."""
-    r = _Reader(payload, path)
+    data = memoryview(payload).cast("B")
     try:
-        node = _decode_node(r)
+        node, end = _decode_node(data, 0, path)
     except (ValueError, RecursionError) as exc:
         # bad UTF-8, array bytes that do not fit their shape, deep nesting
-        raise CheckpointError(f"{path}: bad node before byte {r.pos}: {exc}") from None
-    if r.pos != len(payload):
-        raise CheckpointError(f"{path}: {len(payload) - r.pos} stray payload bytes")
+        raise CheckpointError(f"{path}: bad node: {exc}") from None
+    if end != len(data):
+        raise CheckpointError(f"{path}: {len(data) - end} stray payload bytes")
     return node
 
 

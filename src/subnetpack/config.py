@@ -39,7 +39,7 @@ KEYS = {
     "model.layers": "comma list: input dim, hidden sizes, class count",
     "train.batch_size": "minibatch size",
     "train.lr_initial": "initial learning rate",
-    "train.lr_decay": "per-epoch decay factor",
+    "train.lr_decay": "per-epoch decay factor, in (0, 1]",
     "train.lr_floor": "learning-rate floor",
     "prune.population": "candidate masks per task",
     "prune.alpha": "accuracy weight in candidate scoring",

@@ -102,6 +102,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (self.lr_initial > self.lr_floor > 0):
             raise ValueError("need lr_initial > lr_floor > 0")
+        # a decay above 1 grows the rate until it overflows; one at or below
+        # 0 makes every odd epoch's rate fall to lr_floor
+        if not 0 < self.lr_decay <= 1:
+            raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
 
     def lr_at(self, epoch: int) -> float:
         return max(self.lr_initial * self.lr_decay**epoch, self.lr_floor)

@@ -273,7 +273,9 @@ def dequantize(mask, codes, codebook: Codebook) -> list[np.ndarray]:
 
     `codes[i]` holds layer i's codes in the row-major order of the slots
     `mask[i]` marks; slots outside the mask are zero. A code outside its
-    layer's codebook raises CorruptCodesError.
+    layer's codebook raises CorruptCodesError. Each layer's centroid table
+    (at most 2^psi entries) is cast to float64 once, so the codes gather
+    float64 values and the scatter copies them without a cast.
     """
     identity = codebook.psi == 32
     out = []
@@ -284,11 +286,12 @@ def dequantize(mask, codes, codebook: Codebook) -> list[np.ndarray]:
             values = c.view(np.float32)
         else:
             table = codebook.centroids[i]
-            if c.size and (len(table) == 0 or c.max() >= len(table)):
+            try:
+                values = table.astype(np.float64).take(c)
+            except IndexError:
                 raise CorruptCodesError(
                     f"layer {i}: code {int(c.max())} outside codebook of {len(table)}"
-                )
-            values = table[c]
+                ) from None
         if c.size:
             # scattering through indices is about 3x faster than a bool mask
             full[np.flatnonzero(m)] = values

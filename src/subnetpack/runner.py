@@ -37,7 +37,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from itertools import zip_longest
 
@@ -393,8 +393,14 @@ def _state_payload(state: RunState) -> dict:
         "q_ref": {str(t): r.q_ref for t, r in tasks.items()},
         "q_quant": {str(t): r.q_quant for t, r in tasks.items()},
         "psi_star": {str(t): a.psi for t, a in state.store.tasks.items()},
-        "prune_logs": [asdict(log) for log in state.prune_logs],
+        "prune_logs": [_log_dict(log) for log in state.prune_logs],
     }
+
+
+def _log_dict(log: PruneLog) -> dict:
+    """A prune log's fields as they stand: its sequences are tuples of floats
+    already, so `dataclasses.asdict`'s deep copy would copy nothing needed."""
+    return dict(vars(log))
 
 
 def save_run_checkpoint(state: RunState) -> str:
@@ -537,12 +543,11 @@ def write_reports(state: RunState) -> dict:
         "quantization_drop": {str(t): r.q_ref - r.q_quant for t, r in state.tasks.items()},
         "task_layer_usage_sparsity": per_task_sparsity,
         "capacity": cap,
-        "prune_logs": [asdict(log) for log in state.prune_logs],
+        "prune_logs": [_log_dict(log) for log in state.prune_logs],
     }
     paths["summary"] = os.path.join(out, "summary.json")
     with open(paths["summary"], "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     paths["manifest"] = os.path.join(out, "scenario_manifest.txt")
     with open(paths["manifest"], "w", encoding="utf-8") as fh:

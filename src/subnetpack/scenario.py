@@ -313,13 +313,19 @@ def _place_means(classes, dim, separation, rng):
     """`classes` means drawn from rng, pairwise at least `separation` apart.
 
     Each mean gets 200 draws; a mean that none of them can place raises
-    ValueError.
+    ValueError, and so does a separation so large that a distance between
+    two means overflows, which would pass every spacing check.
     """
     means = []
     for _ in range(classes):
         for _ in range(200):
             candidate = rng.normal(0.0, separation, size=dim)
-            if all(np.linalg.norm(candidate - m) >= separation for m in means):
+            with np.errstate(over="ignore", invalid="ignore"):
+                dists = [np.linalg.norm(candidate - m) for m in means]
+            if not np.isfinite(dists).all():
+                raise ValueError(f"scenario.separation = {separation}: the squared "
+                                 "distance between two class means overflows")
+            if all(d >= separation for d in dists):
                 means.append(candidate)
                 break
         else:

@@ -13,9 +13,10 @@ and commit all read it from the store.
 bytes), the codes as one little-endian psi-bit stream in slot order
 (ceil(used*psi/8) bytes), both with zero pad bits. `from_state_dict` reads
 that layout, or the bool masks and uint32 codes of checkpoint format 1, and
-rebuilds counts and budgets in one pass instead of replaying commits. A
-committed task never changes, so each allocation is packed once, on the
-first save, and a loaded one keeps the packed arrays it was read from.
+rebuilds counts and budgets by adding each task's mask bytes into uint8 sums
+instead of replaying commits. A committed task never changes, so each
+allocation is packed once, on the first save, and a loaded one keeps the
+packed arrays it was read from.
 
 `projected` copies the budgets with one more component under a mask, for a
 run that samples the next task before the current one commits.
@@ -33,6 +34,8 @@ import numpy as np
 from .errors import CapacityExhausted, CapacityWarning, CommitRejected
 
 SLOT_BITS = 32
+# tasks a slot's uint8 sums can take on top of SLOT_BITS bits without wrapping
+_UINT8_TASKS = (255 - SLOT_BITS) // SLOT_BITS
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,8 @@ class TaskAllocation:
         return self.packed
 
     def active_counts(self) -> list[int]:
-        """Masked slots per layer."""
-        return [int(np.count_nonzero(m)) for m in self.mask]
+        """Masked slots per layer: a layer holds one code per masked slot."""
+        return [c.size for c in self.codes]
 
 
 class WeightSlotStore:
@@ -90,12 +93,6 @@ class WeightSlotStore:
     @property
     def total_slots(self) -> int:
         return sum(self.layer_sizes)
-
-    def remaining_bits(self, layer: int) -> np.ndarray:
-        return self._remaining[layer].copy()
-
-    def component_counts(self, layer: int) -> np.ndarray:
-        return self._comp_count[layer].copy()
 
     # -- sparsity ----------------------------------------------------------
 
@@ -183,9 +180,10 @@ class WeightSlotStore:
     def _occupy(self, mask, psi: int) -> None:
         """Add one psi-bit component to every masked slot, densely."""
         for i, m in enumerate(mask):
-            flat = m.ravel()
+            flat = m.ravel().astype(np.int32)
             self._comp_count[i] += flat
-            self._remaining[i] -= np.multiply(flat, psi, dtype=np.int32)
+            flat *= psi
+            self._remaining[i] -= flat
 
     # -- serialization ---------------------------------------------------------
 
@@ -215,11 +213,20 @@ class WeightSlotStore:
 
         Rejects with CommitRejected whatever replaying the commits in order
         would reject. Counts and used bits only grow, so checking the cap and
-        the budgets on the final state is the same as checking each commit.
+        the budgets after any prefix of the tasks, and on the final state, is
+        the same as checking each commit.
+
+        Each layer's counts and used bits add up in uint8, one pass per task
+        mask in the mask's own bytes. A slot that passed a check holds at most
+        SLOT_BITS bits, and so at most SLOT_BITS components; each task adds at
+        most SLOT_BITS bits, so checking every `_UINT8_TASKS` tasks keeps every
+        sum below 256 and the check exact for any number of tasks.
         """
         store = cls(state["layer_shapes"], t_max=state["t_max"])
         read_layer = _read_packed_layer if packed else _read_v1_layer
-        for rec in state["tasks"]:
+        counts = [np.zeros(s, dtype=np.uint8) for s in store.layer_sizes]
+        used = [np.zeros(s, dtype=np.uint8) for s in store.layer_sizes]
+        for k, rec in enumerate(state["tasks"]):
             task_id, psi = rec["task_id"], rec["psi"]
             if not isinstance(task_id, numbers.Integral) or task_id in store.tasks:
                 raise CommitRejected(f"task id {task_id!r} is not new")
@@ -231,18 +238,27 @@ class WeightSlotStore:
             layers = [read_layer(rec["mask"][i], rec["codes"][i], psi, shape,
                                  f"task {task_id} layer {i}")
                       for i, shape in enumerate(store.layer_shapes)]
-            mask = [m for m, _ in layers]
-            store._occupy(mask, psi)
+            for i, (m, _) in enumerate(layers):
+                bits = m.ravel().view(np.uint8)
+                counts[i] += bits
+                used[i] += bits * np.uint8(psi)
             store.tasks[task_id] = TaskAllocation(
-                task_id, psi, mask, [c for _, c in layers],
+                task_id, psi, [m for m, _ in layers], [c for _, c in layers],
                 packed=(list(rec["mask"]), list(rec["codes"])) if packed else None)
-        over = [i for i in range(store.layer_count)
-                if store._comp_count[i].max() > store.t_max
-                or store._remaining[i].min() < 0]
-        if over:
-            raise CommitRejected(f"layers {over} hold slots over {store.t_max} "
-                                 f"components or {SLOT_BITS} bits")
+            if k % _UINT8_TASKS == _UINT8_TASKS - 1:
+                store._reject_over(counts, used)
+        store._reject_over(counts, used)
+        for i in range(store.layer_count):
+            store._comp_count[i] += counts[i]
+            store._remaining[i] -= used[i]
         return store
+
+    def _reject_over(self, counts, used) -> None:
+        over = [i for i in range(self.layer_count)
+                if int(counts[i].max()) > self.t_max or int(used[i].max()) > SLOT_BITS]
+        if over:
+            raise CommitRejected(f"layers {over} hold slots over {self.t_max} "
+                                 f"components or {SLOT_BITS} bits")
 
 
 def _nbytes(bits: int) -> int:

@@ -1,5 +1,5 @@
 """Shared test oracles: exhaustive 1-D k-means, least-squares separability,
-readers of a slot store's committed masks and codes, and a run stopped
+readers of a slot store's committed masks, codes and slot occupancy, and a run stopped
 after a given checkpoint."""
 
 import itertools
@@ -65,6 +65,11 @@ def slot_components(store, layer, slot):
             pos = int(np.count_nonzero(flat[:slot]))
             out.append((alloc.task_id, alloc.psi, int(alloc.codes[layer][pos])))
     return out
+
+
+def slot_occupancy(store, layer):
+    """(component counts, remaining bits) of one layer's slots, as int32 copies."""
+    return store._comp_count[layer].copy(), store._remaining[layer].copy()
 
 
 class Interrupted(Exception):

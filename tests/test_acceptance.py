@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (contiguous_optimum, kmeans_wcss, run_until_saved, same_masks,
-                     slot_components)
+                     slot_components, slot_occupancy)
 from subnetpack.config import QuantConfig, build_run_config, parse_config_text
 from subnetpack.errors import CommitRejected
 from subnetpack.metrics import capacity, capacity_report, forget_check, lifelong_accuracy
@@ -275,8 +275,7 @@ def test_criterion_8_store_against_reference_model():
                         if len(comps) >= t_max or free < psi:
                             should_pass = False
 
-            before_counts = [store.component_counts(i) for i in range(len(shapes))]
-            before_bits = [store.remaining_bits(i) for i in range(len(shapes))]
+            before = [slot_occupancy(store, i) for i in range(len(shapes))]
             try:
                 store.commit(task, mask_layers, psi, codes)
                 landed = True
@@ -296,15 +295,13 @@ def test_criterion_8_store_against_reference_model():
             else:
                 rejected += 1
                 for i in range(len(shapes)):
-                    assert np.array_equal(before_counts[i], store.component_counts(i))
-                    assert np.array_equal(before_bits[i], store.remaining_bits(i))
+                    assert np.array_equal(before[i], slot_occupancy(store, i))
                 assert set(store.tasks) == committed
 
         # settle the finished store against the model slot by slot
         assert set(store.tasks) == committed
         for i, size in enumerate(store.layer_sizes):
-            counts = store.component_counts(i)
-            bits = store.remaining_bits(i)
+            counts, bits = slot_occupancy(store, i)
             for slot in range(size):
                 comps = slot_components(store, i, slot)
                 assert comps == model.get((i, slot), [])
@@ -317,8 +314,7 @@ def test_criterion_8_store_against_reference_model():
         clone = WeightSlotStore.from_state_dict(store.state_dict())
         assert clone.tasks.keys() == store.tasks.keys()
         for i in range(len(shapes)):
-            assert np.array_equal(clone.component_counts(i), store.component_counts(i))
-            assert np.array_equal(clone.remaining_bits(i), store.remaining_bits(i))
+            assert np.array_equal(slot_occupancy(clone, i), slot_occupancy(store, i))
         for t, alloc in store.tasks.items():
             assert clone.tasks[t].psi == alloc.psi
             assert same_masks(clone.tasks[t].mask, alloc.mask)

@@ -1,3 +1,4 @@
+import gc
 import struct
 
 import numpy as np
@@ -73,6 +74,23 @@ def test_decode_rejects_truncation():
     payload = encode_state(SAMPLE)
     with pytest.raises(CheckpointError):
         decode_state(payload[:-3])
+
+
+def test_decode_makes_no_reference_cycle():
+    # a cycle through the decoder would keep each payload it read alive
+    # until the garbage collector ran
+    payload = encode_state(SAMPLE)
+    gc.collect()
+    gc.disable()
+    try:
+        for data in (payload, payload[:-3], payload + b"\x00"):
+            try:
+                decode_state(data)
+            except CheckpointError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_encode_rejects_arrays_the_decoder_refuses():

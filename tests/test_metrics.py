@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import slot_occupancy
 from subnetpack.metrics import (AccuracyMatrix, capacity, capacity_actual,
                                 capacity_report, forget_check,
                                 lifelong_accuracy)
@@ -70,7 +71,7 @@ def test_capacity_report_accumulates():
     for t, psi in enumerate((2, 3)):
         layers = []
         for i in range(2):
-            free = store.component_counts(i) == 0
+            free = slot_occupancy(store, i)[0] == 0
             pick = rng.choice(np.flatnonzero(free), size=20, replace=False)
             m = np.zeros(100, dtype=bool)
             m[pick] = True

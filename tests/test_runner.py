@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import run_until_saved, same_masks
+from helpers import run_until_saved, same_masks, slot_occupancy
 from subnetpack.cli import EXIT_CHECKPOINT, main
 from subnetpack.config import build_run_config, parse_config_text
 from subnetpack.errors import CapacityExhausted
@@ -252,7 +252,7 @@ def test_pruning_only_mode(tmp_path):
         assert all(len(c) == 0 for c in book.centroids)
     # a 32-bit component fills its slot, so task masks never overlap
     for layer in range(state.store.layer_count):
-        counts = state.store.component_counts(layer)
+        counts = slot_occupancy(state.store, layer)[0]
         assert counts.max() <= 1
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["mode"] == "pruning-only"
@@ -278,7 +278,7 @@ def test_quantization_only_mode(tmp_path):
     for t, alloc in state.store.tasks.items():
         assert all(m.all() for m in alloc.mask)  # dense masks
     for layer in range(state.store.layer_count):
-        counts = state.store.component_counts(layer)
+        counts = slot_occupancy(state.store, layer)[0]
         assert counts.min() == 3 and counts.max() == 3
     assert all(a.psi <= 8 for a in state.store.tasks.values())
     assert lifelong_accuracy(state.matrix) >= 0.95
@@ -498,6 +498,34 @@ def test_cli_non_finite_float_values_exit_2(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert "config error" in err
     assert f"{value.partition('=')[0]}: " in err and "not a finite number" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["train.lr_decay=-1", "train.lr_decay=0",
+                                   "train.lr_decay=1e300"])
+def test_cli_lr_decay_outside_0_1_exits_2(tmp_path, capsys, value):
+    # -1 used to exit 0 with every odd epoch's rate at lr_floor, and 1e300
+    # to exit 1 with a worker traceback once the rate overflowed
+    cfg = write_cfg_file(tmp_path, "scenario.n_tasks = 2\n")
+    assert main(["run", "--config", cfg, "--set", value]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "lr_decay must be in (0, 1]" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("separation", ["1e300", "1e154"])
+def test_cli_separation_whose_distances_overflow_exits_2(tmp_path, capsys, separation):
+    # every distance between means read inf and passed the spacing check:
+    # the run exited 0 after numpy overflow warnings
+    cfg = write_cfg_file(tmp_path, "scenario.n_tasks = 2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(["run", "--config", cfg, "--set",
+                       f"scenario.separation={separation}"])
+    assert status == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert "config error" in err and "scenario.separation" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -787,6 +815,46 @@ def test_format_1_checkpoint_still_reads(tmp_path, capsys):
         assert same_masks(again.store.tasks[t].mask, alloc.mask)
         for a, b in zip(again.store.tasks[t].codes, alloc.codes):
             np.testing.assert_array_equal(a, b)
+
+
+def report_bytes(out):
+    """The four reports' bytes; summary.json without its generated_at line."""
+    files = {name: (out / name).read_bytes() for name in REPORTS}
+    files["summary.json"] = b"".join(
+        line for line in files["summary.json"].splitlines(keepends=True)
+        if b'"generated_at"' not in line)
+    return files
+
+
+@pytest.mark.parametrize("mode", ["full", "pruning-only", "quantization-only"])
+def test_open_equals_run(tmp_path, mode):
+    # opening a checkpoint for reports writes the run's reports byte for byte
+    # and rebuilds every task as the run holds it: pruning-only tasks from
+    # 32-bit identity codes, quantization-only ones under a dense mask
+    run = new_state(make_cfg(tmp_path / "run", f"run.mode = {mode}\n"))
+    execute_run(run)
+    opened = state_from_checkpoint(run.checkpoint_path, need_suite=False,
+                                   output_dir=str(tmp_path / "open"))
+    write_reports(opened)
+    assert report_bytes(tmp_path / "open") == report_bytes(tmp_path / "run")
+    assert sorted(opened.store.tasks) == sorted(run.store.tasks) == [0, 1, 2]
+    for t in run.store.tasks:
+        (want, want_mask), (got, got_mask) = task_view(run, t), task_view(opened, t)
+        for a, b in zip(want.weights + want.biases + want_mask,
+                        got.weights + got.biases + got_mask, strict=True):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+        alloc = opened.store.tasks[t]
+        for w, m, c, table in zip(got.weights, alloc.mask, alloc.codes,
+                                  opened.tasks[t].codebook.centroids, strict=True):
+            # the reference rebuild: a bool-mask scatter of float32 values
+            ref = np.zeros(m.shape)
+            ref[m] = c.view(np.float32) if alloc.psi == SLOT_BITS else table[c]
+            assert w.tobytes() == ref.tobytes()
+    if mode == "pruning-only":
+        assert all(a.psi == SLOT_BITS for a in opened.store.tasks.values())
+    if mode == "quantization-only":
+        assert all(m.all() for a in opened.store.tasks.values() for m in a.mask)
 
 
 # -- the one-task lookahead ----------------------------------------------------

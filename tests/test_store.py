@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import same_masks, slot_components
+from helpers import same_masks, slot_components, slot_occupancy
 from subnetpack.errors import CapacityExhausted, CapacityWarning, CommitRejected
 from subnetpack.metrics import capacity
 from subnetpack.network import ModelSpec, full_mask
@@ -30,8 +30,8 @@ def test_fresh_store_state():
     store = WeightSlotStore([(2, 3), (4, 1)])
     assert store.layer_count == 2
     assert store.total_slots == 10
-    np.testing.assert_array_equal(store.remaining_bits(0), np.full(6, SLOT_BITS))
-    np.testing.assert_array_equal(store.component_counts(1), np.zeros(4))
+    np.testing.assert_array_equal(slot_occupancy(store, 0), [np.zeros(6), np.full(6, SLOT_BITS)])
+    np.testing.assert_array_equal(slot_occupancy(store, 1), [np.zeros(4), np.full(4, SLOT_BITS)])
     assert sparsity(store).per_layer == (1.0, 1.0)
     assert sparsity(store).weighted == 10.0
 
@@ -40,8 +40,8 @@ def test_commit_updates_budget_and_components():
     store = WeightSlotStore([(2, 3)])
     mask = mask_of(store, [[1, 1, 0, 0, 1, 0]])
     store.commit(0, mask, 4, codes_for(mask, 3))
-    np.testing.assert_array_equal(store.component_counts(0), [1, 1, 0, 0, 1, 0])
-    np.testing.assert_array_equal(store.remaining_bits(0), [28, 28, 32, 32, 28, 32])
+    np.testing.assert_array_equal(slot_occupancy(store, 0),
+                                  [[1, 1, 0, 0, 1, 0], [28, 28, 32, 32, 28, 32]])
     alloc = store.tasks[0]
     assert alloc.psi == 4 and alloc.active_counts() == [3]
     np.testing.assert_array_equal(alloc.mask[0].ravel(), [1, 1, 0, 0, 1, 0])
@@ -89,7 +89,7 @@ def test_commit_respects_bit_budget():
     with pytest.raises(CommitRejected):
         store.commit(1, mask, 3, codes_for(mask))
     store.commit(1, mask, 2, codes_for(mask))
-    np.testing.assert_array_equal(store.remaining_bits(0), [0])
+    np.testing.assert_array_equal(slot_occupancy(store, 0)[1], [0])
 
 
 def test_commit_is_atomic():
@@ -97,14 +97,12 @@ def test_commit_is_atomic():
     store = WeightSlotStore([(1, 2), (1, 2)], t_max=1)
     first = mask_of(store, [[1, 1], [1, 0]])
     store.commit(0, first, 2, codes_for(first))
-    before_counts = [store.component_counts(i).copy() for i in range(2)]
-    before_bits = [store.remaining_bits(i).copy() for i in range(2)]
+    before = [slot_occupancy(store, i) for i in range(2)]
     overlap = mask_of(store, [[1, 0], [1, 0]])
     with pytest.raises(CommitRejected):
         store.commit(1, overlap, 2, codes_for(overlap))
     for i in range(2):
-        np.testing.assert_array_equal(store.component_counts(i), before_counts[i])
-        np.testing.assert_array_equal(store.remaining_bits(i), before_bits[i])
+        np.testing.assert_array_equal(slot_occupancy(store, i), before[i])
     assert 1 not in store.tasks
 
 
@@ -210,8 +208,7 @@ def test_state_dict_round_trip():
     assert clone.t_max == store.t_max
     assert clone.layer_shapes == store.layer_shapes
     for i in range(store.layer_count):
-        np.testing.assert_array_equal(clone.component_counts(i), store.component_counts(i))
-        np.testing.assert_array_equal(clone.remaining_bits(i), store.remaining_bits(i))
+        np.testing.assert_array_equal(slot_occupancy(clone, i), slot_occupancy(store, i))
     for t, alloc in store.tasks.items():
         for m1, m2 in zip(alloc.mask, clone.tasks[t].mask):
             np.testing.assert_array_equal(m1, m2)
@@ -252,9 +249,10 @@ def test_budget_fuzz_small():
                     slots[(i, s)].append(psi)
     # final state agrees with the reference
     for i in range(2):
+        counts, bits = slot_occupancy(store, i)
         for s in range(store.layer_sizes[i]):
-            assert store.component_counts(i)[s] == len(slots[(i, s)])
-            assert store.remaining_bits(i)[s] == 32 - sum(slots[(i, s)])
+            assert counts[s] == len(slots[(i, s)])
+            assert bits[s] == 32 - sum(slots[(i, s)])
             assert sum(slots[(i, s)]) <= 32
 
 
@@ -311,7 +309,7 @@ def test_state_dict_round_trip_every_bit_width():
             assert c1.dtype == np.uint32
             np.testing.assert_array_equal(c1, c2)
         for i in range(2):
-            np.testing.assert_array_equal(clone.remaining_bits(i), store.remaining_bits(i))
+            np.testing.assert_array_equal(slot_occupancy(clone, i), slot_occupancy(store, i))
 
 
 def _one_task_state(packed=True, psi=3, shapes=((3, 3),), t_max=4):
@@ -425,11 +423,35 @@ def test_from_state_dict_agrees_with_replay():
             assert (loaded is not None) == ok
             if loaded is not None:
                 for i in range(len(shapes)):
-                    np.testing.assert_array_equal(loaded.component_counts(i),
-                                                  replay.component_counts(i))
-                    np.testing.assert_array_equal(loaded.remaining_bits(i),
-                                                  replay.remaining_bits(i))
+                    np.testing.assert_array_equal(slot_occupancy(loaded, i),
+                                                  slot_occupancy(replay, i))
     assert 30 < accepted < 270  # both outcomes well represented
+
+
+@pytest.mark.parametrize("packed", [True, False])
+@pytest.mark.parametrize("tasks, psi, ok", [
+    (32, 1, True), (33, 1, False), (256, 1, False), (300, 1, False),
+    (1, 32, True), (8, 32, False), (9, 32, False), (16, 16, False),
+])
+def test_from_state_dict_counts_any_number_of_tasks(tasks, psi, ok, packed):
+    # every task holds slot 0 of a (1, tasks) layer and one slot of its own,
+    # under a cap no count reaches: the load keeps its sums exact however
+    # many tasks share a slot, so 256 one-bit tasks do not wrap back to zero
+    size = tasks + 1
+    make = packed_record if packed else v1_record
+    records = []
+    for t in range(tasks):
+        m = np.zeros((1, size), dtype=bool)
+        m[0, [0, t + 1]] = True
+        records.append(make(t, psi, [m], [np.zeros(2, dtype=np.uint32)]))
+    state = {"layer_shapes": [[1, size]], "t_max": 1000, "tasks": records}
+    if not ok:
+        with pytest.raises(CommitRejected):
+            WeightSlotStore.from_state_dict(state, packed=packed)
+        return
+    counts, bits = slot_occupancy(WeightSlotStore.from_state_dict(state, packed=packed), 0)
+    np.testing.assert_array_equal(counts, [tasks] + [1] * tasks)
+    np.testing.assert_array_equal(bits, [SLOT_BITS - tasks * psi] + [SLOT_BITS - psi] * tasks)
 
 
 # Encoded bytes around each packed array: tag, dtype text, ndim, shape, length.
@@ -466,18 +488,16 @@ def test_projected_store_reads_as_the_committed_one():
     first = [rng.random(s) < 0.5 for s in store.layer_shapes]
     store.commit(0, first, 9, codes_for(first))
     mask = [rng.random(s) < 0.5 for s in store.layer_shapes]
-    before = [store.remaining_bits(i) for i in range(store.layer_count)]
+    before = [slot_occupancy(store, i) for i in range(store.layer_count)]
     projected = store.projected(mask, 7)
     committed = WeightSlotStore.from_state_dict(store.state_dict())
     committed.commit(1, mask, 7, codes_for(mask))
     other = [rng.random(s) < 0.5 for s in store.layer_shapes]
     assert projected.hypothetical_sparsity(other) == committed.hypothetical_sparsity(other)
     for i in range(store.layer_count):
-        np.testing.assert_array_equal(projected.remaining_bits(i),
-                                      committed.remaining_bits(i))
-        np.testing.assert_array_equal(projected.component_counts(i),
-                                      committed.component_counts(i))
-        np.testing.assert_array_equal(store.remaining_bits(i), before[i])
+        np.testing.assert_array_equal(slot_occupancy(projected, i),
+                                      slot_occupancy(committed, i))
+        np.testing.assert_array_equal(slot_occupancy(store, i), before[i])
     assert projected.tasks == {} and sorted(store.tasks) == [0]
 
 
