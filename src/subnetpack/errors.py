@@ -35,6 +35,10 @@ class ConfigError(ValueError):
     """Run configuration is invalid or unparsable."""
 
 
+class TrainingDiverged(ConfigError):
+    """SGD gave non-finite weights: the learning rate is too large for the task."""
+
+
 class CheckpointError(RuntimeError):
     """Checkpoint payload is corrupt, truncated, or of an unknown version."""
 

@@ -435,6 +435,14 @@ def _read_records(payload: dict, store: WeightSlotStore) -> dict[int, TaskRecord
                     or not all(isinstance(a, np.ndarray) for a in arrays)):
                 raise CheckpointError(f"task {t}: centroids and biases need one "
                                       "array per layer")
+        # a psi-bit stream holds codes below 2^psi, so only a shorter table
+        # needs their max; 32-bit patterns index no table
+        room = 0 if alloc.psi == SLOT_BITS else 1 << alloc.psi
+        for i, (table, codes) in enumerate(zip(book["centroids"], alloc.codes)):
+            if len(table) > room or (len(table) < room and codes.size
+                                     and int(codes.max()) >= len(table)):
+                raise CheckpointError(f"task {t} layer {i}: codes do not all index "
+                                      f"a centroid table of {len(table)} entries")
         records[t] = TaskRecord(
             Codebook(alloc.psi, book["centroids"]), biases,
             _expect(cols["q_ref"][t], float), _expect(cols["q_quant"][t], float))

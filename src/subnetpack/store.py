@@ -1,22 +1,27 @@
 """Bit-budgeted weight-slot store, per-task masks, sparsity, candidate sampling.
 
 Every weight position is a 32-bit slot carved into task-exclusive components.
-A component is (task_id, bit_width, code); the store tracks per-slot component
-counts and remaining bits, and owns the committed per-task masks and codes.
+A component is (task_id, bit_width, code). The store owns the committed
+per-task masks and codes, and two uint8 tables per layer: each slot's
+component count and the bits its components use. A slot holds at most 32
+bits, so at most 32 components, and both fit in a byte.
 A mask is a list of per-layer bool arrays shaped like the layers' weights.
 `t_max` is the one cap on components per slot. A run sets it once, from its
 pruning config's component cap, in `runner.new_state`; eligibility, sampling
 and commit all read it from the store.
 
+A task enters the store one way. `commit` and `from_state_dict` share one
+record check and one `_add`, which adds the task's mask bytes into the
+tables. `commit` and the format-1 reader share one layer check. `_add` packs
+a committed record as `state_dict` writes it; a loaded record keeps the
+packed buffers it was read from. A committed task never changes, so each is
+packed once.
+
 `state_dict` writes each task's layers bit-packed: the mask as
 `np.packbits(flat, bitorder="little")` of its row-major slots (ceil(slots/8)
 bytes), the codes as one little-endian psi-bit stream in slot order
 (ceil(used*psi/8) bytes), both with zero pad bits. `from_state_dict` reads
-that layout, or the bool masks and uint32 codes of checkpoint format 1, and
-rebuilds counts and budgets by adding each task's mask bytes into uint8 sums
-instead of replaying commits. A committed task never changes, so each
-allocation is packed once, on the first save, and a loaded one keeps the
-packed arrays it was read from.
+that layout, or the bool masks and uint32 codes of checkpoint format 1.
 
 `projected` copies the budgets with one more component under a mask, for a
 run that samples the next task before the current one commits.
@@ -34,7 +39,7 @@ import numpy as np
 from .errors import CapacityExhausted, CapacityWarning, CommitRejected
 
 SLOT_BITS = 32
-# tasks a slot's uint8 sums can take on top of SLOT_BITS bits without wrapping
+# tasks a slot's uint8 tables can take on top of SLOT_BITS bits without wrapping
 _UINT8_TASKS = (255 - SLOT_BITS) // SLOT_BITS
 
 
@@ -58,15 +63,9 @@ class TaskAllocation:
     psi: int
     mask: list[np.ndarray]
     codes: list[np.ndarray]
-    # (masks, codes) as state_dict writes them: packed once, on the first
-    # save, or kept as from_state_dict read them. A committed task never changes.
-    packed: tuple | None = field(default=None, repr=False, compare=False)
-
-    def packed_layers(self) -> tuple[list, list]:
-        if self.packed is None:
-            self.packed = ([np.packbits(m.ravel(), bitorder="little") for m in self.mask],
-                           [_pack_codes(c, self.psi) for c in self.codes])
-        return self.packed
+    # (masks, codes) as state_dict writes them: packed at commit, or kept as
+    # from_state_dict read them. A committed task never changes.
+    packed: tuple = field(repr=False, compare=False)
 
     def active_counts(self) -> list[int]:
         """Masked slots per layer: a layer holds one code per masked slot."""
@@ -82,8 +81,9 @@ class WeightSlotStore:
         if t_max < 1:
             raise ValueError("t_max must be >= 1")
         self.t_max = int(t_max)
-        self._comp_count = [np.zeros(s, dtype=np.int32) for s in self.layer_sizes]
-        self._remaining = [np.full(s, SLOT_BITS, dtype=np.int32) for s in self.layer_sizes]
+        # per slot: components held, and the bits they use
+        self._count = [np.zeros(s, dtype=np.uint8) for s in self.layer_sizes]
+        self._used = [np.zeros(s, dtype=np.uint8) for s in self.layer_sizes]
         self.tasks: dict[int, TaskAllocation] = {}
 
     @property
@@ -103,22 +103,22 @@ class WeightSlotStore:
         """
         per_layer = tuple(
             (size - int(np.count_nonzero((counts > 0) | m.ravel()))) / size
-            for size, counts, m in zip(self.layer_sizes, self._comp_count, mask))
+            for size, counts, m in zip(self.layer_sizes, self._count, mask))
         return SparsityReport(per_layer,
                               sum(s * u for s, u in zip(self.layer_sizes, per_layer)))
 
     # -- eligibility and sampling -------------------------------------------
 
     def eligible_slots(self, layer: int, psi_min: int) -> np.ndarray:
-        return (self._comp_count[layer] < self.t_max) & (self._remaining[layer] >= psi_min)
+        return (self._count[layer] < self.t_max) & (self._used[layer] <= SLOT_BITS - psi_min)
 
     def mask_bit_budget(self, mask) -> int:
         """Tightest remaining-bit budget over the mask's slots."""
         budget = SLOT_BITS
-        for remaining, m in zip(self._remaining, mask):
+        for used, m in zip(self._used, mask):
             flat = m.ravel()
             if flat.any():
-                budget = min(budget, int(remaining[flat].min()))
+                budget = min(budget, SLOT_BITS - int(used[flat].max()))
         return budget
 
     # -- commit --------------------------------------------------------------
@@ -132,38 +132,16 @@ class WeightSlotStore:
         untouched.
         """
         mask = [np.asarray(m, dtype=bool) for m in mask]
-        if task_id in self.tasks:
-            raise CommitRejected(f"task {task_id} is already committed")
-        if not (1 <= psi <= SLOT_BITS):
-            raise CommitRejected(f"bit-width {psi} outside [1, {SLOT_BITS}]")
-        if len(mask) != self.layer_count or len(codes) != self.layer_count:
-            raise CommitRejected("mask/codes layer count mismatch")
-
-        clean_codes = []
-        bad_layers = []
-        for i in range(self.layer_count):
-            if mask[i].shape != self.layer_shapes[i]:
-                raise CommitRejected(
-                    f"layer {i}: mask shape {mask[i].shape} != {self.layer_shapes[i]}"
-                )
-            flat = mask[i].ravel()
-            layer_codes = np.asarray(codes[i], dtype=np.uint64)
-            if layer_codes.shape != (int(flat.sum()),):
-                raise CommitRejected(
-                    f"layer {i}: got {layer_codes.shape[0]} codes for {int(flat.sum())} slots"
-                )
-            if psi < SLOT_BITS and layer_codes.size and layer_codes.max() >= (1 << psi):
-                raise CommitRejected(f"layer {i}: code exceeds {psi}-bit range")
-            clean_codes.append(layer_codes.astype(np.uint32))
-            if np.any(flat & ~self.eligible_slots(i, psi)):
-                bad_layers.append(i)
+        self._check_record(task_id, psi, mask, codes)
+        codes = [_checked_layer(m, c, psi, shape, f"layer {i}")
+                 for i, (m, c, shape) in enumerate(zip(mask, codes, self.layer_shapes))]
+        bad_layers = [i for i, m in enumerate(mask)
+                      if np.any(m.ravel() & ~self.eligible_slots(i, psi))]
         if bad_layers:
             raise CommitRejected(
                 f"ineligible slots for bit-width {psi} in layers {bad_layers}"
             )
-
-        self._occupy(mask, psi)
-        self.tasks[task_id] = TaskAllocation(task_id, psi, mask, clean_codes)
+        self._add(task_id, psi, mask, codes)
 
     def projected(self, mask, psi: int) -> "WeightSlotStore":
         """A copy whose slots under `mask` hold one more psi-bit component.
@@ -172,18 +150,37 @@ class WeightSlotStore:
         would read this store after committing `mask` at psi bits.
         """
         copy = WeightSlotStore(self.layer_shapes, t_max=self.t_max)
-        copy._comp_count = [c.copy() for c in self._comp_count]
-        copy._remaining = [r.copy() for r in self._remaining]
+        copy._count = [c.copy() for c in self._count]
+        copy._used = [u.copy() for u in self._used]
         copy._occupy(mask, psi)
         return copy
 
     def _occupy(self, mask, psi: int) -> None:
-        """Add one psi-bit component to every masked slot, densely."""
-        for i, m in enumerate(mask):
-            flat = m.ravel().astype(np.int32)
-            self._comp_count[i] += flat
-            flat *= psi
-            self._remaining[i] -= flat
+        """Add one psi-bit component to every masked slot, in the mask's own bytes."""
+        for count, used, m in zip(self._count, self._used, mask):
+            bits = np.asarray(m, dtype=bool).ravel().view(np.uint8)
+            count += bits
+            used += bits * np.uint8(psi)
+
+    def _check_record(self, task_id, psi, mask, codes) -> None:
+        """Reject a task id that is taken or not an integer, a bit-width outside
+        [1, SLOT_BITS], and a record without one mask and one code array per layer."""
+        if not isinstance(task_id, numbers.Integral) or task_id in self.tasks:
+            raise CommitRejected(f"task id {task_id!r} is not new")
+        if not isinstance(psi, numbers.Integral) or not 1 <= psi <= SLOT_BITS:
+            raise CommitRejected(f"task {task_id}: bit-width {psi!r} "
+                                 f"outside [1, {SLOT_BITS}]")
+        if len(mask) != self.layer_count or len(codes) != self.layer_count:
+            raise CommitRejected(f"task {task_id}: mask/codes layer count mismatch")
+
+    def _add(self, task_id, psi, mask, codes, packed=None) -> None:
+        """Record a checked task and occupy its slots. `packed` holds the
+        buffers a loaded record was read from; a committed one is packed here."""
+        if packed is None:
+            packed = ([np.packbits(m.ravel(), bitorder="little") for m in mask],
+                      [_pack_codes(c, psi) for c in codes])
+        self._occupy(mask, psi)
+        self.tasks[task_id] = TaskAllocation(task_id, psi, mask, codes, packed)
 
     # -- serialization ---------------------------------------------------------
 
@@ -195,8 +192,8 @@ class WeightSlotStore:
                 {
                     "task_id": a.task_id,
                     "psi": a.psi,
-                    "mask": list(a.packed_layers()[0]),
-                    "codes": list(a.packed_layers()[1]),
+                    "mask": list(a.packed[0]),
+                    "codes": list(a.packed[1]),
                 }
                 for a in self.tasks.values()
             ],
@@ -204,7 +201,7 @@ class WeightSlotStore:
 
     def packed_bytes(self, task_id: int) -> tuple[int, int]:
         """(mask, codes) bytes of a task's record as `state_dict` writes it."""
-        masks, codes = self.tasks[task_id].packed_layers()
+        masks, codes = self.tasks[task_id].packed
         return sum(m.nbytes for m in masks), sum(c.nbytes for c in codes)
 
     @classmethod
@@ -212,50 +209,34 @@ class WeightSlotStore:
         """Rebuild a store from `state_dict` output; packed=False reads format 1.
 
         Rejects with CommitRejected whatever replaying the commits in order
-        would reject. Counts and used bits only grow, so checking the cap and
-        the budgets after any prefix of the tasks, and on the final state, is
-        the same as checking each commit.
+        would reject: each record passes `commit`'s record check and enters
+        through its `_add`. Counts and used bits only grow, so checking the cap
+        and the budgets after any prefix of the tasks, and on the final state,
+        is the same as checking each commit's eligibility.
 
-        Each layer's counts and used bits add up in uint8, one pass per task
-        mask in the mask's own bytes. A slot that passed a check holds at most
-        SLOT_BITS bits, and so at most SLOT_BITS components; each task adds at
-        most SLOT_BITS bits, so checking every `_UINT8_TASKS` tasks keeps every
-        sum below 256 and the check exact for any number of tasks.
+        `_add` sums each task's mask bytes into the store's uint8 tables. A
+        slot that passed a check holds at most SLOT_BITS bits, and so at most
+        SLOT_BITS components; each task adds at most SLOT_BITS bits, so
+        checking every `_UINT8_TASKS` tasks keeps every sum below 256 and the
+        check exact for any number of tasks.
         """
         store = cls(state["layer_shapes"], t_max=state["t_max"])
         read_layer = _read_packed_layer if packed else _read_v1_layer
-        counts = [np.zeros(s, dtype=np.uint8) for s in store.layer_sizes]
-        used = [np.zeros(s, dtype=np.uint8) for s in store.layer_sizes]
         for k, rec in enumerate(state["tasks"]):
-            task_id, psi = rec["task_id"], rec["psi"]
-            if not isinstance(task_id, numbers.Integral) or task_id in store.tasks:
-                raise CommitRejected(f"task id {task_id!r} is not new")
-            if not isinstance(psi, numbers.Integral) or not 1 <= psi <= SLOT_BITS:
-                raise CommitRejected(f"task {task_id}: bit-width {psi!r} "
-                                     f"outside [1, {SLOT_BITS}]")
-            if len(rec["mask"]) != store.layer_count or len(rec["codes"]) != store.layer_count:
-                raise CommitRejected(f"task {task_id}: mask/codes layer count mismatch")
-            layers = [read_layer(rec["mask"][i], rec["codes"][i], psi, shape,
-                                 f"task {task_id} layer {i}")
+            task_id, psi, masks, codes = rec["task_id"], rec["psi"], rec["mask"], rec["codes"]
+            store._check_record(task_id, psi, masks, codes)
+            layers = [read_layer(masks[i], codes[i], psi, shape, f"task {task_id} layer {i}")
                       for i, shape in enumerate(store.layer_shapes)]
-            for i, (m, _) in enumerate(layers):
-                bits = m.ravel().view(np.uint8)
-                counts[i] += bits
-                used[i] += bits * np.uint8(psi)
-            store.tasks[task_id] = TaskAllocation(
-                task_id, psi, [m for m, _ in layers], [c for _, c in layers],
-                packed=(list(rec["mask"]), list(rec["codes"])) if packed else None)
+            store._add(task_id, psi, [m for m, _ in layers], [c for _, c in layers],
+                       (list(masks), list(codes)) if packed else None)
             if k % _UINT8_TASKS == _UINT8_TASKS - 1:
-                store._reject_over(counts, used)
-        store._reject_over(counts, used)
-        for i in range(store.layer_count):
-            store._comp_count[i] += counts[i]
-            store._remaining[i] -= used[i]
+                store._reject_over()
+        store._reject_over()
         return store
 
-    def _reject_over(self, counts, used) -> None:
-        over = [i for i in range(self.layer_count)
-                if int(counts[i].max()) > self.t_max or int(used[i].max()) > SLOT_BITS]
+    def _reject_over(self) -> None:
+        over = [i for i, (count, used) in enumerate(zip(self._count, self._used))
+                if int(count.max()) > self.t_max or int(used.max()) > SLOT_BITS]
         if over:
             raise CommitRejected(f"layers {over} hold slots over {self.t_max} "
                                  f"components or {SLOT_BITS} bits")
@@ -297,15 +278,24 @@ def _read_packed_layer(mask_buf, code_buf, psi, shape, what):
 
 def _read_v1_layer(mask, codes, psi, shape, what):
     """(bool mask, uint32 codes) of one layer as checkpoint format 1 holds it."""
-    if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == shape):
-        raise CommitRejected(f"{what}: mask is not a {shape} bool array")
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+            and isinstance(codes, np.ndarray) and codes.dtype == np.uint32):
+        raise CommitRejected(f"{what}: expected a bool mask and uint32 codes")
+    return mask, _checked_layer(mask, codes, psi, shape, what)
+
+
+def _checked_layer(mask, codes, psi, shape, what):
+    """A layer's codes as uint32: its bool mask must have `shape`, and its
+    codes must be one integer in [0, 2^psi) per masked slot."""
+    if mask.shape != shape:
+        raise CommitRejected(f"{what}: mask shape {mask.shape} != {shape}")
     used = int(np.count_nonzero(mask))
-    if not (isinstance(codes, np.ndarray) and codes.dtype == np.uint32
-            and codes.shape == (used,)):
-        raise CommitRejected(f"{what}: codes are not {used} uint32 values")
-    if psi < SLOT_BITS and used and codes.max() >= (1 << psi):
-        raise CommitRejected(f"{what}: code exceeds {psi}-bit range")
-    return mask, codes
+    codes = np.asarray(codes)
+    if codes.dtype.kind not in "iu" or codes.shape != (used,):
+        raise CommitRejected(f"{what}: codes are not {used} integers")
+    if used and (int(codes.min()) < 0 or int(codes.max()) >= 1 << psi):
+        raise CommitRejected(f"{what}: code outside the {psi}-bit range")
+    return codes.astype(np.uint32)
 
 
 def sample_candidate_mask(store, layer, target_sparsity, psi_min, rng) -> np.ndarray:

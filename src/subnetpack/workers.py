@@ -38,11 +38,13 @@ quantized weights on the validation split and on the test split, and the
 reply adds the codebook, the codes and both accuracies.
 
 Warnings a job raises are re-issued by `Batch.wait`, and a job's exception,
-one raised building its task included, is raised again there. A worker that
-dies raises WorkerDied with its exit status; the pool then stops its other
-workers, every unfinished batch raises it too, and the next submit starts
-afresh. `TrainPool.cancel` drops every job not yet returned, killing the
-workers running one, since nobody will read their replies.
+one raised building its task included, is raised again there. Training that
+gives non-finite weights raises TrainingDiverged, a ConfigError, before any
+evaluation. A worker that dies raises WorkerDied with its exit status; the
+pool then stops its other workers, every unfinished batch raises it too, and
+the next submit starts afresh. `TrainPool.cancel` drops every job not yet
+returned, killing the workers running one, since nobody will read their
+replies.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WorkerDied
+from .errors import TrainingDiverged, WorkerDied
 from .network import DenseWeights, as_floats, evaluate, train_masked
 from .quantization import (Codebook, adaptive_quantize, dequantized_weights,
                            identity_quantize)
@@ -128,6 +130,9 @@ def _run_job(spec, suite, kept, task_id, weights, mask, cfg, *quant):
             split = _split(suite, kept, task_id)
             x_train, y_train, x_val, y_val, _, _ = split
             weights = train_masked(spec, weights, mask, (x_train, y_train), cfg)
+            if not all(np.isfinite(a).all() for a in (*weights.weights, *weights.biases)):
+                raise TrainingDiverged(f"task {task_id}: training gave non-finite "
+                                       "weights; lower train.lr_initial")
             accuracy = evaluate(spec, weights, mask, x_val, y_val)
             outcome = dict(
                 values=[_narrow(w[np.asarray(m, dtype=bool)])

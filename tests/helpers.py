@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 
+from subnetpack.store import SLOT_BITS
+
 
 def contiguous_optimum(values, k):
     """Exact 1-D k-means optimum by enumerating contiguous partitions.
@@ -69,7 +71,8 @@ def slot_components(store, layer, slot):
 
 def slot_occupancy(store, layer):
     """(component counts, remaining bits) of one layer's slots, as int32 copies."""
-    return store._comp_count[layer].copy(), store._remaining[layer].copy()
+    return (store._count[layer].astype(np.int32),
+            SLOT_BITS - store._used[layer].astype(np.int32))
 
 
 class Interrupted(Exception):

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import run_until_saved, same_masks, slot_occupancy
 from subnetpack.cli import EXIT_CHECKPOINT, main
-from subnetpack.config import build_run_config, parse_config_text
+from subnetpack.config import KEYS, build_run_config, key_default, parse_config_text
 from subnetpack.errors import CapacityExhausted
 from subnetpack.metrics import forget_check, lifelong_accuracy
 from subnetpack.network import evaluate
@@ -513,6 +513,49 @@ def test_cli_lr_decay_outside_0_1_exits_2(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_diverging_learning_rate_exits_2(tmp_path, capsys):
+    # SGD overflowed to non-finite weights, and the worker's evaluate refused
+    # them with a ValueError: the run exited 1 with a worker traceback
+    cfg = write_cfg_file(tmp_path, "scenario.n_tasks = 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        assert main(["run", "--config", cfg, "--set", "train.lr_initial=1e300"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: task 0: " in err and "train.lr_initial" in err
+    assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
+
+# CI's 2-task smoke config: a run that passes every check ends in about 0.1 s
+TINY = """
+scenario.kind = synthetic
+scenario.n_tasks = 2
+scenario.classes = 4
+scenario.dim = 12
+scenario.samples = 40
+model.layers = 12,16,4
+prune.population = 2
+prune.short_epochs = 1
+prune.full_epochs = 2
+run.output_dir = out
+"""
+
+
+@pytest.mark.parametrize("key", sorted(KEYS))
+def test_cli_config_edge_values_never_raise(tmp_path, monkeypatch, key):
+    # each value ends the run in a config error, a capacity error or success,
+    # never in an exception; each runs in its own directory, since
+    # run.output_dir = 0 writes ./0
+    (tmp_path / "tiny.cfg").write_text(TINY)
+    values = ["0", "-1", "1e300", "1e-300"]
+    if isinstance(key_default(key), float):
+        values += ["inf", "nan"]
+    for value in values:
+        (tmp_path / value).mkdir()
+        monkeypatch.chdir(tmp_path / value)
+        status = main(["run", "--config", "../tiny.cfg", "--set", f"{key}={value}"])
+        assert status in (0, 2, 3), f"{key}={value}"
+
+
 @pytest.mark.parametrize("separation", ["1e300", "1e154"])
 def test_cli_separation_whose_distances_overflow_exits_2(tmp_path, capsys, separation):
     # every distance between means read inf and passed the spacing check:
@@ -707,15 +750,23 @@ def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, monkeypatch,
         p["config"] = p["config"].replace("model.layers = 12,16,4",
                                           "model.layers = 12,20,4")
 
+    def cut_table(p):
+        # task 0's layer-0 codes now point past its one-entry table: report
+        # charged the cut table, and resuming the finished run read no code
+        book = p["codebooks"]["0"]
+        assert book["psi"] < SLOT_BITS and len(book["centroids"][0]) > 1
+        book["centroids"][0] = book["centroids"][0][:1]
+
     bad, out = str(tmp_path / "bad.bin"), str(tmp_path / "reports")
     for done, change in ((3, rewound), (2, advanced), (1, narrow_cap),
-                         (1, wider_hidden)):
+                         (1, wider_hidden), (3, cut_table)):
         (tmp_path / "bad.bin").write_bytes(saved[done - 1])
         _, payload = load_checkpoint(bad)
         change(payload)
         save_checkpoint(bad, payload)
         name = change.__name__
         assert main(["report", "--checkpoint", bad, "--output-dir", out]) == 4, name
+        assert main(["inspect-checkpoint", "--checkpoint", bad]) == 4, name
         assert main(["resume", "--checkpoint", bad, "--output-dir", out]) == 4, name
         assert "checkpoint error" in capsys.readouterr().err
 

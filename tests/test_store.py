@@ -67,6 +67,14 @@ def test_commit_rejections():
         store.commit(1, mask, 2, [np.zeros(1, np.uint32)])  # wrong code count
     with pytest.raises(CommitRejected):
         store.commit(1, mask, 2, [np.array([0, 4], np.uint32)])  # code >= 2^psi
+    # malformed code arrays for one slot: a 0-d array, a negative code, a
+    # float code, and a 32-bit code that does not fit in 32 bits
+    one = WeightSlotStore([(1, 1)])
+    for psi, codes in ((2, [np.uint32(0)]), (2, [[-1]]), (2, [np.array([0.7])]),
+                       (32, [np.array([2**32 + 5], np.uint64)])):
+        with pytest.raises(CommitRejected):
+            one.commit(0, [np.ones((1, 1), dtype=bool)], psi, codes)
+    assert one.tasks == {}
 
 
 def test_commit_respects_t_l():
