@@ -22,7 +22,7 @@ from .metrics import (AccuracyMatrix, capacity, capacity_actual, capacity_report
                       forget_check, lifelong_accuracy)
 from .scenario import (ScenarioSuite, TaskData, load_idx, make_digit_images,
                        permuted_scenario, save_idx, split_scenario,
-                       stratified_val_split, synthetic_blobs, write_digit_idx)
+                       synthetic_blobs, write_digit_idx)
 from .config import RunConfig, build_run_config, build_suite, load_run_config
 from .checkpoint import load_checkpoint, save_checkpoint
 from .runner import (RunState, TaskRecord, execute_run, execute_task,

@@ -238,15 +238,17 @@ def train_masked(spec, weights, mask, data, cfg: TrainConfig):
                                     dtype=np.float32), mask)
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
-    for epoch in range(cfg.epochs):
-        lr = cfg.lr_at(epoch)  # a Python float keeps lr * grad in float32
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            _, gw, gb = _masked_loss_and_grads(spec, work, mask, X[idx], y[idx])
-            for i in range(spec.n_layers):
-                work.weights[i] -= lr * gw[i]
-                work.biases[i] -= lr * gb[i]
+    # a diverging run overflows here; the caller finds its non-finite weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = cfg.lr_at(epoch)  # a Python float keeps lr * grad in float32
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                _, gw, gb = _masked_loss_and_grads(spec, work, mask, X[idx], y[idx])
+                for i in range(spec.n_layers):
+                    work.weights[i] -= lr * gw[i]
+                    work.biases[i] -= lr * gb[i]
     return DenseWeights(
         [np.where(m, trained, given)
          for m, trained, given in zip(mask, work.weights, weights.weights)],

@@ -339,15 +339,11 @@ def fit_budget(task_id, spec, psi, q_acc, q_ref, cfg: QuantConfig, budget) -> No
     is still above tolerance; otherwise the choice is its result.
     """
     cap = min(cfg.psi_max, budget)
-    if cfg.psi_init > cap:
+    if psi > cap:  # psi >= psi_init, so this also covers psi_init > cap
         raise CapacityExhausted(
             range(spec.n_layers),
-            f"bit-width {cfg.psi_init} exceeds the {cap}-bit slot budget of the mask",
-        )
-    if psi > cap:
-        raise CapacityExhausted(
-            range(spec.n_layers),
-            f"bit-width {cap + 1} exceeds the {cap}-bit slot budget of the mask",
+            f"bit-width {max(cap + 1, cfg.psi_init)} exceeds the {cap}-bit slot "
+            "budget of the mask",
         )
     if not q_acc >= q_ref - cfg.delta:
         warnings.warn(

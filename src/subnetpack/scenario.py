@@ -1,16 +1,19 @@
 """Task scenarios and data ingestion.
 
-Three scenario kinds share one suite shape: pixel-permutation tasks over a
-base image dataset, class-split tasks, and synthetic Gaussian blobs. Image
-data enters through IDX files (big-endian magic, dimension sizes, uint8
-payload), and its tasks keep the uint8 pixels; the network turns a batch into
-floats when it reads it. A procedural digit-glyph generator can emit IDX files
-with the same geometry as handwritten-digit sets for machines without the real
-data.
+Three scenario kinds share one suite shape and one way to build a task:
+pixel-permutation tasks over a base image dataset, class-split tasks, and
+synthetic Gaussian blobs. Image data enters through IDX files (big-endian
+magic, dimension sizes, uint8 payload), each read by `_read_idx_file`; an
+image suite keeps the uint8 pixels, the network turns a batch into floats
+when it reads it, and a suite with a task whose validation or test split
+would be empty is refused when it is built. A procedural digit-glyph
+generator can emit IDX files with the same geometry as handwritten-digit
+sets for machines without the real data.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import warnings
@@ -70,11 +73,13 @@ class ScenarioSuite:
     """Ordered task list built lazily from a base dataset plus descriptors.
 
     Descriptors are per-task: a pixel permutation (permuted), a class-id tuple
-    (split), or a task seed (synthetic). get_task materializes TaskData on
-    demand; the training workers do, each from its own copy of the suite
-    (see `workers`). test_split builds only a task's test arrays, for
-    re-evaluating a changed past task; synthetic tasks draw train and test
-    from one rng stream, so there it draws the whole task.
+    (split), or a task seed (synthetic). Every kind builds a task one way:
+    `_base` gives the (train, test) pairs, the suite's images or the task's
+    blobs, and `_rows`, `_val_mask` and `_pixels` cut the task from them.
+    get_task materializes TaskData on demand; the training workers do, each
+    from its own copy of the suite (see `workers`). test_split builds only a
+    task's test arrays, for re-evaluating a changed past task; synthetic
+    tasks draw train and test from one rng stream, so there it draws both.
     """
 
     kind: str
@@ -85,44 +90,39 @@ class ScenarioSuite:
     descriptors: list = field(default_factory=list)
     _train: tuple | None = None
     _test: tuple | None = None
-    _blob_params: dict | None = None
+    _blob_params: tuple | None = None  # synthetic: (dim, samples, separation)
 
     def get_task(self, i: int) -> TaskData:
-        self._check_index(i)
-        rng = rng_from(self.seed, i, _TAG_VAL)
-        if self.kind == "synthetic":
-            x_train, y_train, x_test, y_test = self._blobs(i)
-            xtr, ytr, xv, yv = stratified_val_split(x_train, y_train, 0.1, rng)
-        else:
-            # validation rows come from the labels alone, so each split's
-            # pixels are gathered once, never as a whole permuted train set
-            x, y = self._train
-            rows, y = self._rows(i, y)
-            val = _val_mask(y, 0.1, rng)
-            xtr, ytr = self._pixels(i, x, rows[~val]), y[~val]
-            xv, yv = self._pixels(i, x, rows[val]), y[val]
-            x_test, y_test = self.test_split(i)
-        return TaskData(i, self.n_classes, xtr, ytr, xv, yv, x_test, y_test)
+        # validation rows come from the labels alone, so each split's
+        # features are gathered once, never as a whole permuted train set
+        (x, y), (x_test, y_test) = self._base(i)
+        rows, y = self._rows(i, y)
+        test_rows, y_test = self._rows(i, y_test)
+        val = _val_mask(y, 0.1, rng_from(self.seed, i, _TAG_VAL))
+        return TaskData(i, self.n_classes,
+                        self._pixels(i, x, rows[~val]), y[~val],
+                        self._pixels(i, x, rows[val]), y[val],
+                        self._pixels(i, x_test, test_rows), y_test)
 
     def test_split(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Task i's (x_test, y_test), equal to get_task(i)'s test arrays."""
-        self._check_index(i)
-        if self.kind == "synthetic":
-            # train and test come from one rng stream: draw them both
-            _, _, x_test, y_test = self._blobs(i)
-            return x_test, y_test
-        x, y = self._test
+        x, y = self._base(i)[1]
         rows, y = self._rows(i, y)
         return self._pixels(i, x, rows), y
 
-    def _check_index(self, i):
+    def _base(self, i):
+        """Task i's base ((x_train, y_train), (x_test, y_test)) pairs."""
         if not (0 <= i < self.n_tasks):
             raise IndexError(f"task {i} outside [0, {self.n_tasks})")
+        if self.kind != "synthetic":
+            return self._train, self._test
+        return _make_blobs(self.n_classes, *self._blob_params,
+                           rng_from(self.seed, i, _TAG_BLOBS))
 
     def _rows(self, i, y):
         """Task i's rows of a base split, and their labels: relabelled classes."""
         d = self.descriptors[i]
-        if self.kind == "permuted":
+        if self.kind != "split":
             return np.arange(len(y)), y.copy()
         keep = np.flatnonzero(np.isin(y, d))
         relabel = {c: j for j, c in enumerate(d)}
@@ -138,11 +138,6 @@ class ScenarioSuite:
             np.take(x[rows[start:start + _GATHER_ROWS]], d, axis=1,
                     out=out[start:start + _GATHER_ROWS])
         return out
-
-    def _blobs(self, i):
-        p = self._blob_params
-        return _make_blobs(self.n_classes, p["dim"], p["samples"], p["separation"],
-                           rng_from(self.seed, i, _TAG_BLOBS))
 
     def manifest_text(self) -> str:
         lines = [
@@ -163,18 +158,12 @@ class ScenarioSuite:
         return "\n".join(lines) + "\n"
 
 
-def stratified_val_split(x, y, fraction, rng):
-    """Carve a per-class validation slice out of (x, y).
+def _val_mask(y, fraction, rng) -> np.ndarray:
+    """A per-class validation slice of labels y, as a bool mask.
 
     Each class with at least two samples contributes max(1, floor(fraction *
     count)) validation rows, chosen by seeded shuffle within the class.
     """
-    mask = _val_mask(y, fraction, rng)
-    return x[~mask], y[~mask], x[mask], y[mask]
-
-
-def _val_mask(y, fraction, rng) -> np.ndarray:
-    """stratified_val_split's validation rows of labels y, as a bool mask."""
     val_idx = []
     for c in np.unique(y):
         rows = np.flatnonzero(y == c)
@@ -196,16 +185,27 @@ def _need(data, end, path):
         raise IdxFormatError(path, len(data), f"truncated: expected {end} bytes")
 
 
-def _read_header(data, path, expected_magic, n_dims):
+def _read_idx_file(path, magic, n_dims):
+    """An IDX file's dimension sizes and its uint8 payload.
+
+    IdxFormatError unless the file holds `magic`, `n_dims` sizes and exactly
+    their product of payload bytes; the product is a Python int, so no
+    header can overflow it.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     _need(data, 4, path)
-    magic = struct.unpack_from(">I", data, 0)[0]
-    if magic != expected_magic:
-        raise IdxFormatError(
-            path, 0, f"bad magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
-    end = 4 + 4 * n_dims
-    _need(data, end, path)
+    found = struct.unpack_from(">I", data)[0]
+    if found != magic:
+        raise IdxFormatError(path, 0, f"bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    offset = 4 + 4 * n_dims
+    _need(data, offset, path)
     dims = struct.unpack_from(f">{n_dims}I", data, 4)
-    return dims, end
+    expected = offset + math.prod(dims)
+    _need(data, expected, path)
+    if len(data) != expected:
+        raise IdxFormatError(path, expected, f"{len(data) - expected} trailing bytes")
+    return dims, np.frombuffer(data, dtype=np.uint8, offset=offset)
 
 
 def load_idx(images_path, labels_path):
@@ -214,33 +214,12 @@ def load_idx(images_path, labels_path):
     The pixels are an owned (n, rows * cols) array, one byte per pixel as
     stored; `network.as_floats` scales them to [0, 1].
     """
-    with open(images_path, "rb") as fh:
-        img_data = fh.read()
-    (n, rows, cols), offset = _read_header(img_data, images_path, IDX_IMAGES_MAGIC, 3)
-    expected = offset + n * rows * cols
-    _need(img_data, expected, images_path)
-    if len(img_data) != expected:
-        raise IdxFormatError(images_path, expected,
-                             f"{len(img_data) - expected} trailing bytes")
-    pixels = np.frombuffer(img_data, dtype=np.uint8, count=n * rows * cols,
-                           offset=offset)
-    features = pixels.reshape(n, rows * cols).copy()
-
-    with open(labels_path, "rb") as fh:
-        lbl_data = fh.read()
-    (n_lbl,), offset = _read_header(lbl_data, labels_path, IDX_LABELS_MAGIC, 1)
-    expected = offset + n_lbl
-    _need(lbl_data, expected, labels_path)
-    if len(lbl_data) != expected:
-        raise IdxFormatError(labels_path, expected,
-                             f"{len(lbl_data) - expected} trailing bytes")
-    labels = np.frombuffer(lbl_data, dtype=np.uint8, count=n_lbl,
-                           offset=offset).astype(np.int64)
-
+    (n, rows, cols), pixels = _read_idx_file(images_path, IDX_IMAGES_MAGIC, 3)
+    (n_lbl,), labels = _read_idx_file(labels_path, IDX_LABELS_MAGIC, 1)
     if n != n_lbl:
         raise IdxFormatError(images_path, 4,
                              f"image count {n} != label count {n_lbl}")
-    return features, labels
+    return pixels.reshape(n, rows * cols).copy(), labels.astype(np.int64)
 
 
 def save_idx(images_path, labels_path, features, labels, rows=None, cols=None):
@@ -283,8 +262,8 @@ def permuted_scenario(train, test, n_tasks, seed) -> ScenarioSuite:
     for t in range(1, n_tasks):
         descriptors.append(rng_from(seed, t, _TAG_PERM).permutation(dim))
     n_classes = int(max(train[1].max(), test[1].max())) + 1
-    return ScenarioSuite("permuted", seed, n_tasks, dim, n_classes,
-                         descriptors, _train=train, _test=test)
+    return _refuse_empty_splits(ScenarioSuite(
+        "permuted", seed, n_tasks, dim, n_classes, descriptors, _train=train, _test=test))
 
 
 def split_scenario(train, test, classes_per_task, seed) -> ScenarioSuite:
@@ -305,8 +284,27 @@ def split_scenario(train, test, classes_per_task, seed) -> ScenarioSuite:
         tuple(int(c) for c in order[i * classes_per_task:(i + 1) * classes_per_task])
         for i in range(n_tasks)
     ]
-    return ScenarioSuite("split", seed, n_tasks, x_train.shape[1],
-                         classes_per_task, descriptors, _train=train, _test=test)
+    return _refuse_empty_splits(ScenarioSuite(
+        "split", seed, n_tasks, x_train.shape[1], classes_per_task, descriptors,
+        _train=train, _test=test))
+
+
+def _refuse_empty_splits(suite):
+    """`suite`, or ValueError naming a task whose validation or test split
+    would be empty. `_val_mask` takes rows only from a class with two or more
+    train rows, so the labels alone decide."""
+    labels = (suite._train[1], suite._test[1])
+    top = int(max(y.max(initial=0) for y in labels)) + 1
+    n_train, n_test = (np.bincount(y, minlength=top) for y in labels)
+    for i, d in enumerate(suite.descriptors):
+        classes = list(d) if suite.kind == "split" else slice(None)
+        if not (n_train[classes] >= 2).any():
+            raise ValueError(f"task {i}'s validation split is empty: none of its "
+                             "classes has two train images")
+        if not n_test[classes].any():
+            raise ValueError(f"task {i}'s test split is empty: none of its "
+                             "classes has a test image")
+    return suite
 
 
 def _place_means(classes, dim, separation, rng):
@@ -335,19 +333,15 @@ def _place_means(classes, dim, separation, rng):
 
 
 def _make_blobs(classes, dim, samples, separation, rng):
+    """[(x_train, y_train), (x_test, y_test)] of one task's blobs, whose
+    features are min-max scaled to [0, 1] together."""
     means = _place_means(classes, dim, separation, rng)
-    n_test = max(1, samples // 4)
-    xs, ys = [], []
-    for split_n in (samples, n_test):
-        x = np.concatenate([
-            m + rng.normal(0.0, 1.0, size=(split_n, dim)) for m in means])
-        y = np.repeat(np.arange(classes, dtype=np.int64), split_n)
-        xs.append(x)
-        ys.append(y)
-    lo = min(x.min() for x in xs)
-    hi = max(x.max() for x in xs)
-    xs = [(x - lo) / (hi - lo) for x in xs]
-    return xs[0], ys[0], xs[1], ys[1]
+    sizes = (samples, max(1, samples // 4))  # per class
+    xs = [np.concatenate([m + rng.normal(0.0, 1.0, size=(n, dim)) for m in means])
+          for n in sizes]
+    lo, hi = min(x.min() for x in xs), max(x.max() for x in xs)
+    return [((x - lo) / (hi - lo), np.repeat(np.arange(classes, dtype=np.int64), n))
+            for x, n in zip(xs, sizes)]
 
 
 def synthetic_blobs(n_tasks, classes, dim, samples, separation, seed) -> ScenarioSuite:
@@ -357,8 +351,8 @@ def synthetic_blobs(n_tasks, classes, dim, samples, separation, seed) -> Scenari
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
     if samples < 2:
-        # stratified_val_split takes validation rows only from a class with
-        # two or more train samples
+        # _val_mask takes validation rows only from a class with two or more
+        # train samples
         raise ValueError(f"samples must be >= 2, got {samples}: with fewer, "
                          "every task's validation split is empty")
     # each task draws its means again from the same stream when it is built;
@@ -366,9 +360,7 @@ def synthetic_blobs(n_tasks, classes, dim, samples, separation, seed) -> Scenari
     for i in range(n_tasks):
         _place_means(classes, dim, separation, rng_from(seed, i, _TAG_BLOBS))
     return ScenarioSuite("synthetic", seed, n_tasks, dim, classes,
-                         [seed] * n_tasks,
-                         _blob_params={"dim": dim, "samples": samples,
-                                       "separation": separation})
+                         [seed] * n_tasks, _blob_params=(dim, samples, separation))
 
 
 # -- procedural digit glyphs -------------------------------------------------

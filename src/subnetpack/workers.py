@@ -16,8 +16,8 @@ The pool starts on the first submit and lives as long as the process; it
 holds one worker per CPU the process may use, capped at the most jobs it has
 had queued or running at once. A job names its task by a ScenarioSuite and
 a task id. A worker is sent the suite once, before its first job on it, and
-builds the task with `get_task`, turning the train split into float32 (SGD
-computes in it) and the validation split into float64 (evaluation does); it
+keeps the TaskData `get_task` builds, with float32 train features (SGD
+computes in them) and float64 validation features (evaluation does); it
 keeps the last two tasks it used, as a run has two live (see `runner`). A
 reply carries the trained weights inside the job's mask and the biases, as
 float32 whenever that keeps every bit (it does after any SGD step, which
@@ -57,7 +57,7 @@ import sys
 import warnings
 import weakref
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return small if np.array_equal(small, a) else a
 
 
-def _finish(spec, weights, mask, accuracy, split, quant) -> dict:
+def _finish(spec, weights, mask, accuracy, task, quant) -> dict:
     """The JobResult fields `codebook`, `codes`, `q_acc` and `test_acc`.
 
     `quant` is the bit-width ladder's QuantConfig, or None for 32-bit
@@ -91,29 +91,28 @@ def _finish(spec, weights, mask, accuracy, split, quant) -> dict:
     one `runner.task_view` replays: both rebuild the task with
     `dequantized_weights` from the same codes, codebook and biases.
     """
-    _, _, x_val, y_val, x_test, y_test = split
     if quant is None:
         (codes, codebook), q_acc = identity_quantize(mask, weights), accuracy
     else:
         codes, codebook, q_acc = adaptive_quantize(spec, mask, weights, accuracy,
-                                                   (x_val, y_val), quant)
+                                                   (task.x_val, task.y_val), quant)
     view = dequantized_weights(mask, codes, codebook, weights.biases)
     return dict(codebook=codebook, codes=codes, q_acc=q_acc,
-                test_acc=evaluate(spec, view, mask, x_test, y_test))
+                test_acc=evaluate(spec, view, mask, task.x_test, task.y_test))
 
 
-def _split(suite, kept: dict, task_id):
-    """Task `task_id`'s float splits; `kept` holds the last TASKS_KEPT used."""
-    split = kept.pop(task_id, None)
-    if split is None:
+def _task(suite, kept: dict, task_id):
+    """Task `task_id`'s TaskData, with float train and validation features;
+    `kept` holds the last TASKS_KEPT used."""
+    task = kept.pop(task_id, None)
+    if task is None:
         while len(kept) >= TASKS_KEPT:  # before the build, to bound the peak
             del kept[next(iter(kept))]
-        data = suite.get_task(task_id)
-        split = (as_floats(data.x_train, np.float32), data.y_train,
-                 as_floats(data.x_val, np.float64), data.y_val,
-                 data.x_test, data.y_test)
-    kept[task_id] = split  # the most recently used last
-    return split
+        task = suite.get_task(task_id)
+        task = replace(task, x_train=as_floats(task.x_train, np.float32),
+                       x_val=as_floats(task.x_val, np.float64))
+    kept[task_id] = task  # the most recently used last
+    return task
 
 
 def _run_job(spec, suite, kept, task_id, weights, mask, cfg, *quant):
@@ -127,19 +126,18 @@ def _run_job(spec, suite, kept, task_id, weights, mask, cfg, *quant):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            split = _split(suite, kept, task_id)
-            x_train, y_train, x_val, y_val, _, _ = split
-            weights = train_masked(spec, weights, mask, (x_train, y_train), cfg)
+            task = _task(suite, kept, task_id)
+            weights = train_masked(spec, weights, mask, (task.x_train, task.y_train), cfg)
             if not all(np.isfinite(a).all() for a in (*weights.weights, *weights.biases)):
                 raise TrainingDiverged(f"task {task_id}: training gave non-finite "
                                        "weights; lower train.lr_initial")
-            accuracy = evaluate(spec, weights, mask, x_val, y_val)
+            accuracy = evaluate(spec, weights, mask, task.x_val, task.y_val)
             outcome = dict(
                 values=[_narrow(w[np.asarray(m, dtype=bool)])
                         for w, m in zip(weights.weights, mask)],
                 biases=[_narrow(b) for b in weights.biases],
                 accuracy=accuracy,
-                **(_finish(spec, weights, mask, accuracy, split, *quant)
+                **(_finish(spec, weights, mask, accuracy, task, *quant)
                    if quant else {}))
         except Exception as exc:
             import traceback

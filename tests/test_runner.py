@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from subnetpack.metrics import forget_check, lifelong_accuracy
 from subnetpack.network import evaluate
 from subnetpack.runner import (execute_run, new_state, save_run_checkpoint,
                                state_from_checkpoint, task_view, write_reports)
-from subnetpack.scenario import ScenarioSuite, write_digit_idx
+from subnetpack.scenario import ScenarioSuite, save_idx, write_digit_idx
 from subnetpack.store import SLOT_BITS
 
 BASE = """
@@ -517,9 +518,11 @@ def test_cli_diverging_learning_rate_exits_2(tmp_path, capsys):
     # SGD overflowed to non-finite weights, and the worker's evaluate refused
     # them with a ValueError: the run exited 1 with a worker traceback
     cfg = write_cfg_file(tmp_path, "scenario.n_tasks = 2\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["run", "--config", cfg, "--set", "train.lr_initial=1e300"]) == 2
+    # the overflow is the SGD loop's own: TrainingDiverged alone reports it
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert "config error: task 0: " in err and "train.lr_initial" in err
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
@@ -598,6 +601,34 @@ def test_cli_idx_files_without_images_exit_2(tmp_path, capsys, empty):
     err = capsys.readouterr().err
     assert str(images) in err
     assert f"{empty} split is empty" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("train, test, settings, message", [
+    # no class has two train images to give the validation split a row
+    ([0, 1, 2], [0, 1, 2], "scenario.kind = permuted\nmodel.layers = 784,8,3\n",
+     "task 0's validation split is empty"),
+    # the task whose classes have no test image
+    ([0, 1, 2, 3] * 10, [0] * 12,
+     "scenario.kind = split\nscenario.classes_per_task = 2\nmodel.layers = 784,8,2\n",
+     "task [01]'s test split is empty"),
+], ids=["permuted-validation", "split-test"])
+def test_cli_image_task_with_an_empty_split_exits_2(tmp_path, capsys, train, test,
+                                                    settings, message):
+    # the worker's evaluate refused the empty split: the run exited 1 with a
+    # worker traceback
+    data = tmp_path / "data"
+    data.mkdir()
+    lines = [settings, f"run.output_dir = {tmp_path / 'out'}\n"]
+    for split, labels in (("train", train), ("test", test)):
+        paths = [str(data / f"{split}-{kind}.idx") for kind in ("images", "labels")]
+        save_idx(*paths, np.zeros((len(labels), 784), np.uint8), labels)
+        lines += [f"scenario.{split}_images = {paths[0]}\n",
+                  f"scenario.{split}_labels = {paths[1]}\n"]
+    (tmp_path / "run.cfg").write_text("".join(lines))
+    assert main(["run", "--config", str(tmp_path / "run.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and re.search(message, err)
     assert not (tmp_path / "out").exists()
 
 

@@ -10,8 +10,7 @@ from subnetpack.network import as_floats
 from subnetpack.scenario import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, TaskData,
                                  load_idx, make_digit_images,
                                  permuted_scenario, save_idx, split_scenario,
-                                 stratified_val_split, synthetic_blobs,
-                                 write_digit_idx)
+                                 synthetic_blobs, write_digit_idx, _val_mask)
 from subnetpack.seeding import derive_seed
 
 
@@ -76,6 +75,17 @@ def test_load_idx_trailing_bytes(tmp_path):
         load_idx(ip, lp)
     assert err.value.offset == 24  # expected end of payload
     assert "trailing" in str(err.value)
+
+
+def test_load_idx_header_sizes_past_int64_read_as_truncated(tmp_path):
+    # the sizes multiply to 2^80 bytes: a Python int product, never an int64
+    # overflow or an allocation of that size
+    img = struct.pack(">IIII", IDX_IMAGES_MAGIC, 2**32 - 1, 2**32 - 1, 2**16) + bytes(8)
+    lbl = struct.pack(">II", IDX_LABELS_MAGIC, 2) + bytes(2)
+    ip, lp = write_pair(tmp_path, img, lbl)
+    with pytest.raises(IdxFormatError, match="truncated") as err:
+        load_idx(ip, lp)
+    assert err.value.offset == 24  # actual file length
 
 
 def test_load_idx_count_mismatch(tmp_path):
@@ -262,7 +272,8 @@ def test_stratified_val_split_counts():
     rng = np.random.default_rng(0)
     x = rng.random((16, 3))
     y = np.array([0] * 10 + [1] * 5 + [2], dtype=np.int64)
-    xtr, ytr, xv, yv = stratified_val_split(x, y, 0.2, np.random.default_rng(1))
+    val = _val_mask(y, 0.2, np.random.default_rng(1))
+    xtr, ytr, xv, yv = x[~val], y[~val], x[val], y[val]
     assert sorted(yv.tolist()) == [0, 0, 1]  # floor(2.0), max(1, floor(1.0)), skip
     assert len(ytr) == 13
     # the split is a partition of the input rows
