@@ -1,7 +1,7 @@
 """Forget-free continual learning on bit-budgeted weight slots.
 
 Per-task sub-networks are found by a population search over lottery-ticket
-masks, quantized against per-layer codebooks at an adaptively chosen
+masks, quantized against per-layer centroid tables at an adaptively chosen
 bit-width, and committed as immutable task-exclusive components of shared
 32-bit weight slots.
 """
@@ -14,9 +14,8 @@ from .network import (DenseWeights, ModelSpec, TrainConfig, evaluate,
                       full_mask, loss_and_grads, train_masked, xavier_init)
 from .store import (SLOT_BITS, SparsityReport, WeightSlotStore,
                     sample_candidate_full, sample_candidate_mask)
-from .quantization import (Codebook, QuantConfig, adaptive_quantize, dequantize,
-                           fit_budget, identity_quantize, kmeans_1d,
-                           nonlinear_quantize)
+from .quantization import (QuantConfig, adaptive_quantize, dequantize, fit_budget,
+                           identity_quantize, kmeans_1d, nonlinear_quantize)
 from .pruning import PruneConfig, PruneLog, adaptive_prune, select_best
 from .metrics import (AccuracyMatrix, capacity, capacity_actual, capacity_report,
                       forget_check, lifelong_accuracy)

@@ -3,8 +3,9 @@
 The accuracy matrix records R[e][t], task t's accuracy after episode e.
 Committed components never change, so past-task entries must stay bit-equal
 down the column; forget_check verifies exactly that. Capacity counts the bits
-a task occupies: coded weights, codebook tables, and one mask bit per used
-slot. capacity_report returns summary.json's capacity section.
+a task occupies: coded weights, centroid tables, and one mask bit per used
+slot, all read from the task's record in the store. capacity_report returns
+summary.json's capacity section.
 """
 
 from __future__ import annotations
@@ -80,24 +81,24 @@ def capacity(store: WeightSlotStore, task_id: int) -> int:
     return _task_bits(alloc, worst)
 
 
-def capacity_actual(store: WeightSlotStore, task_id: int, codebook) -> int:
-    """Like capacity, but charges the codebook tables at their real lengths."""
-    return _task_bits(store.tasks[task_id], sum(len(t) for t in codebook.centroids))
+def capacity_actual(store: WeightSlotStore, task_id: int) -> int:
+    """Like capacity, but charges the task's centroid tables at their real lengths."""
+    alloc = store.tasks[task_id]
+    return _task_bits(alloc, sum(len(t) for t in alloc.centroids))
 
 
-def capacity_report(store: WeightSlotStore, codebooks: dict) -> dict:
+def capacity_report(store: WeightSlotStore) -> dict:
     """summary.json's capacity section: every committed task, in task order.
 
-    codebooks maps every committed task_id to that task's Codebook. Percents
-    are of `dense_bits`, the dense 32-bit weight footprint; each `per_task`
-    row is one line of capacity.csv.
+    Percents are of `dense_bits`, the dense 32-bit weight footprint; each
+    `per_task` row is one line of capacity.csv.
     """
     dense = store.total_slots * SLOT_BITS
     rows = []
     running = 0
     for task_id in sorted(store.tasks):
         bits = capacity(store, task_id)
-        actual = capacity_actual(store, task_id, codebooks[task_id])
+        actual = capacity_actual(store, task_id)
         running += bits
         rows.append({
             "task": task_id, "psi": store.tasks[task_id].psi, "bits": bits,

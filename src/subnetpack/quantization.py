@@ -1,14 +1,14 @@
-"""Codebook quantization: 1-D k-means, per-layer codebooks, adaptive bit-width.
+"""Nonlinear quantization: 1-D k-means, centroid tables, adaptive bit-width.
 
 Weights inside a task's mask are clustered into 2^psi centroids per layer;
-codes index the centroid table. A quantized task is its mask, its codes (one
-uint32 array per layer, in the row-major order of the masked slots) and its
-Codebook: the quantizers return the codes and the codebook, and `dequantize`
-reads all three. `dequantized_weights` adds the biases: every quantized task
-that is scored is rebuilt by it. Centroids are held as IEEE-754 32-bit
-values, matching the serialized form bit-exactly. The adaptive loop raises
-psi one bit at a time until validation accuracy is within delta of the
-full-precision reference, or psi_max.
+codes index the centroid table. A quantized task is its bit-width psi, its
+mask, its codes (one uint32 array per layer, in the row-major order of the
+masked slots) and its centroid tables (one float32 array per layer, held as
+IEEE-754 32-bit values like their serialized form); a committed task keeps
+them together in its `store.TaskAllocation`. `dequantized_weights` rebuilds
+every quantized task that is scored, with its biases. The adaptive loop
+raises psi one bit at a time until validation accuracy is within delta of
+the full-precision reference, or psi_max.
 
 In a run, the winner's job quantizes its task in the worker that trained it
 (`workers`), with `adaptive_quantize` or, in pruning-only runs,
@@ -45,14 +45,6 @@ class QuantConfig:
             raise ValueError("delta must be >= 0")
         if self.kmeans_iters < 1 or self.kmeans_restarts < 1:
             raise ValueError("kmeans_iters and kmeans_restarts must be >= 1")
-
-
-@dataclass
-class Codebook:
-    """Per-layer centroid tables for one task at one bit-width."""
-
-    psi: int
-    centroids: list[np.ndarray]  # float32, length <= 2^psi per layer
 
 
 def _prefix_sums(sorted_values):
@@ -189,13 +181,15 @@ def kmeans_1d(values, k, cfg: QuantConfig, rng=None, extra_init=None):
     return centroids, _assign(values, centroids)
 
 
-def _split_worst(sorted_values, p1, p2, centroids, k_target):
+def _split_worst(values, centroids, k_target):
     """Grow a centroid set toward k_target by quantile-splitting worst clusters.
 
     The input centroids are all kept, so a Lloyd run from the result can never
     end with a higher objective than the run that produced them.
     """
-    cent = list(np.sort(centroids))
+    sorted_values = np.sort(values)
+    p1, p2 = _prefix_sums(sorted_values)
+    cent = list(np.sort(centroids.astype(np.float64)))
     while len(cent) < k_target:
         bounds = _cluster_bounds(sorted_values, np.asarray(cent))
         wcss, _, _ = _wcss_per_cluster(p1, p2, bounds)
@@ -221,13 +215,14 @@ def _split_worst(sorted_values, p1, p2, centroids, k_target):
     return np.asarray(cent)
 
 
-def nonlinear_quantize(psi, masked_values, cfg: QuantConfig, warm: Codebook | None = None):
-    """(codes, codebook): each layer's masked weights clustered into 2^psi codes.
+def nonlinear_quantize(psi, masked_values, cfg: QuantConfig, warm=None):
+    """(codes, centroids): each layer's masked weights clustered into 2^psi codes.
 
     masked_values is one 1-D array per layer (row-major slot order); codes
-    holds one uint32 array per layer in the same order. Layers with no masked
-    weights get an empty codebook entry. A warm codebook from a lower
-    bit-width seeds the restarts so reconstruction error cannot rise.
+    holds one uint32 array per layer in the same order, and centroids one
+    float32 table per layer. Layers with no masked weights get an empty
+    table. Warm tables from a lower bit-width seed the restarts so
+    reconstruction error cannot rise.
     """
     if psi < 1:
         raise ValueError("psi must be >= 1")
@@ -240,52 +235,45 @@ def nonlinear_quantize(psi, masked_values, cfg: QuantConfig, warm: Codebook | No
             code_arrays.append(np.zeros(0, dtype=np.uint32))
             continue
         extra = None
-        if warm is not None and len(warm.centroids[layer_idx]):
-            sv = np.sort(vals)
-            p1, p2 = _prefix_sums(sv)
-            extra = _split_worst(sv, p1, p2,
-                                 warm.centroids[layer_idx].astype(np.float64), k)
+        if warm is not None and len(warm[layer_idx]):
+            extra = _split_worst(vals, warm[layer_idx], k)
         rng = rng_from(cfg.seed, layer_idx, psi)
         centroids, codes = kmeans_1d(vals, k, cfg, rng=rng, extra_init=extra)
         centroid_tables.append(centroids.astype(np.float32))
         code_arrays.append(codes)
-    return code_arrays, Codebook(psi, centroid_tables)
+    return code_arrays, centroid_tables
 
 
 def identity_quantize(mask, trained_weights: DenseWeights):
-    """(codes, codebook) of 32-bit storage for pruning-only runs.
+    """(codes, centroids) of 32-bit storage for pruning-only runs.
 
-    Each code is the float32 bit pattern of a masked weight, so the psi-32
-    codebook holds no centroids; dequantize recovers the float32 cast of each
+    Each code is the float32 bit pattern of a masked weight, so every layer's
+    table is empty; dequantize at psi 32 recovers the float32 cast of each
     masked weight directly from its code.
     """
-    code_arrays, tables = [], []
-    for i, m in enumerate(mask):
-        flat = np.asarray(m, dtype=bool).ravel()
-        vals = trained_weights.weights[i].ravel()[flat].astype(np.float32)
-        code_arrays.append(vals.view(np.uint32).copy())
-        tables.append(np.zeros(0, dtype=np.float32))
-    return code_arrays, Codebook(32, tables)
+    codes = [w[np.asarray(m, dtype=bool)].astype(np.float32).view(np.uint32)
+             for w, m in zip(trained_weights.weights, mask)]
+    return codes, [np.zeros(0, dtype=np.float32) for _ in codes]
 
 
-def dequantize(mask, codes, codebook: Codebook) -> list[np.ndarray]:
-    """Full-shape weight arrays of a task from its mask, codes and codebook.
+def dequantize(psi, mask, codes, centroids) -> list[np.ndarray]:
+    """Full-shape weight arrays of a task from its bit-width, mask, codes and tables.
 
     `codes[i]` holds layer i's codes in the row-major order of the slots
-    `mask[i]` marks; slots outside the mask are zero. A code outside its
-    layer's codebook raises CorruptCodesError. Each layer's centroid table
-    (at most 2^psi entries) is cast to float64 once, so the codes gather
-    float64 values and the scatter copies them without a cast.
+    `mask[i]` marks; slots outside the mask are zero. At psi 32 a code is a
+    float32 bit pattern; below, it indexes `centroids[i]`, and a code outside
+    that table raises CorruptCodesError. Each table (at most 2^psi entries)
+    is cast to float64 once, so the codes gather float64 values and the
+    scatter copies them without a cast.
     """
-    identity = codebook.psi == 32
     out = []
     for i, m in enumerate(mask):
         m, c = np.asarray(m, dtype=bool), codes[i]
         full = np.zeros(m.size, dtype=np.float64)
-        if identity:
+        if psi == 32:
             values = c.view(np.float32)
         else:
-            table = codebook.centroids[i]
+            table = centroids[i]
             try:
                 values = table.astype(np.float64).take(c)
             except IndexError:
@@ -299,9 +287,9 @@ def dequantize(mask, codes, codebook: Codebook) -> list[np.ndarray]:
     return out
 
 
-def dequantized_weights(mask, codes, codebook: Codebook, biases) -> DenseWeights:
+def dequantized_weights(psi, mask, codes, centroids, biases) -> DenseWeights:
     """A quantized task's DenseWeights: `dequantize`'s arrays and a copy of `biases`."""
-    return DenseWeights(dequantize(mask, codes, codebook), [b.copy() for b in biases])
+    return DenseWeights(dequantize(psi, mask, codes, centroids), [b.copy() for b in biases])
 
 
 def adaptive_quantize(spec, mask, trained_weights: DenseWeights, q_ref, val_data,
@@ -309,24 +297,22 @@ def adaptive_quantize(spec, mask, trained_weights: DenseWeights, q_ref, val_data
     """Escalate bit-width until quantized accuracy is within delta of q_ref.
 
     Starts at psi_init and stops at psi_max whatever the accuracy. Returns
-    (codes, codebook, quantized accuracy) as `nonlinear_quantize` gives them
-    at the chosen bit-width, codebook.psi. It reads no slot budget:
-    `fit_budget` holds the choice to one afterwards.
+    (psi, codes, centroids, quantized accuracy), with the codes and tables
+    `nonlinear_quantize` gives at the chosen bit-width psi. It reads no slot
+    budget: `fit_budget` holds the choice to one afterwards.
     """
     X_val, y_val = val_data
-    masked_values = [
-        trained_weights.weights[i].ravel()[np.asarray(mask[i], dtype=bool).ravel()]
-        for i in range(spec.n_layers)
-    ]
+    masked_values = [w[np.asarray(m, dtype=bool)]
+                     for w, m in zip(trained_weights.weights, mask)]
     warm = None
     for psi in range(cfg.psi_init, cfg.psi_max + 1):
-        codes, book = nonlinear_quantize(psi, masked_values, cfg, warm=warm)
-        view = dequantized_weights(mask, codes, book, trained_weights.biases)
+        codes, centroids = nonlinear_quantize(psi, masked_values, cfg, warm=warm)
+        view = dequantized_weights(psi, mask, codes, centroids, trained_weights.biases)
         acc = evaluate(spec, view, mask, X_val, y_val)
         if acc >= q_ref - cfg.delta:
             break
-        warm = book
-    return codes, book, acc
+        warm = centroids
+    return psi, codes, centroids, acc
 
 
 def fit_budget(task_id, spec, psi, q_acc, q_ref, cfg: QuantConfig, budget) -> None:

@@ -10,7 +10,7 @@ and appends the accuracy-matrix row; on a clean run it makes no BLAS call.
 A row holds every task seen so far. Task t's own cell is the worker's test
 accuracy; a past task's cell is its diagonal cell, because its committed
 record never changes. That is checked, not assumed: each task's record
-(mask, codes, centroids and biases) has a blake2b digest taken at commit, and
+(its store allocation and its biases) has a blake2b digest taken at commit, and
 a task whose record no longer matches it is re-evaluated from the store's
 dequantized components, so a changed task shows in `forget_check`. A
 checkpoint lands after every task so a run can resume from any prefix and
@@ -49,7 +49,7 @@ from .errors import CapacityExhausted, CheckpointError, ConfigError
 from .metrics import AccuracyMatrix, capacity_report, forget_check, lifelong_accuracy
 from .network import evaluate
 from .pruning import PruneLog, Search, choose_winner, start_dense, start_search
-from .quantization import Codebook, dequantized_weights, fit_budget
+from .quantization import dequantized_weights, fit_budget
 from .scenario import ScenarioSuite, make_output_dir
 from .store import SLOT_BITS, WeightSlotStore
 from .workers import POOL
@@ -61,15 +61,14 @@ CHECKPOINT_NAME = "checkpoint.bin"
 class TaskRecord:
     """What a committed task keeps beside its allocation in `store.tasks`.
 
-    The bit-width, mask and codes live only in the store. `values` are the
-    full-precision winner's weights inside its mask, per layer in row-major
-    slot order (float32 after any SGD step), held in memory only: None after
-    a load. `digest` is `_record_digest` of the record that scored the task's
-    diagonal accuracy cell, also in memory only: None after a load until a
-    re-evaluation reproduces that cell.
+    The bit-width, mask, codes and centroid tables live only in the store.
+    `values` are the full-precision winner's weights inside its mask, per
+    layer in row-major slot order (float32 after any SGD step), held in
+    memory only: None after a load. `digest` is `_record_digest` of the
+    record that scored the task's diagonal accuracy cell, also in memory
+    only: None after a load until a re-evaluation reproduces that cell.
     """
 
-    codebook: Codebook
     biases: list
     q_ref: float
     q_quant: float
@@ -122,16 +121,16 @@ def new_state(cfg: RunConfig) -> RunState:
 def task_view(state: RunState, task_id: int):
     """(weights, mask) for a committed task, rebuilt from store components."""
     alloc = state.store.tasks[task_id]
-    rec = state.tasks[task_id]
-    weights = dequantized_weights(alloc.mask, alloc.codes, rec.codebook, rec.biases)
+    weights = dequantized_weights(alloc.psi, alloc.mask, alloc.codes, alloc.centroids,
+                                  state.tasks[task_id].biases)
     return weights, list(alloc.mask)
 
 
 def _record_digest(state: RunState, task_id: int) -> bytes:
-    """blake2b of what task_view rebuilds a task from: mask, codes, codebook, biases."""
-    alloc, rec = state.store.tasks[task_id], state.tasks[task_id]
-    h = hashlib.blake2b(str(rec.codebook.psi).encode())
-    for arrays in (alloc.mask, alloc.codes, rec.codebook.centroids, rec.biases):
+    """blake2b of what task_view rebuilds a task from: psi, mask, codes, tables, biases."""
+    alloc = state.store.tasks[task_id]
+    h = hashlib.blake2b(str(alloc.psi).encode())
+    for arrays in (alloc.mask, alloc.codes, alloc.centroids, state.tasks[task_id].biases):
         for a in arrays:
             h.update(np.ascontiguousarray(a))
     return h.digest()
@@ -288,8 +287,8 @@ def _run_task_full(state: RunState, t, ahead):
         mask, result, next_ahead = _trained_winner(state, t, ahead, psi_min)
         budget = state.store.mask_bit_budget(mask)
         try:
-            fit_budget(t, cfg.model, result.codebook.psi, result.q_acc,
-                       result.accuracy, cfg.quant, budget)
+            fit_budget(t, cfg.model, result.psi, result.q_acc, result.accuracy,
+                       cfg.quant, budget)
         except CapacityExhausted as exc:
             if budget + 1 > cfg.quant.psi_max:
                 raise CapacityExhausted(
@@ -317,7 +316,7 @@ def _run_task_quantization_only(state: RunState, t, ahead):
             f"task {t}: a dense mask needs every slot eligible for "
             f"{cfg.quant.psi_init}-bit components")
     mask, result, ahead = _trained_winner(state, t, ahead)
-    fit_budget(t, cfg.model, result.codebook.psi, result.q_acc, result.accuracy,
+    fit_budget(t, cfg.model, result.psi, result.q_acc, result.accuracy,
                cfg.quant, state.store.mask_bit_budget(mask))
     return mask, result, ahead
 
@@ -341,9 +340,8 @@ def execute_task(state: RunState, t: int, ahead: _Ahead | None = None) -> _Ahead
     t's winner trains is returned, for the call that runs task t+1.
     """
     mask, result, ahead = _MODE_RUNNERS[state.config.mode](state, t, ahead)
-    state.store.commit(t, mask, result.codebook.psi, result.codes)
-    state.tasks[t] = TaskRecord(result.codebook,
-                                [np.array(b, dtype=np.float64) for b in result.biases],
+    state.store.commit(t, mask, result.psi, result.codes, result.centroids)
+    state.tasks[t] = TaskRecord([np.array(b, dtype=np.float64) for b in result.biases],
                                 result.accuracy, result.q_acc, result.values)
     state.tasks[t].digest = _record_digest(state, t)
     state.matrix.append_row([_past_accuracy(state, e) for e in range(t)]
@@ -378,13 +376,11 @@ def execute_run(state: RunState) -> None:
 
 def _state_payload(state: RunState) -> dict:
     """The one writer of task records; state_from_checkpoint reads them back."""
-    tasks = state.tasks
+    tasks, allocs = state.tasks, state.store.tasks
     return {
         "store": state.store.state_dict(),
-        "codebooks": {
-            str(t): {"psi": r.codebook.psi, "centroids": list(r.codebook.centroids)}
-            for t, r in tasks.items()
-        },
+        "codebooks": {str(t): {"psi": a.psi, "centroids": list(a.centroids)}
+                      for t, a in allocs.items()},
         "biases": {str(t): list(r.biases) for t, r in tasks.items()},
         "matrix": [list(row) for row in state.matrix.rows],
         "manifest": state.manifest,
@@ -392,7 +388,7 @@ def _state_payload(state: RunState) -> dict:
         "next_task": state.next_task,
         "q_ref": {str(t): r.q_ref for t, r in tasks.items()},
         "q_quant": {str(t): r.q_quant for t, r in tasks.items()},
-        "psi_star": {str(t): a.psi for t, a in state.store.tasks.items()},
+        "psi_star": {str(t): a.psi for t, a in allocs.items()},
         "prune_logs": [_log_dict(log) for log in state.prune_logs],
     }
 
@@ -425,27 +421,19 @@ def _read_records(payload: dict, store: WeightSlotStore) -> dict[int, TaskRecord
                                   f"the store holds {sorted(store.tasks)}")
     records = {}
     for t, alloc in store.tasks.items():
-        book, biases = cols["codebooks"][t], cols["biases"][t]
-        if not cols["psi_star"][t] == book["psi"] == alloc.psi:
+        book_psi, biases = cols["codebooks"][t]["psi"], cols["biases"][t]
+        if not cols["psi_star"][t] == book_psi == alloc.psi:
             raise CheckpointError(
                 f"task {t}: psi_star {cols['psi_star'][t]} and codebook psi "
-                f"{book['psi']} disagree with the stored bit-width {alloc.psi}")
-        for arrays in (book["centroids"], biases):
-            if (not isinstance(arrays, list) or len(arrays) != store.layer_count
-                    or not all(isinstance(a, np.ndarray) for a in arrays)):
-                raise CheckpointError(f"task {t}: centroids and biases need one "
-                                      "array per layer")
-        # a psi-bit stream holds codes below 2^psi, so only a shorter table
-        # needs their max; 32-bit patterns index no table
-        room = 0 if alloc.psi == SLOT_BITS else 1 << alloc.psi
-        for i, (table, codes) in enumerate(zip(book["centroids"], alloc.codes)):
-            if len(table) > room or (len(table) < room and codes.size
-                                     and int(codes.max()) >= len(table)):
-                raise CheckpointError(f"task {t} layer {i}: codes do not all index "
-                                      f"a centroid table of {len(table)} entries")
-        records[t] = TaskRecord(
-            Codebook(alloc.psi, book["centroids"]), biases,
-            _expect(cols["q_ref"][t], float), _expect(cols["q_quant"][t], float))
+                f"{book_psi} disagree with the stored bit-width {alloc.psi}")
+        if (not isinstance(biases, list) or len(biases) != store.layer_count
+                or not all(isinstance(b, np.ndarray) and b.dtype.kind == "f"
+                           and b.shape == shape[:1] and np.isfinite(b).all()
+                           for b, shape in zip(biases, store.layer_shapes))):
+            raise CheckpointError(f"task {t}: biases need one finite float array "
+                                  "per layer, one entry per output")
+        records[t] = TaskRecord(biases, _expect(cols["q_ref"][t], float),
+                                _expect(cols["q_quant"][t], float))
     return records
 
 
@@ -466,12 +454,25 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
         if output_dir is not None:
             raw["run.output_dir"] = output_dir
         cfg = build_run_config(raw)
+        matrix = AccuracyMatrix(payload["matrix"])
+        next_task = _expect(payload["next_task"], int)
+        # next_task, slot cap and layer shapes, each held twice, agree before
+        # the task list or the store is allocated from them
+        held = (next_task, payload["store"]["t_max"], payload["store"]["layer_shapes"])
+        want = (matrix.n_episodes, cfg.prune.t_l, [list(s) for s in cfg.model.shapes])
+        if held != want:
+            raise CheckpointError(f"{path}: next_task, slot cap and layer shapes "
+                                  f"{held} disagree with {want}")
         # format 1 stored the slot store unpacked
-        store = WeightSlotStore.from_state_dict(payload["store"], packed=version >= 2)
-        state = RunState(cfg, None, store, AccuracyMatrix(payload["matrix"]),
-                         _expect(payload["manifest"], str), version,
-                         tasks=_read_records(payload, store),
-                         next_task=_expect(payload["next_task"], int))
+        store = WeightSlotStore.from_state_dict(
+            payload["store"],
+            {int(t): book["centroids"] for t, book in payload["codebooks"].items()},
+            packed=version >= 2)
+        if sorted(store.tasks) != list(range(next_task)):
+            raise CheckpointError(f"{path}: the store holds tasks {sorted(store.tasks)}, "
+                                  f"not the {next_task} the matrix covers")
+        state = RunState(cfg, None, store, matrix, _expect(payload["manifest"], str),
+                         version, tasks=_read_records(payload, store), next_task=next_task)
         state.prune_logs = [
             PruneLog(**{k: tuple(v) if isinstance(v, list) else v for k, v in rec.items()})
             for rec in payload["prune_logs"]]
@@ -479,13 +480,6 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
         # ValueError covers a store's CommitRejected and a ConfigError from
         # the stored config text
         raise CheckpointError(f"{path}: malformed state: {exc!r}") from None
-    # (next_task, stored task ids, slot cap, layer shapes), each held twice
-    held = (state.next_task, sorted(store.tasks), store.t_max, store.layer_shapes)
-    want = (state.matrix.n_episodes, list(range(state.next_task)), cfg.prune.t_l,
-            cfg.model.shapes)
-    if held != want:
-        raise CheckpointError(f"{path}: next_task, task ids, slot cap and layer "
-                              f"shapes {held} disagree with {want}")
     if need_suite:
         state.suite = _checked_suite(cfg, state.manifest)
     return state
@@ -518,8 +512,7 @@ def write_reports(state: RunState) -> dict:
     with open(paths["accuracy_matrix"], "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    cap = capacity_report(state.store,
-                          {t: r.codebook for t, r in state.tasks.items()})
+    cap = capacity_report(state.store)
     lines = ["task,mode,psi,bits,bits_actual,percent,percent_actual,cumulative_bits"]
     for row in cap["per_task"]:
         lines.append(

@@ -226,28 +226,41 @@ def save_idx(images_path, labels_path, features, labels, rows=None, cols=None):
     """Write features and labels as an IDX pair (inverse of load_idx).
 
     uint8 features are written as they are; other features must lie in
-    [0, 1] and are rounded to the nearest of the 256 pixel levels.
+    [0, 1] and are rounded to the nearest of the 256 pixel levels. ValueError,
+    before either file is opened, for what load_idx would refuse or misread:
+    features that are not 2-D, a label count other than the image count,
+    labels that are not integers in [0, 255], or rows * cols other than the
+    feature width.
     """
-    features = np.asarray(features)
-    if features.dtype == np.uint8:
-        pixels = features
-    else:
-        features = features.astype(np.float64, copy=False)
-        if features.min() < 0.0 or features.max() > 1.0:
-            raise ValueError("features must lie in [0, 1]")
-        pixels = np.round(features * 255.0).astype(np.uint8)
+    features, labels = np.asarray(features), np.asarray(labels)
+    if features.ndim != 2 or labels.shape != features.shape[:1]:
+        raise ValueError(f"need 2-D features and one label per row, got shapes "
+                         f"{features.shape} and {labels.shape}")
+    if labels.dtype.kind not in "iuf" or not np.all(
+            (labels >= 0) & (labels <= 255) & (labels == np.round(labels))):
+        raise ValueError("labels must be integers in [0, 255]")
     n, dim = features.shape
     if rows is None or cols is None:
         side = int(round(dim**0.5))
         if side * side != dim:
             raise ValueError("non-square feature dim needs explicit rows/cols")
         rows = cols = side
+    elif not (all(isinstance(v, (int, np.integer)) and 0 <= v < 2**32
+                  for v in (rows, cols)) and rows * cols == dim):
+        raise ValueError(f"rows * cols = {rows} * {cols} is not the feature width {dim}")
+    if features.dtype == np.uint8:
+        pixels = features
+    else:
+        features = features.astype(np.float64, copy=False)
+        if features.size and not (features.min() >= 0.0 and features.max() <= 1.0):
+            raise ValueError("features must lie in [0, 1]")
+        pixels = np.round(features * 255.0).astype(np.uint8)
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
         fh.write(pixels.tobytes())
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
+        fh.write(labels.astype(np.uint8).tobytes())
 
 
 # -- scenario constructors ---------------------------------------------------

@@ -1,8 +1,8 @@
 """Bit-budgeted weight-slot store, per-task masks, sparsity, candidate sampling.
 
 Every weight position is a 32-bit slot carved into task-exclusive components.
-A component is (task_id, bit_width, code). The store owns the committed
-per-task masks and codes, and two uint8 tables per layer: each slot's
+A component is (task_id, bit_width, code). The store owns each committed
+task's record (`TaskAllocation`) and two uint8 tables per layer: each slot's
 component count and the bits its components use. A slot holds at most 32
 bits, so at most 32 components, and both fit in a byte.
 A mask is a list of per-layer bool arrays shaped like the layers' weights.
@@ -11,11 +11,11 @@ pruning config's component cap, in `runner.new_state`; eligibility, sampling
 and commit all read it from the store.
 
 A task enters the store one way. `commit` and `from_state_dict` share one
-record check and one `_add`, which adds the task's mask bytes into the
-tables. `commit` and the format-1 reader share one layer check. `_add` packs
-a committed record as `state_dict` writes it; a loaded record keeps the
-packed buffers it was read from. A committed task never changes, so each is
-packed once.
+record check, `_checked`, and one `_add`, which adds the task's mask bytes
+into the tables. `commit` and the format-1 reader share one layer check.
+`_add` packs a committed record as `state_dict` writes it; a loaded record
+keeps the packed buffers it was read from. A committed task never changes,
+so each is packed once.
 
 `state_dict` writes each task's layers bit-packed: the mask as
 `np.packbits(flat, bitorder="little")` of its row-major slots (ceil(slots/8)
@@ -53,16 +53,19 @@ class SparsityReport:
 
 @dataclass
 class TaskAllocation:
-    """One committed task: bit-width, masks, and per-layer codes.
+    """One committed task: bit-width, masks, per-layer codes and centroid tables.
 
     mask[i] is layer i's bool mask, shaped like its weights; codes[i] holds
-    one uint32 per active mask slot of layer i, in row-major slot order.
+    one uint32 per active mask slot of layer i, in row-major slot order, and
+    indexes the float32 table centroids[i] (empty at SLOT_BITS bits, where
+    each code is a float32 bit pattern).
     """
 
     task_id: int
     psi: int
     mask: list[np.ndarray]
     codes: list[np.ndarray]
+    centroids: list[np.ndarray]
     # (masks, codes) as state_dict writes them: packed at commit, or kept as
     # from_state_dict read them. A committed task never changes.
     packed: tuple = field(repr=False, compare=False)
@@ -123,25 +126,22 @@ class WeightSlotStore:
 
     # -- commit --------------------------------------------------------------
 
-    def commit(self, task_id: int, mask, psi: int, codes) -> None:
+    def commit(self, task_id: int, mask, psi: int, codes, centroids) -> None:
         """Append (task_id, psi, code) components to every masked slot.
 
         `mask` is a sequence of per-layer bool arrays; the store keeps them as
-        a list. All-or-nothing: any ineligible slot, duplicate task id, or
-        malformed codes rejects the whole commit and leaves the store
-        untouched.
+        a list, with the task's codes and centroid tables. All-or-nothing: any
+        ineligible slot, duplicate task id, or record `_checked` refuses
+        rejects the whole commit and leaves the store untouched.
         """
-        mask = [np.asarray(m, dtype=bool) for m in mask]
-        self._check_record(task_id, psi, mask, codes)
-        codes = [_checked_layer(m, c, psi, shape, f"layer {i}")
-                 for i, (m, c, shape) in enumerate(zip(mask, codes, self.layer_shapes))]
+        mask, codes = self._checked(task_id, psi, mask, codes, centroids, _checked_layer)
         bad_layers = [i for i, m in enumerate(mask)
                       if np.any(m.ravel() & ~self.eligible_slots(i, psi))]
         if bad_layers:
             raise CommitRejected(
                 f"ineligible slots for bit-width {psi} in layers {bad_layers}"
             )
-        self._add(task_id, psi, mask, codes)
+        self._add(task_id, psi, mask, codes, centroids)
 
     def projected(self, mask, psi: int) -> "WeightSlotStore":
         """A copy whose slots under `mask` hold one more psi-bit component.
@@ -162,25 +162,44 @@ class WeightSlotStore:
             count += bits
             used += bits * np.uint8(psi)
 
-    def _check_record(self, task_id, psi, mask, codes) -> None:
-        """Reject a task id that is taken or not an integer, a bit-width outside
-        [1, SLOT_BITS], and a record without one mask and one code array per layer."""
+    def _checked(self, task_id, psi, masks, codes, centroids, read_layer):
+        """(bool masks, uint32 codes) of a record with a new integer task id, a
+        bit-width in [1, SLOT_BITS], and per layer a mask and codes `read_layer`
+        accepts and a 1-D float32 centroid table of at most 2^psi entries (none
+        at SLOT_BITS) that every code indexes; CommitRejected otherwise."""
         if not isinstance(task_id, numbers.Integral) or task_id in self.tasks:
             raise CommitRejected(f"task id {task_id!r} is not new")
         if not isinstance(psi, numbers.Integral) or not 1 <= psi <= SLOT_BITS:
             raise CommitRejected(f"task {task_id}: bit-width {psi!r} "
                                  f"outside [1, {SLOT_BITS}]")
-        if len(mask) != self.layer_count or len(codes) != self.layer_count:
-            raise CommitRejected(f"task {task_id}: mask/codes layer count mismatch")
+        if centroids is None or not (len(masks) == len(codes) == len(centroids)
+                                     == self.layer_count):
+            raise CommitRejected(f"task {task_id}: masks, codes and centroid tables "
+                                 "need one entry per layer")
+        layers = [read_layer(masks[i], codes[i], psi, shape, f"task {task_id} layer {i}")
+                  for i, shape in enumerate(self.layer_shapes)]
+        room = 0 if psi == SLOT_BITS else 1 << psi
+        for i, ((_, c), table) in enumerate(zip(layers, centroids)):
+            if not (isinstance(table, np.ndarray) and table.dtype == np.float32
+                    and table.ndim == 1):
+                raise CommitRejected(f"task {task_id} layer {i}: centroids are not "
+                                     "a 1-D float32 table")
+            # a psi-bit code is below 2^psi, so only a shorter table needs the max
+            if len(table) > room or (len(table) < room and c.size
+                                     and int(c.max()) >= len(table)):
+                raise CommitRejected(f"task {task_id} layer {i}: codes do not all "
+                                     f"index a centroid table of {len(table)} entries")
+        return [m for m, _ in layers], [c for _, c in layers]
 
-    def _add(self, task_id, psi, mask, codes, packed=None) -> None:
+    def _add(self, task_id, psi, mask, codes, centroids, packed=None) -> None:
         """Record a checked task and occupy its slots. `packed` holds the
         buffers a loaded record was read from; a committed one is packed here."""
         if packed is None:
             packed = ([np.packbits(m.ravel(), bitorder="little") for m in mask],
                       [_pack_codes(c, psi) for c in codes])
         self._occupy(mask, psi)
-        self.tasks[task_id] = TaskAllocation(task_id, psi, mask, codes, packed)
+        self.tasks[task_id] = TaskAllocation(task_id, psi, mask, codes, list(centroids),
+                                             packed)
 
     # -- serialization ---------------------------------------------------------
 
@@ -205,8 +224,10 @@ class WeightSlotStore:
         return sum(m.nbytes for m in masks), sum(c.nbytes for c in codes)
 
     @classmethod
-    def from_state_dict(cls, state: dict, packed: bool = True) -> "WeightSlotStore":
-        """Rebuild a store from `state_dict` output; packed=False reads format 1.
+    def from_state_dict(cls, state: dict, centroids: dict,
+                        packed: bool = True) -> "WeightSlotStore":
+        """Rebuild a store from `state_dict` output and each task's centroid
+        tables, `centroids[task_id]`; packed=False reads format 1.
 
         Rejects with CommitRejected whatever replaying the commits in order
         would reject: each record passes `commit`'s record check and enters
@@ -224,10 +245,9 @@ class WeightSlotStore:
         read_layer = _read_packed_layer if packed else _read_v1_layer
         for k, rec in enumerate(state["tasks"]):
             task_id, psi, masks, codes = rec["task_id"], rec["psi"], rec["mask"], rec["codes"]
-            store._check_record(task_id, psi, masks, codes)
-            layers = [read_layer(masks[i], codes[i], psi, shape, f"task {task_id} layer {i}")
-                      for i, shape in enumerate(store.layer_shapes)]
-            store._add(task_id, psi, [m for m, _ in layers], [c for _, c in layers],
+            tables = centroids.get(task_id)
+            layers = store._checked(task_id, psi, masks, codes, tables, read_layer)
+            store._add(task_id, psi, *layers, tables,
                        (list(masks), list(codes)) if packed else None)
             if k % _UINT8_TASKS == _UINT8_TASKS - 1:
                 store._reject_over()
@@ -281,12 +301,13 @@ def _read_v1_layer(mask, codes, psi, shape, what):
     if not (isinstance(mask, np.ndarray) and mask.dtype == bool
             and isinstance(codes, np.ndarray) and codes.dtype == np.uint32):
         raise CommitRejected(f"{what}: expected a bool mask and uint32 codes")
-    return mask, _checked_layer(mask, codes, psi, shape, what)
+    return _checked_layer(mask, codes, psi, shape, what)
 
 
 def _checked_layer(mask, codes, psi, shape, what):
-    """A layer's codes as uint32: its bool mask must have `shape`, and its
-    codes must be one integer in [0, 2^psi) per masked slot."""
+    """(bool mask, uint32 codes) of one layer: the mask must have `shape`,
+    and the codes must be one integer in [0, 2^psi) per masked slot."""
+    mask = np.asarray(mask, dtype=bool)
     if mask.shape != shape:
         raise CommitRejected(f"{what}: mask shape {mask.shape} != {shape}")
     used = int(np.count_nonzero(mask))
@@ -295,7 +316,7 @@ def _checked_layer(mask, codes, psi, shape, what):
         raise CommitRejected(f"{what}: codes are not {used} integers")
     if used and (int(codes.min()) < 0 or int(codes.max()) >= 1 << psi):
         raise CommitRejected(f"{what}: code outside the {psi}-bit range")
-    return codes.astype(np.uint32)
+    return mask, codes.astype(np.uint32)
 
 
 def sample_candidate_mask(store, layer, target_sparsity, psi_min, rng) -> np.ndarray:

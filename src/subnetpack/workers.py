@@ -35,7 +35,8 @@ A winner's job also finishes its task, so the run process makes no BLAS
 call for it: after training, the worker quantizes the weights
 (`adaptive_quantize`, uncapped, or `identity_quantize`), scores the
 quantized weights on the validation split and on the test split, and the
-reply adds the codebook, the codes and both accuracies.
+reply adds the bit-width, the codes, the centroid tables and both
+accuracies.
 
 Warnings a job raises are re-issued by `Batch.wait`, and a job's exception,
 one raised building its task included, is raised again there. Training that
@@ -63,8 +64,7 @@ import numpy as np
 
 from .errors import TrainingDiverged, WorkerDied
 from .network import DenseWeights, as_floats, evaluate, train_masked
-from .quantization import (Codebook, adaptive_quantize, dequantized_weights,
-                           identity_quantize)
+from .quantization import adaptive_quantize, dequantized_weights, identity_quantize
 
 TASKS_KEPT = 2  # tasks whose float splits a worker keeps
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -84,20 +84,20 @@ def _narrow(a: np.ndarray) -> np.ndarray:
 
 
 def _finish(spec, weights, mask, accuracy, task, quant) -> dict:
-    """The JobResult fields `codebook`, `codes`, `q_acc` and `test_acc`.
+    """The JobResult fields `psi`, `codes`, `centroids`, `q_acc` and `test_acc`.
 
     `quant` is the bit-width ladder's QuantConfig, or None for 32-bit
     patterns, which keep the validation accuracy. The test accuracy is the
     one `runner.task_view` replays: both rebuild the task with
-    `dequantized_weights` from the same codes, codebook and biases.
+    `dequantized_weights` from the same codes, tables and biases.
     """
     if quant is None:
-        (codes, codebook), q_acc = identity_quantize(mask, weights), accuracy
+        psi, (codes, centroids), q_acc = 32, identity_quantize(mask, weights), accuracy
     else:
-        codes, codebook, q_acc = adaptive_quantize(spec, mask, weights, accuracy,
-                                                   (task.x_val, task.y_val), quant)
-    view = dequantized_weights(mask, codes, codebook, weights.biases)
-    return dict(codebook=codebook, codes=codes, q_acc=q_acc,
+        psi, codes, centroids, q_acc = adaptive_quantize(
+            spec, mask, weights, accuracy, (task.x_val, task.y_val), quant)
+    view = dequantized_weights(psi, mask, codes, centroids, weights.biases)
+    return dict(psi=psi, codes=codes, centroids=centroids, q_acc=q_acc,
                 test_acc=evaluate(spec, view, mask, task.x_test, task.y_test))
 
 
@@ -186,10 +186,11 @@ class JobResult:
 
     `values[i]` holds layer i's weights under the job's mask in row-major
     order; the accuracy is on the validation split. `init` and `mask` are the
-    job's own. A winner's job also holds its quantized task: `codebook`,
-    `codes` (uint32 per masked slot of each layer, in row-major order), the
-    validation accuracy `q_acc` and the test accuracy `test_acc` of the
-    quantized weights; these are None for other jobs.
+    job's own. A winner's job also holds its quantized task: the bit-width
+    `psi`, `codes` (uint32 per masked slot of each layer, in row-major
+    order), the float32 `centroids` table of each layer, the validation
+    accuracy `q_acc` and the test accuracy `test_acc` of the quantized
+    weights; these are None for other jobs.
     """
 
     values: list
@@ -197,8 +198,9 @@ class JobResult:
     accuracy: float
     init: DenseWeights
     mask: object
-    codebook: Codebook | None = None
+    psi: int | None = None
     codes: list | None = None
+    centroids: list | None = None
     q_acc: float | None = None
     test_acc: float | None = None
 

@@ -1,6 +1,6 @@
 """Shared test oracles: exhaustive 1-D k-means, least-squares separability,
-readers of a slot store's committed masks, codes and slot occupancy, and a run stopped
-after a given checkpoint."""
+readers of a slot store's committed masks, codes and slot occupancy, centroid
+tables for hand-made records, and a run stopped after a given checkpoint."""
 
 import itertools
 from unittest import mock
@@ -67,6 +67,21 @@ def slot_components(store, layer, slot):
             pos = int(np.count_nonzero(flat[:slot]))
             out.append((alloc.task_id, alloc.psi, int(alloc.codes[layer][pos])))
     return out
+
+
+def tables_for(psi, codes):
+    """Zero float32 centroid tables that a psi-bit record's codes index: none
+    at SLOT_BITS bits or more, else one entry past each layer's largest code,
+    at most 2^psi."""
+    if psi >= SLOT_BITS:
+        return [np.zeros(0, dtype=np.float32) for _ in codes]
+    return [np.zeros(min(int(np.max(c)) + 1 if np.size(c) else 0, 1 << max(psi, 0)),
+                     dtype=np.float32) for c in codes]
+
+
+def tables_of(store):
+    """Every committed task's centroid tables, as `from_state_dict` takes them."""
+    return {t: a.centroids for t, a in store.tasks.items()}
 
 
 def slot_occupancy(store, layer):

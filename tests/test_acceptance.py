@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (contiguous_optimum, kmeans_wcss, run_until_saved, same_masks,
-                     slot_components, slot_occupancy)
+                     slot_components, slot_occupancy, tables_for, tables_of)
 from subnetpack.config import QuantConfig, build_run_config, parse_config_text
 from subnetpack.errors import CommitRejected
 from subnetpack.metrics import capacity, capacity_report, forget_check, lifelong_accuracy
@@ -65,8 +65,8 @@ def test_criterion_2_four_bit_drop(desk):
         alloc = desk.store.tasks[t]
         rec = desk.tasks[t]
         masked = [np.asarray(v, dtype=np.float64) for v in rec.values]
-        codes, book = nonlinear_quantize(4, masked, desk.config.quant)
-        view = DenseWeights(dequantize(alloc.mask, codes, book),
+        codes, tables = nonlinear_quantize(4, masked, desk.config.quant)
+        view = DenseWeights(dequantize(4, alloc.mask, codes, tables),
                             [b.copy() for b in rec.biases])
         acc = evaluate(desk.config.model, view, list(alloc.mask),
                        task.x_val, task.y_val)
@@ -87,8 +87,7 @@ def test_criterion_3_capacity_bound(desk):
         formula_ok &= hand == capacity(desk.store, t)
         worst_pct = max(worst_pct, 100.0 * hand / dense_bits)
     # measured tables can only shrink the bound
-    report = capacity_report(desk.store,
-                             {t: r.codebook for t, r in desk.tasks.items()})
+    report = capacity_report(desk.store)
     actual_pct = max(e["percent_actual"] for e in report["per_task"])
     verdict(3, formula_ok and worst_pct <= 15.0 and actual_pct <= worst_pct + 1e-9,
             f"worst per-task footprint {worst_pct:.2f}% of dense "
@@ -251,6 +250,9 @@ def test_criterion_8_store_against_reference_model():
                 c = int(m.sum())
                 hi = 1 << psi if 1 <= psi <= 31 else (1 << 32)
                 codes.append(outer.integers(0, hi, c, dtype=np.uint64))
+            if 1 <= psi <= 31:  # into centroid tables of at most 256 entries
+                codes = [c % min(hi, 256) for c in codes]
+            tables = tables_for(psi, codes)
             corrupt = ""
             if outer.integers(0, 6) == 0:
                 pick = ["extra", "range", "layers"][int(outer.integers(0, 3))]
@@ -277,7 +279,7 @@ def test_criterion_8_store_against_reference_model():
 
             before = [slot_occupancy(store, i) for i in range(len(shapes))]
             try:
-                store.commit(task, mask_layers, psi, codes)
+                store.commit(task, mask_layers, psi, codes, tables)
                 landed = True
             except CommitRejected:
                 landed = False
@@ -311,7 +313,7 @@ def test_criterion_8_store_against_reference_model():
                 owners = [t for t, _, _ in comps]
                 assert len(owners) == len(set(owners))
         # the packed checkpoint layout rebuilds the same store without replay
-        clone = WeightSlotStore.from_state_dict(store.state_dict())
+        clone = WeightSlotStore.from_state_dict(store.state_dict(), tables_of(store))
         assert clone.tasks.keys() == store.tasks.keys()
         for i in range(len(shapes)):
             assert np.array_equal(slot_occupancy(clone, i), slot_occupancy(store, i))

@@ -5,19 +5,24 @@ from helpers import slot_occupancy
 from subnetpack.metrics import (AccuracyMatrix, capacity, capacity_actual,
                                 capacity_report, forget_check,
                                 lifelong_accuracy)
-from subnetpack.quantization import Codebook
-from subnetpack.store import WeightSlotStore
+from subnetpack.store import SLOT_BITS, WeightSlotStore
 
 
-def half_used_store(psi=2):
-    # 2 layers of 100 slots, 50 used per layer
+def full_tables(psi, layers=2):
+    """Zero float32 centroid tables of 2^psi entries, none at SLOT_BITS bits."""
+    return [np.zeros(0 if psi == SLOT_BITS else 1 << psi, dtype=np.float32)] * layers
+
+
+def half_used_store(psi=2, tables=None):
+    # 2 layers of 100 slots, 50 used per layer; full centroid tables by default
     store = WeightSlotStore([(10, 10), (10, 10)])
     layers = []
     for _ in range(2):
         m = np.zeros(100, dtype=bool)
         m[:50] = True
         layers.append(m.reshape(10, 10))
-    store.commit(0, layers, psi, [np.zeros(50, dtype=np.uint32) for _ in range(2)])
+    store.commit(0, layers, psi, [np.zeros(50, dtype=np.uint32) for _ in range(2)],
+                 full_tables(psi) if tables is None else tables)
     return store
 
 
@@ -33,7 +38,7 @@ def test_capacity_unknown_task():
     with pytest.raises(KeyError):
         capacity(store, 1)
     with pytest.raises(KeyError):
-        capacity_actual(store, 1, Codebook(2, []))
+        capacity_actual(store, 1)
 
 
 def test_capacity_psi_override_monotone():
@@ -51,18 +56,17 @@ def test_capacity_no_codebook_at_32_bits():
 def test_capacity_empty_mask_is_codebook_only():
     store = WeightSlotStore([(10, 10), (10, 10)])
     mask = [np.zeros((10, 10), dtype=bool)] * 2
-    store.commit(0, mask, 2, [np.zeros(0, dtype=np.uint32)] * 2)
+    store.commit(0, mask, 2, [np.zeros(0, dtype=np.uint32)] * 2, full_tables(2))
     assert capacity(store, 0) == 272
 
 
 def test_capacity_actual_uses_real_table_lengths():
-    store = half_used_store(psi=2)
-    book = Codebook(2, [np.zeros(3, dtype=np.float32),
-                        np.zeros(4, dtype=np.float32)])
+    store = half_used_store(psi=2, tables=[np.zeros(3, dtype=np.float32),
+                                          np.zeros(4, dtype=np.float32)])
     # 200 coded + (3+4)*34 table + 100 mask
-    assert capacity_actual(store, 0, book) == 200 + 7 * 34 + 100
-    full = Codebook(2, [np.zeros(4, dtype=np.float32)] * 2)
-    assert capacity_actual(store, 0, full) == capacity(store, 0)
+    assert capacity_actual(store, 0) == 200 + 7 * 34 + 100
+    full = half_used_store(psi=2, tables=[np.zeros(4, dtype=np.float32)] * 2)
+    assert capacity_actual(full, 0) == capacity(full, 0)
 
 
 def test_capacity_report_accumulates():
@@ -76,10 +80,10 @@ def test_capacity_report_accumulates():
             m = np.zeros(100, dtype=bool)
             m[pick] = True
             layers.append(m.reshape(10, 10))
-        store.commit(t, layers, psi, [np.zeros(20, dtype=np.uint32)] * 2)
-    books = {0: Codebook(2, [np.zeros(4, dtype=np.float32)] * 2),
-             1: Codebook(3, [np.zeros(8, dtype=np.float32)] * 2)}
-    report = capacity_report(store, books)
+        tables = {0: [np.zeros(4, dtype=np.float32)] * 2,
+                  1: [np.zeros(8, dtype=np.float32)] * 2}[t]
+        store.commit(t, layers, psi, [np.zeros(20, dtype=np.uint32)] * 2, tables)
+    report = capacity_report(store)
     rows = report["per_task"]
     assert [e["task"] for e in rows] == [0, 1]
     assert report["dense_bits"] == 200 * 32

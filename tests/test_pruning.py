@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import same_masks
+from helpers import same_masks, tables_for
 from subnetpack.errors import SelectionWarning
 from subnetpack.network import ModelSpec, TrainConfig
 from subnetpack.pruning import (PruneConfig, PruneLog, choose_winner, select_best,
@@ -201,7 +201,7 @@ def test_adaptive_prune_avoids_saturated_slots():
         m.ravel()[: m.size // 2] = True
         blocked.append(m)
     codes = [np.zeros(int(m.sum()), dtype=np.uint32) for m in blocked]
-    store.commit(0, blocked, 2, codes)
+    store.commit(0, blocked, 2, codes, tables_for(2, codes))
     cfg = PruneConfig(population=2, short_epochs=0, full_epochs=0,
                       v_min=0.5, v_max=0.9, t_l=1, seed=1)
     search, _, _ = searched(1, store, suite, cfg)

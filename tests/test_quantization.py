@@ -7,17 +7,17 @@ from helpers import contiguous_optimum, kmeans_wcss
 from subnetpack.errors import (CapacityExhausted, CorruptCodesError,
                                ToleranceWarning)
 from subnetpack.network import DenseWeights, ModelSpec, evaluate, forward, full_mask
-from subnetpack.quantization import (Codebook, QuantConfig, adaptive_quantize,
-                                     dequantize, fit_budget, identity_quantize,
-                                     kmeans_1d, nonlinear_quantize)
+from subnetpack.quantization import (QuantConfig, adaptive_quantize, dequantize,
+                                     fit_budget, identity_quantize, kmeans_1d,
+                                     nonlinear_quantize)
 
 CFG = QuantConfig(psi_init=1, psi_max=8, kmeans_iters=50, kmeans_restarts=3, seed=0)
 
 
-def reconstruction_error(codes, codebook, masked_values) -> float:
-    """Total squared error between masked weights and their codebook values."""
+def reconstruction_error(codes, centroids, masked_values) -> float:
+    """Total squared error between masked weights and their centroid values."""
     total = 0.0
-    for vals, layer_codes, table in zip(masked_values, codes, codebook.centroids):
+    for vals, layer_codes, table in zip(masked_values, codes, centroids):
         vals = np.asarray(vals, dtype=np.float64).ravel()
         if vals.size:
             total += float(((vals - table[layer_codes].astype(np.float64)) ** 2).sum())
@@ -107,49 +107,49 @@ def test_kmeans_matches_exhaustive_oracle():
 
 def test_nonlinear_quantize_psi1_example():
     # frozen oracle: codes (0,0,1,1), codebook (-0.95, 0.95)
-    codes, book = nonlinear_quantize(1, [np.array([-1.0, -0.9, 0.8, 1.1])], CFG)
-    assert book.psi == 1
-    np.testing.assert_allclose(book.centroids[0], [-0.95, 0.95], atol=1e-6)
+    codes, tables = nonlinear_quantize(1, [np.array([-1.0, -0.9, 0.8, 1.1])], CFG)
+    assert len(tables) == 1
+    np.testing.assert_allclose(tables[0], [-0.95, 0.95], atol=1e-6)
     np.testing.assert_array_equal(codes[0], [0, 0, 1, 1])
-    assert book.centroids[0].dtype == np.float32
+    assert tables[0].dtype == np.float32
 
 
 def test_nonlinear_quantize_table_sizes():
     rng = np.random.default_rng(0)
     vals = [rng.normal(size=500), rng.normal(size=300)]
-    codes, book = nonlinear_quantize(3, vals, CFG)
-    for layer_codes, table in zip(codes, book.centroids):
+    codes, tables = nonlinear_quantize(3, vals, CFG)
+    for layer_codes, table in zip(codes, tables):
         assert len(table) <= 8
         assert layer_codes.max() < len(table)
 
 
 def test_nonlinear_quantize_empty_layer():
-    codes, book = nonlinear_quantize(2, [np.zeros(0), np.array([1.0, 2.0])], CFG)
-    assert len(book.centroids[0]) == 0
+    codes, tables = nonlinear_quantize(2, [np.zeros(0), np.array([1.0, 2.0])], CFG)
+    assert len(tables[0]) == 0
     assert len(codes[0]) == 0
-    assert len(book.centroids[1]) == 2
+    assert len(tables[1]) == 2
 
 
 def test_dequantize_table_lookup():
     mask = [np.ones((1, 4), dtype=bool)]
-    book = Codebook(1, [np.array([-0.95, 0.95], dtype=np.float32)])
-    out = dequantize(mask, [np.array([0, 1, 1, 0], dtype=np.uint32)], book)
+    tables = [np.array([-0.95, 0.95], dtype=np.float32)]
+    out = dequantize(1, mask, [np.array([0, 1, 1, 0], dtype=np.uint32)], tables)
     np.testing.assert_allclose(
         out[0], [[-0.95, 0.95, 0.95, -0.95]], atol=1e-6)
 
 
 def test_dequantize_zeros_outside_mask():
     mask = [np.array([[True, False], [False, True]])]
-    book = Codebook(1, [np.array([2.0, -3.0], dtype=np.float32)])
-    out = dequantize(mask, [np.array([1, 0], dtype=np.uint32)], book)
+    tables = [np.array([2.0, -3.0], dtype=np.float32)]
+    out = dequantize(1, mask, [np.array([1, 0], dtype=np.uint32)], tables)
     np.testing.assert_array_equal(out[0], [[-3.0, 0.0], [0.0, 2.0]])
 
 
 def test_dequantize_rejects_bad_codes():
     mask = [np.ones((1, 2), dtype=bool)]
-    book = Codebook(1, [np.array([0.5, 1.5], dtype=np.float32)])
+    tables = [np.array([0.5, 1.5], dtype=np.float32)]
     with pytest.raises(CorruptCodesError):
-        dequantize(mask, [np.array([0, 2], dtype=np.uint32)], book)
+        dequantize(1, mask, [np.array([0, 2], dtype=np.uint32)], tables)
 
 
 def test_round_trip_exact_on_representable_values():
@@ -158,16 +158,16 @@ def test_round_trip_exact_on_representable_values():
     rng = np.random.default_rng(4)
     vals = levels[rng.integers(0, 4, size=50)]
     mask = [np.ones((5, 10), dtype=bool)]
-    codes, book = nonlinear_quantize(2, [vals], CFG)
-    out = dequantize(mask, codes, book)
+    codes, tables = nonlinear_quantize(2, [vals], CFG)
+    out = dequantize(2, mask, codes, tables)
     np.testing.assert_array_equal(out[0].ravel(), vals)
 
 
 def test_reconstruction_error_bounded_by_cluster_radius():
     rng = np.random.default_rng(8)
     vals = rng.normal(size=200)
-    codes, book = nonlinear_quantize(2, [vals], CFG)
-    table = book.centroids[0].astype(np.float64)
+    codes, tables = nonlinear_quantize(2, [vals], CFG)
+    table = tables[0].astype(np.float64)
     recon = table[codes[0]]
     mids = (table[:-1] + table[1:]) / 2.0
     radius = max(abs(np.concatenate([table[:1] - vals.min(),
@@ -179,13 +179,13 @@ def test_reconstruction_error_bounded_by_cluster_radius():
 def test_monotone_reconstruction_with_warm_start():
     rng = np.random.default_rng(21)
     vals = [rng.normal(size=400), rng.normal(size=250) * 2.0]
-    prev_book = None
+    prev_tables = None
     prev_err = np.inf
     for psi in range(1, 7):
-        codes, book = nonlinear_quantize(psi, vals, CFG, warm=prev_book)
-        err = reconstruction_error(codes, book, vals)
+        codes, tables = nonlinear_quantize(psi, vals, CFG, warm=prev_tables)
+        err = reconstruction_error(codes, tables, vals)
         assert err <= prev_err + 1e-12
-        prev_book, prev_err = book, err
+        prev_tables, prev_err = tables, err
 
 
 def test_identity_quantize_round_trip():
@@ -194,9 +194,9 @@ def test_identity_quantize_round_trip():
     w = DenseWeights([rng.normal(size=s) for s in spec.shapes],
                      [rng.normal(size=s[0]) for s in spec.shapes])
     mask = [rng.random(s) < 0.6 for s in spec.shapes]
-    codes, book = identity_quantize(mask, w)
-    assert book.psi == 32
-    out = dequantize(mask, codes, book)
+    codes, tables = identity_quantize(mask, w)
+    assert all(len(t) == 0 for t in tables)
+    out = dequantize(32, mask, codes, tables)
     for i in range(spec.n_layers):
         expect = np.where(mask[i], w.weights[i].astype(np.float32).astype(np.float64), 0.0)
         np.testing.assert_array_equal(out[i], expect)
@@ -216,8 +216,7 @@ def _two_sample_problem():
 def test_adaptive_quantize_escalates_until_tolerance():
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=4, delta=0.0, seed=0)
-    _, book, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
-    psi = book.psi
+    psi, _, _, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
     assert psi == 2
     assert acc == 1.0
 
@@ -226,8 +225,7 @@ def test_adaptive_quantize_warns_at_psi_max():
     # the ladder stops at psi_max above tolerance; fit_budget warns
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=1, delta=0.3, seed=0)
-    _, book, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
-    psi = book.psi
+    psi, _, _, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
     assert psi == 1
     assert acc == 0.5
     with pytest.warns(ToleranceWarning):
@@ -241,8 +239,7 @@ def test_adaptive_quantize_trivial_when_representable():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.array([0, 1])
     cfg = QuantConfig(psi_init=1, psi_max=8, delta=0.0, seed=0)
-    _, book, acc = adaptive_quantize(spec, mask, w, 1.0, (x, y), cfg)
-    psi = book.psi
+    psi, _, _, acc = adaptive_quantize(spec, mask, w, 1.0, (x, y), cfg)
     assert psi == 1
     assert acc == 1.0
 
@@ -250,18 +247,18 @@ def test_adaptive_quantize_trivial_when_representable():
 def test_adaptive_quantize_vacuous_delta():
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=8, delta=1.0, seed=0)
-    psi = adaptive_quantize(spec, mask, w, 1.0, val, cfg)[1].psi
+    psi = adaptive_quantize(spec, mask, w, 1.0, val, cfg)[0]
     assert psi == 1
 
 
 def test_adaptive_quantize_respects_bit_budget():
     spec, w, mask, val = _two_sample_problem()
     cfg = QuantConfig(psi_init=1, psi_max=4, delta=0.0, seed=0)
-    _, book, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
+    psi, _, _, acc = adaptive_quantize(spec, mask, w, 1.0, val, cfg)
     with pytest.raises(CapacityExhausted):
-        fit_budget(0, spec, book.psi, acc, 1.0, cfg, budget=1)
+        fit_budget(0, spec, psi, acc, 1.0, cfg, budget=1)
     with pytest.raises(CapacityExhausted):
-        fit_budget(0, spec, book.psi, acc, 1.0, cfg, budget=0)
+        fit_budget(0, spec, psi, acc, 1.0, cfg, budget=0)
 
 
 def capped_ladder(task_id, spec, mask, weights, q_ref, val, cfg, budget):
@@ -276,20 +273,20 @@ def capped_ladder(task_id, spec, mask, weights, q_ref, val, cfg, budget):
     masked = [w[m] for w, m in zip(weights.weights, mask)]
     psi, warm = cfg.psi_init, None
     while True:
-        codes, book = nonlinear_quantize(psi, masked, cfg, warm=warm)
-        acc = evaluate(spec, DenseWeights(dequantize(mask, codes, book), weights.biases),
-                       mask, *val)
+        codes, tables = nonlinear_quantize(psi, masked, cfg, warm=warm)
+        acc = evaluate(spec, DenseWeights(dequantize(psi, mask, codes, tables),
+                                          weights.biases), mask, *val)
         if acc >= q_ref - cfg.delta:
-            return codes, book, acc
+            return psi, codes, tables, acc
         if psi >= cfg.psi_max:
             warnings.warn(f"task {task_id}: accuracy {acc:.4f} still below "
                           f"{q_ref - cfg.delta:.4f} at psi_max={cfg.psi_max}",
                           ToleranceWarning)
-            return codes, book, acc
+            return psi, codes, tables, acc
         if psi + 1 > cap:
             raise CapacityExhausted(
                 layers, f"bit-width {psi + 1} exceeds the {cap}-bit slot budget of the mask")
-        warm, psi = book, psi + 1
+        warm, psi = tables, psi + 1
 
 
 def _outcome(fn):
@@ -297,9 +294,8 @@ def _outcome(fn):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            codes, book, acc = fn()
-            out = (book.psi, acc, [c.tolist() for c in codes],
-                   [c.tolist() for c in book.centroids])
+            psi, codes, tables, acc = fn()
+            out = (psi, acc, [c.tolist() for c in codes], [c.tolist() for c in tables])
         except CapacityExhausted as exc:
             out = ("CapacityExhausted", exc.layers, str(exc))
     return out, [(w.category, str(w.message)) for w in caught]
@@ -323,13 +319,13 @@ def test_uncapped_ladder_and_budget_give_the_capped_ladder(psi_init, psi_max, q_
     x = rng.random((40, 6))
     val = (x, np.argmax(forward(spec, w, mask, x), axis=1))
     cfg = QuantConfig(psi_init=psi_init, psi_max=psi_max, delta=0.0, seed=3)
-    codes, book, acc = adaptive_quantize(spec, mask, w, q_ref, val, cfg)
-    assert book.psi == chosen
+    psi, codes, tables, acc = adaptive_quantize(spec, mask, w, q_ref, val, cfg)
+    assert psi == chosen
 
     for budget in range(psi_init - 1, psi_max + 1):
         def fitted():
-            fit_budget(7, spec, book.psi, acc, q_ref, cfg, budget)
-            return codes, book, acc
+            fit_budget(7, spec, psi, acc, q_ref, cfg, budget)
+            return psi, codes, tables, acc
         want = _outcome(lambda: capped_ladder(7, spec, mask, w, q_ref, val, cfg, budget))
         assert _outcome(fitted) == want, budget
         (kind, *_), caught = want
@@ -340,15 +336,15 @@ def test_uncapped_ladder_and_budget_give_the_capped_ladder(psi_init, psi_max, q_
 def test_quantization_deterministic():
     rng = np.random.default_rng(6)
     vals = [rng.normal(size=300)]
-    codes_a, book_a = nonlinear_quantize(3, vals, CFG)
-    codes_b, book_b = nonlinear_quantize(3, vals, CFG)
-    np.testing.assert_array_equal(book_a.centroids[0], book_b.centroids[0])
+    codes_a, tables_a = nonlinear_quantize(3, vals, CFG)
+    codes_b, tables_b = nonlinear_quantize(3, vals, CFG)
+    np.testing.assert_array_equal(tables_a[0], tables_b[0])
     np.testing.assert_array_equal(codes_a[0], codes_b[0])
 
 
 def test_centroids_serialize_bit_exact():
     rng = np.random.default_rng(12)
-    _, book = nonlinear_quantize(4, [rng.normal(size=200)], CFG)
-    raw = book.centroids[0].tobytes()
+    _, tables = nonlinear_quantize(4, [rng.normal(size=200)], CFG)
+    raw = tables[0].tobytes()
     back = np.frombuffer(raw, dtype=np.float32)
-    np.testing.assert_array_equal(back, book.centroids[0])
+    np.testing.assert_array_equal(back, tables[0])

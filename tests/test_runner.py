@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import warnings
@@ -248,9 +249,9 @@ def test_pruning_only_mode(tmp_path):
         execute_run(state)
     assert forget_check(state.matrix) == []
     assert all(a.psi == SLOT_BITS for a in state.store.tasks.values())
-    for book in (r.codebook for r in state.tasks.values()):
-        assert book.psi == SLOT_BITS
-        assert all(len(c) == 0 for c in book.centroids)
+    for alloc in state.store.tasks.values():
+        assert alloc.psi == SLOT_BITS
+        assert all(len(c) == 0 for c in alloc.centroids)
     # a 32-bit component fills its slot, so task masks never overlap
     for layer in range(state.store.layer_count):
         counts = slot_occupancy(state.store, layer)[0]
@@ -788,9 +789,30 @@ def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, monkeypatch,
         assert book["psi"] < SLOT_BITS and len(book["centroids"][0]) > 1
         book["centroids"][0] = book["centroids"][0][:1]
 
+    # counts and shapes nothing may be allocated from before they are
+    # checked: each ended in a MemoryError traceback
+    def huge_next_task(p):
+        p["next_task"] = 2**40
+
+    def huge_first_layer(p):
+        p["store"]["layer_shapes"][0][0] = 2**40
+
+    def huge_second_layer(p):
+        p["store"]["layer_shapes"][1][1] = 2**40
+
+    # biases `resume` re-evaluates a loaded task with: each ended in a
+    # ShapeMismatchError or ValueError traceback there
+    def short_bias(p):
+        p["biases"]["0"][0] = p["biases"]["0"][0][:-1]
+
+    def nan_bias(p):
+        p["biases"]["0"][1][0] = np.nan
+
     bad, out = str(tmp_path / "bad.bin"), str(tmp_path / "reports")
     for done, change in ((3, rewound), (2, advanced), (1, narrow_cap),
-                         (1, wider_hidden), (3, cut_table)):
+                         (1, wider_hidden), (3, cut_table), (3, huge_next_task),
+                         (3, huge_first_layer), (3, huge_second_layer),
+                         (1, short_bias), (1, nan_bias)):
         (tmp_path / "bad.bin").write_bytes(saved[done - 1])
         _, payload = load_checkpoint(bad)
         change(payload)
@@ -800,6 +822,101 @@ def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, monkeypatch,
         assert main(["inspect-checkpoint", "--checkpoint", bad]) == 4, name
         assert main(["resume", "--checkpoint", bad, "--output-dir", out]) == 4, name
         assert "checkpoint error" in capsys.readouterr().err
+
+
+def _mutants(payload):
+    """(name, mutate, restore) for each change of one decoded payload leaf.
+
+    Ints become n +- 1, 0, -1 and 2**40; floats doubled, negated, nan and
+    inf; strings cut short; arrays get one entry, their shape or their dtype
+    changed; lists lose or repeat their first entry; dicts lose a key. Each
+    mutate edits the payload in place, and its restore undoes it.
+    """
+    def swap(parent, key, value):
+        old = parent[key]
+
+        def mutate():
+            parent[key] = value
+
+        def restore():
+            parent[key] = old
+        return mutate, restore
+
+    def drop(parent, key):
+        old = parent[key]
+        return (lambda: parent.pop(key)), (lambda: parent.__setitem__(key, old))
+
+    out = []
+
+    def walk(node, path):
+        children = (node.items() if isinstance(node, dict)
+                    else enumerate(node) if isinstance(node, list) else ())
+        for key, child in list(children):
+            where = f"{path}/{key}"
+            values = []
+            if isinstance(child, int):
+                values = [child + 1, child - 1, 0, -1, 2**40]
+            elif isinstance(child, float):
+                values = [2 * child, -child, math.nan, math.inf]
+            elif isinstance(child, str):
+                values = [child[:len(child) // 2]]
+            elif isinstance(child, np.ndarray):
+                if child.size:
+                    entry = child.copy()
+                    entry.flat[0] = entry.flat[0] == 0  # 0 <-> 1, or nonzero -> 0
+                    values.append(entry)
+                values.append(child.reshape((1,) + child.shape))
+                values.append(child.astype(np.uint16 if child.dtype.kind == "f"
+                                           else np.float32))
+            elif isinstance(child, list) and child:
+                values = [child[1:], child[:1] + child]
+            out.extend((f"{where} -> {type(v).__name__} {i}", *swap(node, key, v))
+                       for i, v in enumerate(values))
+            if isinstance(node, dict):
+                out.append((f"{where} deleted", *drop(node, key)))
+            walk(child, where)
+
+    walk(payload, "")
+    return out
+
+
+def test_every_payload_leaf_mutation_ends_in_a_documented_exit_code(tmp_path, capsys):
+    # a checksummed payload with any one leaf changed is reported, resumed or
+    # refused with exit 4, never a traceback: 2**40 counts and shapes once
+    # raised MemoryError, and misshapen biases failed the resume's
+    # re-evaluation. A finished run is reported and inspected; a run stopped
+    # after its first task is resumed, which may also end in a config error
+    # (exit 2) or capacity exhaustion (exit 3)
+    from subnetpack.checkpoint import load_checkpoint, save_checkpoint
+    extra = "scenario.n_tasks = 2\nprune.population = 2\n"
+    execute_run(new_state(make_cfg(tmp_path / "done", extra)))
+    mid = make_cfg(tmp_path / "mid", extra + "prune.short_epochs = 1\nprune.full_epochs = 1\n")
+    run_until_saved(new_state(mid), 1)
+    bad, out = str(tmp_path / "bad.bin"), str(tmp_path / "reports")
+    commands = {  # each checkpoint's commands, and the exit codes they may end in
+        "done": ({0, 4}, [["report", "--checkpoint", bad, "--output-dir", out],
+                          ["inspect-checkpoint", "--checkpoint", bad]]),
+        "mid": ({0, 2, 3, 4}, [["resume", "--checkpoint", bad, "--output-dir", out]]),
+    }
+    seen, wrong = {0: 0, 4: 0}, []
+    for run, (allowed, argvs) in commands.items():
+        _, payload = load_checkpoint(str(tmp_path / run / "checkpoint.bin"))
+        for name, mutate, restore in _mutants(payload):
+            mutate()
+            save_checkpoint(bad, payload)
+            restore()
+            for argv in argvs:
+                try:
+                    code = main(argv)
+                except Exception as exc:  # a traceback on the command line
+                    code = repr(exc)
+                capsys.readouterr()
+                if code not in allowed:
+                    wrong.append((run, name, argv[0], code))
+                elif code in seen:
+                    seen[code] += 1
+    assert wrong == []
+    assert seen[0] > 100 and seen[4] > 100  # both outcomes well represented
 
 
 def test_read_only_commands_work_after_data_moves(tmp_path, capsys):
@@ -928,7 +1045,7 @@ def test_open_equals_run(tmp_path, mode):
             assert a.tobytes() == b.tobytes()
         alloc = opened.store.tasks[t]
         for w, m, c, table in zip(got.weights, alloc.mask, alloc.codes,
-                                  opened.tasks[t].codebook.centroids, strict=True):
+                                  alloc.centroids, strict=True):
             # the reference rebuild: a bool-mask scatter of float32 values
             ref = np.zeros(m.shape)
             ref[m] = c.view(np.float32) if alloc.psi == SLOT_BITS else table[c]

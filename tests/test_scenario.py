@@ -124,6 +124,48 @@ def test_save_idx_validation(tmp_path):
     save_idx(ip, lp, np.zeros((2, 6)), np.zeros(2), rows=2, cols=3)
     x, y = load_idx(ip, lp)
     assert x.shape == (2, 6)
+    # what load_idx would refuse or misread is refused before a file opens:
+    # labels 259 and -1 would read back wrapped to 3 and 255
+    pixels = np.zeros((2, 4), np.uint8)
+    for name, feats, labels, dims in (
+            ("label above 255", pixels, [3, 259], {}),
+            ("negative label", pixels, [3, -1], {}),
+            ("fractional label", pixels, [3, 0.5], {}),
+            ("nan label", pixels, [3, np.nan], {}),
+            ("text labels", pixels, ["3", "1"], {}),
+            ("three labels for two images", pixels, [0, 1, 2], {}),
+            ("2-d labels", pixels, [[0, 1]], {}),
+            ("1-d features", np.zeros(4, np.uint8), [0], {}),
+            ("3-d features", np.zeros((2, 2, 2), np.uint8), [0, 1], {}),
+            ("rows * cols above the width", np.zeros((2, 6)), [0, 1], dict(rows=2, cols=4)),
+            ("rows * cols below the width", np.zeros((2, 6)), [0, 1], dict(rows=1, cols=5)),
+            ("negative rows and cols", np.zeros((2, 6)), [0, 1], dict(rows=-2, cols=-3)),
+            ("float rows and cols", np.zeros((2, 6)), [0, 1], dict(rows=2.0, cols=3.0)),
+            ("nan features", np.full((2, 4), np.nan), [0, 1], {})):
+        missing = tmp_path / "missing"
+        with pytest.raises(ValueError):
+            save_idx(str(missing / "i.idx"), str(missing / "l.idx"), feats, labels, **dims)
+            pytest.fail(f"accepted: {name}")
+
+
+@pytest.mark.parametrize("features, labels, dims", [
+    (np.arange(12, dtype=np.uint8).reshape(3, 4), [0, 255, 7], {}),
+    (np.arange(12, dtype=np.uint8).reshape(2, 6), np.array([1, 2], np.uint8),
+     dict(rows=2, cols=3)),
+    (np.array([[0.0, 1.0, 0.5, 0.25]]), np.array([9.0]), {}),
+    (np.zeros((0, 9), np.uint8), [], {}),
+])
+def test_what_save_idx_accepts_load_idx_returns(tmp_path, features, labels, dims):
+    # pixels at the nearest of the 256 levels, labels as integers
+    ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    save_idx(ip, lp, features, labels, **dims)
+    x, y = load_idx(ip, lp)
+    features = np.asarray(features)
+    want = features if features.dtype == np.uint8 else np.round(features * 255.0)
+    np.testing.assert_array_equal(x, want)
+    assert x.shape == features.shape and x.dtype == np.uint8
+    np.testing.assert_array_equal(y, np.asarray(labels, dtype=np.int64))
+    assert y.shape == (len(features),)
 
 
 def tiny_base(classes=3, dim=9, per_class=8, seed=0):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import same_masks, slot_components, slot_occupancy
+from helpers import same_masks, slot_components, slot_occupancy, tables_for, tables_of
 from subnetpack.errors import CapacityExhausted, CapacityWarning, CommitRejected
 from subnetpack.metrics import capacity
 from subnetpack.network import ModelSpec, full_mask
@@ -26,6 +26,12 @@ def codes_for(mask, value=0):
     return [np.full(int(m.sum()), value, dtype=np.uint32) for m in mask]
 
 
+def record(mask, psi, value=0):
+    """(codes, centroid tables) of a psi-bit record whose codes all hold `value`."""
+    codes = codes_for(mask, value)
+    return codes, tables_for(psi, codes)
+
+
 def test_fresh_store_state():
     store = WeightSlotStore([(2, 3), (4, 1)])
     assert store.layer_count == 2
@@ -39,7 +45,7 @@ def test_fresh_store_state():
 def test_commit_updates_budget_and_components():
     store = WeightSlotStore([(2, 3)])
     mask = mask_of(store, [[1, 1, 0, 0, 1, 0]])
-    store.commit(0, mask, 4, codes_for(mask, 3))
+    store.commit(0, mask, 4, *record(mask, 4, 3))
     np.testing.assert_array_equal(slot_occupancy(store, 0),
                                   [[1, 1, 0, 0, 1, 0], [28, 28, 32, 32, 28, 32]])
     alloc = store.tasks[0]
@@ -54,49 +60,81 @@ def test_commit_updates_budget_and_components():
 def test_commit_rejections():
     store = WeightSlotStore([(2, 2)])
     mask = mask_of(store, [[1, 0, 1, 0]])
-    store.commit(0, mask, 2, codes_for(mask))
+    store.commit(0, mask, 2, *record(mask, 2))
     with pytest.raises(CommitRejected):
-        store.commit(0, mask, 2, codes_for(mask))  # duplicate id
+        store.commit(0, mask, 2, *record(mask, 2))  # duplicate id
     with pytest.raises(CommitRejected):
-        store.commit(1, mask, 0, codes_for(mask))  # psi out of range
+        store.commit(1, mask, 0, *record(mask, 0))  # psi out of range
     with pytest.raises(CommitRejected):
-        store.commit(1, mask, 33, codes_for(mask))
+        store.commit(1, mask, 33, *record(mask, 33))
+    full = [np.zeros(4, np.float32)]  # every 2-bit code indexes it
     with pytest.raises(CommitRejected):
-        store.commit(1, [np.ones((3, 2), dtype=bool)], 2, [np.zeros(6, np.uint32)])
+        store.commit(1, [np.ones((3, 2), dtype=bool)], 2, [np.zeros(6, np.uint32)], full)
     with pytest.raises(CommitRejected):
-        store.commit(1, mask, 2, [np.zeros(1, np.uint32)])  # wrong code count
+        store.commit(1, mask, 2, [np.zeros(1, np.uint32)], full)  # wrong code count
     with pytest.raises(CommitRejected):
-        store.commit(1, mask, 2, [np.array([0, 4], np.uint32)])  # code >= 2^psi
+        store.commit(1, mask, 2, [np.array([0, 4], np.uint32)], full)  # code >= 2^psi
     # malformed code arrays for one slot: a 0-d array, a negative code, a
     # float code, and a 32-bit code that does not fit in 32 bits
     one = WeightSlotStore([(1, 1)])
     for psi, codes in ((2, [np.uint32(0)]), (2, [[-1]]), (2, [np.array([0.7])]),
                        (32, [np.array([2**32 + 5], np.uint64)])):
         with pytest.raises(CommitRejected):
-            one.commit(0, [np.ones((1, 1), dtype=bool)], psi, codes)
+            one.commit(0, [np.ones((1, 1), dtype=bool)], psi, codes,
+                       full if psi < SLOT_BITS else [np.zeros(0, np.float32)])
     assert one.tasks == {}
+
+
+def test_commit_rejects_what_a_checkpoint_load_rejects_in_tables():
+    # each record passes every check but its centroid tables'; commit refuses
+    # it as from_state_dict does, and the store stays empty
+    store = WeightSlotStore([(2, 2), (1, 2)])
+    mask = mask_of(store, [[1, 0, 1, 0], [1, 1]])
+    codes = [np.array([0, 2], np.uint32), np.array([1, 0], np.uint32)]
+    good = [np.zeros(3, np.float32), np.zeros(2, np.float32)]
+    accepted = WeightSlotStore(store.layer_shapes)
+    accepted.commit(0, mask, 2, codes, good)
+    assert list(accepted.tasks) == [0]
+    for name, psi, tables in (
+            ("a code past a shorter table", 2, [good[0][:2], good[1]]),
+            ("a table longer than 2^psi", 2, [np.zeros(5, np.float32), good[1]]),
+            ("a non-empty table at psi 32", SLOT_BITS, [np.zeros(0, np.float32), good[1]]),
+            ("a float64 table", 2, [good[0].astype(np.float64), good[1]]),
+            ("a 2-d table", 2, [good[0].reshape(1, 3), good[1]]),
+            ("a table for one layer of two", 2, good[:1]),
+            ("no tables", 2, None)):
+        with pytest.raises(CommitRejected):
+            store.commit(0, mask, psi, codes, tables)
+            pytest.fail(f"accepted: {name}")
+        assert store.tasks == {}
+        state = {"layer_shapes": [list(s) for s in store.layer_shapes], "t_max": 4,
+                 "tasks": [packed_record(0, psi, mask, codes)]}
+        with pytest.raises(CommitRejected):
+            WeightSlotStore.from_state_dict(state, {0: tables})
+            pytest.fail(f"loaded: {name}")
+    assert np.array_equal(slot_occupancy(store, 0)[0], np.zeros(4))
 
 
 def test_commit_respects_t_l():
     store = WeightSlotStore([(1, 2)], t_max=2)
     mask = mask_of(store, [[1, 0]])
-    store.commit(0, mask, 2, codes_for(mask))
-    store.commit(1, mask, 2, codes_for(mask))
+    store.commit(0, mask, 2, *record(mask, 2))
+    store.commit(1, mask, 2, *record(mask, 2))
     assert slot_components(store, 0, 0) == [(0, 2, 0), (1, 2, 0)]
     with pytest.raises(CommitRejected):
-        store.commit(2, mask, 2, codes_for(mask))
+        store.commit(2, mask, 2, *record(mask, 2))
     # the other slot is still free
     other = mask_of(store, [[0, 1]])
-    store.commit(3, other, 2, codes_for(other))
+    store.commit(3, other, 2, *record(other, 2))
 
 
 def test_commit_respects_bit_budget():
     store = WeightSlotStore([(1, 1)], t_max=8)
     mask = mask_of(store, [[1]])
-    store.commit(0, mask, 30, codes_for(mask))
+    store.commit(0, mask, 30, *record(mask, 30))
     with pytest.raises(CommitRejected):
-        store.commit(1, mask, 3, codes_for(mask))
-    store.commit(1, mask, 2, codes_for(mask))
+        store.commit(1, mask, 3, *record(mask, 3))
+    store.commit(1, mask, 2, *record(mask, 2))
     np.testing.assert_array_equal(slot_occupancy(store, 0)[1], [0])
 
 
@@ -104,11 +142,11 @@ def test_commit_is_atomic():
     # second layer ineligible, first layer must stay untouched
     store = WeightSlotStore([(1, 2), (1, 2)], t_max=1)
     first = mask_of(store, [[1, 1], [1, 0]])
-    store.commit(0, first, 2, codes_for(first))
+    store.commit(0, first, 2, *record(first, 2))
     before = [slot_occupancy(store, i) for i in range(2)]
     overlap = mask_of(store, [[1, 0], [1, 0]])
     with pytest.raises(CommitRejected):
-        store.commit(1, overlap, 2, codes_for(overlap))
+        store.commit(1, overlap, 2, *record(overlap, 2))
     for i in range(2):
         np.testing.assert_array_equal(slot_occupancy(store, i), before[i])
     assert 1 not in store.tasks
@@ -117,12 +155,12 @@ def test_commit_is_atomic():
 def test_eligibility_rules():
     store = WeightSlotStore([(1, 3)], t_max=2)
     mask = mask_of(store, [[1, 1, 0]])
-    store.commit(0, mask, 31, codes_for(mask))
+    store.commit(0, mask, 31, *record(mask, 31))
     # slot 0,1: one component, 1 bit left; slot 2 untouched
     np.testing.assert_array_equal(store.eligible_slots(0, psi_min=1), [True, True, True])
     np.testing.assert_array_equal(store.eligible_slots(0, psi_min=2), [False, False, True])
     second = mask_of(store, [[1, 0, 0]])
-    store.commit(1, second, 1, codes_for(second))
+    store.commit(1, second, 1, *record(second, 1))
     # slot 0 now has two components, t_max reached
     np.testing.assert_array_equal(store.eligible_slots(0, psi_min=1), [False, True, True])
 
@@ -130,7 +168,7 @@ def test_eligibility_rules():
 def test_sparsity_weighted_and_hypothetical():
     store = WeightSlotStore([(2, 3), (1, 4)])
     mask = mask_of(store, [[1, 1, 1, 0, 0, 0], [1, 1, 1, 1]])
-    store.commit(0, mask, 2, codes_for(mask))
+    store.commit(0, mask, 2, *record(mask, 2))
     rep = sparsity(store)
     assert rep.per_layer == (0.5, 0.0)
     assert rep.weighted == 6 * 0.5 + 4 * 0.0
@@ -152,7 +190,7 @@ def test_sample_candidate_mask_size():
 def test_sample_candidate_mask_respects_eligibility():
     store = WeightSlotStore([(1, 4)], t_max=1)
     first = mask_of(store, [[1, 1, 0, 0]])
-    store.commit(0, first, 2, codes_for(first))
+    store.commit(0, first, 2, *record(first, 2))
     rng = np.random.default_rng(1)
     with pytest.warns(CapacityWarning):
         m = sample_candidate_mask(store, 0, 0.0, psi_min=2, rng=rng)
@@ -162,7 +200,7 @@ def test_sample_candidate_mask_respects_eligibility():
 def test_sample_candidate_mask_exhausted():
     store = WeightSlotStore([(1, 2)], t_max=1)
     both = mask_of(store, [[1, 1]])
-    store.commit(0, both, 2, codes_for(both))
+    store.commit(0, both, 2, *record(both, 2))
     with pytest.raises(CapacityExhausted) as err:
         sample_candidate_mask(store, 0, 0.5, psi_min=2,
                               rng=np.random.default_rng(0))
@@ -193,13 +231,14 @@ def test_commit_keeps_a_bool_mask_list():
     spec = ModelSpec((3, 4, 2))
     store = WeightSlotStore(spec.shapes)
     mask = [m.astype(np.uint8) for m in full_mask(spec)]
-    store.commit(0, mask, 2, [np.zeros(m.size, dtype=np.uint32) for m in mask])
+    codes = [np.zeros(m.size, dtype=np.uint32) for m in mask]
+    store.commit(0, mask, 2, codes, tables_for(2, codes))
     kept = store.tasks[0].mask
     assert isinstance(kept, list) and all(m.dtype == bool for m in kept)
     assert same_masks(kept, full_mask(spec))
     # 20 slots * 2 bits + 2 layers * 4 entries * 34 bits + 20 mask bits
     assert capacity(store, 0) == 40 + 272 + 20
-    clone = WeightSlotStore.from_state_dict(store.state_dict())
+    clone = WeightSlotStore.from_state_dict(store.state_dict(), tables_of(store))
     assert same_masks(clone.tasks[0].mask, store.tasks[0].mask)
 
 
@@ -211,8 +250,8 @@ def test_state_dict_round_trip():
         psi = int(rng.integers(1, 6))
         codes = [rng.integers(0, 1 << psi, size=int(m.sum())).astype(np.uint32)
                  for m in mask]
-        store.commit(task, mask, psi, codes)
-    clone = WeightSlotStore.from_state_dict(store.state_dict())
+        store.commit(task, mask, psi, codes, tables_for(psi, codes))
+    clone = WeightSlotStore.from_state_dict(store.state_dict(), tables_of(store))
     assert clone.t_max == store.t_max
     assert clone.layer_shapes == store.layer_shapes
     for i in range(store.layer_count):
@@ -222,6 +261,8 @@ def test_state_dict_round_trip():
             np.testing.assert_array_equal(m1, m2)
         for c1, c2 in zip(alloc.codes, clone.tasks[t].codes):
             np.testing.assert_array_equal(c1, c2)
+        assert all(np.array_equal(a, b) for a, b in zip(clone.tasks[t].centroids,
+                                                        alloc.centroids, strict=True))
 
 
 def test_budget_fuzz_small():
@@ -237,6 +278,8 @@ def test_budget_fuzz_small():
             rng.integers(0, 1 << min(psi, 31), size=int(m.sum())).astype(np.uint32)
             for m in mask
         ]
+        if psi < SLOT_BITS:  # into centroid tables of at most 256 entries
+            codes = [c % min(1 << psi, 256) for c in codes]
         ok_psi = 1 <= psi <= 32
         ok_fit = ok_psi and all(
             len(slots[(i, s)]) < 3 and 32 - sum(p for p in slots[(i, s)]) >= psi
@@ -246,7 +289,7 @@ def test_budget_fuzz_small():
         ok_codes = ok_psi and all(
             psi >= 32 or not c.size or c.max() < (1 << psi) for c in codes)
         try:
-            store.commit(task, mask, psi, codes)
+            store.commit(task, mask, psi, codes, tables_for(psi, codes))
             committed = True
         except CommitRejected:
             committed = False
@@ -291,7 +334,8 @@ def v1_record(task_id, psi, mask, codes):
 def test_state_dict_layout_is_bit_packed():
     store = WeightSlotStore([(3, 3)])
     mask = mask_of(store, [[1, 0, 1, 1, 0, 0, 0, 0, 1]])
-    store.commit(0, mask, 2, [np.array([1, 2, 3, 0], np.uint32)])
+    codes = [np.array([1, 2, 3, 0], np.uint32)]
+    store.commit(0, mask, 2, codes, tables_for(2, codes))
     rec = store.state_dict()["tasks"][0]
     # slots 0, 2, 3, 8: bits 0b00001101 then 0b00000001
     np.testing.assert_array_equal(rec["mask"][0], np.array([0x0D, 0x01], np.uint8))
@@ -300,24 +344,42 @@ def test_state_dict_layout_is_bit_packed():
 
 
 def test_state_dict_round_trip_every_bit_width():
-    # psi = 32 is the pruning-only width; every width shares one code path
+    # psi = 32 is the pruning-only width; every width shares one code path.
+    # Codes over each width's whole range go through the code packer and the
+    # record reader; the store round trip takes them folded into centroid
+    # tables of at most 256 entries
+    from subnetpack.store import _pack_codes, _read_packed_layer
     rng = np.random.default_rng(11)
     for psi in range(1, SLOT_BITS + 1):
         store = WeightSlotStore([(5, 7), (3, 1)], t_max=1)
         mask = [rng.random(s) < 0.6 for s in store.layer_shapes]
         codes = [rng.integers(0, 1 << psi, int(m.sum()), dtype=np.uint64).astype(np.uint32)
                  for m in mask]
-        store.commit(0, mask, psi, codes)
+        expected = packed_record(0, psi, mask, codes)
+        for i, shape in enumerate(store.layer_shapes):
+            np.testing.assert_array_equal(_pack_codes(codes[i], psi), expected["codes"][i])
+            got_mask, got = _read_packed_layer(expected["mask"][i], expected["codes"][i],
+                                               psi, shape, f"layer {i}")
+            assert got.dtype == np.uint32
+            np.testing.assert_array_equal(got, codes[i])
+            np.testing.assert_array_equal(got_mask, mask[i])
+        if psi < SLOT_BITS:
+            codes = [c % min(1 << psi, 256) for c in codes]
+        store.commit(0, mask, psi, codes, tables_for(psi, codes))
         state = store.state_dict()
         expected = packed_record(0, psi, mask, codes)
         for got, want in zip(state["tasks"][0]["codes"], expected["codes"]):
             np.testing.assert_array_equal(got, want)
-        clone = WeightSlotStore.from_state_dict(state)
+        clone = WeightSlotStore.from_state_dict(state, tables_of(store))
         for c1, c2 in zip(clone.tasks[0].codes, codes):
             assert c1.dtype == np.uint32
             np.testing.assert_array_equal(c1, c2)
         for i in range(2):
             np.testing.assert_array_equal(slot_occupancy(clone, i), slot_occupancy(store, i))
+
+
+# tables every record of `_one_task_state` indexes, as task 0 and as task 1
+ONE_TASK_TABLES = {t: [np.zeros(3, np.float32)] for t in (0, 1)}
 
 
 def _one_task_state(packed=True, psi=3, shapes=((3, 3),), t_max=4):
@@ -389,10 +451,11 @@ def _malformed(packed):
 
 @pytest.mark.parametrize("packed", [True, False])
 def test_from_state_dict_rejects_malformed_records(packed):
-    assert WeightSlotStore.from_state_dict(_one_task_state(packed), packed=packed)
+    assert WeightSlotStore.from_state_dict(_one_task_state(packed), ONE_TASK_TABLES,
+                                           packed=packed)
     for name, state in _malformed(packed):
         with pytest.raises(CommitRejected):
-            WeightSlotStore.from_state_dict(state, packed=packed)
+            WeightSlotStore.from_state_dict(state, ONE_TASK_TABLES, packed=packed)
             pytest.fail(f"accepted: {name}")
 
 
@@ -412,11 +475,14 @@ def test_from_state_dict_agrees_with_replay():
             mask = [rng.random(s) < rng.random() for s in shapes]
             codes = [rng.integers(0, 1 << psi, int(m.sum()), dtype=np.uint64).astype(np.uint32)
                      for m in mask]
+            if psi < SLOT_BITS:  # into centroid tables of at most 256 entries
+                codes = [c % min(1 << psi, 256) for c in codes]
             records.append((task, psi, mask, codes))
+        tables = {task: tables_for(psi, codes) for task, psi, _, codes in records}
         replay = WeightSlotStore(shapes, t_max=t_max)
         try:
             for task, psi, mask, codes in records:
-                replay.commit(task, mask, psi, codes)
+                replay.commit(task, mask, psi, codes, tables[task])
             ok = True
         except CommitRejected:
             ok = False
@@ -425,7 +491,7 @@ def test_from_state_dict_agrees_with_replay():
             state = {"layer_shapes": [list(s) for s in shapes], "t_max": t_max,
                      "tasks": [make(*rec) for rec in records]}
             try:
-                loaded = WeightSlotStore.from_state_dict(state, packed=packed)
+                loaded = WeightSlotStore.from_state_dict(state, tables, packed=packed)
             except CommitRejected:
                 loaded = None
             assert (loaded is not None) == ok
@@ -453,11 +519,13 @@ def test_from_state_dict_counts_any_number_of_tasks(tasks, psi, ok, packed):
         m[0, [0, t + 1]] = True
         records.append(make(t, psi, [m], [np.zeros(2, dtype=np.uint32)]))
     state = {"layer_shapes": [[1, size]], "t_max": 1000, "tasks": records}
+    tables = {t: tables_for(psi, [np.zeros(2)]) for t in range(tasks)}
     if not ok:
         with pytest.raises(CommitRejected):
-            WeightSlotStore.from_state_dict(state, packed=packed)
+            WeightSlotStore.from_state_dict(state, tables, packed=packed)
         return
-    counts, bits = slot_occupancy(WeightSlotStore.from_state_dict(state, packed=packed), 0)
+    loaded = WeightSlotStore.from_state_dict(state, tables, packed=packed)
+    counts, bits = slot_occupancy(loaded, 0)
     np.testing.assert_array_equal(counts, [tasks] + [1] * tasks)
     np.testing.assert_array_equal(bits, [SLOT_BITS - tasks * psi] + [SLOT_BITS - psi] * tasks)
 
@@ -477,7 +545,7 @@ def test_encoded_store_size_gate():
         psi = int(rng.integers(1, 9))
         mask = [rng.random(s) < 0.2 for s in store.layer_shapes]
         codes = [rng.integers(0, 1 << psi, int(m.sum())).astype(np.uint32) for m in mask]
-        store.commit(task, mask, psi, codes)
+        store.commit(task, mask, psi, codes, tables_for(psi, codes))
     empty = len(encode_state(WeightSlotStore(store.layer_shapes).state_dict()))
     payload = sum(math.ceil(used * a.psi / 8) + math.ceil(size / 8)
                   for a in store.tasks.values()
@@ -494,12 +562,12 @@ def test_projected_store_reads_as_the_committed_one():
     rng = np.random.default_rng(5)
     store = WeightSlotStore([(6, 5), (3, 6)], t_max=3)
     first = [rng.random(s) < 0.5 for s in store.layer_shapes]
-    store.commit(0, first, 9, codes_for(first))
+    store.commit(0, first, 9, *record(first, 9))
     mask = [rng.random(s) < 0.5 for s in store.layer_shapes]
     before = [slot_occupancy(store, i) for i in range(store.layer_count)]
     projected = store.projected(mask, 7)
-    committed = WeightSlotStore.from_state_dict(store.state_dict())
-    committed.commit(1, mask, 7, codes_for(mask))
+    committed = WeightSlotStore.from_state_dict(store.state_dict(), tables_of(store))
+    committed.commit(1, mask, 7, *record(mask, 7))
     other = [rng.random(s) < 0.5 for s in store.layer_shapes]
     assert projected.hypothetical_sparsity(other) == committed.hypothetical_sparsity(other)
     for i in range(store.layer_count):
@@ -523,14 +591,14 @@ def test_budget_rule_makes_the_projection_exact(seed):
         m = [rng.random(s) < 0.4 for s in store.layer_shapes]
         m = [m[i] & store.eligible_slots(i, 8).reshape(m[i].shape)
              for i in range(store.layer_count)]
-        store.commit(t, m, 8, codes_for(m))
+        store.commit(t, m, 8, *record(m, 8))
     roomy = [store.eligible_slots(i, psi_max + psi_min).reshape(s)
              for i, s in enumerate(store.layer_shapes)]
     mask = [r & (rng.random(r.shape) < 0.5) for r in roomy]
     projected = store.projected(mask, psi_max)
     for psi in range(1, psi_max + 1):
-        committed = WeightSlotStore.from_state_dict(store.state_dict())
-        committed.commit(99, mask, psi, codes_for(mask))
+        committed = WeightSlotStore.from_state_dict(store.state_dict(), tables_of(store))
+        committed.commit(99, mask, psi, *record(mask, psi))
         for i in range(store.layer_count):
             np.testing.assert_array_equal(projected.eligible_slots(i, psi_min),
                                           committed.eligible_slots(i, psi_min))
