@@ -5,7 +5,9 @@ forward and backward passes compute in the dtype of the weights they are
 given: evaluation runs in float64, while `train_masked` runs SGD on a float32
 working copy and hands back float64 weights whose trained entries are float32
 values. Input batches may be floats or uint8 pixels; `as_floats` turns either
-into the dtype of the weights. A mask entry of 0 removes the weight from the
+into the dtype of the weights where it is read: per minibatch in
+`train_masked`, per block of `_EVAL_ROWS` rows in `evaluate`, so neither holds
+a float copy of a whole split. A mask entry of 0 removes the weight from the
 forward pass and freezes it bit-identically through training. Biases are
 never masked and always train.
 
@@ -23,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMaskWarning, ShapeMismatchError
+
+_EVAL_ROWS = 512  # rows `evaluate` turns into floats at a time
 
 
 @dataclass(frozen=True)
@@ -256,12 +260,28 @@ def train_masked(spec, weights, mask, data, cfg: TrainConfig):
 
 
 def evaluate(spec, weights, mask, batch, labels) -> float:
-    """Fraction of argmax-correct predictions; argmax ties go to the lowest class."""
+    """Fraction of argmax-correct predictions; argmax ties go to the lowest class.
+
+    Scores the batch in blocks of `_EVAL_ROWS` rows, so only one block is
+    ever held as floats, and returns the same float as `np.mean` over the
+    whole batch's correct predictions. `labels` must be 1-D with one entry
+    per row.
+    """
     batch = np.asarray(batch)
-    if batch.shape[0] == 0:
+    labels = np.asarray(labels)
+    _check_shapes(spec, weights, mask, batch)
+    n = batch.shape[0]
+    if labels.shape != (n,):
+        raise ShapeMismatchError(0, (n,), labels.shape, what="labels")
+    if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    logits = forward(spec, weights, mask, batch)
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
+    masked = _apply_mask(weights, mask)
+    correct = 0
+    for start in range(0, n, _EVAL_ROWS):
+        rows = slice(start, start + _EVAL_ROWS)
+        logits, _, _ = _forward_cached(spec, masked, batch[rows])
+        correct += int(np.count_nonzero(np.argmax(logits, axis=1) == labels[rows]))
+    return correct / n
 
 
 def full_mask(spec: ModelSpec) -> list[np.ndarray]:

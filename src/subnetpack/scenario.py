@@ -42,8 +42,9 @@ class TaskData:
     """One task's splits; labels are class indices.
 
     Features are uint8 pixels for image scenarios (IDX bytes as read) and
-    float64 reals in [0, 1] for synthetic ones; `network.as_floats` turns
-    either into floats.
+    float64 reals in [0, 1] for synthetic ones. Training and evaluation take
+    them as they are: `network.as_floats` turns one minibatch or block of
+    rows at a time into floats.
     """
 
     task_id: int

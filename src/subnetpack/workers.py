@@ -16,14 +16,14 @@ The pool starts on the first submit and lives as long as the process; it
 holds one worker per CPU the process may use, capped at the most jobs it has
 had queued or running at once. A job names its task by a ScenarioSuite and
 a task id. A worker is sent the suite once, before its first job on it, and
-keeps the TaskData `get_task` builds, with float32 train features (SGD
-computes in them) and float64 validation features (evaluation does); it
-keeps the last two tasks it used, as a run has two live (see `runner`). A
-reply carries the trained weights inside the job's mask and the biases, as
-float32 whenever that keeps every bit (it does after any SGD step, which
-computes in float32); the caller scatters them into a copy of the job's
-initial weights only where it needs dense weights. Workers exit when their
-input closes.
+keeps the TaskData `get_task` builds as it is, uint8 pixels for an image
+scenario: `train_masked` turns each minibatch into floats as it gathers it,
+and `evaluate` each block of rows it scores. It keeps the last two tasks it
+used, as a run has two live (see `runner`). A reply carries the trained
+weights inside the job's mask and the biases, as float32 whenever that keeps
+every bit (it does after any SGD step, which computes in float32); the caller
+scatters them into a copy of the job's initial weights only where it needs
+dense weights. Workers exit when their input closes.
 
 Each message on a pipe is one protocol-5 pickle, arrays in band: the
 pickler writes a large array's bytes straight to the pipe and the reader
@@ -58,15 +58,15 @@ import sys
 import warnings
 import weakref
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TrainingDiverged, WorkerDied
-from .network import DenseWeights, as_floats, evaluate, train_masked
+from .network import DenseWeights, evaluate, train_masked
 from .quantization import adaptive_quantize, dequantized_weights, identity_quantize
 
-TASKS_KEPT = 2  # tasks whose float splits a worker keeps
+TASKS_KEPT = 2  # tasks a worker keeps built, as a run has two live
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # `-c`, not `-m` or multiprocessing's spawn: the child never imports the
 # caller's __main__
@@ -102,15 +102,13 @@ def _finish(spec, weights, mask, accuracy, task, quant) -> dict:
 
 
 def _task(suite, kept: dict, task_id):
-    """Task `task_id`'s TaskData, with float train and validation features;
-    `kept` holds the last TASKS_KEPT used."""
+    """Task `task_id`'s TaskData as `get_task` builds it; `kept` holds the
+    last TASKS_KEPT used."""
     task = kept.pop(task_id, None)
     if task is None:
         while len(kept) >= TASKS_KEPT:  # before the build, to bound the peak
             del kept[next(iter(kept))]
         task = suite.get_task(task_id)
-        task = replace(task, x_train=as_floats(task.x_train, np.float32),
-                       x_val=as_floats(task.x_val, np.float64))
     kept[task_id] = task  # the most recently used last
     return task
 

@@ -259,6 +259,54 @@ def test_evaluate_empty_batch_errors():
         evaluate(spec, w, full_mask(spec), np.zeros((0, 3)), np.zeros(0))
 
 
+def test_evaluate_refuses_labels_that_are_not_one_per_row():
+    # (n, 1) labels once broadcast into an n x n comparison and gave a wrong
+    # accuracy; surplus labels past the batch would go unread
+    spec = ModelSpec((3, 2))
+    w = xavier_init(spec, 0)
+    x = np.random.default_rng(0).random((5, 3))
+    for labels in (np.zeros((5, 1)), np.zeros(6), np.zeros(4), np.zeros((1, 5)),
+                   np.int64(0)):
+        with pytest.raises(ShapeMismatchError) as info:
+            evaluate(spec, w, full_mask(spec), x, labels)
+        assert info.value.what == "labels"
+        assert info.value.got == np.shape(labels)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1543])
+def test_evaluate_in_blocks_equals_one_pass(n, dtype):
+    spec = ModelSpec((20, 16, 5))
+    rng = np.random.default_rng(n)
+    x = rng.integers(0, 256, size=(n, 20)).astype(dtype)
+    if dtype == np.float64:
+        x /= 255.0
+    y = rng.integers(0, 5, size=n)
+    w = xavier_init(spec, n)
+    mask = [rng.random(s) < 0.6 for s in spec.shapes]
+    want = np.mean(np.argmax(forward(spec, w, mask, x), axis=1) == y)
+    assert evaluate(spec, w, mask, x, y) == want
+
+
+def test_evaluate_holds_one_block_of_floats():
+    # a whole 4096-row split as float64 would be 25.7 MB on its own
+    import tracemalloc
+
+    spec = ModelSpec((784, 100, 10))
+    rng = np.random.default_rng(2)
+    x = rng.integers(0, 256, size=(4096, 784), dtype=np.uint8)
+    y = rng.integers(0, 10, size=4096)
+    w = xavier_init(spec, 2)
+    mask = full_mask(spec)
+    tracemalloc.start()
+    try:
+        evaluate(spec, w, mask, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_lr_schedule():
     cfg = TrainConfig(lr_initial=0.1, lr_decay=0.5, lr_floor=0.02)
     assert cfg.lr_at(0) == 0.1

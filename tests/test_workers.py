@@ -125,10 +125,10 @@ def test_killed_worker_raises_promptly_with_its_exit_status():
 
 
 def test_workers_train_uint8_pixels_as_their_floats(tmp_path):
-    # a worker builds the task from the suite it was sent and expands the
-    # pixels once: float32 for training, float64 for validation. The shapes
-    # keep every matmul small enough that OpenBLAS runs it on one thread here
-    # too, as in the worker.
+    # a worker builds the task from the suite it was sent and keeps its uint8
+    # pixels: training turns each minibatch into float32, evaluation each
+    # block of rows into float64. The shapes keep every matmul small enough
+    # that OpenBLAS runs it on one thread here too, as in the worker.
     p = write_digit_idx(tmp_path, n_train=600, n_test=50, seed=4)
     suite = permuted_scenario(load_idx(p["train_images"], p["train_labels"]),
                               load_idx(p["test_images"], p["test_labels"]), 2, seed=4)
@@ -146,6 +146,24 @@ def test_workers_train_uint8_pixels_as_their_floats(tmp_path):
     for got, ref in zip(weights.weights + weights.biases, want.weights + want.biases):
         np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
     assert result.accuracy == evaluate(spec, want, mask, x_val, data.y_val)
+
+
+def test_a_worker_keeps_each_task_as_get_task_builds_it(tmp_path):
+    p = write_digit_idx(tmp_path, n_train=200, n_test=40, seed=5)
+    suite = permuted_scenario(load_idx(p["train_images"], p["train_labels"]),
+                              load_idx(p["test_images"], p["test_labels"]), 4, seed=5)
+    kept = {}
+    for task_id in (0, 1, 0, 2, 3, 3, 1):
+        task = workers._task(suite, kept, task_id)
+        assert len(kept) <= workers.TASKS_KEPT
+        assert list(kept)[-1] == task_id and kept[task_id] is task
+        want = suite.get_task(task_id)
+        for name in ("x_train", "y_train", "x_val", "y_val", "x_test", "y_test"):
+            got, ref = getattr(task, name), getattr(want, name)
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+        assert task.x_train.dtype == np.uint8 and task.x_val.dtype == np.uint8
+    assert list(kept) == [3, 1]
 
 
 def test_batches_queue_without_blocking_and_train_their_own_split():
