@@ -2,12 +2,13 @@
 
 Layout: 8-byte magic, little-endian u32 format version, payload, and a
 trailing little-endian u64 BLAKE2b digest of the payload. The payload is a
-tagged tree of None/int/float/str/bytes/list/dict/ndarray nodes, everything
+tagged tree of int/float/str/list/dict/ndarray nodes, everything
 little-endian, dict keys sorted so equal states serialize to equal bytes.
 Arrays hold bool or little-endian numbers only. The decoder accepts exactly
 what the encoder writes and raises CheckpointError for anything else. It
 reads the payload once, in place: each field is unpacked at an offset into a
-memoryview, and only strings, bytes and array contents are copied out.
+memoryview, and only strings and array contents are copied out. Tags 0
+and 4 name no node kind, so a payload holding either is refused.
 
 Version 2 stores the slot store bit-packed (see `store`); version 1 held
 bool masks and uint32 codes. Both are read, and `load_checkpoint` returns the
@@ -28,11 +29,9 @@ from .errors import CheckpointError
 MAGIC = b"SUBNPACK"
 VERSION = 2
 
-_T_NONE = 0
 _T_INT = 1
 _T_FLOAT = 2
 _T_STR = 3
-_T_BYTES = 4
 _T_LIST = 5
 _T_DICT = 6
 _T_ARRAY = 7
@@ -42,9 +41,7 @@ _DTYPES = {d.str.encode("ascii"): d  # the array dtypes a checkpoint may hold
 
 
 def _encode_into(buf: bytearray, node) -> None:
-    if node is None:
-        buf.append(_T_NONE)
-    elif isinstance(node, bool):
+    if isinstance(node, bool):
         raise TypeError("encode booleans as ints explicitly")
     elif isinstance(node, (int, np.integer)):
         buf.append(_T_INT)
@@ -57,10 +54,6 @@ def _encode_into(buf: bytearray, node) -> None:
         buf.append(_T_STR)
         buf += struct.pack("<Q", len(raw))
         buf += raw
-    elif isinstance(node, (bytes, bytearray)):
-        buf.append(_T_BYTES)
-        buf += struct.pack("<Q", len(node))
-        buf += node
     elif isinstance(node, (list, tuple)):
         buf.append(_T_LIST)
         buf += struct.pack("<Q", len(node))
@@ -115,14 +108,13 @@ def _decode_node(data: memoryview, pos: int, path: str):
             return _I64.unpack_from(data, pos)[0], pos + 8
         if tag == _T_FLOAT:
             return _F64.unpack_from(data, pos)[0], pos + 8
-        if tag in (_T_STR, _T_BYTES):
+        if tag == _T_STR:
             (n,) = _U64.unpack_from(data, pos)
             pos += 8
             end = pos + n
             if end > len(data):
                 raise _truncated(path, pos)
-            raw = data[pos:end]
-            return (str(raw, "utf-8") if tag == _T_STR else bytes(raw)), end
+            return str(data[pos:end], "utf-8"), end
         if tag == _T_LIST:
             (n,) = _U64.unpack_from(data, pos)
             pos += 8
@@ -166,8 +158,6 @@ def _decode_node(data: memoryview, pos: int, path: str):
             if end > len(data):
                 raise _truncated(path, pos)
             return np.frombuffer(data[pos:end], dtype=dtype).reshape(shape).copy(), end
-        if tag == _T_NONE:
-            return None, pos
     except (IndexError, struct.error):
         raise _truncated(path, pos) from None
     raise CheckpointError(f"{path}: unknown node tag {tag} at byte {pos - 1}")

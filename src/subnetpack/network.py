@@ -126,7 +126,10 @@ def xavier_init(spec: ModelSpec, seed) -> DenseWeights:
     return DenseWeights(weights, biases)
 
 
-def _check_shapes(spec: ModelSpec, weights: DenseWeights, mask, batch: np.ndarray) -> None:
+def _check_shapes(spec: ModelSpec, weights: DenseWeights, mask, batch: np.ndarray,
+                  labels=None) -> None:
+    """ShapeMismatchError unless the arguments fit `spec`; `labels`, when
+    given, must be 1-D with one entry per row of `batch`."""
     if batch.ndim != 2 or batch.shape[1] != spec.layer_sizes[0]:
         raise ShapeMismatchError(
             0, ("*", spec.layer_sizes[0]), batch.shape, what="input batch"
@@ -135,6 +138,8 @@ def _check_shapes(spec: ModelSpec, weights: DenseWeights, mask, batch: np.ndarra
     for i, (shape, m) in enumerate(zip(spec.shapes, mask)):
         if np.shape(m) != shape:
             raise ShapeMismatchError(i, shape, np.shape(m), what="mask")
+    if labels is not None and labels.shape != batch.shape[:1]:
+        raise ShapeMismatchError(0, batch.shape[:1], labels.shape, what="labels")
 
 
 def _apply_mask(weights: DenseWeights, mask) -> DenseWeights:
@@ -221,13 +226,13 @@ def train_masked(spec, weights, mask, data, cfg: TrainConfig):
     copy's masked-out entries at zero, so the steps need no further mask
     products on the weights. Trained entries come back as float32 values;
     entries outside the mask come back bit-identical to the input. epochs=0
-    returns an untouched copy. For an accuracy, call evaluate on the returned
-    weights.
+    returns an untouched copy. `y` must be 1-D with one label per row of `X`.
+    For an accuracy, call evaluate on the returned weights.
     """
     X, y = data
     X = np.asarray(X)
     y = np.asarray(y)
-    _check_shapes(spec, weights, mask, X)
+    _check_shapes(spec, weights, mask, X, y)
     for i in range(spec.n_layers):
         if not np.any(mask[i]):
             warnings.warn(
@@ -269,10 +274,8 @@ def evaluate(spec, weights, mask, batch, labels) -> float:
     """
     batch = np.asarray(batch)
     labels = np.asarray(labels)
-    _check_shapes(spec, weights, mask, batch)
+    _check_shapes(spec, weights, mask, batch, labels)
     n = batch.shape[0]
-    if labels.shape != (n,):
-        raise ShapeMismatchError(0, (n,), labels.shape, what="labels")
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     masked = _apply_mask(weights, mask)

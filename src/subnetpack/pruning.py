@@ -223,8 +223,8 @@ def choose_winner(search: Search) -> PruneLog:
     population = search.population.wait()
     cfg = search.cfg
     accuracies = tuple(r.accuracy for r in population)
-    sparsities = tuple(search.store.hypothetical_sparsity(r.mask).weighted
-                       for r in population)
+    reports = [search.store.hypothetical_sparsity(r.mask) for r in population]
+    sparsities = tuple(r.weighted for r in reports)
     if max(accuracies) == 0.0:
         warnings.warn(
             f"task {search.task_id}: every candidate scored zero accuracy; "
@@ -244,23 +244,20 @@ def choose_winner(search: Search) -> PruneLog:
         sparsities,
         _scores(accuracies, sparsities, cfg.alpha, cfg.beta),
         chosen,
-        search.store.hypothetical_sparsity(winner.mask).per_layer,
+        reports[chosen].per_layer,
     )
     return search.log
 
 
 def adaptive_prune(task_id, store: WeightSlotStore, spec, suite,
-                   cfg: PruneConfig, train_cfg: TrainConfig, sink=None):
+                   cfg: PruneConfig, train_cfg: TrainConfig):
     """Population search for one task; returns (mask, weights, accuracy).
 
     The returned weights are the winner's after full training on the task's
-    train split, and the accuracy is measured on its validation split. `sink`,
-    when given, receives one PruneLog. It is start_search, then choose_winner,
-    then a wait for the winner.
+    train split, and the accuracy is measured on its validation split. It is
+    start_search, then choose_winner, then a wait for the winner.
     """
     search = start_search(task_id, store, spec, suite, cfg, train_cfg)
-    log = choose_winner(search)
+    choose_winner(search)
     result = search.trained()
-    if sink is not None:
-        sink(log)
     return search.mask, result.weights(), result.accuracy

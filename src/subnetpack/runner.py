@@ -26,8 +26,10 @@ while t's winner trains and quantizes and while this process commits and
 checkpoints task t, which still happen in task order. The copy draws the
 masks the real commit would, bit for bit, when `_lookahead_is_exact` holds;
 otherwise task t+1 starts after task t's checkpoint, through the same
-functions. Warnings, errors and the prune log of work done ahead are held
-back until task t+1 starts, where a run without the lookahead reports them.
+functions. The warnings the run's filters let through, the error and the
+prune log of work done ahead are held back until task t+1 starts, where a
+run without the lookahead reports them; an error filter stops the work at
+the warning.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -62,11 +63,12 @@ class TaskRecord:
     """What a committed task keeps beside its allocation in `store.tasks`.
 
     The bit-width, mask, codes and centroid tables live only in the store.
-    `values` are the full-precision winner's weights inside its mask, per
-    layer in row-major slot order (float32 after any SGD step), held in
-    memory only: None after a load. `digest` is `_record_digest` of the
-    record that scored the task's diagonal accuracy cell, also in memory
-    only: None after a load until a re-evaluation reproduces that cell.
+    `biases` are the winner's float64 biases. `values` are its trained
+    weights inside its mask, per layer in row-major slot order (float32
+    after any SGD step), held in memory only: None after a load. `digest`
+    is `_record_digest` of the record that scored the task's diagonal
+    accuracy cell, also in memory only: None after a load until a
+    re-evaluation reproduces that cell.
     """
 
     biases: list
@@ -78,6 +80,9 @@ class TaskRecord:
 
 @dataclass
 class RunState:
+    """A run's state; `next_task`, the count of finished tasks, is the
+    matrix's row count."""
+
     config: RunConfig
     suite: ScenarioSuite | None
     store: WeightSlotStore
@@ -86,7 +91,10 @@ class RunState:
     format_version: int  # of the checkpoint it was read from; VERSION in a new run
     tasks: dict[int, TaskRecord] = field(default_factory=dict)
     prune_logs: list = field(default_factory=list)
-    next_task: int = 0
+
+    @property
+    def next_task(self) -> int:
+        return self.matrix.n_episodes
 
     @property
     def checkpoint_path(self) -> str:
@@ -164,11 +172,12 @@ class _Ahead:
         self.caught = []
 
     def run(self, fn, *args):
-        """fn(*args), recording its warnings and any error; None after an error."""
+        """fn(*args), recording the warnings the run's filters let through and
+        any error, a warning a filter turned into one included; None after an
+        error."""
         if self.error is not None:
             return None
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
             try:
                 return fn(*args)
             except Exception as exc:
@@ -180,17 +189,13 @@ class _Ahead:
     def take(self) -> Search:
         """The search, after the held-back warnings and error.
 
-        Warnings are issued as `warnings.warn` issued them; the error is
-        raised. The _Ahead keeps no reference to what it hands over.
+        The filters chose each warning where it was issued; it is shown
+        here, pointing there. The error is raised. The _Ahead keeps no
+        reference to what it hands over.
         """
-        modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
         for w in self.caught:
-            mod = modules.get(w.filename)
-            warnings.warn_explicit(
-                w.message, w.category, w.filename, w.lineno,
-                module=None if mod is None else mod.__name__,
-                registry=None if mod is None else vars(mod).setdefault(
-                    "__warningregistry__", {}))
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno,
+                                 w.file, w.line)
         if self.error is not None:
             raise self.error
         taken, self.search = self.search, None
@@ -246,13 +251,13 @@ def _start(state: RunState, t, psi_min, after=None) -> _Ahead:
 
 
 def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min=None):
-    """(winner's mask, its finished JobResult, next _Ahead or None).
+    """(the winner's finished JobResult, which holds its mask; next _Ahead or None).
 
     Task t's work comes from `ahead`, or starts here with the floor `psi_min`
     (by default a first search's, from `_search_bits`). Its winner is chosen
-    unless it has one, and a search's choice is logged. Task t+1's work begins before the wait for
-    the winner, if that is exact; while the winner trains, t+1's winner is
-    chosen as soon as its population is in.
+    unless it has one, and a search's choice is logged. Task t+1's work
+    begins before the wait for the winner, if that is exact; while the winner
+    trains, t+1's winner is chosen as soon as its population is in.
     """
     first, _ = _search_bits(state)
     if ahead is None:
@@ -270,7 +275,7 @@ def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min=None):
         POOL.wait_any([search.winner, ahead.search.population])
         if ahead.search.population.ready:
             ahead.run(choose_winner, ahead.search)
-    return search.mask, search.trained(), ahead
+    return search.trained(), ahead
 
 
 def _run_task_full(state: RunState, t, ahead):
@@ -284,8 +289,8 @@ def _run_task_full(state: RunState, t, ahead):
     cfg = state.config
     psi_min = None
     while True:
-        mask, result, next_ahead = _trained_winner(state, t, ahead, psi_min)
-        budget = state.store.mask_bit_budget(mask)
+        result, next_ahead = _trained_winner(state, t, ahead, psi_min)
+        budget = state.store.mask_bit_budget(result.mask)
         try:
             fit_budget(t, cfg.model, result.psi, result.q_acc, result.accuracy,
                        cfg.quant, budget)
@@ -297,7 +302,7 @@ def _run_task_full(state: RunState, t, ahead):
                 ) from exc
             psi_min, ahead = budget + 1, None
             continue
-        return mask, result, next_ahead
+        return result, next_ahead
 
 
 def _run_task_quantization_only(state: RunState, t, ahead):
@@ -315,16 +320,16 @@ def _run_task_quantization_only(state: RunState, t, ahead):
             saturated,
             f"task {t}: a dense mask needs every slot eligible for "
             f"{cfg.quant.psi_init}-bit components")
-    mask, result, ahead = _trained_winner(state, t, ahead)
+    result, ahead = _trained_winner(state, t, ahead)
     fit_budget(t, cfg.model, result.psi, result.q_acc, result.accuracy,
-               cfg.quant, state.store.mask_bit_budget(mask))
-    return mask, result, ahead
+               cfg.quant, state.store.mask_bit_budget(result.mask))
+    return result, ahead
 
 
 # Each takes (state, task, the _Ahead begun for it during task t-1 or None)
-# and returns (the winner's mask, its finished JobResult, the _Ahead begun for
-# task t+1 or None). Pruning-only stores the winner as raw 32-bit patterns,
-# which hold the trained float32 values exactly, so q_quant is q_ref.
+# and returns (the winner's finished JobResult, mask included, the _Ahead
+# begun for task t+1 or None). Pruning-only stores the winner as raw 32-bit
+# patterns, which hold the trained float32 values exactly, so q_quant is q_ref.
 _MODE_RUNNERS = {
     "full": _run_task_full,
     "pruning-only": _trained_winner,
@@ -339,14 +344,13 @@ def execute_task(state: RunState, t: int, ahead: _Ahead | None = None) -> _Ahead
     warnings and error surface first. The work begun for task t+1 while task
     t's winner trains is returned, for the call that runs task t+1.
     """
-    mask, result, ahead = _MODE_RUNNERS[state.config.mode](state, t, ahead)
-    state.store.commit(t, mask, result.psi, result.codes, result.centroids)
-    state.tasks[t] = TaskRecord([np.array(b, dtype=np.float64) for b in result.biases],
-                                result.accuracy, result.q_acc, result.values)
+    result, ahead = _MODE_RUNNERS[state.config.mode](state, t, ahead)
+    state.store.commit(t, result.mask, result.psi, result.codes, result.centroids)
+    state.tasks[t] = TaskRecord(result.biases, result.accuracy, result.q_acc,
+                                result.values)
     state.tasks[t].digest = _record_digest(state, t)
     state.matrix.append_row([_past_accuracy(state, e) for e in range(t)]
                             + [result.test_acc])
-    state.next_task = t + 1
     save_run_checkpoint(state)
     return ahead
 
@@ -472,7 +476,7 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
             raise CheckpointError(f"{path}: the store holds tasks {sorted(store.tasks)}, "
                                   f"not the {next_task} the matrix covers")
         state = RunState(cfg, None, store, matrix, _expect(payload["manifest"], str),
-                         version, tasks=_read_records(payload, store), next_task=next_task)
+                         version, tasks=_read_records(payload, store))
         state.prune_logs = [
             PruneLog(**{k: tuple(v) if isinstance(v, list) else v for k, v in rec.items()})
             for rec in payload["prune_logs"]]

@@ -20,10 +20,11 @@ keeps the TaskData `get_task` builds as it is, uint8 pixels for an image
 scenario: `train_masked` turns each minibatch into floats as it gathers it,
 and `evaluate` each block of rows it scores. It keeps the last two tasks it
 used, as a run has two live (see `runner`). A reply carries the trained
-weights inside the job's mask and the biases, as float32 whenever that keeps
-every bit (it does after any SGD step, which computes in float32); the caller
-scatters them into a copy of the job's initial weights only where it needs
-dense weights. Workers exit when their input closes.
+weights inside the job's mask, as float32 whenever that keeps every bit (it
+does after any SGD step, which computes in float32), and the float64 biases
+as `train_masked` returns them, not narrowed; the caller scatters the
+weights into a copy of the job's initial weights only where it needs dense
+weights. Workers exit when their input closes.
 
 Each message on a pipe is one protocol-5 pickle, arrays in band: the
 pickler writes a large array's bytes straight to the pipe and the reader
@@ -133,7 +134,7 @@ def _run_job(spec, suite, kept, task_id, weights, mask, cfg, *quant):
             outcome = dict(
                 values=[_narrow(w[np.asarray(m, dtype=bool)])
                         for w, m in zip(weights.weights, mask)],
-                biases=[_narrow(b) for b in weights.biases],
+                biases=weights.biases,
                 accuracy=accuracy,
                 **(_finish(spec, weights, mask, accuracy, task, *quant)
                    if quant else {}))

@@ -25,14 +25,12 @@ def deep_equal(a, b):
 
 
 SAMPLE = {
-    "none": None,
     "int": 42,
     "negative": -(2**40),
     "float": 0.1,
     "text": "subnet ✓",
-    "blob": b"\x00\xffraw",
-    "list": [1, [2.5, None], "x"],
-    "nested": {"z": 1, "a": [b"q"]},
+    "list": [1, [2.5, []], "x"],
+    "nested": {"z": 1, "a": ["q"]},
     "f64": np.linspace(-1, 1, 7),
     "f32": np.float32([[1.5, -2.25], [0.0, 3.125]]),
     "i64": np.int64([[-5], [9]]),
@@ -62,12 +60,22 @@ def test_encode_rejects_unknown_types():
         encode_state({"x": True})  # bools are not silently stored as ints
     with pytest.raises(TypeError):
         encode_state({1: "non-string key"})
+    for kind in (None, b"raw"):  # no checkpoint format holds either
+        with pytest.raises(TypeError):
+            encode_state({"x": kind})
 
 
 def test_decode_rejects_stray_bytes():
     payload = encode_state({"a": 1})
     with pytest.raises(CheckpointError):
         decode_state(payload + b"\x00")
+
+
+def test_decode_rejects_tags_that_name_no_node_kind():
+    # tags 0 and 4 name no node kind: no checkpoint format holds None or bytes
+    for payload in (bytes([0]), bytes([4]) + struct.pack("<Q", 1) + b"q"):
+        with pytest.raises(CheckpointError, match="unknown node tag"):
+            decode_state(payload)
 
 
 def test_decode_rejects_truncation():
@@ -115,7 +123,7 @@ def test_decoder_fuzz_decodes_or_raises_checkpoint_error():
             pass
     nested = bytes([5]) + struct.pack("<Q", 1)  # a one-item list
     with pytest.raises(CheckpointError):
-        decode_state(nested * 100_000 + bytes([0]))
+        decode_state(nested * 100_000 + bytes([1]) + struct.pack("<q", 0))
 
 
 def test_save_load_round_trip(tmp_path):

@@ -259,16 +259,22 @@ def test_evaluate_empty_batch_errors():
         evaluate(spec, w, full_mask(spec), np.zeros((0, 3)), np.zeros(0))
 
 
-def test_evaluate_refuses_labels_that_are_not_one_per_row():
+@pytest.mark.parametrize("use", ["evaluate", "train_masked"])
+def test_evaluate_refuses_labels_that_are_not_one_per_row(use):
     # (n, 1) labels once broadcast into an n x n comparison and gave a wrong
-    # accuracy; surplus labels past the batch would go unread
+    # accuracy, or trained different weights; surplus labels past the batch
+    # would go unread. The train_masked cases fail on the parent
     spec = ModelSpec((3, 2))
     w = xavier_init(spec, 0)
     x = np.random.default_rng(0).random((5, 3))
+    cfg = TrainConfig(epochs=1, batch_size=2, seed=0)
     for labels in (np.zeros((5, 1)), np.zeros(6), np.zeros(4), np.zeros((1, 5)),
                    np.int64(0)):
         with pytest.raises(ShapeMismatchError) as info:
-            evaluate(spec, w, full_mask(spec), x, labels)
+            if use == "evaluate":
+                evaluate(spec, w, full_mask(spec), x, labels)
+            else:
+                train_masked(spec, w, full_mask(spec), (x, labels.astype(int)), cfg)
         assert info.value.what == "labels"
         assert info.value.got == np.shape(labels)
 

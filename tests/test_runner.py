@@ -1063,7 +1063,7 @@ def record_run(monkeypatch, run):
 
     A search is a population search or a quantization-only task's dense
     training. A save records (next_task, prune logs written); a warning its
-    category and text.
+    category, text, filename and line number.
     """
     from subnetpack import runner
     from subnetpack.store import WeightSlotStore
@@ -1090,8 +1090,8 @@ def record_run(monkeypatch, run):
     monkeypatch.setattr(runner, "save_checkpoint", recording_save)
     with warnings.catch_warnings():
         warnings.simplefilter("always")
-        warnings.showwarning = lambda message, category, *rest: events.append(
-            ("warn", category.__name__, str(message)))
+        warnings.showwarning = lambda message, category, filename, lineno, *rest: (
+            events.append(("warn", category.__name__, str(message), filename, lineno)))
         result = run()
     return result, events
 
@@ -1107,7 +1107,7 @@ def out_bytes(out):
 @pytest.mark.parametrize("mode", ["full", "pruning-only", "quantization-only"])
 def test_lookahead_changes_nothing_observable(tmp_path, monkeypatch, mode):
     # quantization-only fails on the parent, where the rule did not govern it
-    from subnetpack import runner
+    from subnetpack import runner, store
     out = tmp_path / "out"
     runs = {}
     for exact in (False, True):
@@ -1130,6 +1130,9 @@ def test_lookahead_changes_nothing_observable(tmp_path, monkeypatch, mode):
                                                      for t in (1, 2, 3)]
     if mode == "pruning-only":
         assert any(e[0] == "warn" for e in shown)
+    # a held-back warning points where it was issued: a CapacityWarning at
+    # the store's sampling
+    assert all(e[3] == store.__file__ for e in shown if e[1] == "CapacityWarning")
     # task 1's population or dense training went out before task 0
     # committed, and not without the lookahead
     assert overlapped.index(("search", 1)) < overlapped.index(("commit", 0))
@@ -1151,6 +1154,43 @@ def test_lookahead_holds_a_failing_next_task_back(tmp_path, monkeypatch, capsys)
     resumed = state_from_checkpoint(str(tmp_path / "out" / "checkpoint.bin"))
     assert resumed.next_task == 1
     assert [log.task_id for log in resumed.prune_logs] == [0]
+
+
+def test_an_error_filter_stops_a_task_where_its_sampling_warns(tmp_path, monkeypatch):
+    # the warning is raised where it is issued, so the task whose sampling
+    # warned submits no job, with the lookahead or without it; fails on the
+    # parent, which recorded the warning under its own filter, submitted that
+    # task's population and raised only after
+    from subnetpack import pruning, runner
+    from subnetpack.errors import CapacityWarning
+    runs = {}
+    for exact in (False, True):
+        started, submitted = [], []
+        start, submit = runner.start_search, pruning.submit
+
+        def recording_start(task_id, *args):
+            started.append(task_id)
+            return start(task_id, *args)
+
+        def recording_submit(spec, suite, task_id, jobs):
+            submitted.append((task_id, len(jobs)))
+            return submit(spec, suite, task_id, jobs)
+
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            if not exact:
+                patch.setattr(runner, "_lookahead_is_exact", lambda state, mask: False)
+            patch.setattr(runner, "start_search", recording_start)
+            patch.setattr(pruning, "submit", recording_submit)
+            warnings.simplefilter("error", CapacityWarning)
+            state = new_state(make_cfg(tmp_path / f"out-{exact}",
+                                       "run.mode = pruning-only\n"))
+            with pytest.raises(CapacityWarning):
+                execute_run(state)
+        runs[exact] = started[-1], submitted, state.next_task
+    assert runs[True] == runs[False]
+    warned, submitted, finished = runs[True]
+    assert warned == finished > 0
+    assert submitted and all(t < warned for t, _ in submitted)
 
 
 def test_quantization_only_submits_the_next_task_before_waiting(tmp_path, monkeypatch):
