@@ -4,8 +4,9 @@ Each task carves its sub-network out of the shared slot store, quantizes it,
 and commits. The numeric work runs in the training workers: the winner's job
 trains, quantizes with the bit-width ladder uncapped, and scores the
 quantized weights on the task's test split (see `workers`). This process
-holds the ladder's choice to the mask's slot budget (`fit_budget`), commits,
-and appends the accuracy-matrix row; on a clean run it makes no BLAS call.
+holds the ladder's choice to the mask's slot budget in `_run_task`, the one
+loop every mode runs and the one place the modes differ, commits, and
+appends the accuracy-matrix row; on a clean run it makes no BLAS call.
 
 A row holds every task seen so far. Task t's own cell is the worker's test
 accuracy; a past task's cell is its diagonal cell, because its committed
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -250,18 +252,17 @@ def _start(state: RunState, t, psi_min, after=None) -> _Ahead:
     return ahead
 
 
-def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min=None):
+def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min):
     """(the winner's finished JobResult, which holds its mask; next _Ahead or None).
 
     Task t's work comes from `ahead`, or starts here with the floor `psi_min`
-    (by default a first search's, from `_search_bits`). Its winner is chosen
-    unless it has one, and a search's choice is logged. Task t+1's work
-    begins before the wait for the winner, if that is exact; while the winner
-    trains, t+1's winner is chosen as soon as its population is in.
+    the caller gives. Its winner is chosen unless it has one, and a search's
+    choice is logged. Task t+1's work begins before the wait for the winner,
+    if that is exact, with a first search's floor; while the winner trains,
+    t+1's winner is chosen as soon as its population is in.
     """
-    first, _ = _search_bits(state)
     if ahead is None:
-        ahead = _start(state, t, first if psi_min is None else psi_min)
+        ahead = _start(state, t, psi_min)
     search = ahead.take()
     if search.winner is None:
         choose_winner(search)
@@ -269,7 +270,7 @@ def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min=None):
         state.prune_logs.append(search.log)
     ahead = None
     if t + 1 < state.suite.n_tasks and _lookahead_is_exact(state, search.mask):
-        ahead = _start(state, t + 1, first, after=search.mask)
+        ahead = _start(state, t + 1, _search_bits(state)[0], after=search.mask)
     while (ahead is not None and ahead.error is None
            and ahead.search.winner is None and not search.winner.ready):
         POOL.wait_any([search.winner, ahead.search.population])
@@ -278,63 +279,51 @@ def _trained_winner(state: RunState, t, ahead: _Ahead | None, psi_min=None):
     return search.trained(), ahead
 
 
-def _run_task_full(state: RunState, t, ahead):
-    """Population pruning then adaptive quantization, with budget retries.
+def _run_task(state: RunState, t, ahead):
+    """(task t's winner, mask included, held to its slot budget; next _Ahead or None).
 
-    A bit-width that needs more bits than the sampled slots can hold triggers
-    a fresh population of the same task restricted to roomier slots; the
-    floor rises each round, so the loop ends at psi_max. A retry never follows
-    a lookahead: `_lookahead_is_exact` rules it out.
+    `ahead` is the work begun for task t during task t-1, or None. The modes
+    differ only in the winner's bit budget:
+    - pruning-only fits none: its winner is stored as raw 32-bit patterns,
+      which hold the trained float32 values exactly (so q_quant is q_ref),
+      drawn from slots with all 32 bits free;
+    - quantization-only fails a saturated store before its dense training is
+      waited on, and a choice over budget fails the task, since a dense mask
+      cannot be drawn again;
+    - full draws the task again from slots with one bit more free than the
+      mask's budget, and fails once that floor passes psi_max. A retry never
+      follows a lookahead: `_lookahead_is_exact` rules it out.
     """
     cfg = state.config
-    psi_min = None
+    if cfg.mode == "quantization-only":
+        saturated = tuple(
+            i for i in range(state.store.layer_count)
+            if not state.store.eligible_slots(i, cfg.quant.psi_init).all()
+        )
+        if saturated:
+            raise CapacityExhausted(
+                saturated,
+                f"task {t}: a dense mask needs every slot eligible for "
+                f"{cfg.quant.psi_init}-bit components")
+    psi_min = _search_bits(state)[0]
     while True:
         result, next_ahead = _trained_winner(state, t, ahead, psi_min)
+        if cfg.mode == "pruning-only":
+            return result, next_ahead
         budget = state.store.mask_bit_budget(result.mask)
         try:
             fit_budget(t, cfg.model, result.psi, result.q_acc, result.accuracy,
                        cfg.quant, budget)
+            return result, next_ahead
         except CapacityExhausted as exc:
+            if cfg.mode == "quantization-only":
+                raise
             if budget + 1 > cfg.quant.psi_max:
                 raise CapacityExhausted(
                     exc.layers,
                     f"task {t}: no slot set can hold more than {budget} bits",
                 ) from exc
             psi_min, ahead = budget + 1, None
-            continue
-        return result, next_ahead
-
-
-def _run_task_quantization_only(state: RunState, t, ahead):
-    """No pruning: train the dense network and quantize every slot.
-
-    A saturated store fails the task before its training is waited on.
-    """
-    cfg = state.config
-    saturated = tuple(
-        i for i in range(state.store.layer_count)
-        if not state.store.eligible_slots(i, cfg.quant.psi_init).all()
-    )
-    if saturated:
-        raise CapacityExhausted(
-            saturated,
-            f"task {t}: a dense mask needs every slot eligible for "
-            f"{cfg.quant.psi_init}-bit components")
-    result, ahead = _trained_winner(state, t, ahead)
-    fit_budget(t, cfg.model, result.psi, result.q_acc, result.accuracy,
-               cfg.quant, state.store.mask_bit_budget(result.mask))
-    return result, ahead
-
-
-# Each takes (state, task, the _Ahead begun for it during task t-1 or None)
-# and returns (the winner's finished JobResult, mask included, the _Ahead
-# begun for task t+1 or None). Pruning-only stores the winner as raw 32-bit
-# patterns, which hold the trained float32 values exactly, so q_quant is q_ref.
-_MODE_RUNNERS = {
-    "full": _run_task_full,
-    "pruning-only": _trained_winner,
-    "quantization-only": _run_task_quantization_only,
-}
 
 
 def execute_task(state: RunState, t: int, ahead: _Ahead | None = None) -> _Ahead | None:
@@ -344,7 +333,7 @@ def execute_task(state: RunState, t: int, ahead: _Ahead | None = None) -> _Ahead
     warnings and error surface first. The work begun for task t+1 while task
     t's winner trains is returned, for the call that runs task t+1.
     """
-    result, ahead = _MODE_RUNNERS[state.config.mode](state, t, ahead)
+    result, ahead = _run_task(state, t, ahead)
     state.store.commit(t, result.mask, result.psi, result.codes, result.centroids)
     state.tasks[t] = TaskRecord(result.biases, result.accuracy, result.q_acc,
                                 result.values)
@@ -393,14 +382,8 @@ def _state_payload(state: RunState) -> dict:
         "q_ref": {str(t): r.q_ref for t, r in tasks.items()},
         "q_quant": {str(t): r.q_quant for t, r in tasks.items()},
         "psi_star": {str(t): a.psi for t, a in allocs.items()},
-        "prune_logs": [_log_dict(log) for log in state.prune_logs],
+        "prune_logs": [vars(log) for log in state.prune_logs],
     }
-
-
-def _log_dict(log: PruneLog) -> dict:
-    """A prune log's fields as they stand: its sequences are tuples of floats
-    already, so `dataclasses.asdict`'s deep copy would copy nothing needed."""
-    return dict(vars(log))
 
 
 def save_run_checkpoint(state: RunState) -> str:
@@ -436,9 +419,24 @@ def _read_records(payload: dict, store: WeightSlotStore) -> dict[int, TaskRecord
                            for b, shape in zip(biases, store.layer_shapes))):
             raise CheckpointError(f"task {t}: biases need one finite float array "
                                   "per layer, one entry per output")
-        records[t] = TaskRecord(biases, _expect(cols["q_ref"][t], float),
-                                _expect(cols["q_quant"][t], float))
+        q_ref, q_quant = cols["q_ref"][t], cols["q_quant"][t]
+        if not all(isinstance(q, float) and 0.0 <= q <= 1.0 for q in (q_ref, q_quant)):
+            raise CheckpointError(f"task {t}: accuracies {q_ref!r} and {q_quant!r} "
+                                  "need to be floats in [0, 1]")
+        records[t] = TaskRecord(biases, q_ref, q_quant)
     return records
+
+
+def _read_log(rec: dict) -> PruneLog:
+    """A payload's prune log: ints task_id and chosen, and a list of finite
+    floats for each of its four sequences."""
+    seqs = {k: v for k, v in rec.items() if k not in ("task_id", "chosen")}
+    if not all(isinstance(seq, list) and all(isinstance(v, float) and math.isfinite(v)
+                                             for v in seq) for seq in seqs.values()):
+        raise CheckpointError("a prune log's sequences need to be lists of finite floats")
+    for key in ("task_id", "chosen"):
+        _expect(rec[key], int)
+    return PruneLog(**{**rec, **{k: tuple(v) for k, v in seqs.items()}})
 
 
 def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
@@ -477,9 +475,7 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
                                   f"not the {next_task} the matrix covers")
         state = RunState(cfg, None, store, matrix, _expect(payload["manifest"], str),
                          version, tasks=_read_records(payload, store))
-        state.prune_logs = [
-            PruneLog(**{k: tuple(v) if isinstance(v, list) else v for k, v in rec.items()})
-            for rec in payload["prune_logs"]]
+        state.prune_logs = [_read_log(rec) for rec in payload["prune_logs"]]
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         # ValueError covers a store's CommitRejected and a ConfigError from
         # the stored config text
@@ -548,7 +544,7 @@ def write_reports(state: RunState) -> dict:
         "quantization_drop": {str(t): r.q_ref - r.q_quant for t, r in state.tasks.items()},
         "task_layer_usage_sparsity": per_task_sparsity,
         "capacity": cap,
-        "prune_logs": [_log_dict(log) for log in state.prune_logs],
+        "prune_logs": [vars(log) for log in state.prune_logs],
     }
     paths["summary"] = os.path.join(out, "summary.json")
     with open(paths["summary"], "w", encoding="utf-8") as fh:

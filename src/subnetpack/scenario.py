@@ -423,8 +423,10 @@ def make_digit_images(n, seed, noise=DIGIT_NOISE):
 
     Each sample is a glyph template with a random shift of up to 3 pixels,
     random intensity, one of three blur widths, and additive noise, quantized
-    to uint8.
+    to uint8. ValueError unless `noise` is a finite number >= 0.
     """
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be a finite number >= 0, got {noise}")
     rng = rng_from(seed, 0xD161)
     bank = _glyph_bank()
     labels = rng.integers(0, 10, size=n)
@@ -469,10 +471,10 @@ def write_digit_idx(out_dir, n_train=24000, n_test=4000, seed=0, noise=DIGIT_NOI
     """Emit train/test IDX pairs of procedural digits; returns the four paths."""
     if min(n_train, n_test) < 0:
         raise ValueError(f"image counts must be >= 0, got {n_train} and {n_test}")
-    make_output_dir(out_dir)
     paths = {}
     for tag, n, stream in (("train", n_train, 1), ("test", n_test, 2)):
         images, labels = make_digit_images(n, derive_seed(seed, 0x5EED, stream), noise)
+        make_output_dir(out_dir)  # after the first draw, which checks the noise
         img_path = os.path.join(out_dir, f"{tag}-images.idx")
         lbl_path = os.path.join(out_dir, f"{tag}-labels.idx")
         save_idx(img_path, lbl_path, images.reshape(n, 784), labels)

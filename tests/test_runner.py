@@ -321,6 +321,48 @@ def test_quantization_only_capacity_exhaustion(tmp_path, monkeypatch):
     assert waited == [0]
 
 
+def test_quantization_only_fails_a_task_over_budget_with_no_retry(tmp_path, monkeypatch):
+    # a dense mask cannot be drawn again: fit_budget's own error ends the
+    # run, and task 1's dense training is submitted once
+    from subnetpack import pruning, runner
+    over = CapacityExhausted((0, 1), "task 1 held over its budget on purpose")
+    fit, submit, submitted = runner.fit_budget, pruning.submit_full_training, []
+
+    def failing_fit(t, *args):
+        if t == 1:
+            raise over
+        return fit(t, *args)
+
+    def submitting_once(task_id, *args):
+        if task_id == 1 and task_id in submitted:
+            pytest.fail("task 1's dense training was submitted again")
+        submitted.append(task_id)
+        return submit(task_id, *args)
+
+    monkeypatch.setattr(runner, "fit_budget", failing_fit)
+    monkeypatch.setattr(pruning, "submit_full_training", submitting_once)
+    state = new_state(make_cfg(tmp_path / "out", "run.mode = quantization-only\n"))
+    with pytest.raises(CapacityExhausted) as err:
+        execute_run(state)
+    assert err.value is over
+    assert str(err.value) == "task 1 held over its budget on purpose"
+    assert submitted.count(1) == 1
+    assert state.next_task == 1
+
+
+def test_pruning_only_fits_no_bit_budget(tmp_path, monkeypatch):
+    # its 32-bit patterns were drawn from slots with all 32 bits free
+    from subnetpack import runner
+    monkeypatch.setattr(runner, "fit_budget",
+                        lambda *args: pytest.fail("fit_budget was called"))
+    state = new_state(make_cfg(tmp_path / "out", "run.mode = pruning-only\n"
+                                                 "scenario.n_tasks = 2\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # CapacityWarnings on a model this small
+        execute_run(state)
+    assert state.next_task == 2
+
+
 def test_write_reports_requires_progress(tmp_path):
     state = new_state(make_cfg(tmp_path / "out"))
     with pytest.raises(ValueError):
@@ -468,6 +510,11 @@ def test_cli_config_errors(tmp_path, capsys):
     ("synthetic", "scenario.classes=30 scenario.dim=1 model.layers=1,16,30"),
     ("split", "scenario.classes_per_task=0"),
     ("make-data", "--n-train=-1"),
+    # nan drew all-black images and inf pure 0/255 noise, both with exit 0;
+    # -1 failed in numpy's draw after the directory was made
+    ("make-data", "--noise=nan"),
+    ("make-data", "--noise=inf"),
+    ("make-data", "--noise=-1"),
 ])
 def test_cli_out_of_range_scenario_values_exit_2(tmp_path, capsys, kind, value):
     # refused when the suite is built: no task starts, so no output appears
@@ -487,6 +534,8 @@ def test_cli_out_of_range_scenario_values_exit_2(tmp_path, capsys, kind, value):
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    if kind == "make-data":
+        assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("value", [
@@ -808,11 +857,30 @@ def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, monkeypatch,
     def nan_bias(p):
         p["biases"]["0"][1][0] = np.nan
 
+    # accuracies and prune logs that report wrote into summary.json, NaN and
+    # Infinity included, and resume carried on: each exited 0
+    def nan_q_ref(p):
+        p["q_ref"]["0"] = math.nan
+
+    def q_quant_above_one(p):
+        p["q_quant"]["1"] = 7.5
+
+    def inf_score(p):
+        p["prune_logs"][0]["scores"][0] = math.inf
+
+    def text_accuracies(p):
+        p["prune_logs"][1]["accuracies"] = "xx"
+
+    def float_chosen(p):
+        p["prune_logs"][2]["chosen"] = 1.0
+
     bad, out = str(tmp_path / "bad.bin"), str(tmp_path / "reports")
     for done, change in ((3, rewound), (2, advanced), (1, narrow_cap),
                          (1, wider_hidden), (3, cut_table), (3, huge_next_task),
                          (3, huge_first_layer), (3, huge_second_layer),
-                         (1, short_bias), (1, nan_bias)):
+                         (1, short_bias), (1, nan_bias), (3, nan_q_ref),
+                         (3, q_quant_above_one), (3, inf_score), (3, text_accuracies),
+                         (3, float_chosen)):
         (tmp_path / "bad.bin").write_bytes(saved[done - 1])
         _, payload = load_checkpoint(bad)
         change(payload)
