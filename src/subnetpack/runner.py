@@ -351,8 +351,10 @@ def execute_run(state: RunState) -> None:
     task trains. On capacity exhaustion the current state is checkpointed
     before the error propagates, so the run can be inspected or resumed with
     a wider budget. On any error, training jobs still in flight are dropped.
+    A loaded run first drops the prune logs of the task it redoes.
     """
     make_output_dir(state.config.output_dir)
+    state.prune_logs = [log for log in state.prune_logs if log.task_id < state.next_task]
     ahead = None
     try:
         for t in range(state.next_task, state.suite.n_tasks):
@@ -427,16 +429,25 @@ def _read_records(payload: dict, store: WeightSlotStore) -> dict[int, TaskRecord
     return records
 
 
-def _read_log(rec: dict) -> PruneLog:
-    """A payload's prune log: ints task_id and chosen, and a list of finite
-    floats for each of its four sequences."""
+def _read_log(rec: dict, n_layers: int) -> PruneLog:
+    """A payload's prune log: ints task_id and chosen, a list of finite floats
+    for each of its four sequences, the population's three of one nonzero
+    length, `chosen` the first index of the highest score, and one winner
+    sparsity per layer."""
     seqs = {k: v for k, v in rec.items() if k not in ("task_id", "chosen")}
     if not all(isinstance(seq, list) and all(isinstance(v, float) and math.isfinite(v)
                                              for v in seq) for seq in seqs.values()):
         raise CheckpointError("a prune log's sequences need to be lists of finite floats")
     for key in ("task_id", "chosen"):
         _expect(rec[key], int)
-    return PruneLog(**{**rec, **{k: tuple(v) for k, v in seqs.items()}})
+    log = PruneLog(**{**rec, **{k: tuple(v) for k, v in seqs.items()}})
+    scores = log.scores
+    if not (scores and len(log.accuracies) == len(log.sparsities) == len(scores)
+            and log.chosen == scores.index(max(scores))
+            and len(log.winner_layer_sparsity) == n_layers):
+        raise CheckpointError(f"the prune log of task {log.task_id} disagrees with "
+                              "its population or the model's layers")
+    return log
 
 
 def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
@@ -475,7 +486,14 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
                                   f"not the {next_task} the matrix covers")
         state = RunState(cfg, None, store, matrix, _expect(payload["manifest"], str),
                          version, tasks=_read_records(payload, store))
-        state.prune_logs = [_read_log(rec) for rec in payload["prune_logs"]]
+        state.prune_logs = [_read_log(rec, store.layer_count)
+                            for rec in payload["prune_logs"]]
+        # a run that stops on capacity exhaustion saves the log of the task
+        # it could not finish, so a log may name next_task
+        ids = [log.task_id for log in state.prune_logs]
+        if not all(a <= b for a, b in zip([0] + ids, ids + [next_task])):
+            raise CheckpointError(f"{path}: prune logs of tasks {ids} are not in "
+                                  f"task order from 0 to {next_task}")
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         # ValueError covers a store's CommitRejected and a ConfigError from
         # the stored config text

@@ -10,14 +10,13 @@ A mask is a list of per-layer bool arrays shaped like the layers' weights.
 pruning config's component cap, in `runner.new_state`; eligibility, sampling
 and commit all read it from the store.
 
-A task enters the store one way. `commit` and `from_state_dict` share one
-record check, `_checked`, and one `_add`, which adds the task's mask bytes
-into the tables. `commit` and the format-1 reader share one layer check.
-`_add` packs a committed record as `state_dict` writes it; a loaded record
-keeps the packed buffers it was read from. A committed task never changes,
-so each is packed once.
+A task enters the store one way: `commit` and `from_state_dict` both hand
+the record to `_add`, which checks it, adds its mask bytes into the tables
+and, if a slot then holds over `t_max` components or SLOT_BITS bits, takes
+them back and refuses the record. A loaded record is checked as its commit
+was.
 
-`state_dict` writes each task's layers bit-packed: the mask as
+`state_dict` packs each task's layers when it writes them: the mask as
 `np.packbits(flat, bitorder="little")` of its row-major slots (ceil(slots/8)
 bytes), the codes as one little-endian psi-bit stream in slot order
 (ceil(used*psi/8) bytes), both with zero pad bits. `from_state_dict` reads
@@ -32,15 +31,13 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityExhausted, CapacityWarning, CommitRejected
 
 SLOT_BITS = 32
-# tasks a slot's uint8 tables can take on top of SLOT_BITS bits without wrapping
-_UINT8_TASKS = (255 - SLOT_BITS) // SLOT_BITS
 
 
 @dataclass(frozen=True)
@@ -61,14 +58,10 @@ class TaskAllocation:
     each code is a float32 bit pattern).
     """
 
-    task_id: int
     psi: int
     mask: list[np.ndarray]
     codes: list[np.ndarray]
     centroids: list[np.ndarray]
-    # (masks, codes) as state_dict writes them: packed at commit, or kept as
-    # from_state_dict read them. A committed task never changes.
-    packed: tuple = field(repr=False, compare=False)
 
     def active_counts(self) -> list[int]:
         """Masked slots per layer: a layer holds one code per masked slot."""
@@ -130,18 +123,11 @@ class WeightSlotStore:
         """Append (task_id, psi, code) components to every masked slot.
 
         `mask` is a sequence of per-layer bool arrays; the store keeps them as
-        a list, with the task's codes and centroid tables. All-or-nothing: any
-        ineligible slot, duplicate task id, or record `_checked` refuses
-        rejects the whole commit and leaves the store untouched.
+        a list, with the task's codes and centroid tables. All-or-nothing: a
+        record `_add` refuses, an ineligible slot or a duplicate task id
+        included, rejects the whole commit and leaves the store untouched.
         """
-        mask, codes = self._checked(task_id, psi, mask, codes, centroids, _checked_layer)
-        bad_layers = [i for i, m in enumerate(mask)
-                      if np.any(m.ravel() & ~self.eligible_slots(i, psi))]
-        if bad_layers:
-            raise CommitRejected(
-                f"ineligible slots for bit-width {psi} in layers {bad_layers}"
-            )
-        self._add(task_id, psi, mask, codes, centroids)
+        self._add(task_id, psi, mask, codes, centroids, _checked_layer)
 
     def projected(self, mask, psi: int) -> "WeightSlotStore":
         """A copy whose slots under `mask` hold one more psi-bit component.
@@ -155,18 +141,27 @@ class WeightSlotStore:
         copy._occupy(mask, psi)
         return copy
 
-    def _occupy(self, mask, psi: int) -> None:
-        """Add one psi-bit component to every masked slot, in the mask's own bytes."""
+    def _occupy(self, mask, psi: int, undo: bool = False) -> None:
+        """Add one psi-bit component to every masked slot, in the mask's own
+        bytes; `undo` takes it back."""
+        step = np.subtract if undo else np.add
         for count, used, m in zip(self._count, self._used, mask):
             bits = np.asarray(m, dtype=bool).ravel().view(np.uint8)
-            count += bits
-            used += bits * np.uint8(psi)
+            step(count, bits, out=count)
+            step(used, bits * np.uint8(psi), out=used)
 
-    def _checked(self, task_id, psi, masks, codes, centroids, read_layer):
-        """(bool masks, uint32 codes) of a record with a new integer task id, a
-        bit-width in [1, SLOT_BITS], and per layer a mask and codes `read_layer`
-        accepts and a 1-D float32 centroid table of at most 2^psi entries (none
-        at SLOT_BITS) that every code indexes; CommitRejected otherwise."""
+    def _add(self, task_id, psi, masks, codes, centroids, read_layer) -> None:
+        """Record a task, or raise CommitRejected and leave the store as it was.
+
+        The record needs a new integer task id, a bit-width in [1, SLOT_BITS],
+        and per layer a mask and codes `read_layer` accepts and a 1-D float32
+        centroid table of at most 2^psi entries (none at SLOT_BITS) that every
+        code indexes. Its slots are then occupied, and taken back if any slot
+        holds over t_max components or SLOT_BITS bits. Every slot was within
+        both before, so that is each masked slot's eligibility for psi bits,
+        and a uint8 table adds at most one component and SLOT_BITS bits to a
+        slot holding at most SLOT_BITS of each, so it cannot wrap.
+        """
         if not isinstance(task_id, numbers.Integral) or task_id in self.tasks:
             raise CommitRejected(f"task id {task_id!r} is not new")
         if not isinstance(psi, numbers.Integral) or not 1 <= psi <= SLOT_BITS:
@@ -189,17 +184,16 @@ class WeightSlotStore:
                                      and int(c.max()) >= len(table)):
                 raise CommitRejected(f"task {task_id} layer {i}: codes do not all "
                                      f"index a centroid table of {len(table)} entries")
-        return [m for m, _ in layers], [c for _, c in layers]
-
-    def _add(self, task_id, psi, mask, codes, centroids, packed=None) -> None:
-        """Record a checked task and occupy its slots. `packed` holds the
-        buffers a loaded record was read from; a committed one is packed here."""
-        if packed is None:
-            packed = ([np.packbits(m.ravel(), bitorder="little") for m in mask],
-                      [_pack_codes(c, psi) for c in codes])
+        mask = [m for m, _ in layers]
         self._occupy(mask, psi)
-        self.tasks[task_id] = TaskAllocation(task_id, psi, mask, codes, list(centroids),
-                                             packed)
+        over = [i for i, (count, used) in enumerate(zip(self._count, self._used))
+                if int(count.max()) > self.t_max or int(used.max()) > SLOT_BITS]
+        if over:
+            self._occupy(mask, psi, undo=True)
+            raise CommitRejected(f"task {task_id}: ineligible slots for bit-width "
+                                 f"{psi} in layers {over}")
+        self.tasks[task_id] = TaskAllocation(psi, mask, [c for _, c in layers],
+                                             list(centroids))
 
     # -- serialization ---------------------------------------------------------
 
@@ -209,19 +203,20 @@ class WeightSlotStore:
             "t_max": self.t_max,
             "tasks": [
                 {
-                    "task_id": a.task_id,
+                    "task_id": t,
                     "psi": a.psi,
-                    "mask": list(a.packed[0]),
-                    "codes": list(a.packed[1]),
+                    "mask": [np.packbits(m.ravel(), bitorder="little") for m in a.mask],
+                    "codes": [_pack_codes(c, a.psi) for c in a.codes],
                 }
-                for a in self.tasks.values()
+                for t, a in self.tasks.items()
             ],
         }
 
     def packed_bytes(self, task_id: int) -> tuple[int, int]:
         """(mask, codes) bytes of a task's record as `state_dict` writes it."""
-        masks, codes = self.tasks[task_id].packed
-        return sum(m.nbytes for m in masks), sum(c.nbytes for c in codes)
+        a = self.tasks[task_id]
+        return (sum(_nbytes(size) for size in self.layer_sizes),
+                sum(_nbytes(c.size * a.psi) for c in a.codes))
 
     @classmethod
     def from_state_dict(cls, state: dict, centroids: dict,
@@ -229,37 +224,16 @@ class WeightSlotStore:
         """Rebuild a store from `state_dict` output and each task's centroid
         tables, `centroids[task_id]`; packed=False reads format 1.
 
-        Rejects with CommitRejected whatever replaying the commits in order
-        would reject: each record passes `commit`'s record check and enters
-        through its `_add`. Counts and used bits only grow, so checking the cap
-        and the budgets after any prefix of the tasks, and on the final state,
-        is the same as checking each commit's eligibility.
-
-        `_add` sums each task's mask bytes into the store's uint8 tables. A
-        slot that passed a check holds at most SLOT_BITS bits, and so at most
-        SLOT_BITS components; each task adds at most SLOT_BITS bits, so
-        checking every `_UINT8_TASKS` tasks keeps every sum below 256 and the
-        check exact for any number of tasks.
+        Each record enters through `_add`, in order, as its commit did, so
+        this rejects with CommitRejected exactly what replaying the commits
+        would reject.
         """
         store = cls(state["layer_shapes"], t_max=state["t_max"])
         read_layer = _read_packed_layer if packed else _read_v1_layer
-        for k, rec in enumerate(state["tasks"]):
-            task_id, psi, masks, codes = rec["task_id"], rec["psi"], rec["mask"], rec["codes"]
-            tables = centroids.get(task_id)
-            layers = store._checked(task_id, psi, masks, codes, tables, read_layer)
-            store._add(task_id, psi, *layers, tables,
-                       (list(masks), list(codes)) if packed else None)
-            if k % _UINT8_TASKS == _UINT8_TASKS - 1:
-                store._reject_over()
-        store._reject_over()
+        for rec in state["tasks"]:
+            store._add(rec["task_id"], rec["psi"], rec["mask"], rec["codes"],
+                       centroids.get(rec["task_id"]), read_layer)
         return store
-
-    def _reject_over(self) -> None:
-        over = [i for i, (count, used) in enumerate(zip(self._count, self._used))
-                if int(count.max()) > self.t_max or int(used.max()) > SLOT_BITS]
-        if over:
-            raise CommitRejected(f"layers {over} hold slots over {self.t_max} "
-                                 f"components or {SLOT_BITS} bits")
 
 
 def _nbytes(bits: int) -> int:

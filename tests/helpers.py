@@ -61,11 +61,11 @@ def slot_components(store, layer, slot):
     entry per masked slot, in row-major slot order.
     """
     out = []
-    for alloc in store.tasks.values():
+    for task_id, alloc in store.tasks.items():
         flat = alloc.mask[layer].ravel()
         if flat[slot]:
             pos = int(np.count_nonzero(flat[:slot]))
-            out.append((alloc.task_id, alloc.psi, int(alloc.codes[layer][pos])))
+            out.append((task_id, alloc.psi, int(alloc.codes[layer][pos])))
     return out
 
 

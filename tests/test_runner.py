@@ -874,13 +874,35 @@ def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, monkeypatch,
     def float_chosen(p):
         p["prune_logs"][2]["chosen"] = 1.0
 
+    # prune logs that disagree with their population, the model or the run:
+    # each was reported and resumed with exit 0
+    def chosen_past_population(p):
+        p["prune_logs"][0]["chosen"] = 99
+
+    def negative_chosen(p):
+        p["prune_logs"][0]["chosen"] = -1
+
+    def one_score(p):
+        p["prune_logs"][0]["scores"] = p["prune_logs"][0]["scores"][:1]
+
+    def unknown_task(p):
+        p["prune_logs"][0]["task_id"] = 7
+
+    def extra_layer_sparsity(p):
+        p["prune_logs"][0]["winner_layer_sparsity"].append(0.5)
+
+    def reversed_logs(p):
+        p["prune_logs"].reverse()
+
     bad, out = str(tmp_path / "bad.bin"), str(tmp_path / "reports")
     for done, change in ((3, rewound), (2, advanced), (1, narrow_cap),
                          (1, wider_hidden), (3, cut_table), (3, huge_next_task),
                          (3, huge_first_layer), (3, huge_second_layer),
                          (1, short_bias), (1, nan_bias), (3, nan_q_ref),
                          (3, q_quant_above_one), (3, inf_score), (3, text_accuracies),
-                         (3, float_chosen)):
+                         (3, float_chosen), (3, chosen_past_population),
+                         (3, negative_chosen), (3, one_score), (3, unknown_task),
+                         (3, extra_layer_sparsity), (3, reversed_logs)):
         (tmp_path / "bad.bin").write_bytes(saved[done - 1])
         _, payload = load_checkpoint(bad)
         change(payload)
@@ -890,6 +912,35 @@ def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, monkeypatch,
         assert main(["inspect-checkpoint", "--checkpoint", bad]) == 4, name
         assert main(["resume", "--checkpoint", bad, "--output-dir", out]) == 4, name
         assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_cli_exhausted_checkpoint_reports_and_resumes_to_the_same_bytes(
+        tmp_path, monkeypatch, capsys):
+    # 12-bit components leave no eligible layer-0 slot for task 2, and the
+    # run saves task 2's prune log with the two finished tasks. That log
+    # names next_task, so the checkpoint is still reported; a resume redoes
+    # task 2 alone and saves the same bytes, not a second log of task 2
+    (tmp_path / "tiny.cfg").write_text(TINY)
+    exhausting = ["--set", "scenario.n_tasks=3", "--set", "prune.population=4",
+                  "--set", "quant.psi_init=12", "--set", "quant.psi_max=12",
+                  "--set", "prune.v_min=0", "--set", "prune.v_max=0"]
+    for run in ("first", "resumed"):
+        (tmp_path / run).mkdir()
+    monkeypatch.chdir(tmp_path / "first")
+    assert main(["run", "--config", str(tmp_path / "tiny.cfg")] + exhausting) == 3
+    saved = (tmp_path / "first" / "out" / "checkpoint.bin").read_bytes()
+    state = state_from_checkpoint("out/checkpoint.bin", need_suite=False)
+    assert state.next_task == 2
+    assert [log.task_id for log in state.prune_logs] == [0, 1, 2]
+    assert main(["report", "--checkpoint", "out/checkpoint.bin",
+                 "--output-dir", "reports"]) == 0
+    assert main(["inspect-checkpoint", "--checkpoint", "out/checkpoint.bin"]) == 0
+    monkeypatch.chdir(tmp_path / "resumed")
+    (tmp_path / "resumed" / "out").mkdir()
+    (tmp_path / "resumed" / "out" / "checkpoint.bin").write_bytes(saved)
+    assert main(["resume", "--checkpoint", "out/checkpoint.bin"]) == 3
+    assert (tmp_path / "resumed" / "out" / "checkpoint.bin").read_bytes() == saved
+    capsys.readouterr()
 
 
 def _mutants(payload):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -367,6 +368,9 @@ def test_state_dict_round_trip_every_bit_width():
             codes = [c % min(1 << psi, 256) for c in codes]
         store.commit(0, mask, psi, codes, tables_for(psi, codes))
         state = store.state_dict()
+        written = state["tasks"][0]
+        assert store.packed_bytes(0) == (sum(m.nbytes for m in written["mask"]),
+                                         sum(c.nbytes for c in written["codes"]))
         expected = packed_record(0, psi, mask, codes)
         for got, want in zip(state["tasks"][0]["codes"], expected["codes"]):
             np.testing.assert_array_equal(got, want)
@@ -608,21 +612,12 @@ def test_budget_rule_makes_the_projection_exact(seed):
         assert same_masks(draws[0], draws[1])
 
 
-def test_a_run_packs_each_task_once(tmp_path, monkeypatch):
-    # a committed task never changes, so later checkpoint saves reuse its
-    # packed arrays, and a loaded store reuses the arrays it read
-    from subnetpack import store as store_module
+def test_resaving_a_loaded_checkpoint_writes_the_same_bytes(tmp_path):
+    # state_dict packs each record when it writes it: a run's checkpoint, and
+    # the format-1 fixture once rewritten as format 2, come back unchanged
     from subnetpack.config import build_run_config, parse_config_text
     from subnetpack.runner import (execute_run, new_state, save_run_checkpoint,
                                    state_from_checkpoint)
-    packs = []
-    pack = store_module._pack_codes
-
-    def counting_pack(codes, psi):
-        packs.append(psi)
-        return pack(codes, psi)
-
-    monkeypatch.setattr(store_module, "_pack_codes", counting_pack)
     cfg = build_run_config(parse_config_text(f"""
 scenario.kind = synthetic
 scenario.n_tasks = 3
@@ -635,12 +630,16 @@ prune.short_epochs = 1
 prune.full_epochs = 5
 run.output_dir = {tmp_path / "out"}
 """))
-    state = new_state(cfg)
-    execute_run(state)
-    assert len(packs) == 3 * state.store.layer_count  # one call per layer
-    written = (tmp_path / "out" / "checkpoint.bin").read_bytes()
-    loaded = state_from_checkpoint(str(tmp_path / "out" / "checkpoint.bin"))
-    del packs[:]
-    save_run_checkpoint(loaded)
-    assert packs == []
-    assert (tmp_path / "out" / "checkpoint.bin").read_bytes() == written
+    execute_run(new_state(cfg))
+    path = tmp_path / "out" / "checkpoint.bin"
+    written = path.read_bytes()
+    save_run_checkpoint(state_from_checkpoint(str(path)))
+    assert path.read_bytes() == written
+
+    saves, out = [], str(tmp_path / "v1")
+    source = os.path.join(os.path.dirname(__file__), "fixtures", "v1_blob", "checkpoint.bin")
+    for _ in range(2):
+        source = save_run_checkpoint(state_from_checkpoint(source, need_suite=False,
+                                                           output_dir=out))
+        saves.append((tmp_path / "v1" / "checkpoint.bin").read_bytes())
+    assert saves[0] == saves[1]
