@@ -5,7 +5,8 @@ Subcommands: run, resume, report, inspect-checkpoint, make-data. Exit codes:
 read, or an output directory that cannot be created (found before any task
 trains), 3 capacity exhausted,
 4 corrupt or unsupported checkpoint, or `report` on one with no completed
-task, 5 a training worker process died.
+task, 5 a training worker process died, 130 interrupted (Ctrl-C); a run
+or resume names the checkpoint it last wrote to.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_CHECKPOINT = 4
 EXIT_WORKER = 5
+EXIT_INTERRUPTED = 130
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,20 +73,20 @@ def _print_outcome(state) -> None:
     print(f"reports in: {state.config.output_dir}")
 
 
-def _cmd_run(args) -> int:
-    cfg = load_run_config(args.config, args.set)
-    state = new_state(cfg)
+def _execute(args, state) -> int:
+    args.saves_to = state.checkpoint_path  # named if the run is interrupted
     execute_run(state)
     _print_outcome(state)
     return EXIT_OK
+
+
+def _cmd_run(args) -> int:
+    return _execute(args, new_state(load_run_config(args.config, args.set)))
 
 
 def _cmd_resume(args) -> int:
-    state = state_from_checkpoint(args.checkpoint, need_suite=True,
-                                  output_dir=args.output_dir)
-    execute_run(state)
-    _print_outcome(state)
-    return EXIT_OK
+    return _execute(args, state_from_checkpoint(args.checkpoint, need_suite=True,
+                                                output_dir=args.output_dir))
 
 
 def _cmd_report(args) -> int:
@@ -157,6 +159,11 @@ def main(argv=None) -> int:
     except WorkerDied as exc:
         print(f"{exc}; the last checkpoint can be resumed", file=sys.stderr)
         return EXIT_WORKER
+    except KeyboardInterrupt:
+        saves_to = getattr(args, "saves_to", None)
+        print("interrupted" + (f"; the last checkpoint saved, if any, is {saves_to}"
+                               if saves_to else ""), file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

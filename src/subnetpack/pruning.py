@@ -28,8 +28,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import SelectionWarning
 from .network import TrainConfig, full_mask, xavier_init
 from .quantization import QuantConfig
@@ -82,23 +80,36 @@ class PruneLog:
 
 
 def select_best(accuracies, sparsities, alpha, beta) -> int:
-    """Index of the highest alpha*A/max(A) + beta*S/max(S); ties to lowest.
+    """Index of the highest alpha*A/max(A) + beta*S/max(S); ties to lowest."""
+    return choice(accuracies, sparsities, alpha, beta)[1]
 
-    A zero max turns that term into zero for every candidate rather than
-    dividing by it.
+
+def choice(accuracies, sparsities, alpha, beta) -> tuple[tuple[float, ...], int]:
+    """The choice rule: (every candidate's score, the first index of the highest).
+
+    A candidate scores alpha*A/max(A) + beta*S/max(S) in float64; a zero max
+    turns that term into zero for every candidate rather than dividing by it.
     """
-    return int(np.argmax(_scores(accuracies, sparsities, alpha, beta)))
-
-
-def _scores(accuracies, sparsities, alpha, beta):
-    """Every candidate's score under select_best's formula."""
-    A = np.asarray(accuracies, dtype=np.float64)
-    S = np.asarray(sparsities, dtype=np.float64)
-    if A.size == 0 or A.shape != S.shape:
+    if len(accuracies) == 0 or len(accuracies) != len(sparsities):
         raise ValueError("need equal-length nonempty score lists")
-    a_term = A / A.max() if A.max() > 0 else np.zeros_like(A)
-    s_term = S / S.max() if S.max() > 0 else np.zeros_like(S)
-    return tuple(float(v) for v in alpha * a_term + beta * s_term)
+    top_a, top_s = float(max(accuracies)), float(max(sparsities))
+    scores = tuple(alpha * (float(a) / top_a if top_a > 0 else 0.0)
+                   + beta * (float(s) / top_s if top_s > 0 else 0.0)
+                   for a, s in zip(accuracies, sparsities))
+    return scores, scores.index(max(scores))
+
+
+def check_log(log: PruneLog, n_layers: int, slots: int) -> None:
+    """ValueError unless a log's measured values are in range: accuracies in
+    [0, 1], sparsities (free slots) in [0, slots], and one winner sparsity
+    in [0, 1] per layer."""
+    if not (all(0.0 <= a <= 1.0 for a in log.accuracies)
+            and all(0.0 <= s <= slots for s in log.sparsities)
+            and len(log.winner_layer_sparsity) == n_layers
+            and all(0.0 <= s <= 1.0 for s in log.winner_layer_sparsity)):
+        raise ValueError("accuracies and winner sparsities need to be in [0, 1], "
+                         f"with one winner sparsity per layer ({n_layers}), "
+                         f"and sparsities in [0, {slots}]")
 
 
 def _short_job(index, task_id, store: WeightSlotStore, cfg: PruneConfig,
@@ -232,20 +243,15 @@ def choose_winner(search: Search) -> PruneLog:
             SelectionWarning,
             stacklevel=2,
         )
-    chosen = select_best(accuracies, sparsities, cfg.alpha, cfg.beta)
+    scores, chosen = choice(accuracies, sparsities, cfg.alpha, cfg.beta)
+    search.log = PruneLog(search.task_id, accuracies, sparsities, scores, chosen,
+                          reports[chosen].per_layer)
+    check_log(search.log, search.store.layer_count, search.store.total_slots)
     winner = population[chosen]
     task = search.population  # its spec and suite
     search.winner = submit_full_training(search.task_id, chosen, task.spec,
                                          winner.weights(), winner.mask, task.suite,
                                          cfg, search.train_cfg, search.quant)
-    search.log = PruneLog(
-        search.task_id,
-        accuracies,
-        sparsities,
-        _scores(accuracies, sparsities, cfg.alpha, cfg.beta),
-        chosen,
-        reports[chosen].per_layer,
-    )
     return search.log
 
 

@@ -51,7 +51,8 @@ from .config import RunConfig, build_run_config, build_suite, parse_config_text
 from .errors import CapacityExhausted, CheckpointError, ConfigError
 from .metrics import AccuracyMatrix, capacity_report, forget_check, lifelong_accuracy
 from .network import evaluate
-from .pruning import PruneLog, Search, choose_winner, start_dense, start_search
+from .pruning import (PruneConfig, PruneLog, Search, check_log, choice, choose_winner,
+                      start_dense, start_search)
 from .quantization import dequantized_weights, fit_budget
 from .scenario import ScenarioSuite, make_output_dir
 from .store import SLOT_BITS, WeightSlotStore
@@ -65,18 +66,14 @@ class TaskRecord:
     """What a committed task keeps beside its allocation in `store.tasks`.
 
     The bit-width, mask, codes and centroid tables live only in the store.
-    `biases` are the winner's float64 biases. `values` are its trained
-    weights inside its mask, per layer in row-major slot order (float32
-    after any SGD step), held in memory only: None after a load. `digest`
-    is `_record_digest` of the record that scored the task's diagonal
-    accuracy cell, also in memory only: None after a load until a
-    re-evaluation reproduces that cell.
+    `biases` are the winner's float64 biases. `digest` is `_record_digest` of
+    the record that scored the task's diagonal accuracy cell, held in memory
+    only: None after a load until a re-evaluation reproduces that cell.
     """
 
     biases: list
     q_ref: float
     q_quant: float
-    values: list | None = None
     digest: bytes | None = None
 
 
@@ -335,8 +332,7 @@ def execute_task(state: RunState, t: int, ahead: _Ahead | None = None) -> _Ahead
     """
     result, ahead = _run_task(state, t, ahead)
     state.store.commit(t, result.mask, result.psi, result.codes, result.centroids)
-    state.tasks[t] = TaskRecord(result.biases, result.accuracy, result.q_acc,
-                                result.values)
+    state.tasks[t] = TaskRecord(result.biases, result.accuracy, result.q_acc)
     state.tasks[t].digest = _record_digest(state, t)
     state.matrix.append_row([_past_accuracy(state, e) for e in range(t)]
                             + [result.test_acc])
@@ -429,11 +425,11 @@ def _read_records(payload: dict, store: WeightSlotStore) -> dict[int, TaskRecord
     return records
 
 
-def _read_log(rec: dict, n_layers: int) -> PruneLog:
+def _read_log(rec: dict, store: WeightSlotStore, prune: PruneConfig) -> PruneLog:
     """A payload's prune log: ints task_id and chosen, a list of finite floats
-    for each of its four sequences, the population's three of one nonzero
-    length, `chosen` the first index of the highest score, and one winner
-    sparsity per layer."""
+    for each of its four sequences, values `check_log` accepts for the
+    store's layers and slots, and the scores and choice that `choice` makes
+    of its accuracies and sparsities under the run's alpha and beta."""
     seqs = {k: v for k, v in rec.items() if k not in ("task_id", "chosen")}
     if not all(isinstance(seq, list) and all(isinstance(v, float) and math.isfinite(v)
                                              for v in seq) for seq in seqs.values()):
@@ -441,13 +437,32 @@ def _read_log(rec: dict, n_layers: int) -> PruneLog:
     for key in ("task_id", "chosen"):
         _expect(rec[key], int)
     log = PruneLog(**{**rec, **{k: tuple(v) for k, v in seqs.items()}})
-    scores = log.scores
-    if not (scores and len(log.accuracies) == len(log.sparsities) == len(scores)
-            and log.chosen == scores.index(max(scores))
-            and len(log.winner_layer_sparsity) == n_layers):
-        raise CheckpointError(f"the prune log of task {log.task_id} disagrees with "
-                              "its population or the model's layers")
+    try:
+        check_log(log, store.layer_count, store.total_slots)
+        rule = choice(log.accuracies, log.sparsities, prune.alpha, prune.beta)
+    except ValueError as exc:
+        raise CheckpointError(f"the prune log of task {log.task_id}: {exc}") from None
+    if (log.scores, log.chosen) != rule:
+        raise CheckpointError(f"the prune log of task {log.task_id}: its scores or "
+                              "choice are not those of its accuracies and sparsities")
     return log
+
+
+def _check_logs_against_store(logs, store: WeightSlotStore) -> None:
+    """CheckpointError unless the last log of each stored task measured the
+    winner the store holds: its winner sparsities and chosen sparsity are
+    `hypothetical_sparsity` of the task's mask over the tasks before it."""
+    last = {log.task_id: log for log in logs}
+    before = WeightSlotStore(store.layer_shapes, t_max=store.t_max)
+    for t in sorted(store.tasks):
+        alloc = store.tasks[t]
+        if t in last:
+            log, report = last[t], before.hypothetical_sparsity(alloc.mask)
+            if (log.winner_layer_sparsity, log.sparsities[log.chosen]) != (
+                    report.per_layer, report.weighted):
+                raise CheckpointError(f"the last prune log of task {t} disagrees "
+                                      "with the sparsity of its stored mask")
+        before = before.projected(alloc.mask, alloc.psi)
 
 
 def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
@@ -486,7 +501,7 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
                                   f"not the {next_task} the matrix covers")
         state = RunState(cfg, None, store, matrix, _expect(payload["manifest"], str),
                          version, tasks=_read_records(payload, store))
-        state.prune_logs = [_read_log(rec, store.layer_count)
+        state.prune_logs = [_read_log(rec, store, cfg.prune)
                             for rec in payload["prune_logs"]]
         # a run that stops on capacity exhaustion saves the log of the task
         # it could not finish, so a log may name next_task
@@ -494,6 +509,7 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
         if not all(a <= b for a, b in zip([0] + ids, ids + [next_task])):
             raise CheckpointError(f"{path}: prune logs of tasks {ids} are not in "
                                   f"task order from 0 to {next_task}")
+        _check_logs_against_store(state.prune_logs, store)
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         # ValueError covers a store's CommitRejected and a ConfigError from
         # the stored config text

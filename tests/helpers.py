@@ -1,6 +1,7 @@
 """Shared test oracles: exhaustive 1-D k-means, least-squares separability,
 readers of a slot store's committed masks, codes and slot occupancy, centroid
-tables for hand-made records, and a run stopped after a given checkpoint."""
+tables for hand-made records, a run stopped after a given checkpoint, and the
+winners a run commits."""
 
 import itertools
 from unittest import mock
@@ -92,6 +93,22 @@ def slot_occupancy(store, layer):
 
 class Interrupted(Exception):
     """Raised by a patched checkpoint save to stop a run."""
+
+
+def record_winners(patch):
+    """Have `runner._run_task` keep each task's finished winner, its trained
+    in-mask `values` included, in the dict returned; `patch` is a
+    pytest MonkeyPatch, which undoes this."""
+    from subnetpack import runner
+    winners, run_task = {}, runner._run_task
+
+    def recording(state, t, ahead):
+        winner, ahead = run_task(state, t, ahead)
+        winners[t] = winner
+        return winner, ahead
+
+    patch.setattr(runner, "_run_task", recording)
+    return winners
 
 
 def run_until_saved(state, saves):

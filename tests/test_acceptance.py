@@ -9,8 +9,8 @@ are fast randomized checks against independent reference implementations.
 import numpy as np
 import pytest
 
-from helpers import (contiguous_optimum, kmeans_wcss, run_until_saved, same_masks,
-                     slot_components, slot_occupancy, tables_for, tables_of)
+from helpers import (contiguous_optimum, kmeans_wcss, record_winners, run_until_saved,
+                     same_masks, slot_components, slot_occupancy, tables_for, tables_of)
 from subnetpack.config import QuantConfig, build_run_config, parse_config_text
 from subnetpack.errors import CommitRejected
 from subnetpack.metrics import capacity, capacity_report, forget_check, lifelong_accuracy
@@ -28,8 +28,9 @@ def verdict(criterion: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def desk(tmp_path_factory):
-    # three permuted-digit tasks through a 784-100-10 net, default knobs
+def desk_run(tmp_path_factory):
+    # three permuted-digit tasks through a 784-100-10 net, default knobs:
+    # (state, each task's committed winner by task id)
     root = tmp_path_factory.mktemp("desk")
     paths = write_digit_idx(str(root / "data"), n_train=24000, n_test=4000, seed=0)
     text = "\n".join([
@@ -44,8 +45,15 @@ def desk(tmp_path_factory):
         f"run.output_dir = {root / 'out'}",
     ]) + "\n"
     state = new_state(build_run_config(parse_config_text(text)))
-    execute_run(state)
-    return state
+    with pytest.MonkeyPatch.context() as patch:
+        winners = record_winners(patch)
+        execute_run(state)
+    return state, winners
+
+
+@pytest.fixture(scope="module")
+def desk(desk_run):
+    return desk_run[0]
 
 
 def test_criterion_1_lifelong_accuracy(desk):
@@ -56,15 +64,16 @@ def test_criterion_1_lifelong_accuracy(desk):
             f"bit-widths {widths} need <= 4")
 
 
-def test_criterion_2_four_bit_drop(desk):
+def test_criterion_2_four_bit_drop(desk_run):
     # requantize every winner at 4 bits from its full-precision weights and
     # compare validation accuracy against the unquantized reference
+    desk, winners = desk_run
     drops = []
     for t in sorted(desk.store.tasks):
         task = desk.suite.get_task(t)
         alloc = desk.store.tasks[t]
         rec = desk.tasks[t]
-        masked = [np.asarray(v, dtype=np.float64) for v in rec.values]
+        masked = [np.asarray(v, dtype=np.float64) for v in winners[t].values]
         codes, tables = nonlinear_quantize(4, masked, desk.config.quant)
         view = DenseWeights(dequantize(4, alloc.mask, codes, tables),
                             [b.copy() for b in rec.biases])

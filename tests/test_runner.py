@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import run_until_saved, same_masks, slot_occupancy
+from helpers import record_winners, run_until_saved, same_masks, slot_occupancy
 from subnetpack.cli import EXIT_CHECKPOINT, main
 from subnetpack.config import KEYS, build_run_config, key_default, parse_config_text
 from subnetpack.errors import CapacityExhausted
@@ -238,6 +238,14 @@ def test_budget_retry_resamples_roomier_slots(tmp_path):
     assert [log.task_id for log in state.prune_logs] == [0, 1, 2, 2]
     assert all(a.psi == 12 for a in state.store.tasks.values())
     assert forget_check(state.matrix) == []
+    # task 2's first log measured a winner the store does not hold; only the
+    # retry's log must match the store, so the checkpoint is read and reported
+    checkpoint = str(tmp_path / "out" / "checkpoint.bin")
+    loaded = state_from_checkpoint(checkpoint, need_suite=False)
+    assert ([vars(log) for log in loaded.prune_logs]
+            == [vars(log) for log in state.prune_logs])
+    assert main(["report", "--checkpoint", checkpoint,
+                 "--output-dir", str(tmp_path / "reports")]) == 0
 
 
 def test_pruning_only_mode(tmp_path):
@@ -261,15 +269,17 @@ def test_pruning_only_mode(tmp_path):
     assert ",pruning-only," in (tmp_path / "out" / "capacity.csv").read_text()
 
 
-def test_pruning_only_stores_trained_weights_losslessly(tmp_path):
+def test_pruning_only_stores_trained_weights_losslessly(tmp_path, monkeypatch):
     # training yields float32 values, so the 32-bit identity codes hold the
     # trained winner exactly and storing it costs no accuracy
     state = new_state(make_cfg(tmp_path / "out", "run.mode = pruning-only\n"))
-    run_until_saved(state, 1)
+    with monkeypatch.context() as patch:
+        winners = record_winners(patch)
+        run_until_saved(state, 1)
     rec = state.tasks[0]
     view, mask = task_view(state, 0)
     for i, m in enumerate(mask):
-        np.testing.assert_array_equal(view.weights[i][m], rec.values[i])
+        np.testing.assert_array_equal(view.weights[i][m], winners[0].values[i])
     assert rec.q_quant == rec.q_ref
 
 
@@ -894,6 +904,29 @@ def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, monkeypatch,
     def reversed_logs(p):
         p["prune_logs"].reverse()
 
+    # measured values out of range, and scores or sparsities the choice rule
+    # or the store do not give: each was reported and resumed with exit 0
+    def accuracy_above_one(p):
+        p["prune_logs"][0]["accuracies"][0] = 7.5
+
+    def negative_winner_sparsity(p):
+        p["prune_logs"][0]["winner_layer_sparsity"][0] = -3.0
+
+    def chosen_score(p):
+        log = p["prune_logs"][0]
+        log["scores"][log["chosen"]] = 1e6
+
+    def other_winner_sparsity(p):
+        # in range and scored as before, but not the stored mask's sparsity
+        log = p["prune_logs"][1]
+        assert log["task_id"] == 1
+        layers = log["winner_layer_sparsity"]
+        layers[0] = 0.5 if layers[0] != 0.5 else 0.25
+
+    def chosen_sparsity(p):
+        log = p["prune_logs"][1]
+        log["sparsities"][log["chosen"]] = 1e9
+
     bad, out = str(tmp_path / "bad.bin"), str(tmp_path / "reports")
     for done, change in ((3, rewound), (2, advanced), (1, narrow_cap),
                          (1, wider_hidden), (3, cut_table), (3, huge_next_task),
@@ -902,7 +935,10 @@ def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, monkeypatch,
                          (3, q_quant_above_one), (3, inf_score), (3, text_accuracies),
                          (3, float_chosen), (3, chosen_past_population),
                          (3, negative_chosen), (3, one_score), (3, unknown_task),
-                         (3, extra_layer_sparsity), (3, reversed_logs)):
+                         (3, extra_layer_sparsity), (3, reversed_logs),
+                         (3, accuracy_above_one), (3, negative_winner_sparsity),
+                         (3, chosen_score), (3, other_winner_sparsity),
+                         (3, chosen_sparsity)):
         (tmp_path / "bad.bin").write_bytes(saved[done - 1])
         _, payload = load_checkpoint(bad)
         change(payload)
@@ -1003,18 +1039,23 @@ def test_every_payload_leaf_mutation_ends_in_a_documented_exit_code(tmp_path, ca
     # a checksummed payload with any one leaf changed is reported, resumed or
     # refused with exit 4, never a traceback: 2**40 counts and shapes once
     # raised MemoryError, and misshapen biases failed the resume's
-    # re-evaluation. A finished run is reported and inspected; a run stopped
-    # after its first task is resumed, which may also end in a config error
-    # (exit 2) or capacity exhaustion (exit 3)
+    # re-evaluation. A finished run of each mode is reported and inspected:
+    # pruning-only stores 32-bit patterns with no centroid tables, and
+    # quantization-only dense masks with no prune logs. A run stopped after
+    # its first task is resumed, which may also end in a config error (exit
+    # 2) or capacity exhaustion (exit 3)
     from subnetpack.checkpoint import load_checkpoint, save_checkpoint
     extra = "scenario.n_tasks = 2\nprune.population = 2\n"
-    execute_run(new_state(make_cfg(tmp_path / "done", extra)))
+    modes = ("full", "pruning-only", "quantization-only")
+    for mode in modes:
+        execute_run(new_state(make_cfg(tmp_path / mode, extra + f"run.mode = {mode}\n")))
     mid = make_cfg(tmp_path / "mid", extra + "prune.short_epochs = 1\nprune.full_epochs = 1\n")
     run_until_saved(new_state(mid), 1)
     bad, out = str(tmp_path / "bad.bin"), str(tmp_path / "reports")
+    done = ({0, 4}, [["report", "--checkpoint", bad, "--output-dir", out],
+                     ["inspect-checkpoint", "--checkpoint", bad]])
     commands = {  # each checkpoint's commands, and the exit codes they may end in
-        "done": ({0, 4}, [["report", "--checkpoint", bad, "--output-dir", out],
-                          ["inspect-checkpoint", "--checkpoint", bad]]),
+        **{mode: done for mode in modes},
         "mid": ({0, 2, 3, 4}, [["resume", "--checkpoint", bad, "--output-dir", out]]),
     }
     seen, wrong = {0: 0, 4: 0}, []

@@ -558,3 +558,43 @@ def test_a_run_killed_anywhere_resumes_to_the_same_bytes(tmp_path, killable_run,
                    cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, timeout=300,
                    check=True)
     assert report_bytes(tmp_path / "out") == uninterrupted
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads worker states in /proc")
+def test_a_run_interrupted_after_a_checkpoint_exits_130_and_resumes(tmp_path,
+                                                                   killable_run):
+    # SIGINT, as Ctrl-C sends it, once task 0's checkpoint is saved: the run
+    # stops its workers and exits 130 with one line naming the checkpoint,
+    # not a KeyboardInterrupt traceback, and the checkpoint resumes
+    config, uninterrupted = killable_run
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen([sys.executable, "-c", KILLABLE, "saved", "1", "run",
+                             "--config", str(config)],
+                            cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        lines = dict(proc.stdout.readline().rstrip("\n").split(" ", 1)
+                     for _ in range(2))
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == ("interrupted; the last checkpoint saved, "
+                                    "if any, is out/checkpoint.bin")
+    pids = [int(p) for p in lines["workers"].split()]
+    deadline = time.monotonic() + 10.0
+    while pids and time.monotonic() < deadline:
+        pids = [p for p in pids if _alive(p)]
+        time.sleep(0.05)
+    assert pids == []
+
+    checkpoint = tmp_path / "out" / "checkpoint.bin"
+    assert state_from_checkpoint(str(checkpoint), need_suite=False).next_task == 1
+    resumed = subprocess.run([sys.executable, "-m", "subnetpack.cli", "resume",
+                              "--checkpoint", str(checkpoint)],
+                             cwd=tmp_path, env=env, stdout=subprocess.DEVNULL,
+                             timeout=300)
+    assert resumed.returncode == 0
+    assert report_bytes(tmp_path / "out") == uninterrupted
