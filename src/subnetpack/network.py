@@ -1,13 +1,15 @@
 """Dense-layer network with masked forward/backward passes and SGD training.
 
-`DenseWeights` hold float64 arrays unless built with another dtype, and the
-forward and backward passes compute in the dtype of the weights they are
-given: evaluation runs in float64, while `train_masked` runs SGD on a float32
-working copy and hands back float64 weights whose trained entries are float32
-values. Input batches may be floats or uint8 pixels; `as_floats` turns either
-into the dtype of the weights where it is read: per minibatch in
-`train_masked`, per block of `_EVAL_ROWS` rows in `evaluate`, so neither holds
-a float copy of a whole split. A mask entry of 0 removes the weight from the
+`DenseWeights` hold float64 arrays unless built with another dtype, or with
+none to keep each array's own. The forward and backward passes compute in
+the dtype of the weights they are given: `train_masked` runs SGD on a
+float32 working copy and hands back float64 weights whose trained entries
+are float32 values, while `evaluate` masks a float64 copy of the weights,
+so a task view's float32 weights score as their float64 casts do.
+Input batches may be floats or uint8 pixels; `as_floats` turns either into
+the dtype of the weights where it is read: per minibatch in `train_masked`,
+per block of `_EVAL_ROWS` rows in `evaluate`, so neither holds a float copy
+of a whole split. A mask entry of 0 removes the weight from the
 forward pass and freezes it bit-identically through training. Biases are
 never masked and always train.
 
@@ -60,7 +62,8 @@ class ModelSpec:
 
 
 class DenseWeights:
-    """Per-layer weight matrices plus bias vectors, float64 unless dtype says."""
+    """Per-layer weight matrices plus bias vectors, float64 unless dtype says;
+    dtype=None keeps each array's dtype."""
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
                  dtype=np.float64):
@@ -70,8 +73,9 @@ class DenseWeights:
             raise ValueError("weights and biases must have one entry per layer")
 
     def copy(self) -> "DenseWeights":
+        """A deep copy; each list keeps its dtype."""
         return DenseWeights([w.copy() for w in self.weights],
-                            [b.copy() for b in self.biases], dtype=self.weights[0].dtype)
+                            [b.copy() for b in self.biases], dtype=None)
 
     def validate(self, spec: ModelSpec) -> None:
         for i, (shape, w, b) in enumerate(zip(spec.shapes, self.weights, self.biases)):
@@ -267,6 +271,9 @@ def train_masked(spec, weights, mask, data, cfg: TrainConfig):
 def evaluate(spec, weights, mask, batch, labels) -> float:
     """Fraction of argmax-correct predictions; argmax ties go to the lowest class.
 
+    Computes in float64 whatever the weights' dtype: the mask multiplies a
+    float64 copy of the weights in place, so float32 weights score exactly
+    as their float64 casts, with no float32 temporary beside the copy.
     Scores the batch in blocks of `_EVAL_ROWS` rows, so only one block is
     ever held as floats, and returns the same float as `np.mean` over the
     whole batch's correct predictions. `labels` must be 1-D with one entry
@@ -278,7 +285,10 @@ def evaluate(spec, weights, mask, batch, labels) -> float:
     n = batch.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    masked = _apply_mask(weights, mask)
+    masked = DenseWeights([w.astype(np.float64) for w in weights.weights],
+                          weights.biases)
+    for w, m in zip(masked.weights, mask):
+        w *= m
     correct = 0
     for start in range(0, n, _EVAL_ROWS):
         rows = slice(start, start + _EVAL_ROWS)

@@ -6,9 +6,11 @@ mask, its codes (one uint32 array per layer, in the row-major order of the
 masked slots) and its centroid tables (one float32 array per layer, held as
 IEEE-754 32-bit values like their serialized form); a committed task keeps
 them together in its `store.TaskAllocation`. `dequantized_weights` rebuilds
-every quantized task that is scored, with its biases. The adaptive loop
-raises psi one bit at a time until validation accuracy is within delta of
-the full-precision reference, or psi_max.
+every quantized task that is scored, with its biases: its weights are
+float32, the values the store holds, and `evaluate` widens them to float64
+where it scores them. The adaptive loop raises psi one bit at a time until
+validation accuracy is within delta of the full-precision reference, or
+psi_max.
 
 In a run, the winner's job quantizes its task in the worker that trained it
 (`workers`), with `adaptive_quantize` or, in pruning-only runs,
@@ -257,25 +259,25 @@ def identity_quantize(mask, trained_weights: DenseWeights):
 
 
 def dequantize(psi, mask, codes, centroids) -> list[np.ndarray]:
-    """Full-shape weight arrays of a task from its bit-width, mask, codes and tables.
+    """Full-shape float32 weight arrays of a task from its bit-width, mask,
+    codes and tables.
 
     `codes[i]` holds layer i's codes in the row-major order of the slots
     `mask[i]` marks; slots outside the mask are zero. At psi 32 a code is a
     float32 bit pattern; below, it indexes `centroids[i]`, and a code outside
-    that table raises CorruptCodesError. Each table (at most 2^psi entries)
-    is cast to float64 once, so the codes gather float64 values and the
-    scatter copies them without a cast.
+    that table raises CorruptCodesError. Tables and bit patterns are float32
+    already, so the scatter copies the stored values without a cast.
     """
     out = []
     for i, m in enumerate(mask):
         m, c = np.asarray(m, dtype=bool), codes[i]
-        full = np.zeros(m.size, dtype=np.float64)
+        full = np.zeros(m.size, dtype=np.float32)
         if psi == 32:
             values = c.view(np.float32)
         else:
             table = centroids[i]
             try:
-                values = table.astype(np.float64).take(c)
+                values = table.take(c)
             except IndexError:
                 raise CorruptCodesError(
                     f"layer {i}: code {int(c.max())} outside codebook of {len(table)}"
@@ -288,8 +290,10 @@ def dequantize(psi, mask, codes, centroids) -> list[np.ndarray]:
 
 
 def dequantized_weights(psi, mask, codes, centroids, biases) -> DenseWeights:
-    """A quantized task's DenseWeights: `dequantize`'s arrays and a copy of `biases`."""
-    return DenseWeights(dequantize(psi, mask, codes, centroids), [b.copy() for b in biases])
+    """A quantized task's DenseWeights: `dequantize`'s float32 arrays and a
+    copy of `biases` in their own dtype."""
+    return DenseWeights(dequantize(psi, mask, codes, centroids),
+                        [b.copy() for b in biases], dtype=None)
 
 
 def adaptive_quantize(spec, mask, trained_weights: DenseWeights, q_ref, val_data,

@@ -126,7 +126,11 @@ def new_state(cfg: RunConfig) -> RunState:
 
 
 def task_view(state: RunState, task_id: int):
-    """(weights, mask) for a committed task, rebuilt from store components."""
+    """(weights, mask) for a committed task, rebuilt from store components.
+
+    The weights are float32, the values the store holds, beside a copy of
+    the task's float64 biases; `evaluate` scores them in float64.
+    """
     alloc = state.store.tasks[task_id]
     weights = dequantized_weights(alloc.psi, alloc.mask, alloc.codes, alloc.centroids,
                                   state.tasks[task_id].biases)
@@ -451,7 +455,8 @@ def _read_log(rec: dict, store: WeightSlotStore, prune: PruneConfig) -> PruneLog
 def _check_logs_against_store(logs, store: WeightSlotStore) -> None:
     """CheckpointError unless the last log of each stored task measured the
     winner the store holds: its winner sparsities and chosen sparsity are
-    `hypothetical_sparsity` of the task's mask over the tasks before it."""
+    `hypothetical_sparsity` of the task's mask over the tasks before it. One
+    scratch store holds those tasks, each task occupying its slots in turn."""
     last = {log.task_id: log for log in logs}
     before = WeightSlotStore(store.layer_shapes, t_max=store.t_max)
     for t in sorted(store.tasks):
@@ -462,7 +467,7 @@ def _check_logs_against_store(logs, store: WeightSlotStore) -> None:
                     report.per_layer, report.weighted):
                 raise CheckpointError(f"the last prune log of task {t} disagrees "
                                       "with the sparsity of its stored mask")
-        before = before.projected(alloc.mask, alloc.psi)
+        before._occupy(alloc.mask, alloc.psi)
 
 
 def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
@@ -509,6 +514,10 @@ def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:
         if not all(a <= b for a, b in zip([0] + ids, ids + [next_task])):
             raise CheckpointError(f"{path}: prune logs of tasks {ids} are not in "
                                   f"task order from 0 to {next_task}")
+        # a task of a mode that searches finishes only after its search is logged
+        if cfg.mode != "quantization-only" and not set(range(next_task)) <= set(ids):
+            raise CheckpointError(f"{path}: prune logs of tasks {ids} do not cover "
+                                  f"the {next_task} finished tasks")
         _check_logs_against_store(state.prune_logs, store)
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         # ValueError covers a store's CommitRejected and a ConfigError from

@@ -90,7 +90,8 @@ def _finish(spec, weights, mask, accuracy, task, quant) -> dict:
     `quant` is the bit-width ladder's QuantConfig, or None for 32-bit
     patterns, which keep the validation accuracy. The test accuracy is the
     one `runner.task_view` replays: both rebuild the task with
-    `dequantized_weights` from the same codes, tables and biases.
+    `dequantized_weights` from the same codes, tables and biases, as float32
+    weights beside float64 biases, and `evaluate` scores both in float64.
     """
     if quant is None:
         psi, (codes, centroids), q_acc = 32, identity_quantize(mask, weights), accuracy

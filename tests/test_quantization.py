@@ -152,6 +152,23 @@ def test_dequantize_rejects_bad_codes():
         dequantize(1, mask, [np.array([0, 2], dtype=np.uint32)], tables)
 
 
+@pytest.mark.parametrize("psi", [2, 32])
+def test_dequantize_returns_the_stored_float32_values(psi):
+    # below 32 bits codes index float32 tables; at 32 each code is a float32
+    # bit pattern: either way the arrays hold the stored values unwidened
+    mask = [np.array([[True, False, True], [False, True, True]]), np.ones((1, 2), bool)]
+    values = [np.array([0.1, -2.5, 3.0, 0.1], np.float32), np.array([7.25, -0.0], np.float32)]
+    if psi == 32:
+        codes, tables = [v.view(np.uint32) for v in values], [np.zeros(0, np.float32)] * 2
+    else:
+        tables = [np.unique(v) for v in values]
+        codes = [np.searchsorted(t, v).astype(np.uint32) for t, v in zip(tables, values)]
+    out = dequantize(psi, mask, codes, tables)
+    for w, m, v in zip(out, mask, values, strict=True):
+        assert w.dtype == np.float32 and w.shape == m.shape
+        assert w[m].tobytes() == v.tobytes() and not w[~m].any()
+
+
 def test_round_trip_exact_on_representable_values():
     # float32-representable values, fewer distinct than 2^psi
     levels = np.array([-0.5, 0.25, 0.75, 1.0], dtype=np.float32).astype(np.float64)

@@ -12,7 +12,7 @@ from subnetpack.cli import EXIT_CHECKPOINT, main
 from subnetpack.config import KEYS, build_run_config, key_default, parse_config_text
 from subnetpack.errors import CapacityExhausted
 from subnetpack.metrics import forget_check, lifelong_accuracy
-from subnetpack.network import evaluate
+from subnetpack.network import DenseWeights, evaluate
 from subnetpack.runner import (execute_run, new_state, save_run_checkpoint,
                                state_from_checkpoint, task_view, write_reports)
 from subnetpack.scenario import ScenarioSuite, save_idx, write_digit_idx
@@ -950,6 +950,36 @@ def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, monkeypatch,
         assert "checkpoint error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["full", "pruning-only"])
+def test_cli_a_finished_task_of_a_search_needs_a_prune_log(tmp_path, capsys, mode):
+    # every task of these modes is chosen by a search that logs it; a
+    # checkpoint that lacks a finished task's log was reported, inspected
+    # and resumed with exit 0, its summary.json without that search
+    from subnetpack.checkpoint import load_checkpoint, save_checkpoint
+    cfg = make_cfg(tmp_path / "out", f"run.mode = {mode}\nscenario.n_tasks = 2\n")
+    execute_run(new_state(cfg))
+    good = str(tmp_path / "out" / "checkpoint.bin")
+
+    def first_log_deleted(p):
+        del p["prune_logs"][0]
+
+    def second_log_names_next_task(p):
+        # as if the run had stopped on capacity exhaustion in task 2
+        assert [log["task_id"] for log in p["prune_logs"]] == [0, 1]
+        p["prune_logs"][1]["task_id"] = 2
+
+    bad, out = str(tmp_path / "bad.bin"), str(tmp_path / "reports")
+    for change in (first_log_deleted, second_log_names_next_task):
+        _, payload = load_checkpoint(good)
+        change(payload)
+        save_checkpoint(bad, payload)
+        name = change.__name__
+        assert main(["report", "--checkpoint", bad, "--output-dir", out]) == 4, name
+        assert main(["inspect-checkpoint", "--checkpoint", bad]) == 4, name
+        assert main(["resume", "--checkpoint", bad, "--output-dir", out]) == 4, name
+        assert "do not cover the 2 finished tasks" in capsys.readouterr().err
+
+
 def test_cli_exhausted_checkpoint_reports_and_resumes_to_the_same_bytes(
         tmp_path, monkeypatch, capsys):
     # 12-bit components leave no eligible layer-0 slot for task 2, and the
@@ -1206,14 +1236,40 @@ def test_open_equals_run(tmp_path, mode):
         alloc = opened.store.tasks[t]
         for w, m, c, table in zip(got.weights, alloc.mask, alloc.codes,
                                   alloc.centroids, strict=True):
-            # the reference rebuild: a bool-mask scatter of float32 values
-            ref = np.zeros(m.shape)
+            # the reference rebuild: a bool-mask scatter of the stored
+            # float32 values into a float32 array
+            ref = np.zeros(m.shape, np.float32)
             ref[m] = c.view(np.float32) if alloc.psi == SLOT_BITS else table[c]
             assert w.tobytes() == ref.tobytes()
+        # beside them, copies of the stored float64 biases
+        for b, stored in zip(got.biases, opened.tasks[t].biases, strict=True):
+            assert b.dtype == stored.dtype == np.float64
+            assert b.tobytes() == stored.tobytes() and b is not stored
     if mode == "pruning-only":
         assert all(a.psi == SLOT_BITS for a in opened.store.tasks.values())
     if mode == "quantization-only":
         assert all(m.all() for a in opened.store.tasks.values() for m in a.mask)
+
+
+@pytest.mark.parametrize("mode", ["full", "pruning-only", "quantization-only"])
+def test_a_float32_view_scores_as_its_float64_widening(tmp_path, mode):
+    # a view holds the stored float32 values; evaluate widens them, so the
+    # accuracy is the bits a float64 view of the same task gives
+    state = new_state(make_cfg(tmp_path / "out", f"run.mode = {mode}\n"
+                                                 "scenario.n_tasks = 2\n"))
+    execute_run(state)
+    spec = state.config.model
+    for t in state.store.tasks:
+        view, mask = task_view(state, t)
+        wide = DenseWeights(view.weights, view.biases)
+        assert [w.dtype for w in view.weights + wide.weights] == (
+            [np.float32] * 2 + [np.float64] * 2)
+        for s in (t, 1 - t):  # its own test split, and one it scores worse on
+            x, y = state.suite.test_split(s)
+            acc = evaluate(spec, view, mask, x, y)
+            assert acc == evaluate(spec, wide, mask, x, y)
+            if s == t:
+                assert acc == state.matrix.rows[t][t]
 
 
 # -- the one-task lookahead ----------------------------------------------------
