@@ -15,8 +15,13 @@ never masked and always train.
 
 `train_masked` multiplies its working copy by the mask once per call, so each
 SGD step runs the forward pass and the hidden-layer deltas on the pre-masked
-weights and masks only the weight gradients. A run never calls it in its own
-process: `workers` runs every call in single-BLAS-thread worker processes.
+weights and masks only the weight gradients. It writes each step's gradients
+into buffers allocated once per call, updates the weights in place and
+computes no loss; `evaluate` holds one block of `_EVAL_ROWS` rows of float64
+activations at a time. One backward pass,
+`_masked_grads`, serves training and `loss_and_grads`. A run never calls
+`train_masked` in its own process: `workers` runs every call in
+single-BLAS-thread worker processes.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateMaskWarning, ShapeMismatchError
 
-_EVAL_ROWS = 512  # rows `evaluate` turns into floats at a time
+_EVAL_ROWS = 64  # rows `evaluate` turns into floats at a time
 
 
 @dataclass(frozen=True)
@@ -166,27 +171,30 @@ def as_floats(x, dtype) -> np.ndarray:
 
 
 def _forward_cached(spec, masked, batch):
-    """Returns (logits, activations, pre_activations) for backprop.
+    """Returns the activations of every layer: the batch as floats, each
+    hidden layer's rectified output, and the logits last.
 
     `masked` holds weights already multiplied by their mask. Computes in
-    their dtype; the batch is turned into it by `as_floats`.
+    their dtype; the batch is turned into it by `as_floats`. Each layer's
+    bias is added and rectified in place, and a hidden output is positive
+    exactly where its pre-activation is, so backprop reads its sign there.
     """
     acts = [as_floats(batch, masked.weights[0].dtype)]
-    zs = []
     n = spec.n_layers
     for i in range(n):
-        z = acts[-1] @ masked.weights[i].T + masked.biases[i]
-        zs.append(z)
-        acts.append(np.maximum(z, 0.0) if i < n - 1 else z)
-    return zs[-1], acts, zs
+        z = acts[-1] @ masked.weights[i].T
+        z += masked.biases[i]
+        if i < n - 1:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
+    return acts
 
 
 def forward(spec: ModelSpec, weights: DenseWeights, mask, batch: np.ndarray) -> np.ndarray:
     """Masked forward pass to logits; masked-out weights contribute exactly zero."""
     batch = np.asarray(batch)
     _check_shapes(spec, weights, mask, batch)
-    logits, _, _ = _forward_cached(spec, _apply_mask(weights, mask), batch)
-    return logits
+    return _forward_cached(spec, _apply_mask(weights, mask), batch)[-1]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -195,30 +203,45 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grads(spec, weights, mask, batch, labels):
-    """Mean softmax cross-entropy and its gradients, weight grads pre-masked."""
-    return _masked_loss_and_grads(spec, _apply_mask(weights, mask), mask,
-                                  batch, labels)
+    """Mean softmax cross-entropy and its gradients, weight grads pre-masked.
 
-
-def _masked_loss_and_grads(spec, masked, mask, batch, labels):
-    """loss_and_grads on weights already multiplied by `mask`."""
-    logits, acts, zs = _forward_cached(spec, masked, batch)
-    n = batch.shape[0]
+    Computes in the weights' dtype with the backward pass `train_masked`
+    steps with, on fresh gradient arrays, and takes the loss from the logits
+    that pass returns.
+    """
+    masked = _apply_mask(weights, mask)
+    grads_w = [np.empty_like(w) for w in masked.weights]
+    grads_b = [np.empty_like(b) for b in masked.biases]
+    fmask = [np.asarray(m, dtype=masked.weights[0].dtype) for m in mask]
+    logits = _masked_grads(spec, masked, fmask, batch, labels, grads_w, grads_b)
     log_p = _log_softmax(logits)
-    loss = -log_p[np.arange(n), labels].mean()
+    loss = -log_p[np.arange(batch.shape[0]), labels].mean()
+    return loss, grads_w, grads_b
 
-    dz = np.exp(log_p)
+
+def _masked_grads(spec, masked, fmask, batch, labels, grads_w, grads_b):
+    """Writes the gradients of the mean softmax cross-entropy into `grads_w`
+    and `grads_b`, and returns the logits; computes no loss.
+
+    `masked` holds weights already multiplied by the mask, and `fmask` is
+    the mask in their dtype, which multiplies each weight gradient in place.
+    The gradient arrays match the weights and biases in shape and dtype.
+    """
+    acts = _forward_cached(spec, masked, batch)
+    logits = acts[-1]
+    n = batch.shape[0]
+    dz = _log_softmax(logits)
+    np.exp(dz, out=dz)
     dz[np.arange(n), labels] -= 1.0
     dz /= n
-
-    grads_w = [None] * spec.n_layers
-    grads_b = [None] * spec.n_layers
     for i in range(spec.n_layers - 1, -1, -1):
-        grads_w[i] = (dz.T @ acts[i]) * mask[i]
-        grads_b[i] = dz.sum(axis=0)
+        np.matmul(dz.T, acts[i], out=grads_w[i])
+        grads_w[i] *= fmask[i]
+        np.sum(dz, axis=0, out=grads_b[i])
         if i > 0:
-            dz = (dz @ masked.weights[i]) * (zs[i - 1] > 0)
-    return loss, grads_w, grads_b
+            dz = dz @ masked.weights[i]
+            dz *= acts[i] > 0
+    return logits
 
 
 def train_masked(spec, weights, mask, data, cfg: TrainConfig):
@@ -226,12 +249,15 @@ def train_masked(spec, weights, mask, data, cfg: TrainConfig):
 
     SGD runs on a float32 working copy, multiplied by the mask once here, and
     each minibatch is turned into float32 by `as_floats` as it is gathered (a
-    float32 X is used as is, with the same bits). Masked gradients keep the
-    copy's masked-out entries at zero, so the steps need no further mask
-    products on the weights. Trained entries come back as float32 values;
-    entries outside the mask come back bit-identical to the input. epochs=0
-    returns an untouched copy. `y` must be 1-D with one label per row of `X`.
-    For an accuracy, call evaluate on the returned weights.
+    float32 X is used as is, with the same bits). The call allocates one
+    float32 gradient array per weight and bias and a float32 copy of the
+    mask; each step writes its gradients into those arrays, masks and scales
+    them in place and subtracts them, and computes no loss. Masked gradients
+    keep the copy's masked-out entries at zero, so the steps need no further
+    mask products on the weights. Trained entries come back as float32
+    values; entries outside the mask come back bit-identical to the input.
+    epochs=0 returns an untouched copy. `y` must be 1-D with one label per
+    row of `X`. For an accuracy, call evaluate on the returned weights.
     """
     X, y = data
     X = np.asarray(X)
@@ -247,21 +273,25 @@ def train_masked(spec, weights, mask, data, cfg: TrainConfig):
     if cfg.epochs == 0:
         return weights.copy()
 
+    fmask = [np.asarray(m, dtype=np.float32) for m in mask]
     work = _apply_mask(DenseWeights(weights.weights, weights.biases,
-                                    dtype=np.float32), mask)
+                                    dtype=np.float32), fmask)
+    grads_w = [np.empty_like(w) for w in work.weights]
+    grads_b = [np.empty_like(b) for b in work.biases]
+    updates = list(zip(work.weights + work.biases, grads_w + grads_b))
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     # a diverging run overflows here; the caller finds its non-finite weights
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            lr = cfg.lr_at(epoch)  # a Python float keeps lr * grad in float32
+            lr = cfg.lr_at(epoch)  # a Python float keeps g *= lr in float32
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                _, gw, gb = _masked_loss_and_grads(spec, work, mask, X[idx], y[idx])
-                for i in range(spec.n_layers):
-                    work.weights[i] -= lr * gw[i]
-                    work.biases[i] -= lr * gb[i]
+                _masked_grads(spec, work, fmask, X[idx], y[idx], grads_w, grads_b)
+                for param, grad in updates:
+                    grad *= lr
+                    param -= grad
     return DenseWeights(
         [np.where(m, trained, given)
          for m, trained, given in zip(mask, work.weights, weights.weights)],
@@ -274,10 +304,11 @@ def evaluate(spec, weights, mask, batch, labels) -> float:
     Computes in float64 whatever the weights' dtype: the mask multiplies a
     float64 copy of the weights in place, so float32 weights score exactly
     as their float64 casts, with no float32 temporary beside the copy.
-    Scores the batch in blocks of `_EVAL_ROWS` rows, so only one block is
-    ever held as floats, and returns the same float as `np.mean` over the
-    whole batch's correct predictions. `labels` must be 1-D with one entry
-    per row.
+    Scores the batch in blocks of `_EVAL_ROWS` rows, so a call holds that
+    copy and one block's float64 activations (0.4 MB for 784 features),
+    never a whole split as floats, and returns the same float as `np.mean`
+    over the whole batch's correct predictions. `labels` must be 1-D with
+    one entry per row.
     """
     batch = np.asarray(batch)
     labels = np.asarray(labels)
@@ -292,7 +323,7 @@ def evaluate(spec, weights, mask, batch, labels) -> float:
     correct = 0
     for start in range(0, n, _EVAL_ROWS):
         rows = slice(start, start + _EVAL_ROWS)
-        logits, _, _ = _forward_cached(spec, masked, batch[rows])
+        logits = _forward_cached(spec, masked, batch[rows])[-1]
         correct += int(np.count_nonzero(np.argmax(logits, axis=1) == labels[rows]))
     return correct / n
 

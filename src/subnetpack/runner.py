@@ -456,7 +456,8 @@ def _check_logs_against_store(logs, store: WeightSlotStore) -> None:
     """CheckpointError unless the last log of each stored task measured the
     winner the store holds: its winner sparsities and chosen sparsity are
     `hypothetical_sparsity` of the task's mask over the tasks before it. One
-    scratch store holds those tasks, each task occupying its slots in turn."""
+    scratch store counts those tasks, each task occupying its slots in turn
+    as a zero-bit component, since the sparsity reads only the counts."""
     last = {log.task_id: log for log in logs}
     before = WeightSlotStore(store.layer_shapes, t_max=store.t_max)
     for t in sorted(store.tasks):
@@ -467,7 +468,7 @@ def _check_logs_against_store(logs, store: WeightSlotStore) -> None:
                     report.per_layer, report.weighted):
                 raise CheckpointError(f"the last prune log of task {t} disagrees "
                                       "with the sparsity of its stored mask")
-        before._occupy(alloc.mask, alloc.psi)
+        before._occupy(alloc.mask, 0)
 
 
 def state_from_checkpoint(path, need_suite=True, output_dir=None) -> RunState:

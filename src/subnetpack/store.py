@@ -143,12 +143,14 @@ class WeightSlotStore:
 
     def _occupy(self, mask, psi: int, undo: bool = False) -> None:
         """Add one psi-bit component to every masked slot, in the mask's own
-        bytes; `undo` takes it back."""
+        bytes; `undo` takes it back. A zero-bit component moves only the
+        component counts."""
         step = np.subtract if undo else np.add
         for count, used, m in zip(self._count, self._used, mask):
             bits = np.asarray(m, dtype=bool).ravel().view(np.uint8)
             step(count, bits, out=count)
-            step(used, bits * np.uint8(psi), out=used)
+            if psi:
+                step(used, bits * np.uint8(psi), out=used)
 
     def _add(self, task_id, psi, masks, codes, centroids, read_layer) -> None:
         """Record a task, or raise CommitRejected and leave the store as it was.

@@ -1,13 +1,14 @@
 """Shared test oracles: exhaustive 1-D k-means, least-squares separability,
 readers of a slot store's committed masks, codes and slot occupancy, centroid
-tables for hand-made records, a run stopped after a given checkpoint, and the
-winners a run commits."""
+tables for hand-made records, a run stopped after a given checkpoint, the
+winners a run commits, and a reference SGD step."""
 
 import itertools
 from unittest import mock
 
 import numpy as np
 
+from subnetpack.network import DenseWeights, as_floats
 from subnetpack.store import SLOT_BITS
 
 
@@ -139,3 +140,47 @@ def run_until_saved(state, saves):
         except Interrupted:
             return started
     raise AssertionError(f"the run wrote fewer than {saves} checkpoints")
+
+
+def reference_train(spec, weights, mask, data, cfg):
+    """`network.train_masked` as plain array expressions, for bit comparison.
+
+    The same SGD on a float32 copy pre-multiplied by the bool mask: each step
+    computes its loss, the weight gradients `(dz.T @ a) * m` and the updates
+    `w -= lr * g`, each into a fresh array. Returns float64 weights with
+    the trained entries inside the mask and the input's entries outside it.
+    """
+    X, y = np.asarray(data[0]), np.asarray(data[1])
+    work_w = [np.asarray(w, dtype=np.float32) * m for w, m in zip(weights.weights, mask)]
+    work_b = [np.asarray(b, dtype=np.float32) for b in weights.biases]
+    rng = np.random.default_rng(cfg.seed)
+    n_layers = spec.n_layers
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = cfg.lr_at(epoch)
+            order = rng.permutation(X.shape[0])
+            for start in range(0, X.shape[0], cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                acts, zs = [as_floats(X[idx], np.float32)], []
+                for i in range(n_layers):
+                    z = acts[-1] @ work_w[i].T + work_b[i]
+                    zs.append(z)
+                    acts.append(np.maximum(z, 0.0) if i < n_layers - 1 else z)
+                n = len(idx)
+                shifted = zs[-1] - zs[-1].max(axis=1, keepdims=True)
+                log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+                loss = -log_p[np.arange(n), y[idx]].mean()
+                dz = np.exp(log_p)
+                dz[np.arange(n), y[idx]] -= 1.0
+                dz /= n
+                grads_w, grads_b = [None] * n_layers, [None] * n_layers
+                for i in range(n_layers - 1, -1, -1):
+                    grads_w[i] = (dz.T @ acts[i]) * mask[i]
+                    grads_b[i] = dz.sum(axis=0)
+                    if i > 0:
+                        dz = (dz @ work_w[i]) * (zs[i - 1] > 0)
+                for i in range(n_layers):
+                    work_w[i] -= lr * grads_w[i]
+                    work_b[i] -= lr * grads_b[i]
+    return DenseWeights([np.where(m, t, g) for m, t, g in zip(mask, work_w, weights.weights)],
+                        work_b)
