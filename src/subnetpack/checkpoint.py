@@ -21,6 +21,7 @@ import contextlib
 import hashlib
 import os
 import struct
+import tempfile
 
 import numpy as np
 
@@ -190,13 +191,22 @@ def _digest(payload: bytes) -> int:
 def save_checkpoint(path, state: dict) -> None:
     """Write the checkpoint whole or not at all.
 
-    The bytes go to a temp file beside `path`, are fsynced, then renamed over
-    `path`, so a crash or error mid-write leaves the previous checkpoint intact.
+    The bytes go to a temp file of its own beside `path`, are fsynced, then
+    renamed over `path`, so a crash or error mid-write leaves the previous
+    checkpoint intact, and a save running at the same time into the same
+    directory neither takes nor removes this one's temp file.
     """
     payload = encode_state(state)
-    tmp = f"{os.fspath(path)}.tmp"
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(prefix=f"{os.path.basename(path)}.",
+                               suffix=".tmp", dir=os.path.dirname(path) or ".")
     try:
-        with open(tmp, "wb") as fh:
+        with open(fd, "wb") as fh:
+            # mkstemp makes the file its owner's alone; give it the mode
+            # open() gives the reports beside it
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(MAGIC)
             fh.write(struct.pack("<I", VERSION))
             fh.write(payload)

@@ -134,10 +134,11 @@ class Search:
     """One task's population search, from `start_search` to its winner.
 
     `population` trains the members on the task; each JobResult holds its
-    member's mask and short-trained weights. `choose_winner` then sets `log`
-    and submits `winner`, the chosen member's full training finishing the
-    task with `quant` (see `submit_full_training`). One from `start_dense`
-    has no store, population or log.
+    member's mask and short-trained weights. `choose_winner` then sets `log`,
+    submits `winner`, the chosen member's full training finishing the task
+    with `quant` (see `submit_full_training`), and drops `population`, so
+    the members' masks, replies and shared initializer are freed while the
+    winner trains. One from `start_dense` has no store, population or log.
     """
 
     task_id: int
@@ -228,8 +229,9 @@ def submit_full_training(task_id, index, spec, weights, mask, suite,
 def choose_winner(search: Search) -> PruneLog:
     """Second half of a search: choose the winner, submit its training.
 
-    Waits for the population, scores it, and returns the PruneLog of the
-    choice; `search.trained()` then waits for the winner.
+    Waits for the population, scores it, submits the winner's training,
+    drops the population, and returns the PruneLog of the choice;
+    `search.trained()` then waits for the winner.
     """
     population = search.population.wait()
     cfg = search.cfg
@@ -252,6 +254,7 @@ def choose_winner(search: Search) -> PruneLog:
     search.winner = submit_full_training(search.task_id, chosen, task.spec,
                                          winner.weights(), winner.mask, task.suite,
                                          cfg, search.train_cfg, search.quant)
+    search.population = None
     return search.log
 
 

@@ -2,15 +2,17 @@
 
 Weights inside a task's mask are clustered into 2^psi centroids per layer;
 codes index the centroid table. A quantized task is its bit-width psi, its
-mask, its codes (one uint32 array per layer, in the row-major order of the
+mask, its codes (one integer array per layer, in the row-major order of the
 masked slots) and its centroid tables (one float32 array per layer, held as
 IEEE-754 32-bit values like their serialized form); a committed task keeps
-them together in its `store.TaskAllocation`. `dequantized_weights` rebuilds
-every quantized task that is scored, with its biases: its weights are
-float32, the values the store holds, and `evaluate` widens them to float64
-where it scores them. The adaptive loop raises psi one bit at a time until
-validation accuracy is within delta of the full-precision reference, or
-psi_max.
+them together in its `store.TaskAllocation`. This module makes uint32 codes;
+the store holds them in `store.code_dtype(psi)`, the narrowest unsigned
+integer of psi bits, and `dequantize` reads either. `dequantized_weights`
+rebuilds every quantized task that is scored, with its biases (float32 in a
+run): its weights are float32, the values the store holds, and `evaluate`
+widens weights and biases to float64 where it scores them. The adaptive loop
+raises psi one bit at a time until validation accuracy is within delta of the
+full-precision reference, or psi_max.
 
 In a run, the winner's job quantizes its task in the worker that trained it
 (`workers`), with `adaptive_quantize` or, in pruning-only runs,
@@ -262,11 +264,12 @@ def dequantize(psi, mask, codes, centroids) -> list[np.ndarray]:
     """Full-shape float32 weight arrays of a task from its bit-width, mask,
     codes and tables.
 
-    `codes[i]` holds layer i's codes in the row-major order of the slots
-    `mask[i]` marks; slots outside the mask are zero. At psi 32 a code is a
-    float32 bit pattern; below, it indexes `centroids[i]`, and a code outside
-    that table raises CorruptCodesError. Tables and bit patterns are float32
-    already, so the scatter copies the stored values without a cast.
+    `codes[i]` holds layer i's codes, integers of any width, in the
+    row-major order of the slots `mask[i]` marks; slots outside the mask are
+    zero. At psi 32 a code is a uint32 float32 bit pattern; below, it indexes
+    `centroids[i]`, and a code outside that table raises CorruptCodesError.
+    Tables and bit patterns are float32 already, so the scatter copies the
+    stored values without a cast.
     """
     out = []
     for i, m in enumerate(mask):

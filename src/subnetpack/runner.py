@@ -66,7 +66,9 @@ class TaskRecord:
     """What a committed task keeps beside its allocation in `store.tasks`.
 
     The bit-width, mask, codes and centroid tables live only in the store.
-    `biases` are the winner's float64 biases. `digest` is `_record_digest` of
+    `biases` are the winner's biases: float32 in a run, as its worker's reply
+    narrows them, and in the float width a checkpoint stored them in after a
+    load (float64 in files written before). `digest` is `_record_digest` of
     the record that scored the task's diagonal accuracy cell, held in memory
     only: None after a load until a re-evaluation reproduces that cell.
     """
@@ -129,7 +131,8 @@ def task_view(state: RunState, task_id: int):
     """(weights, mask) for a committed task, rebuilt from store components.
 
     The weights are float32, the values the store holds, beside a copy of
-    the task's float64 biases; `evaluate` scores them in float64.
+    the task's biases in their stored width; `evaluate` widens both to the
+    same float64 values and scores them in float64.
     """
     alloc = state.store.tasks[task_id]
     weights = dequantized_weights(alloc.psi, alloc.mask, alloc.codes, alloc.centroids,
@@ -292,7 +295,9 @@ def _run_task(state: RunState, t, ahead):
       waited on, and a choice over budget fails the task, since a dense mask
       cannot be drawn again;
     - full draws the task again from slots with one bit more free than the
-      mask's budget, and fails once that floor passes psi_max. A retry never
+      mask's budget. `fit_budget` fails only a budget below the choice, which
+      is at most psi_max, so that floor never passes psi_max; a run fails
+      when the sampler finds no slot with that many bits free. A retry never
       follows a lookahead: `_lookahead_is_exact` rules it out.
     """
     cfg = state.config
@@ -316,14 +321,9 @@ def _run_task(state: RunState, t, ahead):
             fit_budget(t, cfg.model, result.psi, result.q_acc, result.accuracy,
                        cfg.quant, budget)
             return result, next_ahead
-        except CapacityExhausted as exc:
+        except CapacityExhausted:
             if cfg.mode == "quantization-only":
                 raise
-            if budget + 1 > cfg.quant.psi_max:
-                raise CapacityExhausted(
-                    exc.layers,
-                    f"task {t}: no slot set can hold more than {budget} bits",
-                ) from exc
             psi_min, ahead = budget + 1, None
 
 

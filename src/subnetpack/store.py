@@ -21,6 +21,10 @@ was.
 bytes), the codes as one little-endian psi-bit stream in slot order
 (ceil(used*psi/8) bytes), both with zero pad bits. `from_state_dict` reads
 that layout, or the bool masks and uint32 codes of checkpoint format 1.
+In memory a record's codes are as wide as its bit-width needs,
+`code_dtype(psi)`: uint8 to 8 bits, uint16 to 16 and uint32 above, so 32-bit
+float patterns still view as float32. The layer readers `_add` takes,
+`_checked_layer` on a commit and `_read_packed_layer` on a load, narrow them.
 
 `projected` copies the budgets with one more component under a mask, for a
 run that samples the next task before the current one commits.
@@ -53,9 +57,9 @@ class TaskAllocation:
     """One committed task: bit-width, masks, per-layer codes and centroid tables.
 
     mask[i] is layer i's bool mask, shaped like its weights; codes[i] holds
-    one uint32 per active mask slot of layer i, in row-major slot order, and
-    indexes the float32 table centroids[i] (empty at SLOT_BITS bits, where
-    each code is a float32 bit pattern).
+    one `code_dtype(psi)` integer per active mask slot of layer i, in
+    row-major slot order, and indexes the float32 table centroids[i] (empty
+    at SLOT_BITS bits, where each code is a float32 bit pattern).
     """
 
     psi: int
@@ -238,6 +242,11 @@ class WeightSlotStore:
         return store
 
 
+def code_dtype(psi: int) -> np.dtype:
+    """The narrowest unsigned integer that holds a psi-bit code."""
+    return np.min_scalar_type((1 << psi) - 1)
+
+
 def _nbytes(bits: int) -> int:
     return -(-bits // 8)
 
@@ -246,7 +255,7 @@ def _pack_codes(codes: np.ndarray, psi: int) -> np.ndarray:
     """Codes as one little-endian psi-bit stream, zero pad bits."""
     bits = np.empty((codes.size, psi), dtype=np.uint8)
     for b in range(psi):
-        np.bitwise_and(codes >> np.uint32(b), 1, out=bits[:, b], casting="unsafe")
+        np.bitwise_and(codes >> b, 1, out=bits[:, b], casting="unsafe")
     return np.packbits(bits, bitorder="little")
 
 
@@ -262,18 +271,20 @@ def _unpack_bits(buf, nbits: int, what: str) -> np.ndarray:
 
 
 def _read_packed_layer(mask_buf, code_buf, psi, shape, what):
-    """(bool mask, uint32 codes) of one layer from its packed record."""
+    """(bool mask, `code_dtype(psi)` codes) of one layer from its packed record."""
     flat = _unpack_bits(mask_buf, shape[0] * shape[1], f"{what} mask").view(bool)
     used = int(np.count_nonzero(flat))
     bits = _unpack_bits(code_buf, used * psi, f"{what} codes").reshape(used, psi)
-    codes = np.zeros(used, dtype=np.uint32)
+    dtype = code_dtype(psi)
+    codes = np.zeros(used, dtype=dtype)
     for b in range(psi):
-        codes |= bits[:, b].astype(np.uint32) << np.uint32(b)
+        codes |= bits[:, b].astype(dtype) << b
     return flat.reshape(shape), codes
 
 
 def _read_v1_layer(mask, codes, psi, shape, what):
-    """(bool mask, uint32 codes) of one layer as checkpoint format 1 holds it."""
+    """(bool mask, `code_dtype(psi)` codes) of one layer from the bool mask
+    and uint32 codes checkpoint format 1 holds."""
     if not (isinstance(mask, np.ndarray) and mask.dtype == bool
             and isinstance(codes, np.ndarray) and codes.dtype == np.uint32):
         raise CommitRejected(f"{what}: expected a bool mask and uint32 codes")
@@ -281,8 +292,8 @@ def _read_v1_layer(mask, codes, psi, shape, what):
 
 
 def _checked_layer(mask, codes, psi, shape, what):
-    """(bool mask, uint32 codes) of one layer: the mask must have `shape`,
-    and the codes must be one integer in [0, 2^psi) per masked slot."""
+    """(bool mask, `code_dtype(psi)` codes) of one layer: the mask must have
+    `shape`, and the codes must be one integer in [0, 2^psi) per masked slot."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != shape:
         raise CommitRejected(f"{what}: mask shape {mask.shape} != {shape}")
@@ -292,7 +303,7 @@ def _checked_layer(mask, codes, psi, shape, what):
         raise CommitRejected(f"{what}: codes are not {used} integers")
     if used and (int(codes.min()) < 0 or int(codes.max()) >= 1 << psi):
         raise CommitRejected(f"{what}: code outside the {psi}-bit range")
-    return mask, codes.astype(np.uint32)
+    return mask, codes.astype(code_dtype(psi))
 
 
 def sample_candidate_mask(store, layer, target_sparsity, psi_min, rng) -> np.ndarray:

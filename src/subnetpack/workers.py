@@ -20,11 +20,10 @@ keeps the TaskData `get_task` builds as it is, uint8 pixels for an image
 scenario: `train_masked` turns each minibatch into floats as it gathers it,
 and `evaluate` each block of rows it scores. It keeps the last two tasks it
 used, as a run has two live (see `runner`). A reply carries the trained
-weights inside the job's mask, as float32 whenever that keeps every bit (it
-does after any SGD step, which computes in float32), and the float64 biases
-as `train_masked` returns them, not narrowed; the caller scatters the
-weights into a copy of the job's initial weights only where it needs dense
-weights. Workers exit when their input closes.
+weights inside the job's mask and the biases, each as float32 whenever that
+keeps every bit (it does after any SGD step, which computes in float32); the
+caller scatters the weights into a copy of the job's initial weights only
+where it needs dense weights. Workers exit when their input closes.
 
 Each message on a pipe is one protocol-5 pickle, arrays in band: the
 pickler writes a large array's bytes straight to the pipe and the reader
@@ -90,8 +89,9 @@ def _finish(spec, weights, mask, accuracy, task, quant) -> dict:
     `quant` is the bit-width ladder's QuantConfig, or None for 32-bit
     patterns, which keep the validation accuracy. The test accuracy is the
     one `runner.task_view` replays: both rebuild the task with
-    `dequantized_weights` from the same codes, tables and biases, as float32
-    weights beside float64 biases, and `evaluate` scores both in float64.
+    `dequantized_weights` from the same codes, tables and bias values, as
+    float32 weights beside biases that `evaluate` widens to the same float64
+    values, and it scores both in float64.
     """
     if quant is None:
         psi, (codes, centroids), q_acc = 32, identity_quantize(mask, weights), accuracy
@@ -135,7 +135,7 @@ def _run_job(spec, suite, kept, task_id, weights, mask, cfg, *quant):
             outcome = dict(
                 values=[_narrow(w[np.asarray(m, dtype=bool)])
                         for w, m in zip(weights.weights, mask)],
-                biases=weights.biases,
+                biases=[_narrow(b) for b in weights.biases],
                 accuracy=accuracy,
                 **(_finish(spec, weights, mask, accuracy, task, *quant)
                    if quant else {}))
@@ -185,12 +185,13 @@ class JobResult:
     """One trained job: its weights inside the mask, its biases, its accuracy.
 
     `values[i]` holds layer i's weights under the job's mask in row-major
-    order; the accuracy is on the validation split. `init` and `mask` are the
-    job's own. A winner's job also holds its quantized task: the bit-width
+    order, and `biases[i]` layer i's biases, both float32 when that keeps
+    every bit; the accuracy is on the validation split. `init` and `mask` are
+    the job's own. A winner's job also holds its quantized task: the bit-width
     `psi`, `codes` (uint32 per masked slot of each layer, in row-major
-    order), the float32 `centroids` table of each layer, the validation
-    accuracy `q_acc` and the test accuracy `test_acc` of the quantized
-    weights; these are None for other jobs.
+    order, which the store narrows on commit), the float32 `centroids` table
+    of each layer, the validation accuracy `q_acc` and the test accuracy
+    `test_acc` of the quantized weights; these are None for other jobs.
     """
 
     values: list
@@ -207,7 +208,8 @@ class JobResult:
     def weights(self) -> DenseWeights:
         """The trained weights: `init` outside the mask, `values` inside.
 
-        These are the bits `train_masked` returns for the job.
+        These are the bits `train_masked` returns for the job; float32
+        biases widen back to the same float64 values.
         """
         layers = []
         for w, m, v in zip(self.init.weights, self.mask, self.values):

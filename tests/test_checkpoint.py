@@ -1,4 +1,6 @@
 import gc
+import os
+import stat
 import struct
 
 import numpy as np
@@ -237,3 +239,27 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert deep_equal(load_checkpoint(path)[1], SAMPLE)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.bin"]
+
+
+def test_a_save_inside_another_save_loses_neither(tmp_path, monkeypatch):
+    # two writers of one checkpoint: the second saves whole between the
+    # first's write and its rename, and each rename still finds its own temp
+    # file; one temp name shared by both raised FileNotFoundError there
+    path = tmp_path / "state.bin"
+    replace = os.replace
+
+    def saving_in_between(src, dst):
+        monkeypatch.setattr(os, "replace", replace)
+        save_checkpoint(path, {"second": np.arange(3)})
+        assert deep_equal(load_checkpoint(path)[1], {"second": np.arange(3)})
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", saving_in_between)
+    save_checkpoint(path, SAMPLE)
+    monkeypatch.undo()
+    assert deep_equal(load_checkpoint(path)[1], SAMPLE)  # the last rename wins
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.bin"]
+    # with the mode open() gives a new file, not mkstemp's owner-only one
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask

@@ -218,3 +218,17 @@ def test_adaptive_prune_warns_when_no_candidate_learns():
     cfg = PruneConfig(population=3, short_epochs=0, full_epochs=0, seed=0)
     with pytest.warns(SelectionWarning):
         searched(0, WeightSlotStore(SPEC.shapes), suite, cfg)
+
+
+def test_a_chosen_population_is_freed_while_its_winner_trains():
+    # once the winner's job is submitted nothing holds the population's
+    # batch: its masks, replies and shared initializer go with it
+    import weakref
+    suite = blob_suite()
+    cfg = PruneConfig(population=3, short_epochs=1, full_epochs=1, seed=5)
+    search = start_search(0, WeightSlotStore(SPEC.shapes), SPEC, suite, cfg, TRAIN)
+    population = weakref.ref(search.population)
+    choose_winner(search)
+    assert search.population is None and population() is None
+    # the winner's mask is kept, by its own job
+    assert search.trained().mask is search.mask

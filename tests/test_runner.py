@@ -927,6 +927,25 @@ def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, monkeypatch,
         log = p["prune_logs"][1]
         log["sparsities"][log["chosen"]] = 1e9
 
+    # a log just past a bound, and otherwise one the checks accept
+    def log_past_next_task(p):
+        # a stopped run's last log names next_task at most
+        p["prune_logs"].append(dict(p["prune_logs"][-1], task_id=p["next_task"] + 1))
+
+    def sparsity_past_slots(p):
+        # half a slot more than the store holds, on a candidate the choice
+        # rule still passes over, with the scores the rule gives
+        from subnetpack.pruning import choice
+        prune = build_run_config(parse_config_text(p["config"])).prune
+        log = p["prune_logs"][0]
+        j = 1 - min(log["chosen"], 1)
+        log["sparsities"][j] = sum(r * c for r, c in p["store"]["layer_shapes"]) + 0.5
+        log["accuracies"][j] = 0.0
+        scores, chosen = choice(log["accuracies"], log["sparsities"], prune.alpha,
+                                prune.beta)
+        assert chosen == log["chosen"]
+        log["scores"] = list(scores)
+
     bad, out = str(tmp_path / "bad.bin"), str(tmp_path / "reports")
     for done, change in ((3, rewound), (2, advanced), (1, narrow_cap),
                          (1, wider_hidden), (3, cut_table), (3, huge_next_task),
@@ -938,7 +957,8 @@ def test_cli_checkpoints_with_disagreeing_copies_exit_4(tmp_path, monkeypatch,
                          (3, extra_layer_sparsity), (3, reversed_logs),
                          (3, accuracy_above_one), (3, negative_winner_sparsity),
                          (3, chosen_score), (3, other_winner_sparsity),
-                         (3, chosen_sparsity)):
+                         (3, chosen_sparsity), (3, log_past_next_task),
+                         (3, sparsity_past_slots)):
         (tmp_path / "bad.bin").write_bytes(saved[done - 1])
         _, payload = load_checkpoint(bad)
         change(payload)
@@ -1204,6 +1224,51 @@ def test_format_1_checkpoint_still_reads(tmp_path, capsys):
         assert same_masks(again.store.tasks[t].mask, alloc.mask)
         for a, b in zip(again.store.tasks[t].codes, alloc.codes):
             np.testing.assert_array_equal(a, b)
+    # format 1 stored float64 biases; they are read, kept and saved as they
+    # are, and the re-saved run resumes to the same reports
+    for loaded in (state, again):
+        assert {b.dtype for r in loaded.tasks.values() for b in r.biases} == {
+            np.dtype(np.float64)}
+    assert {b.dtype for biases in load_checkpoint(new)[1]["biases"].values()
+            for b in biases} == {np.dtype(np.float64)}
+    assert main(["resume", "--checkpoint", new]) == 0
+    capsys.readouterr()
+    for name in REPORTS:
+        assert read_without_timestamp(tmp_path / "resaved" / name) == (
+            read_without_timestamp(os.path.join(FIXTURE_V1, name))), name
+
+
+def test_a_run_saves_float32_biases_and_resumes_float64_ones(tmp_path):
+    # a worker's reply narrows the biases SGD computed in float32, so a run
+    # holds and saves float32 biases; a checkpoint of float64 biases, as
+    # earlier runs wrote, is 4 bytes a bias larger and resumes to the same
+    # reports, keeping its biases' width
+    from subnetpack.checkpoint import load_checkpoint, save_checkpoint
+    full = new_state(make_cfg(tmp_path / "full"))
+    execute_run(full)
+    assert {b.dtype for r in full.tasks.values() for b in r.biases} == {
+        np.dtype(np.float32)}
+    assert {b.dtype for biases in load_checkpoint(full.checkpoint_path)[1][
+        "biases"].values() for b in biases} == {np.dtype(np.float32)}
+
+    part = new_state(make_cfg(tmp_path / "part"))
+    assert 1 in run_until_saved(part, 1)
+    path = part.checkpoint_path
+    del part
+    narrow = os.path.getsize(path)
+    _, payload = load_checkpoint(path)
+    payload["biases"] = {t: [b.astype(np.float64) for b in biases]
+                         for t, biases in payload["biases"].items()}
+    save_checkpoint(path, payload)
+    assert os.path.getsize(path) - narrow == 4 * (16 + 4)  # task 0's biases
+    resumed = state_from_checkpoint(path)
+    assert [b.dtype for b in resumed.tasks[0].biases] == [np.float64] * 2
+    execute_run(resumed)
+    assert [b.dtype for b in resumed.tasks[0].biases] == [np.float64] * 2
+    assert resumed.matrix.rows == full.matrix.rows
+    for name in REPORTS:
+        assert read_without_timestamp(tmp_path / "part" / name) == (
+            read_without_timestamp(tmp_path / "full" / name)), name
 
 
 def report_bytes(out):
@@ -1241,9 +1306,9 @@ def test_open_equals_run(tmp_path, mode):
             ref = np.zeros(m.shape, np.float32)
             ref[m] = c.view(np.float32) if alloc.psi == SLOT_BITS else table[c]
             assert w.tobytes() == ref.tobytes()
-        # beside them, copies of the stored float64 biases
+        # beside them, copies of the stored float32 biases
         for b, stored in zip(got.biases, opened.tasks[t].biases, strict=True):
-            assert b.dtype == stored.dtype == np.float64
+            assert b.dtype == stored.dtype == np.float32
             assert b.tobytes() == stored.tobytes() and b is not stored
     if mode == "pruning-only":
         assert all(a.psi == SLOT_BITS for a in opened.store.tasks.values())
@@ -1320,17 +1385,34 @@ def out_bytes(out):
     return files
 
 
-@pytest.mark.parametrize("mode", ["full", "pruning-only", "quantization-only"])
+# a full run whose slots fill to budgets between psi_max and psi_max +
+# psi_min bits, where the lookahead must decline
+TIGHT = TINY + """
+scenario.n_tasks = 10
+prune.t_l = 8
+quant.psi_init = 6
+quant.psi_max = 8
+quant.delta = 1
+prune.v_min = 0.5
+prune.v_max = 0.7
+"""
+
+
+@pytest.mark.parametrize("mode", ["full", "pruning-only", "quantization-only", "tight"])
 def test_lookahead_changes_nothing_observable(tmp_path, monkeypatch, mode):
     # quantization-only fails on the parent, where the rule did not govern it
     from subnetpack import runner, store
     out = tmp_path / "out"
+    if mode == "tight":
+        cfg = build_run_config(parse_config_text(TIGHT + f"run.output_dir = {out}\n"))
+    else:
+        cfg = make_cfg(out, f"run.mode = {mode}\n")
     runs = {}
     for exact in (False, True):
         with monkeypatch.context() as patch:
             if not exact:
                 patch.setattr(runner, "_lookahead_is_exact", lambda state, mask: False)
-            state = new_state(make_cfg(out, f"run.mode = {mode}\n"))
+            state = new_state(cfg)
             _, events = record_run(patch, lambda: execute_run(state))
         runs[exact] = out_bytes(out), events
         for path in out.iterdir():
@@ -1341,9 +1423,16 @@ def test_lookahead_changes_nothing_observable(tmp_path, monkeypatch, mode):
     # holds one prune log per task searched
     shown = [e for e in overlapped if e[0] in ("save", "warn")]
     assert shown == [e for e in plain if e[0] in ("save", "warn")]
-    searched = 0 if mode == "quantization-only" else 1
-    assert [e for e in shown if e[0] == "save"] == [("save", t, searched * t)
-                                                     for t in (1, 2, 3)]
+    if mode == "tight":
+        # tasks 6 to 9 each find their first winner over budget and retry
+        # on a roomier floor; a lookahead drawn from a store projected at
+        # psi_max bits, where task 5 commits 6, would skip task 6's retry
+        assert [log.task_id for log in state.prune_logs] == (
+            list(range(6)) + [6, 6, 7, 7, 8, 8, 9, 9])
+    else:
+        searched = 0 if mode == "quantization-only" else 1
+        assert [e for e in shown if e[0] == "save"] == [("save", t, searched * t)
+                                                         for t in (1, 2, 3)]
     if mode == "pruning-only":
         assert any(e[0] == "warn" for e in shown)
     # a held-back warning points where it was issued: a CapacityWarning at

@@ -348,10 +348,12 @@ def test_state_dict_round_trip_every_bit_width():
     # psi = 32 is the pruning-only width; every width shares one code path.
     # Codes over each width's whole range go through the code packer and the
     # record reader; the store round trip takes them folded into centroid
-    # tables of at most 256 entries
+    # tables of at most 256 entries. A committed and a loaded record hold
+    # its codes in the narrowest unsigned integer of psi bits
     from subnetpack.store import _pack_codes, _read_packed_layer
     rng = np.random.default_rng(11)
     for psi in range(1, SLOT_BITS + 1):
+        narrow = np.uint8 if psi <= 8 else np.uint16 if psi <= 16 else np.uint32
         store = WeightSlotStore([(5, 7), (3, 1)], t_max=1)
         mask = [rng.random(s) < 0.6 for s in store.layer_shapes]
         codes = [rng.integers(0, 1 << psi, int(m.sum()), dtype=np.uint64).astype(np.uint32)
@@ -361,12 +363,13 @@ def test_state_dict_round_trip_every_bit_width():
             np.testing.assert_array_equal(_pack_codes(codes[i], psi), expected["codes"][i])
             got_mask, got = _read_packed_layer(expected["mask"][i], expected["codes"][i],
                                                psi, shape, f"layer {i}")
-            assert got.dtype == np.uint32
+            assert got.dtype == narrow
             np.testing.assert_array_equal(got, codes[i])
             np.testing.assert_array_equal(got_mask, mask[i])
         if psi < SLOT_BITS:
             codes = [c % min(1 << psi, 256) for c in codes]
         store.commit(0, mask, psi, codes, tables_for(psi, codes))
+        assert [c.dtype for c in store.tasks[0].codes] == [narrow] * 2
         state = store.state_dict()
         written = state["tasks"][0]
         assert store.packed_bytes(0) == (sum(m.nbytes for m in written["mask"]),
@@ -376,8 +379,13 @@ def test_state_dict_round_trip_every_bit_width():
             np.testing.assert_array_equal(got, want)
         clone = WeightSlotStore.from_state_dict(state, tables_of(store))
         for c1, c2 in zip(clone.tasks[0].codes, codes):
-            assert c1.dtype == np.uint32
+            assert c1.dtype == narrow
             np.testing.assert_array_equal(c1, c2)
+        # format 1 stored uint32 codes; they load as narrow
+        v1 = {**state, "tasks": [{"task_id": 0, "psi": psi, "mask": mask,
+                                  "codes": [c.astype(np.uint32) for c in codes]}]}
+        old = WeightSlotStore.from_state_dict(v1, tables_of(store), packed=False)
+        assert [c.dtype for c in old.tasks[0].codes] == [narrow] * 2
         for i in range(2):
             np.testing.assert_array_equal(slot_occupancy(clone, i), slot_occupancy(store, i))
 
