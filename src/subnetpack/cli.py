@@ -6,13 +6,16 @@ read, or an output directory that cannot be created (found before any task
 trains), 3 capacity exhausted,
 4 corrupt or unsupported checkpoint, or `report` on one with no completed
 task, 5 a training worker process died, 130 interrupted (Ctrl-C); a run
-or resume names the checkpoint it last wrote to.
+or resume names the checkpoint it last wrote to, 141 standard output closed
+before the command's lines were written (`... | head -1`, say; 128 + SIGPIPE,
+as 130 is 128 + SIGINT).
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 
 from .config import load_run_config
@@ -28,6 +31,7 @@ EXIT_CAPACITY = 3
 EXIT_CHECKPOINT = 4
 EXIT_WORKER = 5
 EXIT_INTERRUPTED = 130
+EXIT_PIPE = 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,7 +149,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at os.devnull, so that
+        # the interpreter's own flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (ConfigError, IdxFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

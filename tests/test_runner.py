@@ -1,7 +1,12 @@
+import errno
 import json
 import math
 import os
 import re
+import shutil
+import stat
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -1335,6 +1340,115 @@ def test_a_float32_view_scores_as_its_float64_widening(tmp_path, mode):
             assert acc == evaluate(spec, wide, mask, x, y)
             if s == t:
                 assert acc == state.matrix.rows[t][t]
+
+
+# -- reports written over old ones --------------------------------------------
+
+@pytest.fixture(scope="module")
+def three_and_one(tmp_path_factory):
+    """A 3-task run's directory, and a checkpoint of the same run after task 0."""
+    base = tmp_path_factory.mktemp("rewrite")
+    execute_run(new_state(make_cfg(base / "three")))
+    assert 1 in run_until_saved(new_state(make_cfg(base / "one")), 1)
+    return base / "three", str(base / "one" / "checkpoint.bin")
+
+
+def test_report_over_a_longer_run_writes_what_a_fresh_directory_gets(
+        tmp_path, capsys, three_and_one):
+    # every old report is cut to the new one's length, and a new report gets
+    # the mode `open` gives a new file
+    three, one = three_and_one
+    shutil.copytree(three, tmp_path / "over")
+    for out in ("over", "fresh"):
+        assert main(["report", "--checkpoint", one,
+                     "--output-dir", str(tmp_path / out)]) == 0
+    capsys.readouterr()
+    assert report_bytes(tmp_path / "over") == report_bytes(tmp_path / "fresh")
+    assert all((three / name).stat().st_size > (tmp_path / "fresh" / name).stat().st_size
+               for name in REPORTS if name != "scenario_manifest.txt")
+    with open(tmp_path / "probe", "w", encoding="utf-8"):
+        pass
+    assert {stat.S_IMODE((tmp_path / "fresh" / name).stat().st_mode)
+            for name in REPORTS} == {stat.S_IMODE((tmp_path / "probe").stat().st_mode)}
+
+
+def test_reports_are_rewritten_in_place(tmp_path, monkeypatch, three_and_one):
+    # fails on the parent, whose reports were written through open(path, "w")
+    three, _ = three_and_one
+    out = tmp_path / "out"
+    shutil.copytree(three, out)
+    inodes = {name: (out / name).stat().st_ino for name in REPORTS}
+    state = state_from_checkpoint(str(out / "checkpoint.bin"), need_suite=False,
+                                  output_dir=str(out))
+    opened, real_open = [], os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((os.path.basename(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "open", recording_open)
+        write_reports(state)
+    assert sorted(name for name, _ in opened) == sorted(REPORTS)
+    assert not any(flags & os.O_TRUNC for _, flags in opened)
+    assert {name: (out / name).stat().st_ino for name in REPORTS} == inodes
+    assert report_bytes(out) == report_bytes(three)
+
+
+def test_a_failed_report_write_leaves_only_the_new_bytes(tmp_path, monkeypatch,
+                                                         three_and_one):
+    # fails on the parent, whose writes did not go through os.write: a disk
+    # that fills after 10 bytes of the first report leaves those 10 bytes and
+    # none of the longer old report behind them
+    three, one = three_and_one
+    out = tmp_path / "out"
+    shutil.copytree(three, out)
+    old = (out / "accuracy_matrix.csv").read_bytes()
+    state = state_from_checkpoint(one, need_suite=False, output_dir=str(out))
+    written, real_write = [], os.write
+
+    def filling_write(fd, data):
+        if written:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        written.append(bytes(data[:10]))
+        return real_write(fd, data[:10])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", filling_write)
+        with pytest.raises(OSError) as info:
+            write_reports(state)
+    assert info.value.errno == errno.ENOSPC
+    assert len(old) > 10 and (out / "accuracy_matrix.csv").read_bytes() == written[0]
+    write_reports(state)
+    assert (out / "accuracy_matrix.csv").read_bytes().startswith(written[0])
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("command", ["report", "inspect-checkpoint"])
+def test_cli_closed_stdout_exits_141(tmp_path, three_and_one, command, buffered):
+    # fails on the parent, where the first print (unbuffered) or the flush at
+    # exit (buffered) raised BrokenPipeError: exit 1 with a traceback, or 120
+    import subnetpack
+    from subnetpack.cli import EXIT_PIPE
+    _, one = three_and_one
+    argv = [command, "--checkpoint", one]
+    if command == "report":
+        argv += ["--output-dir", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        os.path.abspath(subnetpack.__file__))))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "subnetpack.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 # -- the one-task lookahead ----------------------------------------------------
